@@ -19,7 +19,7 @@ from .errors import (
     NonRepresentable,
     RayIndexOutOfRange,
 )
-from .lattice import Fan, Vec, cone_coordinates, det, vadd
+from .lattice import Fan, Vec, cone_coordinates, vadd
 from .model import ToricModel
 
 
@@ -64,7 +64,7 @@ def _hnf_2rows(rows: list[list[int]]) -> list[list[int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _relation_basis(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
     rows = [[u[0] for u in rays], [u[1] for u in rays]]
     return tuple(tuple(r) for r in _hnf_2rows(rows))
@@ -82,7 +82,7 @@ def _reduce_toric(rays: tuple[Vec, ...], v: list[int]) -> tuple[int, ...]:
     return tuple(v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def intersection_matrix(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
     """Intersection numbers D_i . D_j of the toric boundary divisors."""
     m = len(rays)
@@ -247,7 +247,7 @@ def class_from_profile(model: ToricModel, dD, dE) -> CurveClass:
     return make_class(model.fan.rays, toric, exc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _quotient_columns(rays: tuple[Vec, ...]) -> tuple[int, ...]:
     """Indices of the free (non-pivot) columns of the relation lattice."""
     pivots = []
@@ -257,7 +257,7 @@ def _quotient_columns(rays: tuple[Vec, ...]) -> tuple[int, ...]:
     return tuple(k for k in range(n) if k not in pivots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _solve_toric_profile(
     rays: tuple[Vec, ...], target: tuple[int, ...]
 ) -> tuple[int, ...]:

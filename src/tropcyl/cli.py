@@ -21,6 +21,7 @@ from .counting import (
     contributing_classes,
     count_primitive_cylinder,
     default_table,
+    measure,
     splitting_sum,
 )
 from .deformation import replay_induction
@@ -168,12 +169,12 @@ def _random_twig(model, rng) -> tuple:
 
 def _verify_one(model, cyl, table) -> int:
     entries = contributing_classes(model, cyl, table)
-    for _, beta, n in entries:
+    for beta, n in measure((b, k) for _, b, k in entries).items():
         c = count_primitive_cylinder(model, cyl, beta, table)
         s = splitting_sum(model, cyl, beta, table)
         if not (c == s == n):
             raise IdentityViolation(
-                f"closed form {c}, splitting sum {s}, product {n} for class {beta}"
+                f"closed form {c}, splitting sum {s}, listed {n} for class {beta}"
             )
     steps = 0
     if entries:

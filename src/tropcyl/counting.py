@@ -1,29 +1,23 @@
 """Primitive cylinder counts: elementary tables, the closed-form product
 count, and the independent splitting sum.
 
-The count of a primitive cylinder factors over its twig leaves: every leaf
-toward an exceptional ray direction contributes one elementary cylinder,
-and a class is counted once per way of distributing the leaves over the
-exceptional components it meets.
+The count of a primitive cylinder factors over its twig leaves: the closed
+form is the product measure of the leaf measures (class -> count, read off
+the elementary table at the leaf's exceptional components), shifted by the
+spine extension class. The deformation replay uses the same measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
 
 from . import classes as cls
-from .errors import NotPrimitiveCylinder, OutOfPrimitiveScope, ZeroVector
-from .lattice import Point, Vec, det, norm, primitive_part
-from .model import ToricModel
-from .tropical import (
-    Cylinder,
-    canonical_spine_split,
-    extension_class,
-    unimodular_complement,
-)
+from .errors import ComponentOutOfRange, NotPrimitiveCylinder, OutOfPrimitiveScope, ZeroVector
+from .lattice import Point, Vec, norm, primitive_part
+from .model import ToricModel, build_model
+from .tropical import Cylinder, canonical_spine_split, extension_class
 
 Support = dict[cls.CurveClass, int]
 
@@ -38,7 +32,7 @@ class ElementaryCountTable:
 
     entries: tuple[tuple[tuple[int, int], tuple[tuple[cls.CurveClass, int], ...]], ...]
 
-    @property
+    @cached_property
     def by_pair(self) -> dict[tuple[int, int], tuple[tuple[cls.CurveClass, int], ...]]:
         return dict(self.entries)
 
@@ -85,25 +79,32 @@ def extended_boundary_profile(model: ToricModel, cyl: Cylinder) -> tuple[int, ..
     return tuple(x + y for x, y in zip(a, b))
 
 
-@lru_cache(maxsize=None)
-def _elementary_data(model: ToricModel, i: int):
+@lru_cache(maxsize=256)
+def _elementary_data(rays: tuple[Vec, ...], blowups: tuple[int, ...], i: int):
+    """Extension shift and classes (j = 1 .. l_i) of the elementary cylinder at
+    u_i; keyed on the ray order, which fixes the ray indices (Fan equality does not)."""
+    model = build_model(rays, blowups)
     cyl = elementary_cylinder(model, i)
     shift = spine_extension_shift(model, cyl)
     profile = extended_boundary_profile(model, cyl)
-    return cyl, shift, profile
+    return shift, tuple(
+        cls.class_from_profile(model, profile, {(i, j): 1}) - shift
+        for j in range(1, model.multiplicity(i) + 1)
+    )
 
 
 def elementary_extension_shift(model: ToricModel, i: int) -> cls.CurveClass:
-    return _elementary_data(model, i)[1]
+    return _elementary_data(model.fan.rays, model.blowups, i)[0]
 
 
 def elementary_class(model: ToricModel, i: int, j: int) -> cls.CurveClass:
     """The unique class supported by the default table at (i, j): meets E_ij
     once, no other exceptional curve, toric part fixed by the extended
     elementary cylinder's boundary profile."""
-    _, shift, profile = _elementary_data(model, i)
-    extended = cls.class_from_profile(model, profile, {(i, j): 1})
-    return extended - shift
+    classes = _elementary_data(model.fan.rays, model.blowups, i)[1]
+    if not 1 <= j <= len(classes):
+        raise ComponentOutOfRange(f"component {j} out of range 1..{len(classes)} at ray {i}")
+    return classes[j - 1]
 
 
 def twig_components(model: ToricModel, cyl: Cylinder) -> tuple[int, ...]:
@@ -132,34 +133,50 @@ def check_primitive(model: ToricModel, cyl: Cylinder) -> None:
         raise NotPrimitiveCylinder("twig leaf directions are not pairwise distinct")
 
 
+def _leaf_entries(model: ToricModel, i: int, table: ElementaryCountTable):
+    """Every (j, class, count) the table lists at a pair (i, j), j <= l_i."""
+    by_pair = table.by_pair
+    return [(j, c, n) for j in range(1, model.multiplicity(i) + 1) for c, n in by_pair.get((i, j), ())]
+
+
+def measure(terms) -> Support:
+    """Sum (class, count) terms per class; classes whose counts cancel drop out."""
+    out: Support = {}
+    for c, n in terms:
+        out[c] = out.get(c, 0) + n
+    return {c: n for c, n in out.items() if n != 0}
+
+
+def leaf_support(model: ToricModel, i: int, table: ElementaryCountTable) -> Support:
+    """The measure of a leaf toward u_i: each listed class, counts summed over j."""
+    return measure((c, n) for _j, c, n in _leaf_entries(model, i, table))
+
+
+def convolve(a: Support, b: Support) -> Support:
+    """The product measure pushed forward along class addition."""
+    return measure((ca + cb, na * nb) for ca, na in a.items() for cb, nb in b.items())
+
+
 def contributing_classes(
     model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None = None
 ) -> tuple[tuple[tuple[int, ...], cls.CurveClass, int], ...]:
-    """One entry per choice of exceptional components (j_s): the extended
-    class assembled as the spine extension shift plus the sum of the chosen
-    elementary classes, and the product of elementary counts.
-
-    Assembling from the elementary summands rather than from the cylinder's
-    own boundary profile keeps the closed form and the splitting sum indexed
-    by the same classes on every model; the two assemblies agree whenever
-    all extension ledgers vanish but differ in general, because extension
-    classes only record transverse ray crossings.
+    """The closed form term by term: an entry picks, per leaf s, a component
+    j_s and a class the table lists at (i(s), j_s), and holds (j_1, ..., j_t),
+    the spine extension shift plus the picked classes, and the product of
+    their counts. A class's closed-form count (the product measure of the
+    leaf measures) is the sum of its entries, for every table ``parse_table``
+    accepts; the default table gives one entry per (j_s), counted 1. Classes
+    come from the table's summands, not the boundary profile, so the closed
+    form and the splitting sum index the same classes on every model.
     """
     check_primitive(model, cyl)
     if table is None:
         table = default_table(model)
-    comps = twig_components(model, cyl)
-    shift = spine_extension_shift(model, cyl)
-    out = []
-    ranges = [range(1, model.multiplicity(i) + 1) for i in comps]
-    for choice in product(*ranges):
-        beta = shift
-        count = 1
-        for i, j in zip(comps, choice):
-            beta = beta + elementary_class(model, i, j)
-            count *= table.count(i, j, elementary_class(model, i, j))
-        out.append((choice, beta, count))
-    return tuple(out)
+    rows = [((), spine_extension_shift(model, cyl), 1)]
+    for i in twig_components(model, cyl):
+        leaf = _leaf_entries(model, i, table)
+        rows = [(ch + (j,), b + c, n * k) for ch, b, n in rows for j, c, k in leaf]
+    return tuple(rows)
 
 
 def count_primitive_cylinder(
@@ -168,22 +185,24 @@ def count_primitive_cylinder(
     beta: cls.CurveClass,
     table: ElementaryCountTable | None = None,
 ) -> int:
-    """Closed-form count: the matching entry of ``contributing_classes``.
-
-    For an infinitesimal cylinder the extension bookkeeping is applied first,
-    so ``beta`` is matched at the extended level beta + extension shift.
+    """Closed-form count: the mass at beta of the product measure of the leaf
+    measures shifted by the spine extension class, for every table
+    ``parse_table`` accepts. The first t - 1 leaf measures are subtracted from
+    beta in turn and the last is one lookup, so no class is listed. An
+    infinitesimal cylinder is matched at the extended level beta + shift.
     """
     prof = cls.intersect(model, beta)
     if any(v not in (0, 1) for _, v in prof.dE):
         raise OutOfPrimitiveScope("class meets an exceptional curve with multiplicity > 1")
-    key = beta
-    if not cyl.extended:
-        key = beta + spine_extension_shift(model, cyl)
-    total = 0
-    for _choice, c, n in contributing_classes(model, cyl, table):
-        if c == key:
-            total += n
-    return total
+    check_primitive(model, cyl)
+    if table is None:
+        table = default_table(model)
+    target = beta - spine_extension_shift(model, cyl) if cyl.extended else beta
+    *first, last = [leaf_support(model, i, table) for i in twig_components(model, cyl)]
+    residual: Support = {target: 1}
+    for supp in first:
+        residual = convolve(residual, {-c: n for c, n in supp.items()})
+    return sum(w * last.get(r, 0) for r, w in residual.items())
 
 
 def splitting_sum(

@@ -19,12 +19,16 @@ from fractions import Fraction
 from . import classes as cls
 from .counting import (
     ElementaryCountTable,
+    Support,
     check_primitive,
     contributing_classes,
+    convolve,
     count_primitive_cylinder,
     default_table,
     elementary_cylinder,
     elementary_extension_shift,
+    leaf_support,
+    measure,
     spine_extension_shift,
     twig_components,
 )
@@ -40,8 +44,6 @@ from .tropical import (
     make_tree,
     spine_decomposition,
 )
-
-Support = dict[cls.CurveClass, int]
 
 _ORIGIN = (Fraction(0), Fraction(0))
 
@@ -379,27 +381,6 @@ def extension_ledger(
     return ExtensionLedger(delta_v, elems, leaves)
 
 
-def _zero(model: ToricModel) -> cls.CurveClass:
-    return cls.make_class(model.fan.rays, (0,) * model.m)
-
-
-def convolve(a: Support, b: Support) -> Support:
-    out: Support = {}
-    for ca, na in a.items():
-        for cb, nb in b.items():
-            key = ca + cb
-            out[key] = out.get(key, 0) + na * nb
-    return {c: n for c, n in out.items() if n != 0}
-
-
-def _leaf_support(model: ToricModel, i: int, table: ElementaryCountTable) -> Support:
-    out: Support = {}
-    for j in range(1, model.multiplicity(i) + 1):
-        for c, n in table.by_pair.get((i, j), ()):
-            out[c] = out.get(c, 0) + n
-    return out
-
-
 def family_support(
     model: ToricModel,
     cyl: Cylinder,
@@ -424,10 +405,7 @@ def family_support(
     if kind == "M":
         return {ledger.delta_elem[idx - 1]: 1}
     if kind == "N":
-        base = ledger.delta_elem[idx - 1]
-        return {
-            c + base: n for c, n in _leaf_support(model, comps[idx - 1], table).items()
-        }
+        return convolve({ledger.delta_elem[idx - 1]: 1}, leaf_support(model, comps[idx - 1], table))
     if kind != "L" or not 1 <= idx <= t + 1:
         raise KeyError(f"unknown family member {name}")
     shift = ledger.delta_V
@@ -435,7 +413,7 @@ def family_support(
         shift = shift + ledger.delta_leaf[s]
     supp: Support = {shift: 1}
     for s in range(idx - 1, t):
-        supp = convolve(supp, _leaf_support(model, comps[s], table))
+        supp = convolve(supp, leaf_support(model, comps[s], table))
     return supp
 
 
@@ -475,8 +453,11 @@ def replay_induction(
     """Replay the induction: per-step splitting identities, both endpoints,
     and (when a class is given) agreement with the closed-form count.
 
-    All comparisons are exact equalities of counting measures; the checks
-    hold for any table, not only the canonical one.
+    All comparisons are exact equalities of counting measures. L1 is the
+    closed form, the spine extension class convolved with every leaf
+    measure; endpoint-initial compares it with the per-class sums of the
+    ``contributing_classes`` entries. The checks hold for every table
+    ``parse_table`` accepts, not only the canonical one.
     """
     check_primitive(model, cyl)
     if not cyl.extended:
@@ -501,10 +482,7 @@ def replay_induction(
             f"lhs {_fmt_support(model, lhs)} != rhs {_fmt_support(model, rhs)}"
         )
         checks.append(IdentityCheck(f"splitting-{k}", ok, detail))
-    agg: Support = {}
-    for _choice, c, n in contributing_classes(model, cyl, table):
-        if n:
-            agg[c] = agg.get(c, 0) + n
+    agg = measure((c, n) for _choice, c, n in contributing_classes(model, cyl, table))
     ok = supp["L1"] == agg
     checks.append(
         IdentityCheck(

@@ -117,6 +117,54 @@ def test_verify_skewed_table(capsys, tmp_path):
     assert out.startswith("PASS")
 
 
+def _table_file(tmp_path, model, by_pair):
+    from tropcyl import config as cfg
+
+    payload = {
+        "entries": [
+            {
+                "pair": list(pair),
+                "counts": [{"class": cfg.profile_to_dict(model, c), "count": n} for c, n in counts],
+            }
+            for pair, counts in by_pair.items()
+        ]
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_verify_second_class_table(capsys, tmp_path):
+    from tropcyl.classes import divisor_class
+    from tropcyl.counting import elementary_class
+    from tropcyl.model import cubic_model
+
+    model = cubic_model()
+    by_pair = {pair: [(elementary_class(model, *pair), 1)] for pair in model.exceptional_pairs}
+    by_pair[(1, 1)].append((elementary_class(model, 1, 1) + divisor_class(model.fan, 2), 3))
+    spec = spec_file(tmp_path, {"twig_type": [[1, 0], [0, 1]]})
+    code, out = run(capsys, "verify", spec, "--table", _table_file(tmp_path, model, by_pair))
+    assert code == 0
+    assert out.startswith("PASS, 2 induction steps")
+
+
+@pytest.mark.parametrize("count", [2, -1])
+def test_verify_class_listed_at_two_pairs(capsys, tmp_path, count):
+    """One class at (1, 1) and (1, 2): the listing repeats it, and verify
+    compares the closed form with the listed counts summed per class, which
+    cancel when the second count is -1."""
+    from tropcyl.counting import elementary_class
+    from tropcyl.model import cubic_model
+
+    model = cubic_model()
+    by_pair = {pair: [(elementary_class(model, *pair), 1)] for pair in model.exceptional_pairs}
+    by_pair[(1, 2)] = [(elementary_class(model, 1, 1), count)]
+    spec = spec_file(tmp_path, {"twig_type": [[1, 0], [0, 1]]})
+    code, out = run(capsys, "verify", spec, "--table", _table_file(tmp_path, model, by_pair))
+    assert code == 0
+    assert out.startswith("PASS, 2 induction steps")
+
+
 def test_render_walls_golden(tmp_path, capsys):
     out_path = tmp_path / "walls.svg"
     code, _ = run(capsys, "render", "walls", "--steps", "2", "--svg", str(out_path))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropcyl.classes import class_from_profile, divisor_class, intersect, make_class
 from tropcyl.counting import (
@@ -15,8 +17,9 @@ from tropcyl.counting import (
     spine_extension_shift,
     splitting_sum,
 )
-from tropcyl.errors import NotPrimitiveCylinder, OutOfPrimitiveScope
-from tropcyl.model import P2_RAYS, build_model
+from tropcyl.deformation import replay_induction
+from tropcyl.errors import NotPrimitiveCylinder, OutOfPrimitiveScope, TropcylError
+from tropcyl.model import P1XP1_RAYS, P2_RAYS, build_model
 from tropcyl.tropical import Cylinder
 
 
@@ -158,3 +161,71 @@ def test_elementary_cylinder_shape(cubic):
         cyl = elementary_cylinder(cubic, i)
         assert cyl.twig_type == (cubic.fan.ray(i),)
         assert len(contributing_classes(cubic, cyl)) == cubic.multiplicity(i)
+
+
+def test_elementary_class_follows_ray_order():
+    """Equal fans given in another cyclic order number their rays
+    differently, so they must not share elementary classes."""
+    a = build_model(((1, 0), (0, 1), (-1, -1)), (2, 2, 2))
+    b = build_model(((0, 1), (-1, -1), (1, 0)), (2, 2, 2))
+    assert a == b
+    elementary_class(a, 1, 1)
+    beta = elementary_class(b, 1, 1)
+    assert beta.rays == b.fan.rays
+    assert intersect(b, beta).dE_map == {(1, 1): 1}
+
+
+def test_second_class_at_a_pair(cubic):
+    extra = elementary_class(cubic, 1, 1) + divisor_class(cubic.fan, 2)
+    table = ElementaryCountTable(
+        tuple((pair, cs + ((extra, 3),) if pair == (1, 1) else cs) for pair, cs in default_table(cubic).entries)
+    )
+    cyl = build_cylinder(cubic, ((1, 0), (0, 1)), extended=True)
+    beta = spine_extension_shift(cubic, cyl) + extra + elementary_class(cubic, 2, 1)
+    assert count_primitive_cylinder(cubic, cyl, beta, table) == 3
+    assert splitting_sum(cubic, cyl, beta, table) == 3
+    entries = contributing_classes(cubic, cyl, table)
+    assert len(entries) == 6
+    assert sum(n for _, _, n in entries) == 10
+
+
+@st.composite
+def multi_class_tables(draw):
+    """A model, a cylinder on it and a table with up to three classes per
+    pair: an elementary class of the same ray, shifted by boundary divisors."""
+    model = build_model(*draw(st.sampled_from([(P2_RAYS, (2, 2, 2)), (P1XP1_RAYS, (2, 1, 2, 1))])))
+    entries = []
+    for i, j in model.exceptional_pairs:
+        counts = []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            c = elementary_class(model, i, draw(st.integers(1, model.multiplicity(i))))
+            for k in range(1, model.m + 1):
+                c = c + draw(st.integers(-1, 1)) * divisor_class(model.fan, k)
+            counts.append((c, draw(st.integers(-2, 3))))
+        entries.append(((i, j), tuple(counts)))
+    dirs = list(model.exceptional_directions)
+    twig = draw(st.lists(st.sampled_from(dirs), min_size=1, max_size=3, unique=True))
+    shift = divisor_class(model.fan, draw(st.integers(1, model.m)))
+    return model, twig, ElementaryCountTable(tuple(entries)), shift
+
+
+@settings(deadline=None, max_examples=30)
+@given(multi_class_tables())
+def test_closed_form_matches_oracle_on_any_table(case):
+    model, twig, table, shift = case
+    try:
+        cyl = build_cylinder(model, twig, extended=True)
+        entries = contributing_classes(model, cyl, table)
+    except TropcylError:
+        assume(False)
+    listed = {}
+    for _, beta, n in entries:
+        listed[beta] = listed.get(beta, 0) + n
+    for beta, n in listed.items():
+        assert count_primitive_cylinder(model, cyl, beta, table) == n
+        assert splitting_sum(model, cyl, beta, table) == n
+        shifted = beta + shift
+        want = splitting_sum(model, cyl, shifted, table)
+        assert count_primitive_cylinder(model, cyl, shifted, table) == want
+    beta = entries[0][1] if entries else None
+    assert replay_induction(model, cyl, beta, table).ok
