@@ -67,14 +67,9 @@ def _status(ok: bool) -> str:
 def _load_config(args) -> cfg.Config:
     data = cfg.load_json(args.config) if args.config else DEFAULT_CONFIG
     config = cfg.parse_config(data)
-    walls = config.walls
-    if getattr(args, "steps", None) is not None:
-        walls = cfg.WallParams(args.steps, walls.norm_bound, walls.rule)
-    if getattr(args, "norm_bound", None) is not None:
-        walls = cfg.WallParams(walls.steps, args.norm_bound, walls.rule)
-    if getattr(args, "rule", None) is not None:
-        walls = cfg.WallParams(walls.steps, walls.norm_bound, args.rule)
-    return cfg.Config(config.model, walls, config.anchors, config.render)
+    given = {k: getattr(args, k, None) for k in ("steps", "norm_bound", "rule")}
+    walls = replace(config.walls, **{k: v for k, v in given.items() if v is not None})
+    return replace(config, walls=cfg.check_walls(walls, "--steps", "--norm-bound"))
 
 
 def _write_svg(path: str, text: str) -> None:
@@ -244,37 +239,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tropcyl")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="config JSON path")
-        p.add_argument("--svg", help="write an SVG diagram to this path")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, help="seed for randomized verification")
-        p.add_argument("--table", help="elementary table JSON path")
-        p.add_argument("--steps", type=int, help="wall generation steps")
-        p.add_argument("--norm-bound", type=int, dest="norm_bound", help="prune walls above this fan norm")
-        p.add_argument("--rule", choices=RULES, help="wall generation rule")
+    flags = {
+        "--config": dict(help="config JSON path"),
+        "--svg": dict(help="write an SVG diagram to this path"),
+        "--json": dict(action="store_true", help="machine-readable output"),
+        "--seed": dict(type=int, help="seed for randomized verification"),
+        "--table": dict(help="elementary table JSON path"),
+        "--steps": dict(type=int, help="wall generation steps"),
+        "--norm-bound": dict(type=int, help="prune walls above this fan norm"),
+        "--rule": dict(choices=RULES, help="wall generation rule"),
+        "--is-wall": dict(help="query a direction X,Y instead of listing"),
+        "--cases": dict(type=int, default=20, help="randomized case count"),
+    }
 
-    p_walls = sub.add_parser("walls", help="generate and list the wall structure")
-    common(p_walls)
-    p_walls.add_argument("--is-wall", help="query a direction X,Y instead of listing")
-    p_walls.set_defaults(func=cmd_walls)
+    def add(name, func, summary, *names):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for flag in ("--config",) + names:
+            p.add_argument(flag, **flags[flag])
+        return p
 
-    p_count = sub.add_parser("count", help="contributing classes and counts for a cylinder")
-    common(p_count)
-    p_count.add_argument("spec", nargs="?", help="cylinder spec JSON path")
-    p_count.set_defaults(func=cmd_count)
-
-    p_verify = sub.add_parser("verify", help="check counting identities and the induction replay")
-    common(p_verify)
-    p_verify.add_argument("spec", nargs="?", help="cylinder spec JSON path")
-    p_verify.add_argument("--cases", type=int, default=20, help="randomized case count")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_render = sub.add_parser("render", help="write an SVG diagram")
-    common(p_render)
+    walls_flags = ("--steps", "--norm-bound", "--rule")
+    add("walls", cmd_walls, "generate and list the wall structure",
+        "--svg", "--json", *walls_flags, "--is-wall")
+    p_count = add("count", cmd_count, "contributing classes and counts for a cylinder",
+                  "--table", "--json")
+    p_verify = add("verify", cmd_verify, "check counting identities and the induction replay",
+                   "--table", "--seed", "--cases")
+    p_render = add("render", cmd_render, "write an SVG diagram", "--svg", *walls_flags)
     p_render.add_argument("target", help='"walls" or "cylinder"')
-    p_render.add_argument("spec", nargs="?", help="cylinder spec JSON path")
-    p_render.set_defaults(func=cmd_render)
+    for p in (p_count, p_verify, p_render):
+        p.add_argument("spec", nargs="?", help="cylinder spec JSON path")
 
     return parser
 

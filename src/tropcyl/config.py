@@ -87,6 +87,15 @@ def parse_model(data, path: str = "model") -> ToricModel:
         raise ConfigError(path, str(exc))
 
 
+def check_walls(
+    walls: WallParams, steps_path: str = "walls.steps", bound_path: str = "walls.norm_bound"
+) -> WallParams:
+    """Return walls after checking its ranges; the paths address errors."""
+    _expect(walls.steps >= 0, steps_path, "must be >= 0")
+    _expect(walls.norm_bound >= 1, bound_path, "must be >= 1")
+    return walls
+
+
 def parse_config(data) -> Config:
     data = _obj(data, "$")
     model = parse_model(data.get("model"), "model")
@@ -95,13 +104,11 @@ def parse_config(data) -> Config:
         w = _obj(data["walls"], "walls")
         rule = w.get("rule", walls.rule)
         _expect(rule in RULES, "walls.rule", f"expected one of {RULES}")
-        walls = WallParams(
+        walls = check_walls(WallParams(
             steps=_int(w.get("steps", walls.steps), "walls.steps"),
             norm_bound=_int(w.get("norm_bound", walls.norm_bound), "walls.norm_bound"),
             rule=rule,
-        )
-        _expect(walls.steps >= 0, "walls.steps", "must be >= 0")
-        _expect(walls.norm_bound >= 1, "walls.norm_bound", "must be >= 1")
+        ))
     anchors = None
     if data.get("anchors") is not None:
         raw = data["anchors"]
@@ -202,12 +209,14 @@ def parse_table(data, model: ToricModel) -> ElementaryCountTable:
     for k, item in enumerate(raw):
         item = _obj(item, f"table.entries[{k}]")
         pair = item.get("pair")
-        _expect(
-            isinstance(pair, (list, tuple)) and len(pair) == 2,
-            f"table.entries[{k}].pair", "expected [i, j]",
-        )
-        i = _int(pair[0], f"table.entries[{k}].pair[0]")
-        j = _int(pair[1], f"table.entries[{k}].pair[1]")
+        path = f"table.entries[{k}].pair"
+        _expect(isinstance(pair, (list, tuple)) and len(pair) == 2, path, "expected [i, j]")
+        i, j = _int(pair[0], f"{path}[0]"), _int(pair[1], f"{path}[1]")
+        try:
+            cls._check_pair(model, i, j)
+        except TropcylError as exc:
+            raise ConfigError(path, str(exc))
+        _expect((i, j) not in {p for p, _ in entries}, path, f"pair [{i}, {j}] is listed twice")
         counts = []
         raw_counts = item.get("counts")
         _expect(isinstance(raw_counts, list), f"table.entries[{k}].counts", "expected a list")

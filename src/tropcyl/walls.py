@@ -5,20 +5,26 @@ Two generation rules are supported:
 * ``pair_sum`` (default): walls start as the ray directions with positive
   blowup multiplicity; each step adds the primitive directions of d1 + d2
   over unordered pairs of distinct walls with d1 != -d2.
-* ``support``: every primitive direction parallel (up to sign) to a nonzero
-  nonnegative integer combination of the supported ray generators; the step
-  of a direction is the minimal total coefficient sum minus one.
+* ``support``: every primitive direction that is a positive multiple (same
+  sign, not up to sign) of a nonzero nonnegative integer combination of the
+  supported ray generators; the step of a direction is the minimal total
+  coefficient sum minus one.
 
-Membership queries (``is_wall_direction``) always use the support
-characterization, which is the authority for balancing checks.
+Both rules stop at their fixpoint, so steps past it cost nothing. They agree
+through step 2; from step 3 pair_sum may reach a direction sooner (cubic model,
+bound >= 5: 12 against 6 directions at step 3). At saturation both give the
+same direction set, each direction's pair_sum step at most its support step.
+Membership queries (``is_wall_direction``) compare up to sign and are the
+authority for balancing checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
-from .lattice import Vec, det, dot, norm, primitive_part, vadd
+from .lattice import Fan, Vec, det, dot, primitive_part, vadd
 from .model import ToricModel
 
 RULES = ("pair_sum", "support")
@@ -54,22 +60,18 @@ def is_wall_direction(model: ToricModel, d: Vec) -> bool:
     """
     p, _ = primitive_part(d)
     gens = model.exceptional_directions
-    for q in (p, (-p[0], -p[1])):
-        for u in gens:
-            if det(u, q) == 0 and dot(u, q) > 0:
-                return True
-        for u, v in combinations(gens, 2):
-            dd = det(u, v)
-            if dd == 0:
-                continue
-            a = det(q, v)
-            b = det(u, q)
-            # q = (a/dd) u + (b/dd) v; need both coefficients >= 0.
-            if dd < 0:
-                a, b, dd = -a, -b, -dd
-            if a >= 0 and b >= 0:
-                return True
-    return False
+    return _in_cone(gens, p) or _in_cone(gens, (-p[0], -p[1]))
+
+
+def _in_cone(gens, q: Vec) -> bool:
+    """True when q is a positive multiple of a nonzero Z>=0-combination of gens."""
+    if any(det(u, q) == 0 and dot(u, q) > 0 for u in gens):
+        return True
+    # q = (a u + b v) / det(u, v) with a = det(q, v) and b = det(u, q).
+    return any(
+        (dd := det(u, v)) != 0 and det(q, v) * dd >= 0 and det(u, q) * dd >= 0
+        for u, v in combinations(gens, 2)
+    )
 
 
 def generate_walls(
@@ -80,60 +82,51 @@ def generate_walls(
         raise ValueError(f"unknown wall rule {rule!r}")
     if steps < 0 or norm_bound < 1:
         raise ValueError("steps must be >= 0 and norm_bound >= 1")
-    fan = model.fan
-    if rule == "pair_sum":
-        found: dict[Vec, int] = {}
-        for u in model.exceptional_directions:
-            if norm(fan, u) <= norm_bound:
-                found[u] = 0
-        for n in range(steps):
-            current = [d for d, s in found.items() if s <= n]
-            new: set[Vec] = set()
-            for d1, d2 in combinations(current, 2):
-                s = vadd(d1, d2)
-                if s == (0, 0):
-                    continue
-                p, _ = primitive_part(s)
-                if p not in found and norm(fan, p) <= norm_bound:
-                    new.add(p)
-            for p in sorted(new):
-                found[p] = n + 1
-    else:
-        found = {}
-        gens = model.exceptional_directions
-        limit = max((abs(c) for u in fan.rays for c in u), default=1) * norm_bound
-        for x in range(-limit, limit + 1):
-            for y in range(-limit, limit + 1):
-                d = (x, y)
-                if d == (0, 0) or primitive_part(d)[0] != d:
-                    continue
-                if norm(fan, d) > norm_bound:
-                    continue
-                step = _support_step(gens, d, steps)
-                if step is not None:
-                    found[d] = step
+    generate = _pair_sum if rule == "pair_sum" else _support
+    found = generate(model.fan, model.exceptional_directions, steps, norm_bound)
     ordered = sorted(found.items(), key=lambda it: (it[1], it[0]))
     return WallStructure(model, steps, norm_bound, rule, tuple(ordered))
 
 
-def _support_step(gens, d: Vec, max_step: int) -> int | None:
-    """Minimal (sum of coefficients - 1) over positive representations of d, capped."""
-    for total in range(1, max_step + 2):
-        for combo in _compositions(total, len(gens)):
-            s = (0, 0)
-            for c, u in zip(combo, gens):
-                s = (s[0] + c * u[0], s[1] + c * u[1])
-            if s == (0, 0):
-                continue
-            if det(s, d) == 0 and dot(s, d) > 0:
-                return total - 1
-    return None
+def _pair_sum(fan: Fan, gens, steps: int, bound: int) -> dict[Vec, int]:
+    """Semi-naive pair sums: a step pairs only the previous step's walls with
+    all walls, since pairs of two older walls were tried one step earlier."""
+    allowed = _primitive_within(fan, bound)
+    found = dict.fromkeys(gens, 0)
+    fresh = set(gens)
+    for n in range(1, steps + 1):
+        sums = {vadd(d1, d2) for d1 in fresh for d2 in found} - {(0, 0)}
+        new = ({primitive_part(s)[0] for s in sums} & allowed) - found.keys()
+        if not new:
+            break
+        found.update(dict.fromkeys(new, n))
+        fresh = new
+    return found
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _support(fan: Fan, gens, steps: int, bound: int) -> dict[Vec, int]:
+    """Step n - 1 for each direction within the bound that a sum of n
+    generators first reaches, for n <= steps + 1."""
+    todo = {d for d in _primitive_within(fan, bound) if _in_cone(gens, d)}
+    found: dict[Vec, int] = {}
+    sums = {(0, 0)}
+    for n in range(steps + 1):
+        sums = {vadd(s, u) for s in sums for u in gens}
+        reached = todo & {primitive_part(s)[0] for s in sums - {(0, 0)}}
+        found.update(dict.fromkeys(reached, n))
+        todo -= reached
+        if not todo:
+            break
+    return found
+
+
+def _primitive_within(fan: Fan, bound: int) -> set[Vec]:
+    """Primitive vectors of fan norm <= bound: a u_i + b u_{i+1} with a >= 1,
+    b >= 0, a + b <= bound and gcd(a, b) = 1, as every cone is unimodular."""
+    return {
+        (a * u[0] + b * v[0], a * u[1] + b * v[1])
+        for u, v in zip(fan.rays, fan.rays[1:] + fan.rays[:1])
+        for a in range(1, bound + 1)
+        for b in range(bound + 1 - a)
+        if gcd(a, b) == 1
+    }

@@ -217,3 +217,48 @@ def test_parse_error_exit_code(capsys, tmp_path):
     bad.write_text("{nope")
     code, _ = run(capsys, "walls", "--config", str(bad))
     assert code == 2
+
+
+def test_walls_support_rule_on_toric_model(capsys, tmp_path):
+    config = spec_file(
+        tmp_path,
+        {"model": {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "blowups": [0, 0, 0]}},
+        "toric.json",
+    )
+    code, out = run(capsys, "walls", "--rule", "support", "--config", config)
+    assert code == 0
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--steps", "-1"), ("--norm-bound", "0")])
+def test_walls_override_out_of_range(capsys, flag, value):
+    code = main(["walls", flag, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "spec.json", "--steps", "3"],
+        ["verify", "--svg", "x.svg"],
+        ["render", "walls", "--table", "t.json"],
+        ["walls", "--seed", "1"],
+    ],
+)
+def test_unsupported_flag_rejected(capsys, argv):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments" in out.err
+
+
+def test_verify_bad_table_exit_code(capsys, tmp_path):
+    from tropcyl.counting import elementary_class
+    from tropcyl.model import cubic_model
+
+    model = cubic_model()
+    table = _table_file(tmp_path, model, {(1, 3): [(elementary_class(model, 1, 1), 1)]})
+    spec = spec_file(tmp_path, {"twig_type": [[1, 0], [0, 1]]})
+    code, _ = run(capsys, "verify", spec, "--table", table)
+    assert code == 2

@@ -126,3 +126,30 @@ def test_loaded_table_matches_counts(tmp_path):
     cyl = build_cylinder(model, ((1, 0),), extended=True)
     entries = contributing_classes(model, cyl)
     assert len(entries) == 2
+
+
+def test_wall_ranges_are_path_addressed():
+    for walls, path in (({"steps": -1}, "walls.steps"), ({"norm_bound": 0}, "walls.norm_bound")):
+        with pytest.raises(ConfigError) as exc:
+            cfg.parse_config(dict(CUBIC, walls=walls))
+        assert str(exc.value).startswith(f"{path}: ")
+
+
+def _table_payload(model, pairs):
+    beta = cfg.profile_to_dict(model, default_table(model).entries[0][1][0][0])
+    return {"entries": [{"pair": list(p), "counts": [{"class": beta, "count": 1}]} for p in pairs]}
+
+
+def test_table_repeated_pair_rejected():
+    model = cfg.parse_config(CUBIC).model
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_table(_table_payload(model, [(1, 1), (2, 1), (1, 1)]), model)
+    assert str(exc.value).startswith("table.entries[2].pair: ")
+
+
+@pytest.mark.parametrize("pair", [(1, 3), (1, 0), (4, 1), (0, 1)])
+def test_table_pair_out_of_range_rejected(pair):
+    model = cfg.parse_config(CUBIC).model
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_table(_table_payload(model, [(1, 1), pair]), model)
+    assert str(exc.value).startswith("table.entries[1].pair: ")

@@ -3,8 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcyl.errors import ZeroVector
-from tropcyl.model import P2_RAYS, build_model, cubic_model
-from tropcyl.walls import generate_walls, is_wall_direction
+from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
+from tropcyl.walls import RULES, generate_walls, is_wall_direction
+
+HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
 
 def test_step0_is_exceptional_directions(cubic):
@@ -43,7 +45,25 @@ def test_single_wall_never_scatters():
 
 def test_toric_model_has_no_walls():
     m = build_model(P2_RAYS, (0, 0, 0))
-    assert generate_walls(m, 3, 10).directions == ()
+    for rule in RULES:
+        assert generate_walls(m, 3, 10, rule).directions == ()
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_generation_stops_at_fixpoint(rule):
+    huge = generate_walls(cubic_model(), 10**5, 10, rule)
+    assert huge.steps == 10**5
+    assert huge.directions == generate_walls(cubic_model(), 31, 10, rule).directions
+
+
+def test_support_rule_keeps_sign():
+    # Only the first quadrant is a nonnegative combination of (1,0) and (0,1);
+    # is_wall_direction still accepts (-1,-1) up to sign.
+    m = build_model(P1XP1_RAYS, (1, 1, 0, 0))
+    walls = generate_walls(m, 20, 4, "support")
+    assert all(x >= 0 and y >= 0 for (x, y), _ in walls.directions)
+    assert len(walls.directions) == 7
+    assert is_wall_direction(m, (-1, -1))
 
 
 def test_membership_examples(cubic):
@@ -88,3 +108,28 @@ def test_generated_walls_are_supported(n, rule):
     walls = generate_walls(model, n, 8, rule)
     for d, _ in walls.directions:
         assert is_wall_direction(model, d)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([P2_RAYS, P1XP1_RAYS, F1_RAYS, HEXAGON_RAYS]).flatmap(
+        lambda rays: st.tuples(
+            st.just(rays), st.tuples(*[st.integers(min_value=0, max_value=2)] * len(rays))
+        )
+    ),
+    st.integers(min_value=1, max_value=8),
+)
+def test_rules_pinned_to_each_other(model_data, bound):
+    """The two rules agree through step 2; at saturation they give the same
+    direction set and no direction comes later under pair_sum."""
+    model = build_model(*model_data)
+    for n in range(3):
+        assert (
+            generate_walls(model, n, bound, "pair_sum").directions
+            == generate_walls(model, n, bound, "support").directions
+        )
+    steps = 4 * bound + 4
+    pair = generate_walls(model, steps, bound, "pair_sum").by_direction
+    support = generate_walls(model, steps, bound, "support").by_direction
+    assert pair.keys() == support.keys()
+    assert all(pair[d] <= support[d] for d in pair)
