@@ -1,15 +1,17 @@
 """Curve classes on a blown-up toric surface and their intersection profiles.
 
-The toric part of a class lives in Z^m modulo the rank-2 relation lattice
-spanned by ((u_1.x, ..., u_m.x)) and ((u_1.y, ..., u_m.y)); representatives
-are normalized with a Hermite-form reduction so equality is syntactic.
-Exceptional parts are finitely supported maps (i, j) -> Z.
+A class beta = pi^* beta_t + sum c_ij E_ij on the blowup Y of the toric
+surface Y_t is stored by its intersection numbers: ``dt`` holds
+d_i = beta . D_{t,i} for the pulled-back toric boundary divisors, and ``exc``
+the coefficients c_ij. On a smooth complete fan the intersection pairing on
+Pic(Y_t) is unimodular, so d fixes beta_t, and a vector d in Z^m occurs
+exactly when sum_i d_i u_i = 0 (dualize 0 -> M -> Z^m -> Pic(Y_t) -> 0).
+Equality is syntactic, and a profile is inverted by checking that relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -21,65 +23,6 @@ from .errors import (
 )
 from .lattice import Fan, Vec, cone_coordinates, vadd
 from .model import ToricModel
-
-
-def _hnf_2rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form of an integer matrix with two rows."""
-    a, b = [list(r) for r in rows]
-    n = len(a)
-    # Find the first column where (a, b) has a nonzero entry and clear below.
-    out = []
-    col = 0
-    work = [a, b]
-    for _ in range(2):
-        # Move a row with the leftmost nonzero pivot to the front.
-        while col < n and all(r[col] == 0 for r in work):
-            col += 1
-        if col == n:
-            break
-        # gcd-reduce all rows on this column into one.
-        while True:
-            nz = [r for r in work if r[col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            r0, r1 = nz[0], nz[1]
-            q = r1[col] // r0[col]
-            for k in range(n):
-                r1[k] -= q * r0[k]
-        pivot_row = next(r for r in work if r[col] != 0)
-        if pivot_row[col] < 0:
-            for k in range(n):
-                pivot_row[k] = -pivot_row[k]
-        out.append(pivot_row)
-        work = [r for r in work if r is not pivot_row]
-    # Reduce earlier rows by later pivots (entries above a pivot in [0, pivot)).
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            pcol = next(k for k in range(n) if out[j][k] != 0)
-            q = out[i][pcol] // out[j][pcol]
-            if q:
-                for k in range(n):
-                    out[i][k] -= q * out[j][k]
-    return out
-
-
-@lru_cache(maxsize=64)
-def _relation_basis(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
-    rows = [[u[0] for u in rays], [u[1] for u in rays]]
-    return tuple(tuple(r) for r in _hnf_2rows(rows))
-
-
-def _reduce_toric(rays: tuple[Vec, ...], v: list[int]) -> tuple[int, ...]:
-    v = list(v)
-    n = len(v)
-    for row in _relation_basis(rays):
-        pcol = next(k for k in range(n) if row[k] != 0)
-        q = v[pcol] // row[pcol]
-        if q:
-            for k in range(n):
-                v[k] -= q * row[k]
-    return tuple(v)
 
 
 @lru_cache(maxsize=64)
@@ -106,62 +49,53 @@ def intersection_matrix(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class CurveClass:
-    """A curve class, split into a toric part and exceptional multiples.
+    """A curve class by its intersection numbers.
 
-    ``toric`` is the canonical representative in Z^m; ``exc`` maps (i, j) to
-    the coefficient of E_ij, zero entries omitted.
+    ``dt[i]`` is the class's intersection with D_{t,i+1}, the pullback of the
+    toric boundary divisor; ``exc`` maps (i, j) to the coefficient of E_ij,
+    zero entries omitted.
     """
 
     rays: tuple[Vec, ...]
-    toric: tuple[int, ...]
-    exc: frozenset[tuple[tuple[int, int], int]] = field(default_factory=frozenset)
-
-    @property
-    def exc_map(self) -> dict[tuple[int, int], int]:
-        return dict(self.exc)
+    dt: tuple[int, ...]
+    exc: frozenset[tuple[tuple[int, int], int]] = frozenset()
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
-        self._check(other)
-        toric = tuple(a + b for a, b in zip(self.toric, other.toric))
-        return make_class(self.rays, toric, _merge(self.exc_map, other.exc_map, 1))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "CurveClass") -> "CurveClass":
-        self._check(other)
-        toric = tuple(a - b for a, b in zip(self.toric, other.toric))
-        return make_class(self.rays, toric, _merge(self.exc_map, other.exc_map, -1))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "CurveClass":
-        return make_class(
-            self.rays, tuple(-a for a in self.toric), {k: -v for k, v in self.exc}
-        )
+        return -1 * self
 
     def __rmul__(self, c: int) -> "CurveClass":
-        return make_class(
-            self.rays, tuple(c * a for a in self.toric), {k: c * v for k, v in self.exc}
-        )
+        exc = _nonzero((k, c * v) for k, v in self.exc)
+        return CurveClass(self.rays, tuple(c * a for a in self.dt), exc)
 
-    def _check(self, other: "CurveClass") -> None:
+    def _plus(self, other: "CurveClass", sign: int) -> "CurveClass":
         if self.rays != other.rays:
             raise ModelMismatch("classes live on different fans")
+        exc = dict(self.exc)
+        for k, v in other.exc:
+            exc[k] = exc.get(k, 0) + sign * v
+        dt = tuple(a + sign * b for a, b in zip(self.dt, other.dt))
+        return CurveClass(self.rays, dt, _nonzero(exc.items()))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.toric) and not self.exc
+        return not any(self.dt) and not self.exc
 
 
-def _merge(a: dict, b: dict, sign: int) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + sign * v
-    return out
+def _nonzero(items) -> frozenset:
+    return frozenset((k, v) for k, v in items if v != 0)
 
 
 def make_class(rays, toric, exc=None) -> CurveClass:
+    """The class pi^*(sum_i toric_i D_{t,i}) + sum exc_ij E_ij."""
     rays = tuple(tuple(r) for r in rays)
     if len(toric) != len(rays):
         raise LengthMismatch("toric part length does not match ray count")
-    reduced = _reduce_toric(rays, list(toric))
-    items = frozenset((k, v) for k, v in (exc or {}).items() if v != 0)
-    return CurveClass(rays, reduced, items)
+    return CurveClass(rays, toric_profile(rays, toric), _nonzero((exc or {}).items()))
 
 
 def zero_class(model: ToricModel) -> CurveClass:
@@ -212,92 +146,37 @@ def toric_profile(rays: tuple[Vec, ...], toric: tuple[int, ...]) -> tuple[int, .
 
 
 def intersect(model: ToricModel, beta: CurveClass) -> IntersectionProfile:
-    """Profile of beta against the strict transforms D_i and all E_ij."""
+    """Profile of beta against the strict transforms D_i = D_{t,i} - sum_j E_ij
+    and all E_ij: dD_i = d_i + sum_j c_ij and dE_ij = -c_ij."""
     if beta.rays != model.fan.rays:
         raise ModelMismatch("class does not live on this model's fan")
-    for (i, j), _ in beta.exc:
+    dD = list(beta.dt)
+    for (i, j), c in beta.exc:
         _check_pair(model, i, j)
-    gamma_d = toric_profile(model.fan.rays, beta.toric)
-    exc = beta.exc_map
-    dD = []
-    for i in range(1, model.m + 1):
-        row = sum(c for (k, _j), c in exc.items() if k == i)
-        dD.append(gamma_d[i - 1] + row)
-    dE = tuple(sorted(((i, j), -c) for (i, j), c in exc.items()))
+        dD[i - 1] += c
+    dE = tuple(sorted(((i, j), -c) for (i, j), c in beta.exc))
     return IntersectionProfile(tuple(dD), dE)
 
 
 def class_from_profile(model: ToricModel, dD, dE) -> CurveClass:
     """Invert ``intersect``: recover the class with the given profile.
 
-    Raises NonRepresentable when no class has toric intersections matching dD
-    after removing the exceptional contributions.
+    Every listed pair is checked, zero entries included. Raises
+    NonRepresentable when the toric intersections left after removing the
+    exceptional contributions violate sum_i d_i u_i = 0.
     """
     if len(dD) != model.m:
         raise LengthMismatch("dD length does not match ray count")
-    dE = dict(dE)
-    for (i, j), v in dE.items():
+    dt = list(dD)
+    exc = {}
+    for (i, j), v in dict(dE).items():
         _check_pair(model, i, j)
-    exc = {(i, j): -v for (i, j), v in dE.items() if v != 0}
-    target = []
-    for i in range(1, model.m + 1):
-        row = sum(c for (k, _j), c in exc.items() if k == i)
-        target.append(dD[i - 1] - row)
-    toric = _solve_toric_profile(model.fan.rays, tuple(target))
-    return make_class(model.fan.rays, toric, exc)
-
-
-@lru_cache(maxsize=64)
-def _quotient_columns(rays: tuple[Vec, ...]) -> tuple[int, ...]:
-    """Indices of the free (non-pivot) columns of the relation lattice."""
-    pivots = []
-    n = len(rays)
-    for row in _relation_basis(rays):
-        pivots.append(next(k for k in range(n) if row[k] != 0))
-    return tuple(k for k in range(n) if k not in pivots)
-
-
-@lru_cache(maxsize=4096)
-def _solve_toric_profile(
-    rays: tuple[Vec, ...], target: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Find v in Z^m, supported on the free columns, with Q v = target."""
-    mat = intersection_matrix(rays)
-    cols = _quotient_columns(rays)
-    m = len(rays)
-    # Exact Gaussian elimination on the m x (len(cols) + 1) augmented system.
-    aug = [
-        [Fraction(mat[r][c]) for c in cols] + [Fraction(target[r])] for r in range(m)
-    ]
-    ncols = len(cols)
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    # Consistency of the remaining rows.
-    for r in range(row, m):
-        if aug[r][ncols] != 0:
-            raise NonRepresentable("profile is not in the intersection image")
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    if any(x.denominator != 1 for x in sol):
-        raise NonRepresentable("profile needs non-integral toric coefficients")
-    full = [0] * m
-    for c, x in zip(cols, sol):
-        full[c] = int(x)
-    return tuple(full)
+        dt[i - 1] += v
+        exc[(i, j)] = -v
+    rays = model.fan.rays
+    if any(sum(d * u[k] for d, u in zip(dt, rays)) for k in (0, 1)):
+        raise NonRepresentable("profile is not in the intersection image")
+    return CurveClass(rays, tuple(dt), _nonzero(exc.items()))
 
 
 def compatibility_intersections(model: ToricModel, legs) -> tuple[int, ...]:

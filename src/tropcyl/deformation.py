@@ -439,8 +439,13 @@ class ReplayReport:
 
 
 def _fmt_support(model: ToricModel, supp: Support) -> str:
-    items = sorted((c.toric, sorted(c.exc), n) for c, n in supp.items())
-    return "{" + ", ".join(f"{t}|{dict(e)}:{n}" for t, e, n in items) + "}"
+    """A measure as ``dD [...] Eij:c count n`` terms, one per class."""
+    terms = []
+    for c, n in supp.items():
+        prof = cls.intersect(model, c)
+        dE = "".join(f" E{i}{j}:{v}" for (i, j), v in prof.dE)
+        terms.append(f"dD {list(prof.dD)}{dE} count {n}")
+    return "{" + ", ".join(sorted(terms)) + "}"
 
 
 def replay_induction(

@@ -36,14 +36,6 @@ def vadd(u, v):
     return (u[0] + v[0], u[1] + v[1])
 
 
-def vsub(u, v):
-    return (u[0] - v[0], u[1] - v[1])
-
-
-def vneg(u):
-    return (-u[0], -u[1])
-
-
 def vscale(c, u):
     return (c * u[0], c * u[1])
 

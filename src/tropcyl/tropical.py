@@ -9,20 +9,19 @@ into interior (I), boundary (B), and finite (F) marks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import classes as cls
 from .errors import (
     AffineInconsistent,
     IdentityViolation,
-    NotATropicalCurve,
     NotUnimodular,
     PathThroughOrigin,
     SlopeNotRayDirection,
     ZeroVector,
 )
-from .lattice import Point, Vec, det, dot, norm, primitive_part
+from .lattice import Point, Vec, _complement, cone_coordinates, det, norm, primitive_part
 from .model import ToricModel
 from .walls import is_wall_direction
 
@@ -584,8 +583,6 @@ def extend_spine(
 def unimodular_complement(fan, w: Vec) -> Vec:
     """The canonical complement: |det(w, w')| = 1 with smallest fan norm,
     ties broken by lexicographic order."""
-    from .lattice import _complement
-
     d, _ = primitive_part(w)
     c0 = _complement(d)
     best = None
@@ -641,8 +638,6 @@ def canonical_spine_split(model: ToricModel, w0: Vec) -> tuple[Vec, Vec]:
     neg = (-w0[0], -w0[1])
     if neg == (0, 0):
         raise ZeroVector("leaf weights sum to zero; no bend direction")
-    from .lattice import cone_coordinates
-
     i, a, b = cone_coordinates(fan, neg)
     u, v = fan.ray(i), fan.ray(i + 1)
     if a > 0 and b > 0:

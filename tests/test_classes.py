@@ -13,7 +13,7 @@ from tropcyl.classes import (
     pullback_class,
     zero_class,
 )
-from tropcyl.errors import NonRepresentable, RayIndexOutOfRange
+from tropcyl.errors import ComponentOutOfRange, NonRepresentable, RayIndexOutOfRange
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model, refine_model
 
 
@@ -66,6 +66,11 @@ def test_class_from_profile_zero(cubic):
 def test_class_from_profile_non_representable(cubic):
     with pytest.raises(NonRepresentable):
         class_from_profile(cubic, (1, 0, 0), {})
+
+
+def test_class_from_profile_checks_zero_entries(cubic):
+    with pytest.raises(ComponentOutOfRange):
+        class_from_profile(cubic, (0, 0, 0), {(1, 9): 0})
 
 
 def test_compatibility_intersections(cubic):
@@ -142,3 +147,53 @@ def test_pullback_orthogonal_to_inserted_rays(mc):
     for k, u in enumerate(refined.fan.rays, start=1):
         if model.fan.ray_index(u) is None:
             assert prof.dD[k - 1] == 0
+
+
+HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+FANS = [
+    cubic_model(),
+    build_model(P1XP1_RAYS, (2, 1, 2, 1)),
+    build_model(F1_RAYS, (1, 2, 1, 1)),
+    build_model(HEXAGON_RAYS, (1, 2, 0, 1, 2, 1)),
+]
+small = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def model_vector_exc(draw):
+    model = draw(st.sampled_from(FANS))
+    v = tuple(draw(small) for _ in range(model.m))
+    exc = {pair: draw(small) for pair in model.exceptional_pairs}
+    return model, v, exc
+
+
+@given(model_vector_exc(), small, small)
+def test_class_is_toric_part_modulo_relations(mve, mx, my):
+    """Adding the principal divisor sum_i <m, u_i> D_i does not change the class."""
+    model, v, exc = mve
+    rays = model.fan.rays
+    shifted = tuple(a + mx * u[0] + my * u[1] for a, u in zip(v, rays))
+    a, b = make_class(rays, shifted, exc), make_class(rays, v, exc)
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+@given(model_vector_exc(), st.data())
+def test_profile_representable_iff_balanced(mve, data):
+    """A profile is a class's exactly when the toric intersections left after
+    removing the exceptional rows satisfy sum_i d_i u_i = 0."""
+    model, v, exc = mve
+    prof = intersect(model, make_class(model.fan.rays, v, exc))
+    unit = st.integers(min_value=-1, max_value=1)
+    shift = data.draw(st.one_of(st.just((0,) * model.m), st.tuples(*[unit] * model.m)))
+    dD = tuple(a + b for a, b in zip(prof.dD, shift))
+    d = list(dD)
+    for (i, _j), c in prof.dE:
+        d[i - 1] += c
+    balanced = all(sum(x * u[k] for x, u in zip(d, model.fan.rays)) == 0 for k in (0, 1))
+    if not balanced:
+        with pytest.raises(NonRepresentable):
+            class_from_profile(model, dD, prof.dE_map)
+        return
+    back = intersect(model, class_from_profile(model, dD, prof.dE_map))
+    assert (back.dD, back.dE) == (dD, prof.dE)

@@ -262,3 +262,43 @@ def test_verify_bad_table_exit_code(capsys, tmp_path):
     spec = spec_file(tmp_path, {"twig_type": [[1, 0], [0, 1]]})
     code, _ = run(capsys, "verify", spec, "--table", table)
     assert code == 2
+
+
+def test_count_zero_entries_at_bad_pair_exit_code(capsys, tmp_path):
+    """dE entries that sum to 0 still name the pair, and (1, 9) is not one."""
+    spec = spec_file(
+        tmp_path,
+        {"twig_type": [[-1, -1]], "class": {"dD": [0, 0, 0], "dE": [[1, 9, 1], [1, 9, -1]]}},
+    )
+    assert main(["count", spec]) == 2
+    assert capsys.readouterr().err == "error: spec.class: component 9 out of range 1..2 at ray 1\n"
+
+
+def test_verify_skips_only_opposite_leaves(capsys, tmp_path):
+    """On P1xP1 with l = (1, 0, 1, 0) a draw of both leaves sums to zero and is
+    skipped; every case that runs has one leaf and one induction step."""
+    config = spec_file(
+        tmp_path,
+        {"model": {"fan": {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]]}, "blowups": [1, 0, 1, 0]}},
+    )
+    code, out = run(capsys, "verify", "--config", config, "--seed", "0", "--cases", "20")
+    assert code == 0
+    assert out == "PASS, 20 cases, 20 induction steps\n"
+
+
+def test_verify_randomized_reports_errors(capsys, monkeypatch):
+    from tropcyl import cli
+    from tropcyl.errors import OutOfPrimitiveScope
+
+    real = cli._verify_one
+    calls = []
+
+    def flaky(model, cyl, table):
+        calls.append(cyl)
+        if len(calls) == 1:
+            raise OutOfPrimitiveScope("raised by the test")
+        return real(model, cyl, table)
+
+    monkeypatch.setattr(cli, "_verify_one", flaky)
+    assert main(["verify", "--seed", "0", "--cases", "3"]) == 4
+    assert capsys.readouterr().err == "error: raised by the test\n"

@@ -211,7 +211,7 @@ def test_spine_decomposition_no_twigs(cubic):
 
 class TestExtension:
     def test_no_crossing(self, cubic):
-        assert extension_class(cubic, _pt(2, 2), (0, 1)).is_zero
+        assert extension_class(cubic, _pt(2, 2), (0, 1)).is_zero()
 
     def test_single_crossing(self, cubic):
         delta = extension_class(cubic, _pt(2, 2), (-1, 0))
