@@ -13,18 +13,12 @@ import os
 import random
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 from . import classes as cls
 from . import config as cfg
-from .counting import (
-    build_cylinder,
-    contributing_classes,
-    count_primitive_cylinder,
-    default_table,
-    measure,
-    splitting_sum,
-)
-from .deformation import replay_induction
+from .counting import build_cylinder, cylinder_count, default_table, measure, splitting_sum
+from .deformation import replay_count
 from .errors import (
     ConfigError,
     IdentityViolation,
@@ -44,6 +38,11 @@ EXIT_NOT_PRIMITIVE = 3
 EXIT_OUT_OF_SCOPE = 4
 EXIT_IDENTITY = 5
 EXIT_RENDER_TARGET = 6
+_EXIT_CODES = (
+    (NotPrimitiveCylinder, EXIT_NOT_PRIMITIVE),
+    (OutOfPrimitiveScope, EXIT_OUT_OF_SCOPE),
+    (IdentityViolation, EXIT_IDENTITY),
+)
 
 DEFAULT_CONFIG = {
     "model": {
@@ -125,7 +124,8 @@ def cmd_count(args) -> int:
     model = config.model
     cyl, beta = _load_spec(args, model)
     table = _load_table(args, model)
-    entries = contributing_classes(model, cyl, table)
+    data = cylinder_count(model, cyl, table)
+    entries = data.contributing
     if args.json:
         out = {
             "twig_type": [list(w) for w in cyl.twig_type],
@@ -141,7 +141,7 @@ def cmd_count(args) -> int:
         if beta is not None:
             out["query"] = {
                 "class": cfg.profile_to_dict(model, beta),
-                "count": count_primitive_cylinder(model, cyl, beta, table),
+                "count": data.count(beta),
                 "splitting_sum": splitting_sum(model, cyl, beta, table),
             }
         print(json.dumps(out, indent=2, sort_keys=True))
@@ -151,7 +151,7 @@ def cmd_count(args) -> int:
         dE = " ".join(f"E{i}{j}:{c}" for (i, j), c in sorted(prof.dE))
         print(f"choice {','.join(map(str, choice))}  dD {list(prof.dD)}  {dE}  count {n}")
     if beta is not None:
-        n = count_primitive_cylinder(model, cyl, beta, table)
+        n = data.count(beta)
         s = splitting_sum(model, cyl, beta, table)
         print(f"query count {n}  splitting_sum {s}")
     return EXIT_OK
@@ -164,9 +164,10 @@ def _random_twig(model, rng) -> tuple:
 
 
 def _verify_one(model, cyl, table) -> int:
-    entries = contributing_classes(model, cyl, table)
+    data = cylinder_count(model, cyl, table)
+    entries = data.contributing
     for beta, n in measure((b, k) for _, b, k in entries).items():
-        c = count_primitive_cylinder(model, cyl, beta, table)
+        c = data.count(beta)
         s = splitting_sum(model, cyl, beta, table)
         if not (c == s == n):
             raise IdentityViolation(
@@ -174,7 +175,7 @@ def _verify_one(model, cyl, table) -> int:
             )
     steps = 0
     if entries:
-        rep = replay_induction(model, cyl, entries[0][1], table)
+        rep = replay_count(data, entries[0][1])
         steps = sum(1 for ch in rep.checks if ch.name.startswith("splitting-"))
         if not rep.ok:
             bad = next(ch for ch in rep.checks if not ch.ok)
@@ -185,6 +186,8 @@ def _verify_one(model, cyl, table) -> int:
 def cmd_verify(args) -> int:
     config = _load_config(args)
     model = config.model
+    if args.cases < 0:
+        raise ConfigError("--cases", "must be >= 0")
     table = _load_table(args, model)
     if args.spec:
         cyl, _ = cfg.parse_cylinder_spec(cfg.load_json(args.spec), model)
@@ -197,10 +200,9 @@ def cmd_verify(args) -> int:
         print(f"{_status(True)}, 0 cases, 0 induction steps")
         return EXIT_OK
     rng = random.Random(args.seed if args.seed is not None else 0)
-    cases = args.cases
     done = 0
     steps_total = 0
-    while done < cases:
+    while done < args.cases:
         twig = _random_twig(model, rng)
         try:
             cyl = build_cylinder(model, twig, extended=True)
@@ -273,29 +275,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotPrimitiveCylinder as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_PRIMITIVE
-    except OutOfPrimitiveScope as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OUT_OF_SCOPE
-    except IdentityViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
     except TropcylError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -4,18 +4,21 @@ count, and the independent splitting sum.
 The count of a primitive cylinder factors over its twig leaves: the closed
 form is the product measure of the leaf measures (class -> count, read off
 the elementary table at the leaf's exceptional components), shifted by the
-spine extension class. The deformation replay uses the same measures.
+spine extension class. ``cylinder_count`` reads a cylinder's leaf measures
+and shift once into a ``CylinderCount``, which the closed form, its listing
+and the deformation replay share; ``splitting_sum`` stays an independent
+oracle and enumerates from the table itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import classes as cls
 from .errors import ComponentOutOfRange, NotPrimitiveCylinder, OutOfPrimitiveScope, ZeroVector
-from .lattice import Point, Vec, norm, primitive_part
+from .lattice import Vec, norm, primitive_part
 from .model import ToricModel, build_model
 from .tropical import Cylinder, canonical_spine_split, extension_class
 
@@ -50,10 +53,6 @@ def default_table(model: ToricModel) -> ElementaryCountTable:
     return ElementaryCountTable(tuple(entries))
 
 
-def _frac_point(v: Vec, scale: Fraction) -> Point:
-    return (Fraction(v[0]) * scale, Fraction(v[1]) * scale)
-
-
 def elementary_cylinder(model: ToricModel, i: int) -> Cylinder:
     """The canonical elementary cylinder for the leaf direction u_i: bend at
     u_i / 2, spine slopes given by the canonical split of -u_i."""
@@ -61,7 +60,7 @@ def elementary_cylinder(model: ToricModel, i: int) -> Cylinder:
     if model.multiplicity(i) == 0:
         raise OutOfPrimitiveScope(f"ray {i} carries no exceptional components")
     p1, p2 = canonical_spine_split(model, w)
-    return Cylinder(p1, p2, _frac_point(w, Fraction(1, 2)), (w,), extended=False)
+    return Cylinder(p1, p2, (Fraction(w[0], 2), Fraction(w[1], 2)), (w,), extended=False)
 
 
 def spine_extension_shift(model: ToricModel, cyl: Cylinder) -> cls.CurveClass:
@@ -135,8 +134,8 @@ def check_primitive(model: ToricModel, cyl: Cylinder) -> None:
 
 def _leaf_entries(model: ToricModel, i: int, table: ElementaryCountTable):
     """Every (j, class, count) the table lists at a pair (i, j), j <= l_i."""
-    by_pair = table.by_pair
-    return [(j, c, n) for j in range(1, model.multiplicity(i) + 1) for c, n in by_pair.get((i, j), ())]
+    by_pair, js = table.by_pair, range(1, model.multiplicity(i) + 1)
+    return tuple((j, c, n) for j in js for c, n in by_pair.get((i, j), ()))
 
 
 def measure(terms) -> Support:
@@ -147,14 +146,67 @@ def measure(terms) -> Support:
     return {c: n for c, n in out.items() if n != 0}
 
 
-def leaf_support(model: ToricModel, i: int, table: ElementaryCountTable) -> Support:
-    """The measure of a leaf toward u_i: each listed class, counts summed over j."""
-    return measure((c, n) for _j, c, n in _leaf_entries(model, i, table))
-
-
 def convolve(a: Support, b: Support) -> Support:
     """The product measure pushed forward along class addition."""
     return measure((ca + cb, na * nb) for ca, na in a.items() for cb, nb in b.items())
+
+
+def _scope_profile(model: ToricModel, beta: cls.CurveClass) -> cls.IntersectionProfile:
+    prof = cls.intersect(model, beta)
+    if any(v not in (0, 1) for _, v in prof.dE):
+        raise OutOfPrimitiveScope("class meets an exceptional curve with multiplicity > 1")
+    return prof
+
+
+@dataclass(frozen=True, eq=False)
+class CylinderCount:
+    """The count data of one primitive cylinder under one table.
+
+    ``comps`` holds the ray index i(s) of each twig leaf, ``shift`` the spine
+    extension class, ``leaves`` per leaf every (j, class, count) the table
+    lists at (i(s), j), j <= l_i, and ``measures`` per leaf those counts
+    summed per class. Built once by ``cylinder_count``; the closed form, its
+    listing and the deformation replay all read it.
+    """
+
+    model: ToricModel
+    cyl: Cylinder
+    shift: cls.CurveClass
+    comps: tuple[int, ...]
+    leaves: tuple[tuple[tuple[int, cls.CurveClass, int], ...], ...]
+    measures: tuple[Support, ...]
+
+    @cached_property
+    def contributing(self) -> tuple[tuple[tuple[int, ...], cls.CurveClass, int], ...]:
+        """The closed form term by term; see ``contributing_classes``."""
+        rows = [((), self.shift, 1)]
+        for leaf in self.leaves:
+            rows = [(ch + (j,), b + c, n * k) for ch, b, n in rows for j, c, k in leaf]
+        return tuple(rows)
+
+    def count(self, beta: cls.CurveClass) -> int:
+        """The closed-form count at beta; see ``count_primitive_cylinder``."""
+        _scope_profile(self.model, beta)
+        target = beta - self.shift if self.cyl.extended else beta
+        *first, last = self.measures
+        residual: Support = {target: 1}
+        for supp in first:
+            residual = convolve(residual, {-c: n for c, n in supp.items()})
+        return sum(w * last.get(r, 0) for r, w in residual.items())
+
+
+def cylinder_count(
+    model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None = None
+) -> CylinderCount:
+    """Check that the cylinder is primitive and read its count data once."""
+    check_primitive(model, cyl)
+    if table is None:
+        table = default_table(model)
+    shift = spine_extension_shift(model, cyl)
+    comps = twig_components(model, cyl)
+    leaves = tuple(_leaf_entries(model, i, table) for i in comps)
+    measures = tuple(measure((c, n) for _j, c, n in leaf) for leaf in leaves)
+    return CylinderCount(model, cyl, shift, comps, leaves, measures)
 
 
 def contributing_classes(
@@ -169,14 +221,7 @@ def contributing_classes(
     come from the table's summands, not the boundary profile, so the closed
     form and the splitting sum index the same classes on every model.
     """
-    check_primitive(model, cyl)
-    if table is None:
-        table = default_table(model)
-    rows = [((), spine_extension_shift(model, cyl), 1)]
-    for i in twig_components(model, cyl):
-        leaf = _leaf_entries(model, i, table)
-        rows = [(ch + (j,), b + c, n * k) for ch, b, n in rows for j, c, k in leaf]
-    return tuple(rows)
+    return cylinder_count(model, cyl, table).contributing
 
 
 def count_primitive_cylinder(
@@ -190,19 +235,10 @@ def count_primitive_cylinder(
     ``parse_table`` accepts. The first t - 1 leaf measures are subtracted from
     beta in turn and the last is one lookup, so no class is listed. An
     infinitesimal cylinder is matched at the extended level beta + shift.
+    A class outside the primitive scope is rejected before the cylinder.
     """
-    prof = cls.intersect(model, beta)
-    if any(v not in (0, 1) for _, v in prof.dE):
-        raise OutOfPrimitiveScope("class meets an exceptional curve with multiplicity > 1")
-    check_primitive(model, cyl)
-    if table is None:
-        table = default_table(model)
-    target = beta - spine_extension_shift(model, cyl) if cyl.extended else beta
-    *first, last = [leaf_support(model, i, table) for i in twig_components(model, cyl)]
-    residual: Support = {target: 1}
-    for supp in first:
-        residual = convolve(residual, {-c: n for c, n in supp.items()})
-    return sum(w * last.get(r, 0) for r, w in residual.items())
+    _scope_profile(model, beta)
+    return cylinder_count(model, cyl, table).count(beta)
 
 
 def splitting_sum(
@@ -218,19 +254,13 @@ def splitting_sum(
     if table is None:
         table = default_table(model)
     comps = twig_components(model, cyl)
-    target = beta
-    if cyl.extended:
-        target = beta - spine_extension_shift(model, cyl)
+    target = beta - spine_extension_shift(model, cyl) if cyl.extended else beta
     by_pair = table.by_pair
-    factors = []
-    for i in comps:
-        cands = []
-        for j in range(1, model.multiplicity(i) + 1):
-            for c, n in by_pair.get((i, j), ()):
-                cands.append((c, n))
-        factors.append(cands)
+    factors = [
+        [(c, n) for j in range(1, model.multiplicity(i) + 1) for c, n in by_pair.get((i, j), ())]
+        for i in comps
+    ]
     total = 0
-    zero = cls.make_class(model.fan.rays, (0,) * model.m)
 
     def rec(idx: int, acc: cls.CurveClass, prod: int):
         nonlocal total
@@ -243,7 +273,7 @@ def splitting_sum(
         for c, n in factors[idx]:
             rec(idx + 1, acc + c, prod * n)
 
-    rec(0, zero, 1)
+    rec(0, cls.zero_class(model), 1)
     return total
 
 
@@ -256,9 +286,7 @@ def count_spine(
     """Count over twig types compatible with the class: the dE pattern of
     beta forces the leaf set; incompatible patterns either count 0 (wrong
     bend direction) or fall outside the primitive method's scope."""
-    prof = cls.intersect(model, beta)
-    if any(v not in (0, 1) for _, v in prof.dE):
-        raise OutOfPrimitiveScope("class meets an exceptional curve with multiplicity > 1")
+    prof = _scope_profile(model, beta)
     rays_hit = [i for (i, _j), v in prof.dE if v == 1]
     if len(set(rays_hit)) != len(rays_hit):
         raise OutOfPrimitiveScope(
@@ -266,24 +294,18 @@ def count_spine(
         )
     if not rays_hit:
         return 0
-    leaves = tuple(sorted(model.fan.ray(i) for i in rays_hit))
-    w0 = (0, 0)
-    for w in leaves:
-        w0 = (w0[0] + w[0], w0[1] + w[1])
-    deficit = (spine.p1[0] + spine.p2[0], spine.p1[1] + spine.p2[1])
-    if (deficit[0] + w0[0], deficit[1] + w0[1]) != (0, 0):
+    cyl = replace(spine, twig_type=tuple(sorted(model.fan.ray(i) for i in rays_hit)))
+    w0 = cyl.leaf_sum
+    if (spine.p1[0] + spine.p2[0] + w0[0], spine.p1[1] + spine.p2[1] + w0[1]) != (0, 0):
         return 0
-    cyl = Cylinder(spine.p1, spine.p2, spine.bend, leaves, spine.extended)
     return count_primitive_cylinder(model, cyl, beta, table)
 
 
 def build_cylinder(model: ToricModel, twig_type, extended: bool = False) -> Cylinder:
     """Canonical cylinder for a twig type: bend on the ray opposite the leaf
     sum, spine slopes from the canonical split."""
-    w0 = (0, 0)
     twig = tuple(tuple(w) for w in twig_type)
-    for w in twig:
-        w0 = (w0[0] + w[0], w0[1] + w[1])
+    w0 = (sum(w[0] for w in twig), sum(w[1] for w in twig))
     if w0 == (0, 0):
         raise ZeroVector("leaf weights sum to zero; no bend direction")
     neg, _ = primitive_part((-w0[0], -w0[1]))

@@ -13,23 +13,20 @@ branches coincide at gluing parameter r = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import classes as cls
 from .counting import (
+    CylinderCount,
     ElementaryCountTable,
     Support,
     check_primitive,
-    contributing_classes,
     convolve,
-    count_primitive_cylinder,
-    default_table,
+    cylinder_count,
     elementary_cylinder,
     elementary_extension_shift,
-    leaf_support,
     measure,
-    spine_extension_shift,
     twig_components,
 )
 from .errors import AnchorOnWall, AnchorOrderViolation, NotATropicalCurve
@@ -48,10 +45,6 @@ from .tropical import (
 _ORIGIN = (Fraction(0), Fraction(0))
 
 
-def _fpoint(v, scale=Fraction(1)) -> Point:
-    return (Fraction(v[0]) * scale, Fraction(v[1]) * scale)
-
-
 def _ray_param(u: Vec, x: Point) -> Fraction:
     """The scalar c with x = c * u, or raise AnchorOrderViolation."""
     c = Fraction(x[0], u[0]) if u[0] else Fraction(x[1], u[1])
@@ -63,11 +56,8 @@ def _ray_param(u: Vec, x: Point) -> Fraction:
 def default_anchors(model: ToricModel, cyl: Cylinder) -> tuple[tuple[Point, Point], ...]:
     """Per leaf s: the two interior anchor points on the leaf ray, at lattice
     parameters 1 and 2."""
-    out = []
-    for i in twig_components(model, cyl):
-        u = model.fan.ray(i)
-        out.append((_fpoint(u), _fpoint(u, Fraction(2))))
-    return tuple(out)
+    rays = [model.fan.ray(i) for i in twig_components(model, cyl)]
+    return tuple(((Fraction(x), Fraction(y)), (Fraction(2 * x), Fraction(2 * y))) for x, y in rays)
 
 
 def _check_anchors(model, comps, anchors) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -205,8 +195,7 @@ def family_tree_L(
 
 
 def _elementary_extended(model: ToricModel, i: int) -> Cylinder:
-    e = elementary_cylinder(model, i)
-    return Cylinder(e.p1, e.p2, e.bend, e.twig_type, extended=True)
+    return replace(elementary_cylinder(model, i), extended=True)
 
 
 def _family_tree_MN(
@@ -312,8 +301,7 @@ def build_deformation(
     a member of unexpected kind raises NotATropicalCurve.
     """
     check_primitive(model, cyl)
-    if not cyl.extended:
-        cyl = Cylinder(cyl.p1, cyl.p2, cyl.bend, cyl.twig_type, extended=True)
+    cyl = replace(cyl, extended=True)
     comps = twig_components(model, cyl)
     t = len(comps)
     if anchors is None:
@@ -357,10 +345,18 @@ class ExtensionLedger:
 
     @property
     def final_class(self) -> cls.CurveClass:
-        out = self.delta_V
-        for d in self.delta_leaf:
-            out = out + d
-        return out
+        return sum(self.delta_leaf, self.delta_V)
+
+
+def _ledger(cc: CylinderCount, anchors) -> ExtensionLedger:
+    model = cc.model
+    if anchors is None:
+        anchors = default_anchors(model, cc.cyl)
+    _check_anchors(model, cc.comps, anchors)
+    elems = tuple(elementary_extension_shift(model, i) for i in cc.comps)
+    ray = model.fan.ray
+    leaves = tuple(extension_class(model, xg, ray(i)) for (xg, _), i in zip(anchors, cc.comps))
+    return ExtensionLedger(cc.shift, elems, leaves)
 
 
 def extension_ledger(
@@ -368,17 +364,23 @@ def extension_ledger(
     cyl: Cylinder,
     anchors: tuple[tuple[Point, Point], ...] | None = None,
 ) -> ExtensionLedger:
-    comps = twig_components(model, cyl)
-    if anchors is None:
-        anchors = default_anchors(model, cyl)
-    _check_anchors(model, comps, anchors)
-    delta_v = spine_extension_shift(model, cyl)
-    elems = tuple(elementary_extension_shift(model, i) for i in comps)
-    leaves = tuple(
-        extension_class(model, anchors[s][0], model.fan.ray(i))
-        for s, i in enumerate(comps)
-    )
-    return ExtensionLedger(delta_v, elems, leaves)
+    return _ledger(cylinder_count(model, cyl), anchors)
+
+
+def _member_support(cc: CylinderCount, ledger: ExtensionLedger, name: str) -> Support:
+    kind, idx = name[0], int(name[1:]) if name[1:] else 0
+    if kind == "V":
+        kind, idx = "L", 1
+    if kind == "M":
+        return {ledger.delta_elem[idx - 1]: 1}
+    if kind == "N":
+        return convolve({ledger.delta_elem[idx - 1]: 1}, cc.measures[idx - 1])
+    if kind != "L" or not 1 <= idx <= len(cc.comps) + 1:
+        raise KeyError(f"unknown family member {name}")
+    supp: Support = {sum(ledger.delta_leaf[: idx - 1], ledger.delta_V): 1}
+    for leaf in cc.measures[idx - 1:]:
+        supp = convolve(supp, leaf)
+    return supp
 
 
 def family_support(
@@ -394,27 +396,8 @@ def family_support(
     factor per remaining leaf on top of the spine extension classes; M_k is a
     single spine; N_k is a single elementary factor.
     """
-    if table is None:
-        table = default_table(model)
-    comps = twig_components(model, cyl)
-    t = len(comps)
-    ledger = extension_ledger(model, cyl, anchors)
-    kind, idx = name[0], int(name[1:]) if name[1:] else 0
-    if kind == "V":
-        kind, idx = "L", 1
-    if kind == "M":
-        return {ledger.delta_elem[idx - 1]: 1}
-    if kind == "N":
-        return convolve({ledger.delta_elem[idx - 1]: 1}, leaf_support(model, comps[idx - 1], table))
-    if kind != "L" or not 1 <= idx <= t + 1:
-        raise KeyError(f"unknown family member {name}")
-    shift = ledger.delta_V
-    for s in range(idx - 1):
-        shift = shift + ledger.delta_leaf[s]
-    supp: Support = {shift: 1}
-    for s in range(idx - 1, t):
-        supp = convolve(supp, leaf_support(model, comps[s], table))
-    return supp
+    cc = cylinder_count(model, cyl, table)
+    return _member_support(cc, _ledger(cc, anchors), name)
 
 
 @dataclass(frozen=True)
@@ -455,25 +438,30 @@ def replay_induction(
     table: ElementaryCountTable | None = None,
     anchors: tuple[tuple[Point, Point], ...] | None = None,
 ) -> ReplayReport:
+    """Replay the induction on the extended cylinder: ``replay_count`` of its
+    count data."""
+    return replay_count(cylinder_count(model, replace(cyl, extended=True), table), beta, anchors)
+
+
+def replay_count(
+    cc: CylinderCount,
+    beta: cls.CurveClass | None = None,
+    anchors: tuple[tuple[Point, Point], ...] | None = None,
+) -> ReplayReport:
     """Replay the induction: per-step splitting identities, both endpoints,
     and (when a class is given) agreement with the closed-form count.
 
-    All comparisons are exact equalities of counting measures. L1 is the
+    All comparisons are exact equalities of counting measures, each read
+    from the cylinder's count data and its extension ledger. L1 is the
     closed form, the spine extension class convolved with every leaf
     measure; endpoint-initial compares it with the per-class sums of the
-    ``contributing_classes`` entries. The checks hold for every table
+    ``contributing`` entries. The checks hold for every table
     ``parse_table`` accepts, not only the canonical one.
     """
-    check_primitive(model, cyl)
-    if not cyl.extended:
-        cyl = Cylinder(cyl.p1, cyl.p2, cyl.bend, cyl.twig_type, extended=True)
-    if table is None:
-        table = default_table(model)
-    comps = twig_components(model, cyl)
-    t = len(comps)
-    ledger = extension_ledger(model, cyl, anchors)
+    model, t = cc.model, len(cc.comps)
+    ledger = _ledger(cc, anchors)
     supp = {
-        name: family_support(model, cyl, name, table, anchors)
+        name: _member_support(cc, ledger, name)
         for name in [f"L{k}" for k in range(1, t + 2)]
         + [f"M{k}" for k in range(1, t + 1)]
         + [f"N{k}" for k in range(1, t + 1)]
@@ -487,7 +475,7 @@ def replay_induction(
             f"lhs {_fmt_support(model, lhs)} != rhs {_fmt_support(model, rhs)}"
         )
         checks.append(IdentityCheck(f"splitting-{k}", ok, detail))
-    agg = measure((c, n) for _choice, c, n in contributing_classes(model, cyl, table))
+    agg = measure((c, n) for _choice, c, n in cc.contributing)
     ok = supp["L1"] == agg
     checks.append(
         IdentityCheck(
@@ -510,9 +498,9 @@ def replay_induction(
         )
     )
     if beta is not None:
-        key = beta if cyl.extended else beta + ledger.delta_V
+        key = beta if cc.cyl.extended else beta + ledger.delta_V
         got = supp["L1"].get(key, 0)
-        want = count_primitive_cylinder(model, cyl, beta, table)
+        want = cc.count(beta)
         checks.append(
             IdentityCheck(
                 "closed-form",

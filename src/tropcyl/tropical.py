@@ -241,10 +241,7 @@ class Cylinder:
 
     @property
     def leaf_sum(self) -> Vec:
-        s = (0, 0)
-        for w in self.twig_type:
-            s = (s[0] + w[0], s[1] + w[1])
-        return s
+        return (sum(w[0] for w in self.twig_type), sum(w[1] for w in self.twig_type))
 
 
 @dataclass(frozen=True)
@@ -515,24 +512,23 @@ def extension_class(model: ToricModel, x: Point, p: Vec) -> cls.CurveClass:
     """
     if p == (0, 0):
         raise ZeroVector("extension slope must be nonzero")
-    if x == (Fraction(0), Fraction(0)):
+    if x == (0, 0):
         raise PathThroughOrigin("extension starts at the origin")
-    total = cls.make_class(model.fan.rays, (0,) * model.m)
-    for i in range(1, model.m + 1):
-        u = model.fan.ray(i)
+    # x + t p = s u_rho solves to t = det(u, x) / d and s = det(p, x) / d with
+    # d = det(p, u); X is x times a positive integer, so the signs of t and s
+    # are those of det(u, X) * d and det(p, X) * d.
+    X = (x[0].numerator * x[1].denominator, x[1].numerator * x[0].denominator)
+    coeffs = [0] * model.m
+    for k, u in enumerate(model.fan.rays):
         d = det(p, u)
-        if d == 0:
+        if d == 0 or det(u, X) * d <= 0:
             continue
-        # Solve x + t p = s u exactly.
-        t = det(u, x) / Fraction(d)
-        s = det(p, x) / Fraction(d)
-        if t > 0:
-            if s == 0:
-                raise PathThroughOrigin("extension path passes through the origin")
-            if s > 0:
-                mult = abs(det(u, p))
-                total = total + mult * cls.divisor_class(model.fan, i)
-    return total
+        s = det(p, X) * d
+        if s == 0:
+            raise PathThroughOrigin("extension path passes through the origin")
+        if s > 0:
+            coeffs[k] = abs(d)
+    return cls.make_class(model.fan.rays, coeffs)
 
 
 def extend_spine(
@@ -566,9 +562,7 @@ def extend_spine(
         else:
             new_edges[idx] = Edge(e.head, e.tail, (-e.weight[0], -e.weight[1]), None)
         new_pos[v] = None
-    total = cls.make_class(model.fan.rays, (0,) * model.m)
-    for d in deltas.values():
-        total = total + d
+    total = sum(deltas.values(), cls.zero_class(model))
     extended = MappedTree(
         tuple(sorted(new_pos.items())),
         tuple(new_edges),

@@ -302,3 +302,37 @@ def test_verify_randomized_reports_errors(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_verify_one", flaky)
     assert main(["verify", "--seed", "0", "--cases", "3"]) == 4
     assert capsys.readouterr().err == "error: raised by the test\n"
+
+
+def test_verify_negative_cases_rejected(capsys):
+    assert main(["verify", "--cases", "-3"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --cases: must be >= 0\n")
+    code, out = run(capsys, "verify", "--cases", "0")
+    assert (code, out) == (0, "PASS, 0 cases, 0 induction steps\n")
+
+
+def test_count_non_primitive_error_message(capsys, tmp_path):
+    spec = spec_file(tmp_path, {"twig_type": [[2, 0], [0, 1]]})
+    assert main(["count", spec]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: twig leaf degrees [2, 1] are not all 1\n")
+
+
+def test_verify_one_builds_count_data_once(monkeypatch):
+    from tropcyl import cli, counting
+    from tropcyl.model import build_model, P1XP1_RAYS
+
+    model = build_model(P1XP1_RAYS, (2, 1, 2, 1))
+    cyl = counting.build_cylinder(model, ((1, 0), (0, 1), (0, -1)), extended=True)
+    table = counting.default_table(model)
+    real = counting.CylinderCount.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(counting.CylinderCount, "__init__", counted)
+    assert cli._verify_one(model, cyl, table) == 3
+    assert len(built) == 1

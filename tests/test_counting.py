@@ -96,6 +96,15 @@ def test_out_of_scope_class(cubic):
         count_primitive_cylinder(cubic, cyl, beta)
 
 
+def test_scope_checked_before_primitivity(cubic):
+    """A class meeting E_31 twice on a cylinder with a repeated leaf is out of
+    scope before the cylinder is found not primitive."""
+    cyl = Cylinder((1, 0), (1, 0), (Fraction(-1), Fraction(0)), ((1, 0), (1, 0)), extended=True)
+    beta = class_from_profile(cubic, (2, 2, 0), {(3, 1): 2})
+    with pytest.raises(OutOfPrimitiveScope):
+        count_primitive_cylinder(cubic, cyl, beta)
+
+
 def test_oracle_equality_three_leaves(p1xp1):
     cyl = build_cylinder(p1xp1, ((1, 0), (0, 1), (0, -1)))
     entries = contributing_classes(p1xp1, cyl)

@@ -136,3 +136,26 @@ class TestDegenerationPath:
                 step = degeneration_path(fam, k, F(1))
                 assert len(step.first.legs) == 2 * t + 7
                 assert len(step.second.legs) == 2 * t + 7
+
+
+def test_replay_computes_extension_classes_once(p1xp1, monkeypatch):
+    """With the elementary data cached, a replay extends each spine leg and
+    each leaf anchor once: at most 2 + t extension classes."""
+    from tropcyl import counting, deformation, tropical
+
+    cyl = _cyl(p1xp1, ((1, 0), (0, 1), (0, -1)))
+    beta = contributing_classes(p1xp1, cyl)[0][1]
+    assert replay_induction(p1xp1, cyl, beta).ok  # fills counting._elementary_data
+    real = tropical.extension_class
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (tropical, counting, deformation):
+        monkeypatch.setattr(module, "extension_class", counted)
+    for cls_ in (None, beta):
+        calls.clear()
+        assert replay_induction(p1xp1, cyl, cls_).ok
+        assert len(calls) <= 2 + 3

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropcyl.classes import divisor_class, intersect
-from tropcyl.errors import NotUnimodular, PathThroughOrigin
+from tropcyl.classes import divisor_class, intersect, zero_class
+from tropcyl.errors import NotUnimodular, PathThroughOrigin, ZeroVector
+from tropcyl.lattice import det
+from tropcyl.model import F1_RAYS, P1XP1_RAYS, build_model, cubic_model
 from tropcyl.tropical import (
     BALANCED,
     BENDING,
@@ -290,3 +294,77 @@ def test_canonical_spine_split_on_ray(cubic):
     p1, p2 = canonical_spine_split(cubic, (-1, 0))
     assert (p1[0] + p2[0], p1[1] + p2[1]) == (1, 0)
     assert p1 != (0, 0) and p2 != (0, 0)
+
+
+HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+EXTENSION_MODELS = (
+    cubic_model(),
+    build_model(P1XP1_RAYS, (2, 1, 2, 1)),
+    build_model(F1_RAYS, (1, 2, 1, 1)),
+    build_model(HEXAGON_RAYS, (1, 2, 0, 1, 2, 1)),
+)
+
+
+def _reference_extension_class(model, x, p):
+    """The crossing rule with t and s solved as fractions."""
+    if p == (0, 0):
+        raise ZeroVector("extension slope must be nonzero")
+    if x == (F(0), F(0)):
+        raise PathThroughOrigin("extension starts at the origin")
+    total = zero_class(model)
+    for i in range(1, model.m + 1):
+        u = model.fan.ray(i)
+        d = det(p, u)
+        if d == 0:
+            continue
+        t = det(u, x) / F(d)
+        s = det(p, x) / F(d)
+        if t > 0:
+            if s == 0:
+                raise PathThroughOrigin("extension path passes through the origin")
+            if s > 0:
+                total = total + abs(d) * divisor_class(model.fan, i)
+    return total
+
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_nonzero_rationals = _rationals.filter(lambda q: q != 0)
+_slopes = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0)),
+    st.just((0, 0)),
+)
+
+
+@st.composite
+def extension_inputs(draw):
+    """A model, a point and a slope. The point is a free nonzero point, a
+    point on a ray, or a multiple of the slope (a path through the origin
+    when the multiple is negative)."""
+    model = draw(st.sampled_from(EXTENSION_MODELS))
+    p = draw(_slopes)
+    kind = draw(st.sampled_from(("free", "on ray", "along slope")))
+    if kind == "free":
+        x = draw(st.tuples(_rationals, _rationals).filter(lambda v: v != (0, 0)))
+    else:
+        u = p if kind == "along slope" else draw(st.sampled_from(model.fan.rays))
+        c = draw(_nonzero_rationals if kind == "along slope" else _nonzero_rationals.map(abs))
+        x = (c * u[0], c * u[1])
+    return model, x, p
+
+
+def _outcome(fn, model, x, p):
+    try:
+        return fn(model, x, p)
+    except (PathThroughOrigin, ZeroVector) as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(extension_inputs())
+def test_extension_class_matches_fraction_reference(case):
+    """The integer sign tests give the class of the fraction formula, and raise
+    PathThroughOrigin and ZeroVector on exactly the same inputs."""
+    model, x, p = case
+    assert _outcome(extension_class, model, x, p) == _outcome(
+        _reference_extension_class, model, x, p
+    )
