@@ -32,7 +32,6 @@ class WallParams:
 class Config:
     model: ToricModel
     walls: WallParams = WallParams()
-    anchors: tuple[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]], ...] | None = None
     render: RenderOptions = field(default_factory=RenderOptions)
 
 
@@ -109,23 +108,6 @@ def parse_config(data) -> Config:
             norm_bound=_int(w.get("norm_bound", walls.norm_bound), "walls.norm_bound"),
             rule=rule,
         ))
-    anchors = None
-    if data.get("anchors") is not None:
-        raw = data["anchors"]
-        _expect(isinstance(raw, list), "anchors", "expected a list")
-        pairs = []
-        for k, item in enumerate(raw):
-            _expect(
-                isinstance(item, (list, tuple)) and len(item) == 2,
-                f"anchors[{k}]", "expected a [g, t] pair of points",
-            )
-            pairs.append(
-                (
-                    _rational_pair(item[0], f"anchors[{k}][0]"),
-                    _rational_pair(item[1], f"anchors[{k}][1]"),
-                )
-            )
-        anchors = tuple(pairs)
     render = RenderOptions()
     if "render" in data:
         r = _obj(data["render"], "render")
@@ -137,7 +119,7 @@ def parse_config(data) -> Config:
         _expect(isinstance(scale, (int, float)) and scale > 0, "render.scale", "expected a positive number")
         _expect(width > 0 and height > 0, "render.width", "dimensions must be positive")
         render = RenderOptions(width, height, float(scale), palette)
-    return Config(model, walls, anchors, render)
+    return Config(model, walls, render)
 
 
 def parse_profile(data, model: ToricModel, path: str = "class") -> cls.CurveClass:
@@ -239,7 +221,7 @@ def load_json(path: str):
 
 
 def config_to_dict(config: Config) -> dict:
-    out: dict = {
+    return {
         "model": {
             "fan": {"rays": [list(r) for r in config.model.fan.rays]},
             "blowups": list(config.model.blowups),
@@ -256,9 +238,3 @@ def config_to_dict(config: Config) -> dict:
             "palette": config.render.palette,
         },
     }
-    if config.anchors is not None:
-        out["anchors"] = [
-            [[str(g[0]), str(g[1])], [str(t[0]), str(t[1])]]
-            for g, t in config.anchors
-        ]
-    return out

@@ -4,6 +4,8 @@ Starting from an extended cylinder V with t twig leaves, the replay builds
 three interlocking families of mapped trees: L_k (the cylinder with the
 first k - 1 leaves forgotten), M_k (the elementary spine for leaf k), and
 N_k (the elementary cylinder for leaf k with both twig anchors marked).
+M_k and N_k are L_2 and L_1 of the elementary cylinder, so one builder
+makes every member.
 Counts with fixed curve class satisfy, for each k, a splitting identity
 relating L_k to L_{k+1} through M_k and N_k; chaining the t identities
 turns the count of V into a product of elementary counts. The identities
@@ -37,9 +39,9 @@ from .tropical import (
     Edge,
     MappedTree,
     classify,
-    extension_class,
     make_tree,
     spine_decomposition,
+    spine_skeleton,
 )
 
 _ORIGIN = (Fraction(0), Fraction(0))
@@ -104,36 +106,22 @@ def _pick_attach(bend: Point, p1: Vec, wall_dirs) -> Fraction:
     raise AnchorOnWall("no attach point off the leaf wall lines was found")
 
 
-def _spine_base(positions, edges, marks, bend: Point, p1: Vec, p2: Vec, attach: Fraction, suffix: str = ""):
-    """Shared spine skeleton: bend, interior constant leg on leg 1, two
-    extended boundary legs."""
-    b, a1, w, v1, v2 = "b" + suffix, "a1" + suffix, "w" + suffix, "v1" + suffix, "v2" + suffix
-    positions[b] = bend
-    positions[a1] = (bend[0] + attach * p1[0], bend[1] + attach * p1[1])
-    edges.append(Edge(b, a1, p1, attach))
-    positions[w] = None
-    edges.append(Edge(a1, w, (0, 0), None))
-    positions[v1] = None
-    edges.append(Edge(a1, v1, p1, None))
-    positions[v2] = None
-    edges.append(Edge(b, v2, p2, None))
-    marks["w" + suffix] = w
-    marks["1" + suffix] = v1
-    marks["2" + suffix] = v2
-
-
 def family_tree_L(
     model: ToricModel,
     cyl: Cylinder,
     k: int,
     anchors: tuple[tuple[Point, Point], ...] | None = None,
     attach: Fraction | None = None,
+    *,
+    _suffix: str = "",
 ) -> MappedTree:
     """The k-th member of the L family, 1 <= k <= t + 1: leaves 1 .. k - 1
     are forgotten, their t-marks are boundary legs carrying the leaf weight.
 
     L_1 is the extended cylinder with both anchor marks interior on every
-    leaf; L_{t+1} has no leaves left.
+    leaf; L_{t+1} has no leaves left. Every vertex and mark name ends in
+    ``_suffix``, which keeps the elementary members M_k and N_k apart from
+    the L members they are glued to.
     """
     comps = twig_components(model, cyl)
     t = len(comps)
@@ -145,22 +133,10 @@ def family_tree_L(
     leaf_dirs = [model.fan.ray(i) for i in comps]
     if attach is None:
         attach = _pick_attach(cyl.bend, cyl.p1, leaf_dirs)
-    positions: dict[str, Point | None] = {}
-    edges: list[Edge] = []
-    marks: dict[str, str] = {}
-    _spine_base(positions, edges, marks, cyl.bend, cyl.p1, cyl.p2, attach)
-    w0 = (-(cyl.p1[0] + cyl.p2[0]), -(cyl.p1[1] + cyl.p2[1]))
-    interior = {"w"}
-    boundary = {"1", "2"}
-    if t == 1:
-        branch_root = "b"
-        base_param = _ray_param(leaf_dirs[0], cyl.bend)
-    else:
-        lam = -cyl.bend[0] / Fraction(w0[0]) if w0[0] else -cyl.bend[1] / Fraction(w0[1])
-        positions["o"] = _ORIGIN
-        edges.append(Edge("b", "o", w0, lam))
-        branch_root = "o"
-        base_param = Fraction(0)
+    positions, edges, marks, root = spine_skeleton(cyl, attach, suffix=_suffix)
+    interior = {"w" + _suffix}
+    boundary = {"1" + _suffix, "2" + _suffix}
+    base_param = _ray_param(leaf_dirs[0], cyl.bend) if t == 1 else Fraction(0)
     for s in range(1, t + 1):
         u = leaf_dirs[s - 1]
         g_param, t_param = params[s - 1]
@@ -168,92 +144,27 @@ def family_tree_L(
             raise AnchorOrderViolation(
                 f"anchor parameter {g_param} on leaf {s} must exceed {base_param}"
             )
-        gname = f"vg{s}"
-        positions[gname] = anchors[s - 1][0]
-        edges.append(Edge(branch_root, gname, u, g_param - base_param))
-        positions[f"g{s}"] = None
-        edges.append(Edge(gname, f"g{s}", (0, 0), None))
-        marks[f"g{s}"] = f"g{s}"
-        interior.add(f"g{s}")
+        vg, g, vt, tm, lf = (f"{name}{s}{_suffix}" for name in ("vg", "g", "vt", "t", "lf"))
+        positions[vg] = anchors[s - 1][0]
+        edges.append(Edge(root, vg, u, g_param - base_param))
+        positions[g] = None
+        edges.append(Edge(vg, g, (0, 0), None))
+        marks[g] = g
+        interior.add(g)
+        positions[tm] = None
+        marks[tm] = tm
         if s < k:
             # Forgotten leaf: the t-mark is a boundary leg with the leaf weight.
-            positions[f"t{s}"] = None
-            edges.append(Edge(gname, f"t{s}", u, None))
-            marks[f"t{s}"] = f"t{s}"
-            boundary.add(f"t{s}")
+            edges.append(Edge(vg, tm, u, None))
+            boundary.add(tm)
         else:
-            tname = f"vt{s}"
-            positions[tname] = anchors[s - 1][1]
-            edges.append(Edge(gname, tname, u, t_param - g_param))
-            positions[f"t{s}"] = None
-            edges.append(Edge(tname, f"t{s}", (0, 0), None))
-            marks[f"t{s}"] = f"t{s}"
-            interior.add(f"t{s}")
-            positions[f"lf{s}"] = None
-            edges.append(Edge(tname, f"lf{s}", u, None))
+            positions[vt] = anchors[s - 1][1]
+            edges.append(Edge(vg, vt, u, t_param - g_param))
+            edges.append(Edge(vt, tm, (0, 0), None))
+            interior.add(tm)
+            positions[lf] = None
+            edges.append(Edge(vt, lf, u, None))
     return make_tree(positions, edges, marks, interior, boundary, frozenset())
-
-
-def _elementary_extended(model: ToricModel, i: int) -> Cylinder:
-    return replace(elementary_cylinder(model, i), extended=True)
-
-
-def _family_tree_MN(
-    model: ToricModel,
-    i: int,
-    anchor: tuple[Point, Point],
-    marked_twig_end: bool,
-    attach: Fraction | None = None,
-) -> MappedTree:
-    e = _elementary_extended(model, i)
-    u = model.fan.ray(i)
-    g_param, t_param = _check_anchors(model, (i,), (anchor,))[0]
-    bend_param = _ray_param(u, e.bend)
-    if g_param <= bend_param:
-        raise AnchorOrderViolation(
-            f"anchor parameter {g_param} must exceed the bend parameter {bend_param}"
-        )
-    if attach is None:
-        attach = _pick_attach(e.bend, e.p1, (u,))
-    positions: dict[str, Point | None] = {}
-    edges: list[Edge] = []
-    marks: dict[str, str] = {}
-    _spine_base(positions, edges, marks, e.bend, e.p1, e.p2, attach, suffix="p")
-    interior = {"wp", "gp"}
-    boundary = {"1p", "2p"}
-    positions["vg"] = anchor[0]
-    edges.append(Edge("bp", "vg", u, g_param - bend_param))
-    positions["gp"] = None
-    edges.append(Edge("vg", "gp", (0, 0), None))
-    marks["gp"] = "gp"
-    positions["tp"] = None
-    if marked_twig_end:
-        # N-shape: both anchors interior, the leaf continues past them.
-        positions["vt"] = anchor[1]
-        edges.append(Edge("vg", "vt", u, t_param - g_param))
-        edges.append(Edge("vt", "tp", (0, 0), None))
-        marks["tp"] = "tp"
-        interior.add("tp")
-        positions["lf"] = None
-        edges.append(Edge("vt", "lf", u, None))
-    else:
-        # M-shape: the leaf is replaced by a boundary leg past the g-anchor.
-        edges.append(Edge("vg", "tp", u, None))
-        marks["tp"] = "tp"
-        boundary.add("tp")
-    return make_tree(positions, edges, marks, interior, boundary, frozenset())
-
-
-def family_tree_M(model, i, anchor, attach=None) -> MappedTree:
-    """The balanced spine for leaf direction u_i: the leaf becomes a boundary
-    leg, with one interior anchor mark left on it."""
-    return _family_tree_MN(model, i, anchor, marked_twig_end=False, attach=attach)
-
-
-def family_tree_N(model, i, anchor, attach=None) -> MappedTree:
-    """The elementary cylinder for leaf direction u_i with both anchor marks
-    interior on the leaf."""
-    return _family_tree_MN(model, i, anchor, marked_twig_end=True, attach=attach)
 
 
 def refine_for_slopes(model: ToricModel, slopes) -> ToricModel:
@@ -265,9 +176,6 @@ def refine_for_slopes(model: ToricModel, slopes) -> ToricModel:
         if out.fan.ray_index(d) is None:
             out = refine_model(out, d)
     return out
-
-
-_EXPECTED_KIND = {"V": "cylinder", "L": "tropical_curve", "M": "spine", "N": "tropical_curve"}
 
 
 @dataclass(frozen=True)
@@ -297,8 +205,10 @@ def build_deformation(
 ) -> DeformationFamily:
     """Construct and validate every member of the deformation family.
 
-    Each tree is classified over a fan refined so the spine slopes span rays;
-    a member of unexpected kind raises NotATropicalCurve.
+    M_k and N_k are L_2 and L_1 of the extended elementary cylinder for leaf
+    k. Each tree is classified over a fan refined so the spine slopes span
+    rays: a member with no leaf left (L_{t+1}, M_k) must be a spine and every
+    other member a tropical curve, or NotATropicalCurve is raised.
     """
     check_primitive(model, cyl)
     cyl = replace(cyl, extended=True)
@@ -306,27 +216,25 @@ def build_deformation(
     t = len(comps)
     if anchors is None:
         anchors = default_anchors(model, cyl)
-    curves: list[tuple[str, MappedTree]] = []
-    for k in range(1, t + 2):
-        curves.append((f"L{k}", family_tree_L(model, cyl, k, anchors)))
-    for k in range(1, t + 1):
-        curves.append((f"M{k}", family_tree_M(model, comps[k - 1], anchors[k - 1])))
-        curves.append((f"N{k}", family_tree_N(model, comps[k - 1], anchors[k - 1])))
-    slopes = [cyl.p1, cyl.p2]
-    for i in set(comps):
-        e = elementary_cylinder(model, i)
-        slopes += [e.p1, e.p2]
+    elems = {i: replace(elementary_cylinder(model, i), extended=True) for i in comps}
+    # (name, tree, whether every leaf is forgotten)
+    members = [(f"L{k}", family_tree_L(model, cyl, k, anchors), k == t + 1) for k in range(1, t + 2)]
+    for k, (i, anchor) in enumerate(zip(comps, anchors), start=1):
+        members += [
+            (f"M{k}", family_tree_L(model, elems[i], 2, (anchor,), _suffix="p"), True),
+            (f"N{k}", family_tree_L(model, elems[i], 1, (anchor,), _suffix="p"), False),
+        ]
+    slopes = [cyl.p1, cyl.p2] + [p for e in elems.values() for p in (e.p1, e.p2)]
     refined = refine_for_slopes(model, slopes)
-    for name, tree in curves:
+    for name, tree, leafless in members:
         kind = classify(refined, tree).kind
-        expected = _EXPECTED_KIND[name[0]]
-        if name == f"L{t + 1}":
-            expected = "spine"  # no unmarked leaves remain
+        expected = "spine" if leafless else "tropical_curve"
         if kind != expected:
             raise NotATropicalCurve(
                 f"family member {name} classifies as {kind}, expected {expected}"
             )
-    return DeformationFamily(model, cyl, comps, tuple(anchors), tuple(curves))
+    curves = tuple((name, tree) for name, tree, _ in members)
+    return DeformationFamily(model, cyl, comps, tuple(anchors), curves)
 
 
 @dataclass(frozen=True)
@@ -335,28 +243,20 @@ class ExtensionLedger:
 
     delta_V: sum over the two spine legs of V.
     delta_elem: per leaf, the same sum for the elementary cylinder.
-    delta_leaf: per leaf, the class of extending past the forgotten anchor
-    (zero whenever the anchors sit on the leaf ray).
+
+    The anchors sit on their leaf rays, and extending along a ray crosses
+    no ray, so forgetting a leaf adds no extension class.
     """
 
     delta_V: cls.CurveClass
     delta_elem: tuple[cls.CurveClass, ...]
-    delta_leaf: tuple[cls.CurveClass, ...]
-
-    @property
-    def final_class(self) -> cls.CurveClass:
-        return sum(self.delta_leaf, self.delta_V)
 
 
 def _ledger(cc: CylinderCount, anchors) -> ExtensionLedger:
-    model = cc.model
-    if anchors is None:
-        anchors = default_anchors(model, cc.cyl)
-    _check_anchors(model, cc.comps, anchors)
-    elems = tuple(elementary_extension_shift(model, i) for i in cc.comps)
-    ray = model.fan.ray
-    leaves = tuple(extension_class(model, xg, ray(i)) for (xg, _), i in zip(anchors, cc.comps))
-    return ExtensionLedger(cc.shift, elems, leaves)
+    if anchors is not None:
+        _check_anchors(cc.model, cc.comps, anchors)
+    elems = tuple(elementary_extension_shift(cc.model, i) for i in cc.comps)
+    return ExtensionLedger(cc.shift, elems)
 
 
 def extension_ledger(
@@ -377,7 +277,7 @@ def _member_support(cc: CylinderCount, ledger: ExtensionLedger, name: str) -> Su
         return convolve({ledger.delta_elem[idx - 1]: 1}, cc.measures[idx - 1])
     if kind != "L" or not 1 <= idx <= len(cc.comps) + 1:
         raise KeyError(f"unknown family member {name}")
-    supp: Support = {sum(ledger.delta_leaf[: idx - 1], ledger.delta_V): 1}
+    supp: Support = {ledger.delta_V: 1}
     for leaf in cc.measures[idx - 1:]:
         supp = convolve(supp, leaf)
     return supp
@@ -486,7 +386,7 @@ def replay_count(
             else f"L1 {_fmt_support(model, supp['L1'])} != {_fmt_support(model, agg)}",
         )
     )
-    final = {ledger.final_class: 1}
+    final = {ledger.delta_V: 1}
     ok = supp[f"L{t + 1}"] == final
     checks.append(
         IdentityCheck(
@@ -530,7 +430,13 @@ class AbstractTree:
         return vs
 
     def canonical(self):
-        """Root-independent canonical encoding (labels and edge lengths)."""
+        """Canonical encoding (labels and edge lengths), rooted at the vertex
+        that carries the smallest leg label.
+
+        Two trees with distinct leg labels, as every tree this module builds
+        has, get the same encoding exactly when a label- and length-preserving
+        isomorphism maps one to the other: it must fix that vertex.
+        """
         adj: dict[str, list[tuple[str, Fraction | None]]] = {}
         for a, b, ln in self.edges:
             adj.setdefault(a, []).append((b, ln))
@@ -549,7 +455,7 @@ class AbstractTree:
                 kids.append(("edge", key, enc(o, v)))
             return tuple(items) + tuple(sorted(kids))
 
-        return min(enc(v, None) for v in sorted(self.vertices))
+        return enc(min(self.legs)[1], None)
 
 
 def stable_domain(tree: MappedTree) -> AbstractTree:
@@ -667,7 +573,7 @@ def degeneration_path(fam: DeformationFamily, k: int, r: Fraction | None) -> Deg
         stable_domain(by[f"L{k}"]),
         stable_domain(by[f"M{k}"]),
         f"g{k}",
-        "gp",
+        "g1p",
         f"g{k}",
         r,
     )
@@ -675,11 +581,11 @@ def degeneration_path(fam: DeformationFamily, k: int, r: Fraction | None) -> Deg
         stable_domain(by[f"L{k + 1}"]),
         stable_domain(by[f"N{k}"]),
         f"g{k}",
-        "gp",
+        "g1p",
         f"g{k}",
         r,
     )
-    second = _swap_legs(second, f"t{k}", "tp")
+    second = _swap_legs(second, f"t{k}", "t1p")
     expect = 2 * fam.t + 7
     for tree in (first, second):
         assert len(tree.legs) == expect

@@ -69,10 +69,6 @@ class AffineInconsistent(TropcylError):
     pass
 
 
-class SlopeNotRayDirection(TropcylError):
-    pass
-
-
 class PathThroughOrigin(TropcylError):
     pass
 

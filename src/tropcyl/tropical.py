@@ -9,7 +9,7 @@ into interior (I), boundary (B), and finite (F) marks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classes as cls
@@ -18,7 +18,6 @@ from .errors import (
     IdentityViolation,
     NotUnimodular,
     PathThroughOrigin,
-    SlopeNotRayDirection,
     ZeroVector,
 )
 from .lattice import Point, Vec, _complement, cone_coordinates, det, norm, primitive_part
@@ -56,6 +55,11 @@ class MappedTree:
 
     def valency(self, v: str) -> int:
         return len(self.incident(v))
+
+    def leg(self, v: str) -> tuple[Edge, Vec]:
+        """The edge at the 1-valent vertex v and its weight pointing toward v."""
+        e = self.incident(v)[0]
+        return e, e.weight if e.head == v else (-e.weight[0], -e.weight[1])
 
     def outgoing(self, v: str) -> list[Vec]:
         out = []
@@ -403,9 +407,7 @@ def _try_cylinder(model: ToricModel, tree: MappedTree):
     legs = {}
     extended = False
     for label in leg_labels:
-        v = marks[label]
-        e = tree.incident(v)[0]
-        w = e.weight if e.head == v else (-e.weight[0], -e.weight[1])
+        e, w = tree.leg(marks[label])
         if w == (0, 0):
             out.append(f"spine leg {label} has weight zero")
         legs[label] = w
@@ -421,7 +423,7 @@ def _try_cylinder(model: ToricModel, tree: MappedTree):
 def _try_twig(model: ToricModel, tree: MappedTree) -> list[str]:
     out = []
     labels = set(tree.mark_vertex)
-    if labels != {"r"} and len(labels) != 1:
+    if len(labels) != 1:
         out.append("twig must carry exactly one root mark")
         return out
     root_label = next(iter(labels))
@@ -442,9 +444,7 @@ def _try_spine(model: ToricModel, tree: MappedTree) -> list[str]:
         if e.weight != (0, 0) or e.length is not None:
             out.append(f"interior mark {label} must sit on an infinite constant leg")
     for label in tree.boundary:
-        v = marks[label]
-        e = tree.incident(v)[0]
-        w = e.weight if e.head == v else (-e.weight[0], -e.weight[1])
+        e, w = tree.leg(marks[label])
         d_ok = w != (0, 0) and model.fan.ray_index(w) is not None
         if e.length is not None or not d_ok:
             out.append(f"boundary mark {label} must be an infinite leg along a fan ray")
@@ -476,15 +476,12 @@ def _try_curve(model: ToricModel, tree: MappedTree) -> list[str]:
         if e.weight != (0, 0):
             out.append(f"interior mark {label} must be a constant leg")
     for label in tree.boundary:
-        v = marks[label]
-        e = tree.incident(v)[0]
-        w = e.weight if e.head == v else (-e.weight[0], -e.weight[1])
+        _, w = tree.leg(marks[label])
         if w == (0, 0) or model.fan.ray_index(w) is None:
             out.append(f"boundary mark {label} must point along a fan ray")
     for v, p in tree.positions:
         if tree.valency(v) == 1 and p is None and v not in marked_vertices:
-            e = tree.incident(v)[0]
-            w = e.weight if e.head == v else (-e.weight[0], -e.weight[1])
+            _, w = tree.leg(v)
             if w == (0, 0):
                 out.append(f"unmarked constant leg at {v}")
                 continue
@@ -532,15 +529,13 @@ def extension_class(model: ToricModel, x: Point, p: Vec) -> cls.CurveClass:
 
 
 def extend_spine(
-    model: ToricModel, tree: MappedTree, strict: bool = False
+    model: ToricModel, tree: MappedTree
 ) -> tuple[MappedTree, dict[str, cls.CurveClass], cls.CurveClass]:
     """Extend every finite marked leg to infinity; return the extended tree,
     the per-leg extension classes, and their sum.
 
-    With ``strict`` set, slopes that are not ray directions of the fan raise
-    SlopeNotRayDirection instead of being accepted (conceptually the fan is
-    refined so the slope becomes a ray; crossing contributions only ever
-    involve the original rays).
+    A slope need not be a ray direction of the fan: crossing contributions
+    only ever involve the original rays.
     """
     pos = tree.pos
     marks = tree.mark_vertex
@@ -549,18 +544,11 @@ def extend_spine(
     new_pos = dict(pos)
     for label in sorted(tree.finite):
         v = marks[label]
-        e = tree.incident(v)[0]
-        w = e.weight if e.head == v else (-e.weight[0], -e.weight[1])
+        e, w = tree.leg(v)
         if w == (0, 0):
             raise ZeroVector(f"finite leg {label} has weight zero")
-        if strict and model.fan.ray_index(w) is None:
-            raise SlopeNotRayDirection(f"slope {w} of leg {label} is not a ray direction")
         deltas[label] = extension_class(model, pos[v], w)
-        idx = new_edges.index(e)
-        if e.head == v:
-            new_edges[idx] = replace(e, length=None)
-        else:
-            new_edges[idx] = Edge(e.head, e.tail, (-e.weight[0], -e.weight[1]), None)
+        new_edges[new_edges.index(e)] = Edge(e.tail if e.head == v else e.head, v, w, None)
         new_pos[v] = None
     total = sum(deltas.values(), cls.zero_class(model))
     extended = MappedTree(
@@ -643,6 +631,39 @@ def canonical_spine_split(model: ToricModel, w0: Vec) -> tuple[Vec, Vec]:
     return p1, w2
 
 
+def spine_skeleton(
+    cyl: Cylinder, attach: Fraction, leg_length: Fraction | None = None, suffix: str = ""
+):
+    """The spine of a cylinder as tree parts, every name ending in suffix.
+
+    Leg 1 runs from the bend b through a1, where the interior constant leg w
+    sits at distance attach, to v1; leg 2 runs from b to v2; marks w, 1 and 2.
+    The legs are infinite when leg_length is None. Returns (positions, edges,
+    marks, root): the twig grows from root, which is b for one leaf and
+    otherwise a vertex o at the origin, joined to b by the leaf sum.
+    """
+    b, a1, w, v1, v2, o = (name + suffix for name in ("b", "a1", "w", "v1", "v2", "o"))
+    bend, p1, p2 = cyl.bend, cyl.p1, cyl.p2
+    at = (bend[0] + attach * p1[0], bend[1] + attach * p1[1])
+    positions: dict[str, Point | None] = {b: bend, a1: at, w: None, v1: None, v2: None}
+    edges = [Edge(b, a1, p1, attach), Edge(a1, w, (0, 0), None)]
+    if leg_length is None:
+        edges += [Edge(a1, v1, p1, None), Edge(b, v2, p2, None)]
+    else:
+        rest = leg_length - attach
+        positions[v1] = (at[0] + rest * p1[0], at[1] + rest * p1[1])
+        positions[v2] = (bend[0] + leg_length * p2[0], bend[1] + leg_length * p2[1])
+        edges += [Edge(a1, v1, p1, rest), Edge(b, v2, p2, leg_length)]
+    marks = {w: w, "1" + suffix: v1, "2" + suffix: v2}
+    if len(cyl.twig_type) == 1:
+        return positions, edges, marks, b
+    w0 = cyl.leaf_sum
+    positions[o] = (Fraction(0), Fraction(0))
+    lam = -bend[0] / Fraction(w0[0]) if w0[0] else -bend[1] / Fraction(w0[1])
+    edges.append(Edge(b, o, w0, lam))
+    return positions, edges, marks, o
+
+
 def cylinder_tree(
     model: ToricModel,
     cyl: Cylinder,
@@ -651,47 +672,15 @@ def cylinder_tree(
 ) -> MappedTree:
     """Materialize a cylinder as a mapped tree with marks 1, 2 (spine legs)
     and w (interior constant leg on leg 1)."""
-    bend = cyl.bend
-    w0 = cyl.leaf_sum
     if leg_length is None and not cyl.extended:
         leg_length = Fraction(1, 4)
     attach_len = attach_param if cyl.extended else leg_length * attach_param
-    positions: dict[str, Point | None] = {"b": bend}
-    edges = []
-    marks = {}
-    # Spine leg 1 carries the constant leg at distance attach_len from the bend.
-    a1 = (bend[0] + attach_len * cyl.p1[0], bend[1] + attach_len * cyl.p1[1])
-    positions["a1"] = a1
-    edges.append(Edge("b", "a1", cyl.p1, attach_len))
-    positions["w"] = None
-    edges.append(Edge("a1", "w", (0, 0), None))
-    marks["w"] = "w"
-    if cyl.extended:
-        positions["v1"] = None
-        edges.append(Edge("a1", "v1", cyl.p1, None))
-        positions["v2"] = None
-        edges.append(Edge("b", "v2", cyl.p2, None))
-    else:
-        rest = leg_length - attach_len
-        v1 = (a1[0] + rest * cyl.p1[0], a1[1] + rest * cyl.p1[1])
-        positions["v1"] = v1
-        edges.append(Edge("a1", "v1", cyl.p1, rest))
-        v2 = (bend[0] + leg_length * cyl.p2[0], bend[1] + leg_length * cyl.p2[1])
-        positions["v2"] = v2
-        edges.append(Edge("b", "v2", cyl.p2, leg_length))
-    marks["1"] = "v1"
-    marks["2"] = "v2"
-    # Twig: single straight leaf when t = 1, a vertex at the origin otherwise.
-    if len(cyl.twig_type) == 1:
-        positions["t1"] = None
-        edges.append(Edge("b", "t1", cyl.twig_type[0], None))
-    else:
-        positions["o"] = (Fraction(0), Fraction(0))
-        lam = -bend[0] / Fraction(w0[0]) if w0[0] else -bend[1] / Fraction(w0[1])
-        edges.append(Edge("b", "o", w0, lam))
-        for s, wleaf in enumerate(cyl.twig_type, start=1):
-            positions[f"t{s}"] = None
-            edges.append(Edge("o", f"t{s}", wleaf, None))
+    positions, edges, marks, root = spine_skeleton(
+        cyl, attach_len, None if cyl.extended else leg_length
+    )
+    for s, wleaf in enumerate(cyl.twig_type, start=1):
+        positions[f"t{s}"] = None
+        edges.append(Edge(root, f"t{s}", wleaf, None))
     boundary = frozenset({"1", "2"}) if cyl.extended else frozenset()
     finite = frozenset() if cyl.extended else frozenset({"1", "2"})
     return make_tree(positions, edges, marks, {"w"}, boundary, finite)

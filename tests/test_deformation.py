@@ -1,24 +1,41 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tropcyl.classes import zero_class
 from tropcyl.counting import (
     ElementaryCountTable,
     build_cylinder,
     contributing_classes,
     default_table,
+    elementary_cylinder,
 )
 from tropcyl.deformation import (
+    AbstractTree,
     build_deformation,
     default_anchors,
     degeneration_path,
     extension_ledger,
     family_support,
+    refine_for_slopes,
     replay_induction,
 )
 from tropcyl.errors import AnchorOrderViolation
+from tropcyl.lattice import det
+from tropcyl.model import F1_RAYS, P1XP1_RAYS, build_model, cubic_model
+from tropcyl.tropical import classify, extension_class
 
 F = Fraction
+HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+MODELS = (
+    cubic_model(),
+    build_model(P1XP1_RAYS, (1, 2, 1, 1)),
+    build_model(F1_RAYS, (1, 2, 1, 1)),
+    build_model(HEXAGON_RAYS, (1, 2, 0, 1, 2, 1)),
+)
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 def _cyl(model, twig):
@@ -59,13 +76,43 @@ def test_default_anchor_parameters(cubic):
     assert anchors[1] == ((F(0), F(1)), (F(0), F(2)))
 
 
-def test_extension_ledger_identity(cubic):
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_anchor_on_its_ray_adds_no_class(data):
+    """Extending from c * u_i along u_i crosses no ray, for every c > 0, so a
+    forgotten leaf adds no extension class; an anchor off its ray is refused."""
+    model = data.draw(st.sampled_from(MODELS))
+    u = data.draw(st.sampled_from(model.fan.rays))
+    c = data.draw(st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6))
+    assert extension_class(model, (c * u[0], c * u[1]), u) == zero_class(model)
+    leaf = data.draw(st.sampled_from(model.exceptional_directions))
+    cyl = _cyl(model, (leaf,))
+    off = data.draw(st.tuples(_rationals, _rationals).filter(lambda x: det(leaf, x) != 0))
+    (g, t), = default_anchors(model, cyl)
+    bad = (off, t) if data.draw(st.booleans()) else (g, off)
+    with pytest.raises(AnchorOrderViolation):
+        build_deformation(model, cyl, anchors=(bad,))
+
+
+def test_elementary_members(cubic):
+    """M_k and N_k are L_2 and L_1 of the elementary cylinder for leaf k, their
+    names suffixed by p: M_k forgets the leaf and is a spine, N_k keeps both
+    anchor marks interior and is a tropical curve."""
     cyl = _cyl(cubic, ((1, 0), (0, 1)))
-    ledger = extension_ledger(cubic, cyl)
-    total = ledger.delta_V
-    for d in ledger.delta_leaf:
-        total = total + d
-    assert ledger.final_class == total
+    fam = build_deformation(cubic, cyl)
+    slopes = [cyl.p1, cyl.p2]
+    for w in cyl.twig_type:
+        e = elementary_cylinder(cubic, cubic.fan.ray_index(w))
+        slopes += [e.p1, e.p2]
+    refined = refine_for_slopes(cubic, slopes)
+    labels = {"wp", "1p", "2p", "g1p", "t1p"}
+    for k in (1, 2):
+        m, n = fam.by_name[f"M{k}"], fam.by_name[f"N{k}"]
+        assert set(m.mark_vertex) == set(n.mark_vertex) == labels
+        assert (m.interior, m.boundary) == ({"wp", "g1p"}, {"1p", "2p", "t1p"})
+        assert (n.interior, n.boundary) == ({"wp", "g1p", "t1p"}, {"1p", "2p"})
+        assert classify(refined, m).kind == "spine"
+        assert classify(refined, n).kind == "tropical_curve"
 
 
 def test_replay_contributing_class(cubic):
@@ -106,7 +153,7 @@ def test_family_support_endpoint(cubic):
     assert len(supp) == 1
     assert list(supp.values()) == [1]
     ledger = extension_ledger(cubic, cyl)
-    assert list(supp.keys()) == [ledger.final_class]
+    assert list(supp.keys()) == [ledger.delta_V]
 
 
 class TestDegenerationPath:
@@ -139,9 +186,9 @@ class TestDegenerationPath:
 
 
 def test_replay_computes_extension_classes_once(p1xp1, monkeypatch):
-    """With the elementary data cached, a replay extends each spine leg and
-    each leaf anchor once: at most 2 + t extension classes."""
-    from tropcyl import counting, deformation, tropical
+    """With the elementary data cached, a replay extends the two spine legs
+    of the cylinder and nothing else: at most 2 extension classes."""
+    from tropcyl import counting, tropical
 
     cyl = _cyl(p1xp1, ((1, 0), (0, 1), (0, -1)))
     beta = contributing_classes(p1xp1, cyl)[0][1]
@@ -153,9 +200,67 @@ def test_replay_computes_extension_classes_once(p1xp1, monkeypatch):
         calls.append(args)
         return real(*args)
 
-    for module in (tropical, counting, deformation):
+    for module in (tropical, counting):
         monkeypatch.setattr(module, "extension_class", counted)
     for cls_ in (None, beta):
         calls.clear()
         assert replay_induction(p1xp1, cyl, cls_).ok
-        assert len(calls) <= 2 + 3
+        assert len(calls) <= 2
+
+
+def _all_roots_form(tree):
+    """The minimum encoding over every root: the reference canonical form."""
+    adj, legs_at = {}, {}
+    for a, b, ln in tree.edges:
+        adj.setdefault(a, []).append((b, ln))
+        adj.setdefault(b, []).append((a, ln))
+    for label, v in tree.legs:
+        legs_at.setdefault(v, []).append(label)
+
+    def enc(v, parent):
+        kids = [
+            ("edge", (0, ln) if ln is not None else (1,), enc(o, v))
+            for o, ln in adj.get(v, ()) if o != parent
+        ]
+        return tuple(("leg", label) for label in sorted(legs_at.get(v, ()))) + tuple(sorted(kids))
+
+    return min(enc(v, None) for v in sorted(tree.vertices))
+
+
+@st.composite
+def _labelled_trees(draw):
+    """A random tree with distinct leg labels, as edges (child, parent, length)."""
+    n = draw(st.integers(1, 7))
+    lengths = st.sampled_from((None, F(1), F(2), F(1, 2)))
+    edges = [(f"v{i}", f"v{draw(st.integers(0, i - 1))}", draw(lengths)) for i in range(1, n)]
+    labels = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5, unique=True))
+    legs = [(label, f"v{draw(st.integers(0, n - 1))}") for label in labels]
+    return edges, legs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_labelled_trees(), _labelled_trees(), st.data())
+def test_canonical_agrees_with_all_roots_form(tree, unrelated, data):
+    """Rooting at the smallest leg label decides equality as the minimum over
+    every root does, on relabelled and re-rooted copies and on unrelated trees."""
+    edges, legs = tree
+    names = sorted({v for e in edges for v in e[:2]} | {v for _, v in legs})
+    perm = dict(zip(names, data.draw(st.permutations(names))))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    copy_edges = [
+        (perm[y], perm[x], ln) if flip else (perm[x], perm[y], ln)
+        for (x, y, ln), flip in zip(edges, flips)
+    ]
+    copy_edges = data.draw(st.permutations(copy_edges))
+    copy_legs = [(label, perm[v]) for label, v in legs]
+    if len(legs) > 1 and data.draw(st.booleans()):
+        # Swap the vertices of two labels: usually a different tree.
+        (la, va), (lb, vb) = copy_legs[:2]
+        copy_legs[:2] = [(la, vb), (lb, va)]
+    first = AbstractTree(tuple(edges), tuple(sorted(legs)))
+    for other in (
+        AbstractTree(tuple(copy_edges), tuple(sorted(copy_legs))),
+        AbstractTree(tuple(unrelated[0]), tuple(sorted(unrelated[1]))),
+    ):
+        same = first.canonical() == other.canonical()
+        assert same == (_all_roots_form(first) == _all_roots_form(other))
