@@ -17,7 +17,14 @@ from functools import lru_cache
 
 from . import classes as cls
 from . import config as cfg
-from .counting import build_cylinder, cylinder_count, default_table, measure, splitting_sum
+from .counting import (
+    build_cylinder,
+    cylinder_count,
+    default_table,
+    measure,
+    splitting_measure,
+    splitting_sum,
+)
 from .deformation import replay_count
 from .errors import (
     ConfigError,
@@ -166,9 +173,10 @@ def _random_twig(model, rng) -> tuple:
 def _verify_one(model, cyl, table) -> int:
     data = cylinder_count(model, cyl, table)
     entries = data.contributing
-    for beta, n in measure((b, k) for _, b, k in entries).items():
-        c = data.count(beta)
-        s = splitting_sum(model, cyl, beta, table)
+    listed = measure((b, k) for _, b, k in entries)
+    oracle = splitting_measure(model, cyl, table)
+    for beta in dict.fromkeys([*listed, *oracle]):
+        c, s, n = data.count(beta), oracle.get(beta, 0), listed.get(beta, 0)
         if not (c == s == n):
             raise IdentityViolation(
                 f"closed form {c}, splitting sum {s}, listed {n} for class {beta}"

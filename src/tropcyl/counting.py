@@ -6,8 +6,8 @@ form is the product measure of the leaf measures (class -> count, read off
 the elementary table at the leaf's exceptional components), shifted by the
 spine extension class. ``cylinder_count`` reads a cylinder's leaf measures
 and shift once into a ``CylinderCount``, which the closed form, its listing
-and the deformation replay share; ``splitting_sum`` stays an independent
-oracle and enumerates from the table itself.
+and the deformation replay share; ``splitting_measure`` stays an
+independent oracle and enumerates from the table itself.
 """
 
 from __future__ import annotations
@@ -241,40 +241,37 @@ def count_primitive_cylinder(
     return cylinder_count(model, cyl, table).count(beta)
 
 
+def splitting_measure(
+    model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None = None
+) -> Support:
+    """Independent oracle: every decomposition into one table class per leaf,
+    enumerated factor by factor, its count the product of the elementary
+    counts, summed per class. Classes are keyed at the cylinder's level:
+    shifted by the spine extension class when the cylinder is extended."""
+    check_primitive(model, cyl)
+    if table is None:
+        table = default_table(model)
+    comps = twig_components(model, cyl)
+    base = spine_extension_shift(model, cyl) if cyl.extended else cls.zero_class(model)
+    by_pair = table.by_pair
+    factors = [
+        [(c, n) for j in range(1, model.multiplicity(i) + 1) for c, n in by_pair.get((i, j), ())]
+        for i in comps
+    ]
+    rows = [(base, 1)]
+    for factor in factors:
+        rows = [(acc + c, prod * n) for acc, prod in rows for c, n in factor if n]
+    return measure(rows)
+
+
 def splitting_sum(
     model: ToricModel,
     cyl: Cylinder,
     beta: cls.CurveClass,
     table: ElementaryCountTable | None = None,
 ) -> int:
-    """Independent oracle: sum over decompositions beta = beta_1 + ... + beta_t
-    of products of elementary counts, enumerated from the table's supported
-    classes factor by factor."""
-    check_primitive(model, cyl)
-    if table is None:
-        table = default_table(model)
-    comps = twig_components(model, cyl)
-    target = beta - spine_extension_shift(model, cyl) if cyl.extended else beta
-    by_pair = table.by_pair
-    factors = [
-        [(c, n) for j in range(1, model.multiplicity(i) + 1) for c, n in by_pair.get((i, j), ())]
-        for i in comps
-    ]
-    total = 0
-
-    def rec(idx: int, acc: cls.CurveClass, prod: int):
-        nonlocal total
-        if prod == 0:
-            return
-        if idx == len(factors):
-            if acc == target:
-                total += prod
-            return
-        for c, n in factors[idx]:
-            rec(idx + 1, acc + c, prod * n)
-
-    rec(0, cls.zero_class(model), 1)
-    return total
+    """The oracle's count at beta: one lookup in ``splitting_measure``."""
+    return splitting_measure(model, cyl, table).get(beta, 0)
 
 
 def count_spine(

@@ -15,8 +15,11 @@ branches coincide at gluing parameter r = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from . import classes as cls
 from .counting import (
@@ -193,9 +196,18 @@ class DeformationFamily:
     def t(self) -> int:
         return len(self.comps)
 
-    @property
-    def by_name(self) -> dict[str, MappedTree]:
-        return dict(self.curves)
+    @cached_property
+    def by_name(self) -> Mapping[str, MappedTree]:
+        return MappingProxyType(dict(self.curves))
+
+    @cached_property
+    def domains(self) -> Mapping[str, AbstractTree]:
+        """The stable domain of every member, by name, each computed once."""
+        return MappingProxyType({name: stable_domain(tree) for name, tree in self.curves})
+
+    def __getstate__(self):
+        """The fields only, as for ``MappedTree``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_deformation(
@@ -568,18 +580,18 @@ class DegenerationStep:
 def degeneration_path(fam: DeformationFamily, k: int, r: Fraction | None) -> DegenerationStep:
     if not 1 <= k <= fam.t:
         raise KeyError(f"step index {k} out of range 1..{fam.t}")
-    by = fam.by_name
+    by = fam.domains
     first = glue_domains(
-        stable_domain(by[f"L{k}"]),
-        stable_domain(by[f"M{k}"]),
+        by[f"L{k}"],
+        by[f"M{k}"],
         f"g{k}",
         "g1p",
         f"g{k}",
         r,
     )
     second = glue_domains(
-        stable_domain(by[f"L{k + 1}"]),
-        stable_domain(by[f"N{k}"]),
+        by[f"L{k + 1}"],
+        by[f"N{k}"],
         f"g{k}",
         "g1p",
         f"g{k}",

@@ -9,8 +9,11 @@ into interior (I), boundary (B), and finite (F) marks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from . import classes as cls
 from .errors import (
@@ -20,7 +23,7 @@ from .errors import (
     PathThroughOrigin,
     ZeroVector,
 )
-from .lattice import Point, Vec, _complement, cone_coordinates, det, norm, primitive_part
+from .lattice import Fan, Point, Vec, _complement, cone_coordinates, det, norm, primitive_part
 from .model import ToricModel
 from .walls import is_wall_direction
 
@@ -42,23 +45,43 @@ class MappedTree:
     boundary: frozenset[str] = frozenset()
     finite: frozenset[str] = frozenset()
 
-    @property
-    def pos(self) -> dict[str, Point | None]:
-        return dict(self.positions)
+    @cached_property
+    def pos(self) -> Mapping[str, Point | None]:
+        return MappingProxyType(dict(self.positions))
 
-    @property
-    def mark_vertex(self) -> dict[str, str]:
-        return dict(self.marks)
+    @cached_property
+    def mark_vertex(self) -> Mapping[str, str]:
+        return MappingProxyType(dict(self.marks))
+
+    @cached_property
+    def _incidence(self) -> dict[str, tuple[int, ...]]:
+        """Vertex -> positions in ``edges`` of its incident edges, in order."""
+        out: dict[str, list[int]] = {}
+        for k, e in enumerate(self.edges):
+            out.setdefault(e.tail, []).append(k)
+            if e.head != e.tail:
+                out.setdefault(e.head, []).append(k)
+        return {v: tuple(ks) for v, ks in out.items()}
+
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """``structural_problems`` of this tree, computed once."""
+        return tuple(structural_problems(self))
+
+    def __getstate__(self):
+        """The fields only: cached views are rebuilt, and a mapping proxy
+        cannot be pickled or deep-copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def incident(self, v: str) -> list[Edge]:
-        return [e for e in self.edges if v in (e.tail, e.head)]
+        return [self.edges[k] for k in self._incidence.get(v, ())]
 
     def valency(self, v: str) -> int:
-        return len(self.incident(v))
+        return len(self._incidence.get(v, ()))
 
     def leg(self, v: str) -> tuple[Edge, Vec]:
         """The edge at the 1-valent vertex v and its weight pointing toward v."""
-        e = self.incident(v)[0]
+        e = self.edges[self._incidence.get(v, ())[0]]
         return e, e.weight if e.head == v else (-e.weight[0], -e.weight[1])
 
     def outgoing(self, v: str) -> list[Vec]:
@@ -80,9 +103,8 @@ def make_tree(positions, edges, marks, interior=(), boundary=(), finite=()) -> M
         frozenset(boundary),
         frozenset(finite),
     )
-    problems = structural_problems(tree)
-    if problems:
-        raise AffineInconsistent("; ".join(problems))
+    if tree.problems:
+        raise AffineInconsistent("; ".join(tree.problems))
     return tree
 
 
@@ -119,17 +141,15 @@ def structural_problems(tree: MappedTree) -> list[str]:
     else:
         seen = set()
         stack = [next(iter(verts))] if verts else []
-        adj: dict[str, list[str]] = {v: [] for v in verts}
-        for e in tree.edges:
-            if e.tail in adj and e.head in adj:
-                adj[e.tail].append(e.head)
-                adj[e.head].append(e.tail)
         while stack:
             v = stack.pop()
             if v in seen:
                 continue
             seen.add(v)
-            stack.extend(adj[v])
+            for e in tree.incident(v):
+                o = e.head if e.tail == v else e.tail
+                if o in verts:
+                    stack.append(o)
         if seen != verts:
             out.append("graph is not connected")
     for label, v in tree.marks:
@@ -184,48 +204,52 @@ def spine_decomposition(tree: MappedTree) -> tuple[set[str], list[tuple[str, Map
     Returns the spine's vertex set and a list of (attachment vertex, twig);
     each twig is rooted by a mark ``r`` at the attachment vertex.
     """
-    pos = tree.pos
+    pos, edges, inc = tree.pos, tree.edges, tree._incidence
     marked = {v for _, v in tree.marks}
+
+    def other(k: int, v: str) -> str:
+        return edges[k].head if edges[k].tail == v else edges[k].tail
+
+    # Peel unmarked vertices of degree <= 1 until the hull of the marks remains.
+    degree = {v: sum(1 for k in inc.get(v, ()) if other(k, v) in pos) for v in pos}
     spine = set(pos)
-    # Prune unmarked 1-valent vertices until the hull of the marks remains.
-    changed = True
-    while changed:
-        changed = False
-        for v in list(spine):
-            if v in marked:
-                continue
-            deg = sum(1 for e in tree.edges if (e.tail in spine) and (e.head in spine) and v in (e.tail, e.head))
-            if deg <= 1:
-                spine.discard(v)
-                changed = True
-    twigs = []
-    outside = set(pos) - spine
-    visited: set[str] = set()
-    for start_edge in tree.edges:
-        ends = {start_edge.tail, start_edge.head}
-        if not (ends & spine and ends & outside):
+    stack = [v for v in pos if v not in marked and degree[v] <= 1]
+    while stack:
+        v = stack.pop()
+        if v not in spine:
             continue
-        attach = (ends & spine).pop()
-        first_out = (ends & outside).pop()
+        spine.discard(v)
+        for k in inc.get(v, ()):
+            o = other(k, v)
+            if o in spine:
+                degree[o] -= 1
+                if degree[o] <= 1 and o not in marked:
+                    stack.append(o)
+    twigs = []
+    visited: set[str] = set()
+    for e in edges:
+        if (e.tail in spine) == (e.head in spine) or not (e.tail in pos and e.head in pos):
+            continue
+        attach, first_out = (e.tail, e.head) if e.tail in spine else (e.head, e.tail)
         if first_out in visited:
             continue
         comp = {first_out}
         stack = [first_out]
         while stack:
             v = stack.pop()
-            for e in tree.edges:
-                for o in (e.tail, e.head):
-                    if o in outside and o not in comp and v in (e.tail, e.head):
-                        comp.add(o)
-                        stack.append(o)
+            for k in inc[v]:
+                o = other(k, v)
+                if o in pos and o not in spine and o not in comp:
+                    comp.add(o)
+                    stack.append(o)
         visited |= comp
         tw_vertices = comp | {attach}
-        tw_edges = tuple(
-            e for e in tree.edges if e.tail in tw_vertices and e.head in tw_vertices
+        tw_edges = sorted(
+            {k for v in tw_vertices for k in inc[v] if other(k, v) in tw_vertices}
         )
         twig = MappedTree(
             tuple(sorted((v, pos[v]) for v in tw_vertices)),
-            tw_edges,
+            tuple(edges[k] for k in tw_edges),
             (("r", attach),),
             finite=frozenset({"r"}),
         )
@@ -308,9 +332,8 @@ def classify(model: ToricModel, tree: MappedTree) -> Classification:
 
     Clause-level failure reasons accompany an ``invalid`` verdict.
     """
-    problems = structural_problems(tree)
-    if problems:
-        return Classification("invalid", tuple(problems))
+    if tree.problems:
+        return Classification("invalid", tree.problems)
 
     cyl_reasons, cyl = _try_cylinder(model, tree)
     if not cyl_reasons:
@@ -357,7 +380,7 @@ def _try_cylinder(model: ToricModel, tree: MappedTree):
         return out, None
     wlabel = next(iter(tree.interior))
     wvert = marks[wlabel]
-    wedge = tree.incident(wvert)[0]
+    wedge, _ = tree.leg(wvert)
     if wedge.weight != (0, 0) or wedge.length is not None:
         out.append("interior leg must be an infinite constant leg")
     spine_verts, twigs = spine_decomposition(tree)
@@ -395,10 +418,7 @@ def _try_cylinder(model: ToricModel, tree: MappedTree):
         elif rep.status != BALANCED:
             out.append(f"vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
     # The constant leg must attach to the spine away from the bend.
-    wattach = None
-    for e in tree.edges:
-        if wvert in (e.tail, e.head):
-            wattach = e.head if e.tail == wvert else e.tail
+    wattach = wedge.tail if wedge.head == wvert else wedge.head
     if wattach == attach:
         out.append("interior constant leg attaches at the bending vertex")
     if wattach in twig_vertices:
@@ -616,7 +636,14 @@ def tropical_line(model: ToricModel, w: Vec, point: Point, w2: Vec | None = None
 def canonical_spine_split(model: ToricModel, w0: Vec) -> tuple[Vec, Vec]:
     """Deterministic split of -w0 into two nonzero leg slopes p1 + p2 = -w0,
     preferring slopes along fan rays."""
-    fan = model.fan
+    return _spine_split(model.fan.rays, (w0[0], w0[1]))
+
+
+@lru_cache(maxsize=256)
+def _spine_split(rays: tuple[Vec, ...], w0: Vec) -> tuple[Vec, Vec]:
+    """``canonical_spine_split`` keyed on the ray order, which fixes the ray
+    indices (Fan equality does not)."""
+    fan = Fan(rays)
     neg = (-w0[0], -w0[1])
     if neg == (0, 0):
         raise ZeroVector("leaf weights sum to zero; no bend direction")

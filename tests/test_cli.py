@@ -336,3 +336,40 @@ def test_verify_one_builds_count_data_once(monkeypatch):
     monkeypatch.setattr(counting.CylinderCount, "__init__", counted)
     assert cli._verify_one(model, cyl, table) == 3
     assert len(built) == 1
+
+
+def test_verify_one_enumerates_the_oracle_once(monkeypatch):
+    from tropcyl import cli, counting
+    from tropcyl.model import build_model, P1XP1_RAYS
+
+    model = build_model(P1XP1_RAYS, (2, 1, 2, 1))
+    cyl = counting.build_cylinder(model, ((1, 0), (0, 1), (0, -1)), extended=True)
+    real = counting.splitting_measure
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli, counting):
+        monkeypatch.setattr(module, "splitting_measure", counted)
+    assert cli._verify_one(model, cyl, counting.default_table(model)) == 3
+    assert len(calls) == 1
+
+
+def test_verify_fails_on_a_class_the_listing_lacks(capsys, tmp_path, monkeypatch):
+    """The oracle holds a class that the listing drops: verify exits 5 from
+    the comparison of the whole measures, naming that class as listed 0."""
+    from tropcyl import cli
+
+    real = cli.cylinder_count
+
+    def dropping(*args):
+        data = real(*args)
+        data.__dict__["contributing"] = data.contributing[1:]
+        return data
+
+    monkeypatch.setattr(cli, "cylinder_count", dropping)
+    spec = spec_file(tmp_path, {"twig_type": [[1, 0], [0, 1]]})
+    assert main(["verify", spec]) == 5
+    assert "closed form 1, splitting sum 1, listed 0 for class" in capsys.readouterr().err

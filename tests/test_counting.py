@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from tropcyl.counting import (
     elementary_class,
     elementary_cylinder,
     spine_extension_shift,
+    splitting_measure,
     splitting_sum,
 )
 from tropcyl.deformation import replay_induction
@@ -122,6 +124,32 @@ def test_extension_invariance(cubic):
     shift = spine_extension_shift(cubic, ext)
     for _, beta_ext, n in contributing_classes(cubic, ext):
         assert count_primitive_cylinder(cubic, inf, beta_ext - shift) == n
+
+
+def test_splitting_measure_at_the_cylinder_level(cubic):
+    """The oracle keys an extended cylinder's classes with the spine shift and
+    an infinitesimal one's without it."""
+    inf = build_cylinder(cubic, ((1, 0), (0, 1)), extended=False)
+    ext = build_cylinder(cubic, ((1, 0), (0, 1)), extended=True)
+    shift = spine_extension_shift(cubic, ext)
+    listed = {beta: n for _, beta, n in contributing_classes(cubic, ext)}
+    assert len(listed) == 4
+    assert splitting_measure(cubic, ext) == listed
+    assert splitting_measure(cubic, inf) == {beta - shift: n for beta, n in listed.items()}
+
+
+def test_oracle_leaves_no_cyclic_garbage(p1xp1):
+    """The oracle's enumeration builds no reference cycle, so what it lists
+    is freed on return rather than at the next collection."""
+    cyl = build_cylinder(p1xp1, ((1, 0), (0, 1), (0, -1)), extended=True)
+    beta = contributing_classes(p1xp1, cyl)[0][1]
+    gc.collect()
+    gc.disable()
+    try:
+        assert splitting_sum(p1xp1, cyl, beta) == 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_twig_type_permutation_invariance(cubic):
@@ -236,5 +264,6 @@ def test_closed_form_matches_oracle_on_any_table(case):
         shifted = beta + shift
         want = splitting_sum(model, cyl, shifted, table)
         assert count_primitive_cylinder(model, cyl, shifted, table) == want
+    assert splitting_measure(model, cyl, table) == {b: n for b, n in listed.items() if n}
     beta = entries[0][1] if entries else None
     assert replay_induction(model, cyl, beta, table).ok

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -264,3 +266,52 @@ def test_canonical_agrees_with_all_roots_form(tree, unrelated, data):
     ):
         same = first.canonical() == other.canonical()
         assert same == (_all_roots_form(first) == _all_roots_form(other))
+
+
+def _counting_calls(monkeypatch, module, name):
+    """Count the calls of module.name, a function the code under test looks
+    up in that module."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", MODELS[:3])
+def test_build_deformation_checks_each_member_once(monkeypatch, model):
+    """make_tree runs the structural check and classify reuses it, so each
+    member is checked once; every member is still classified."""
+    from tropcyl import deformation, tropical
+
+    checked = _counting_calls(monkeypatch, tropical, "structural_problems")
+    classified = _counting_calls(monkeypatch, deformation, "classify")
+    fam = build_deformation(model, _cyl(model, ((1, 0), (0, 1))))
+    members = [tree for _, tree in fam.curves]
+    assert len(members) == 3 * fam.t + 1
+    assert sorted(id(args[0]) for args in checked) == sorted(map(id, members))
+    assert sorted(id(args[1]) for args in classified) == sorted(map(id, members))
+
+
+def test_degeneration_path_builds_each_stable_domain_once(monkeypatch, p1xp1):
+    from tropcyl import deformation
+
+    fam = build_deformation(p1xp1, _cyl(p1xp1, ((1, 0), (0, 1), (0, -1))))
+    built = _counting_calls(monkeypatch, deformation, "stable_domain")
+    for k in range(1, fam.t + 1):
+        for r in (None, F(1), F(0)):
+            assert degeneration_path(fam, k, r).coincide == (r == 0)
+    assert fam.t == 3 and len(built) <= 3 * fam.t + 1
+
+
+def test_family_views_are_read_only(cubic):
+    fam = build_deformation(cubic, _cyl(cubic, ((-1, -1),)))
+    assert fam.by_name is fam.by_name and fam.domains is fam.domains
+    for view in (fam.by_name, fam.domains):
+        with pytest.raises(TypeError):
+            view["L1"] = None
+    assert copy.deepcopy(fam) == fam and pickle.loads(pickle.dumps(fam)) == fam

@@ -1,3 +1,6 @@
+import copy
+import pickle
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from tropcyl.tropical import (
     UNBALANCED,
     Cylinder,
     Edge,
+    MappedTree,
     canonical_spine_split,
     classify,
     cylinder_tree,
@@ -368,3 +372,126 @@ def test_extension_class_matches_fraction_reference(case):
     assert _outcome(extension_class, model, x, p) == _outcome(
         _reference_extension_class, model, x, p
     )
+
+
+# ---------------------------------------------------------------------------
+# The edge index against all-edges references.
+
+INDEX_MODELS = (
+    cubic_model(),
+    build_model(P1XP1_RAYS, (1, 2, 1, 1)),
+    build_model(F1_RAYS, (1, 2, 1, 1)),
+    build_model(HEXAGON_RAYS, (1, 2, 0, 1, 2, 1)),
+)
+
+
+def _ref_incident(tree, v):
+    return [e for e in tree.edges if v in (e.tail, e.head)]
+
+
+def _ref_spine_decomposition(tree):
+    """Fixed-point prune of the hull and an all-edges twig search."""
+    pos = dict(tree.positions)
+    marked = {v for _, v in tree.marks}
+    spine = set(pos)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(spine):
+            ends = [e for e in tree.edges if e.tail in spine and e.head in spine]
+            if v not in marked and sum(1 for e in ends if v in (e.tail, e.head)) <= 1:
+                spine.discard(v)
+                changed = True
+    outside = set(pos) - spine
+    twigs, visited = [], set()
+    for edge in tree.edges:
+        ends = {edge.tail, edge.head}
+        if not (ends & spine and ends & outside) or (ends & outside).pop() in visited:
+            continue
+        attach, first_out = (ends & spine).pop(), (ends & outside).pop()
+        comp, stack = {first_out}, [first_out]
+        while stack:
+            v = stack.pop()
+            for e in _ref_incident(tree, v):
+                for o in (e.tail, e.head):
+                    if o in outside and o not in comp:
+                        comp.add(o)
+                        stack.append(o)
+        visited |= comp
+        verts = comp | {attach}
+        twigs.append((attach, MappedTree(
+            tuple(sorted((v, pos[v]) for v in verts)),
+            tuple(e for e in tree.edges if e.tail in verts and e.head in verts),
+            (("r", attach),),
+            finite=frozenset({"r"}),
+        )))
+    return spine, twigs
+
+
+def _index_trees():
+    from itertools import combinations
+
+    from tropcyl.counting import build_cylinder
+    from tropcyl.deformation import build_deformation
+    from tropcyl.errors import TropcylError
+
+    yield single_leaf_cylinder_tree()
+    yield branched_cylinder_tree()
+    for model in INDEX_MODELS:
+        dirs = model.exceptional_directions
+        for t in (1, 2, 3):
+            for twig in combinations(dirs, t):
+                try:
+                    fam = build_deformation(model, build_cylinder(model, twig, extended=True))
+                except TropcylError:
+                    continue
+                for _name, tree in fam.curves:
+                    yield tree
+                    yield from (twig for _, twig in spine_decomposition(tree)[1])
+                yield cylinder_tree(model, build_cylinder(model, twig))
+
+
+def test_edge_index_matches_all_edges_scan():
+    """incident, valency, leg, outgoing and spine_decomposition agree with the
+    all-edges references on every family member, its twigs and the hand-built
+    trees."""
+    seen = 0
+    for tree in _index_trees():
+        seen += 1
+        for v, _ in tree.positions:
+            ref = _ref_incident(tree, v)
+            assert tree.incident(v) == ref
+            assert tree.valency(v) == len(ref)
+            assert tree.outgoing(v) == [
+                e.weight if e.tail == v else (-e.weight[0], -e.weight[1]) for e in ref
+            ]
+            if len(ref) == 1:
+                e = ref[0]
+                assert tree.leg(v) == (e, e.weight if e.head == v else (-e.weight[0], -e.weight[1]))
+        assert spine_decomposition(tree) == _ref_spine_decomposition(tree)
+    assert seen > 200
+
+
+def test_cached_tree_views_are_read_only_and_keep_equality():
+    tree = single_leaf_cylinder_tree()
+    twin = MappedTree(*(getattr(tree, f.name) for f in fields(tree)))
+    assert tree.incident("b") and tree.problems == ()
+    assert tree == twin and hash(tree) == hash(twin)
+    for view in (tree.pos, tree.mark_vertex):
+        with pytest.raises(TypeError):
+            view["b"] = None
+    assert tree.pos["b"] == _pt(2, 2)
+    assert copy.deepcopy(tree) == tree and pickle.loads(pickle.dumps(tree)) == tree
+
+
+def test_spine_split_cache_keys_on_ray_order():
+    """A rotated fan gets the same split, read through its own cache entry."""
+    from tropcyl.tropical import _spine_split
+
+    for model in INDEX_MODELS:
+        rays = model.fan.rays
+        rotated = build_model(rays[1:] + rays[:1], model.blowups[1:] + model.blowups[:1])
+        for w in rays + ((1, 1), (-1, -1), (2, -1)):
+            want = _spine_split.__wrapped__(rays, w)
+            assert canonical_spine_split(model, w) == want
+            assert canonical_spine_split(rotated, w) == want
