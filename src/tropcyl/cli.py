@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import replace
@@ -57,18 +56,6 @@ DEFAULT_CONFIG = {
         "blowups": [2, 2, 2],
     }
 }
-
-
-def _color_enabled() -> bool:
-    return os.environ.get("TROPCYL_COLOR", "0") == "1"
-
-
-def _status(ok: bool) -> str:
-    word = "PASS" if ok else "FAIL"
-    if _color_enabled():
-        code = "32" if ok else "31"
-        return f"\x1b[{code}m{word}\x1b[0m"
-    return word
 
 
 def _load_config(args) -> cfg.Config:
@@ -202,10 +189,10 @@ def cmd_verify(args) -> int:
         if not cyl.extended:
             cyl = replace(cyl, extended=True)
         steps = _verify_one(model, cyl, table)
-        print(f"{_status(True)}, {steps} induction steps")
+        print(f"PASS, {steps} induction steps")
         return EXIT_OK
     if not model.exceptional_directions:
-        print(f"{_status(True)}, 0 cases, 0 induction steps")
+        print("PASS, 0 cases, 0 induction steps")
         return EXIT_OK
     rng = random.Random(args.seed if args.seed is not None else 0)
     done = 0
@@ -218,7 +205,7 @@ def cmd_verify(args) -> int:
         except ZeroVector:
             continue
         done += 1
-    print(f"{_status(True)}, {done} cases, {steps_total} induction steps")
+    print(f"PASS, {done} cases, {steps_total} induction steps")
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ three interlocking families of mapped trees: L_k (the cylinder with the
 first k - 1 leaves forgotten), M_k (the elementary spine for leaf k), and
 N_k (the elementary cylinder for leaf k with both twig anchors marked).
 M_k and N_k are L_2 and L_1 of the elementary cylinder, so one builder
-makes every member.
+makes every member and one rule gives every member's counting measure.
 Counts with fixed curve class satisfy, for each k, a splitting identity
 relating L_k to L_{k+1} through M_k and N_k; chaining the t identities
 turns the count of V into a product of elementary counts. The identities
@@ -249,49 +249,29 @@ def build_deformation(
     return DeformationFamily(model, cyl, comps, tuple(anchors), curves)
 
 
-@dataclass(frozen=True)
-class ExtensionLedger:
-    """Every extension class used by the replay.
+def _family_L(shift: cls.CurveClass, measures) -> list[Support]:
+    """[L_1, ..., L_{t+1}] of a cylinder with this spine extension class and
+    these leaf measures: L_k keeps leaves k .. t, so the measures are suffix
+    products, built in one backward pass of t convolutions."""
+    out = [{shift: 1}]
+    for leaf in reversed(measures):
+        out.append(convolve(out[-1], leaf))
+    return out[::-1]
 
-    delta_V: sum over the two spine legs of V.
-    delta_elem: per leaf, the same sum for the elementary cylinder.
 
-    The anchors sit on their leaf rays, and extending along a ray crosses
-    no ray, so forgetting a leaf adds no extension class.
+def member_measures(cc: CylinderCount) -> dict[str, Support]:
+    """The counting measure of every family member, by name.
+
+    One rule covers every member: the member cylinder's spine extension class
+    convolved with the leaf measures it keeps. M_k and N_k are L_2 and L_1 of
+    the elementary cylinder for leaf k, whose only leaf measure is the
+    cylinder's k-th. Classes are recorded at the extended level. Anchors sit
+    on their leaf rays, and extending along a ray crosses no ray, so
+    forgetting a leaf adds no extension class and no measure depends on them.
     """
-
-    delta_V: cls.CurveClass
-    delta_elem: tuple[cls.CurveClass, ...]
-
-
-def _ledger(cc: CylinderCount, anchors) -> ExtensionLedger:
-    if anchors is not None:
-        _check_anchors(cc.model, cc.comps, anchors)
-    elems = tuple(elementary_extension_shift(cc.model, i) for i in cc.comps)
-    return ExtensionLedger(cc.shift, elems)
-
-
-def extension_ledger(
-    model: ToricModel,
-    cyl: Cylinder,
-    anchors: tuple[tuple[Point, Point], ...] | None = None,
-) -> ExtensionLedger:
-    return _ledger(cylinder_count(model, cyl), anchors)
-
-
-def _member_support(cc: CylinderCount, ledger: ExtensionLedger, name: str) -> Support:
-    kind, idx = name[0], int(name[1:]) if name[1:] else 0
-    if kind == "V":
-        kind, idx = "L", 1
-    if kind == "M":
-        return {ledger.delta_elem[idx - 1]: 1}
-    if kind == "N":
-        return convolve({ledger.delta_elem[idx - 1]: 1}, cc.measures[idx - 1])
-    if kind != "L" or not 1 <= idx <= len(cc.comps) + 1:
-        raise KeyError(f"unknown family member {name}")
-    supp: Support = {ledger.delta_V: 1}
-    for leaf in cc.measures[idx - 1:]:
-        supp = convolve(supp, leaf)
+    supp = {f"L{k}": m for k, m in enumerate(_family_L(cc.shift, cc.measures), start=1)}
+    for k, (i, leaf) in enumerate(zip(cc.comps, cc.measures), start=1):
+        supp[f"N{k}"], supp[f"M{k}"] = _family_L(elementary_extension_shift(cc.model, i), (leaf,))
     return supp
 
 
@@ -300,16 +280,11 @@ def family_support(
     cyl: Cylinder,
     name: str,
     table: ElementaryCountTable | None = None,
-    anchors: tuple[tuple[Point, Point], ...] | None = None,
 ) -> Support:
-    """The counting measure of a family member: curve class -> count.
-
-    Classes are recorded at the extended level. L_k aggregates one elementary
-    factor per remaining leaf on top of the spine extension classes; M_k is a
-    single spine; N_k is a single elementary factor.
-    """
-    cc = cylinder_count(model, cyl, table)
-    return _member_support(cc, _ledger(cc, anchors), name)
+    """The counting measure of the family member ``name`` (L1 .. L{t+1},
+    M1 .. Mt, N1 .. Nt): curve class -> count, read from ``member_measures``.
+    An unknown name raises KeyError."""
+    return member_measures(cylinder_count(model, cyl, table))[name]
 
 
 @dataclass(frozen=True)
@@ -348,36 +323,25 @@ def replay_induction(
     cyl: Cylinder,
     beta: cls.CurveClass | None = None,
     table: ElementaryCountTable | None = None,
-    anchors: tuple[tuple[Point, Point], ...] | None = None,
 ) -> ReplayReport:
     """Replay the induction on the extended cylinder: ``replay_count`` of its
     count data."""
-    return replay_count(cylinder_count(model, replace(cyl, extended=True), table), beta, anchors)
+    return replay_count(cylinder_count(model, replace(cyl, extended=True), table), beta)
 
 
-def replay_count(
-    cc: CylinderCount,
-    beta: cls.CurveClass | None = None,
-    anchors: tuple[tuple[Point, Point], ...] | None = None,
-) -> ReplayReport:
+def replay_count(cc: CylinderCount, beta: cls.CurveClass | None = None) -> ReplayReport:
     """Replay the induction: per-step splitting identities, both endpoints,
     and (when a class is given) agreement with the closed-form count.
 
     All comparisons are exact equalities of counting measures, each read
-    from the cylinder's count data and its extension ledger. L1 is the
-    closed form, the spine extension class convolved with every leaf
-    measure; endpoint-initial compares it with the per-class sums of the
+    from ``member_measures`` of the cylinder's count data. L1 is the closed
+    form, the spine extension class convolved with every leaf measure;
+    endpoint-initial compares it with the per-class sums of the
     ``contributing`` entries. The checks hold for every table
     ``parse_table`` accepts, not only the canonical one.
     """
     model, t = cc.model, len(cc.comps)
-    ledger = _ledger(cc, anchors)
-    supp = {
-        name: _member_support(cc, ledger, name)
-        for name in [f"L{k}" for k in range(1, t + 2)]
-        + [f"M{k}" for k in range(1, t + 1)]
-        + [f"N{k}" for k in range(1, t + 1)]
-    }
+    supp = member_measures(cc)
     checks: list[IdentityCheck] = []
     for k in range(1, t + 1):
         lhs = convolve(supp[f"L{k}"], supp[f"M{k}"])
@@ -398,7 +362,7 @@ def replay_count(
             else f"L1 {_fmt_support(model, supp['L1'])} != {_fmt_support(model, agg)}",
         )
     )
-    final = {ledger.delta_V: 1}
+    final = {cc.shift: 1}
     ok = supp[f"L{t + 1}"] == final
     checks.append(
         IdentityCheck(
@@ -410,7 +374,7 @@ def replay_count(
         )
     )
     if beta is not None:
-        key = beta if cc.cyl.extended else beta + ledger.delta_V
+        key = beta if cc.cyl.extended else beta + cc.shift
         got = supp["L1"].get(key, 0)
         want = cc.count(beta)
         checks.append(
@@ -456,18 +420,20 @@ class AbstractTree:
         legs_at: dict[str, list[str]] = {}
         for label, v in self.legs:
             legs_at.setdefault(v, []).append(label)
+        return _encode(min(self.legs)[1], None, adj, legs_at)
 
-        def enc(v: str, parent: str | None):
-            items = [("leg", label) for label in sorted(legs_at.get(v, ()))]
-            kids = []
-            for o, ln in adj.get(v, ()):
-                if o == parent:
-                    continue
-                key = (0, ln) if ln is not None else (1,)
-                kids.append(("edge", key, enc(o, v)))
-            return tuple(items) + tuple(sorted(kids))
 
-        return enc(min(self.legs)[1], None)
+def _encode(v: str, parent: str | None, adj, legs_at) -> tuple:
+    """The encoding of the subtree at v, away from parent. A module-level
+    function, not a closure over the tables, so it forms no reference cycle."""
+    items = [("leg", label) for label in sorted(legs_at.get(v, ()))]
+    kids = []
+    for o, ln in adj.get(v, ()):
+        if o == parent:
+            continue
+        key = (0, ln) if ln is not None else (1,)
+        kids.append(("edge", key, _encode(o, v, adj, legs_at)))
+    return tuple(items) + tuple(sorted(kids))
 
 
 def stable_domain(tree: MappedTree) -> AbstractTree:

@@ -60,11 +60,6 @@ def primitive_part(v: Vec) -> tuple[Vec, int]:
     return (v[0] // c, v[1] // c), c
 
 
-def parallel(u, v) -> bool:
-    """True when u and v span the same line through the origin (either sign)."""
-    return det(u, v) == 0
-
-
 def _angle_key(v: Vec) -> int:
     """Index of the half-open half plane containing v, for exact angular sorting.
 

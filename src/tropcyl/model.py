@@ -10,11 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, NegativeMultiplicity, RayIndexOutOfRange
-from .lattice import Fan, Vec, refine_fan
+from .lattice import Fan, Vec, _normalize_rotation, refine_fan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToricModel:
+    """Equality and hashing compare the cyclic sequence of (ray, l_i) pairs up
+    to rotation, as ``Fan`` does for its rays, so each multiplicity stays on
+    its ray."""
+
     fan: Fan
     blowups: tuple[int, ...]
 
@@ -26,6 +30,18 @@ class ToricModel:
         for i, l in enumerate(self.blowups):
             if l < 0:
                 raise NegativeMultiplicity(i + 1)
+
+    @property
+    def _canonical_pairs(self) -> tuple[tuple[Vec, int], ...]:
+        return _normalize_rotation(tuple(zip(self.fan.rays, self.blowups)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ToricModel):
+            return NotImplemented
+        return self._canonical_pairs == other._canonical_pairs
+
+    def __hash__(self):
+        return hash(self._canonical_pairs)
 
     @property
     def m(self) -> int:

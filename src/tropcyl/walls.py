@@ -46,12 +46,6 @@ class WallStructure:
         """Directions first appearing at step n."""
         return frozenset(d for d, s in self.directions if s == n)
 
-    def contains(self, d: Vec) -> bool:
-        """Membership of the line spanned by d, up to sign."""
-        p, _ = primitive_part(d)
-        seen = self.by_direction
-        return p in seen or (-p[0], -p[1]) in seen
-
 
 def is_wall_direction(model: ToricModel, d: Vec) -> bool:
     """True when some nonzero Z>=0-combination of supported rays is parallel to d.

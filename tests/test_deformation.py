@@ -1,6 +1,10 @@
 import copy
+import gc
+import json
 import pickle
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,23 +15,27 @@ from tropcyl.counting import (
     ElementaryCountTable,
     build_cylinder,
     contributing_classes,
+    convolve,
+    cylinder_count,
     default_table,
     elementary_cylinder,
+    elementary_extension_shift,
 )
 from tropcyl.deformation import (
     AbstractTree,
     build_deformation,
     default_anchors,
     degeneration_path,
-    extension_ledger,
     family_support,
     refine_for_slopes,
+    replay_count,
     replay_induction,
+    stable_domain,
 )
 from tropcyl.errors import AnchorOrderViolation
 from tropcyl.lattice import det
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, build_model, cubic_model
-from tropcyl.tropical import classify, extension_class
+from tropcyl.tropical import Edge, classify, extension_class, make_tree
 
 F = Fraction
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -154,8 +162,76 @@ def test_family_support_endpoint(cubic):
     supp = family_support(cubic, cyl, "L3", default_table(cubic))
     assert len(supp) == 1
     assert list(supp.values()) == [1]
-    ledger = extension_ledger(cubic, cyl)
-    assert list(supp.keys()) == [ledger.delta_V]
+    assert list(supp.keys()) == [cylinder_count(cubic, cyl).shift]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_member_measures_follow_one_rule(monkeypatch, model):
+    """Every member is its cylinder's spine extension class convolved with the
+    leaf measures it keeps, left to right: L_k keeps leaves k .. t of the
+    cylinder, M_k and N_k are L_2 and L_1 of the elementary cylinder for leaf
+    k. The L members take t convolutions and the N members t more."""
+    from tropcyl import deformation
+
+    calls = _counting_calls(monkeypatch, deformation, "convolve")
+    twigs = [
+        twig
+        for t in (1, 2, 3)
+        for twig in combinations(model.exceptional_directions, t)
+        if (sum(w[0] for w in twig), sum(w[1] for w in twig)) != (0, 0)
+    ]
+    for twig in twigs:
+        cc = cylinder_count(model, _cyl(model, twig))
+        t = len(cc.comps)
+        calls.clear()
+        supp = deformation.member_measures(cc)
+        assert len(calls) == 2 * t
+        expect = {}
+        for k in range(1, t + 2):
+            expect[f"L{k}"] = {cc.shift: 1}
+            for leaf in cc.measures[k - 1:]:
+                expect[f"L{k}"] = convolve(expect[f"L{k}"], leaf)
+        for k, (i, leaf) in enumerate(zip(cc.comps, cc.measures), start=1):
+            expect[f"M{k}"] = {elementary_extension_shift(model, i): 1}
+            expect[f"N{k}"] = convolve(expect[f"M{k}"], leaf)
+        assert supp == expect
+
+
+@pytest.mark.parametrize("name", ["V", "L0", "L4", "M0", "M", "N3", "X1", "l1"])
+def test_family_support_unknown_name(cubic, name):
+    cyl = _cyl(cubic, ((1, 0), (0, 1)))
+    with pytest.raises(KeyError):
+        family_support(cubic, cyl, name)
+
+
+def test_replay_reports_a_corrupted_member(capsys, tmp_path, monkeypatch, cubic):
+    """A member measure off by a factor of 2 fails its splitting identity:
+    the report prints both sides term by term and ``verify`` exits 5."""
+    from tropcyl import cli, deformation
+
+    real = deformation.member_measures
+
+    def doubled_m1(cc):
+        supp = real(cc)
+        supp["M1"] = {c: 2 * n for c, n in supp["M1"].items()}
+        return supp
+
+    monkeypatch.setattr(deformation, "member_measures", doubled_m1)
+    cyl = _cyl(cubic, ((1, 0), (0, 1)))
+    report = replay_count(cylinder_count(cubic, cyl), contributing_classes(cubic, cyl)[0][1])
+    assert not report.ok
+    failed = [line for line in report.lines() if line.startswith("FAIL")]
+    term = r"dD \[-?\d+(, -?\d+)*\]( E\d\d:-?\d+)* count \d+"
+    assert len(failed) == 1
+    assert re.fullmatch(
+        rf"FAIL splitting-1: lhs \{{{term}(, {term})*\}} != rhs \{{{term}(, {term})*\}}",
+        failed[0],
+    ), failed[0]
+    assert " count 2" in failed[0].split(" != ")[0]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"twig_type": [[1, 0], [0, 1]]}))
+    assert cli.main(["verify", str(spec)]) == 5
+    assert "error: splitting-1: lhs {dD [" in capsys.readouterr().err
 
 
 class TestDegenerationPath:
@@ -208,6 +284,50 @@ def test_replay_computes_extension_classes_once(p1xp1, monkeypatch):
         calls.clear()
         assert replay_induction(p1xp1, cyl, cls_).ok
         assert len(calls) <= 2
+
+
+def test_canonical_leaves_no_cyclic_garbage(p1xp1):
+    """Encoding a stable domain builds no reference cycle, so its tables are
+    freed on return rather than at the next collection."""
+    fam = build_deformation(p1xp1, _cyl(p1xp1, ((1, 0), (0, 1), (0, -1))))
+    assert len(fam.domains) == 3 * fam.t + 1
+    gc.collect()
+    gc.disable()
+    try:
+        assert degeneration_path(fam, 1, F(0)).coincide
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_stable_domain_smooths_unmarked_two_valent_vertices():
+    """B loses its unmarked leg to the hull, X joins two infinite edges and D
+    joins an infinite edge to a finite one: all three are smoothed away,
+    finite lengths adding and any infinite length making the sum infinite,
+    while the marked vertices A, C and E keep their legs."""
+    positions = {
+        "A": (F(0), F(0)), "B": (F(1), F(0)), "C": (F(3), F(0)),
+        "D": (F(3), F(1)), "E": (F(4), F(1)),
+        "a": None, "c": None, "e": None, "z": None, "X": None,
+    }
+    edges = [
+        Edge("A", "a", (0, 0)),
+        Edge("A", "B", (1, 0), F(1)),
+        Edge("B", "z", (0, 1)),
+        Edge("B", "C", (1, 0), F(2)),
+        Edge("C", "c", (0, 0)),
+        Edge("C", "X", (1, -1)),
+        Edge("D", "X", (1, 1)),
+        Edge("D", "E", (1, 0), F(1)),
+        Edge("E", "e", (0, 0)),
+    ]
+    tree = make_tree(positions, edges, {"a": "a", "c": "c", "e": "e"})
+    dom = stable_domain(tree)
+    assert dom.legs == (("a", "A"), ("c", "C"), ("e", "E"))
+    assert sorted((sorted((x, y)), ln) for x, y, ln in dom.edges) == [
+        (["A", "C"], F(3)),
+        (["C", "E"], None),
+    ]
 
 
 def _all_roots_form(tree):

@@ -66,3 +66,24 @@ def test_cubic_model_helper():
     m = cubic_model()
     assert m.fan.rays == P2_RAYS
     assert m.blowups == (2, 2, 2)
+
+
+def test_model_equality_keeps_each_multiplicity_on_its_ray():
+    """Rotating the rays and the multiplicities together gives an equal model;
+    rotating the rays alone moves l_i to another ray and does not."""
+    a = build_model(P2_RAYS, (2, 2, 1))
+    rotated = ((0, 1), (-1, -1), (1, 0))
+    assert a == build_model(rotated, (2, 1, 2))
+    assert hash(a) == hash(build_model(rotated, (2, 1, 2)))
+    b = build_model(rotated, (2, 2, 1))
+    assert a.fan == b.fan and a.blowups == b.blowups
+    assert a != b
+    assert len({a, b}) == 2
+
+
+def test_every_exported_name_resolves():
+    import tropcyl
+
+    assert len(set(tropcyl.__all__)) == len(tropcyl.__all__)
+    for name in tropcyl.__all__:
+        assert getattr(tropcyl, name) is not None, name
