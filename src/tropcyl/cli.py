@@ -79,6 +79,8 @@ def cmd_walls(args) -> int:
             x, y = (int(p) for p in args.is_wall.split(","))
         except ValueError:
             raise ConfigError("--is-wall", "expected X,Y with integer entries")
+        if (x, y) == (0, 0):
+            raise ConfigError("--is-wall", "zero vector has no direction")
         print("true" if is_wall_direction(model, (x, y)) else "false")
         return EXIT_OK
     walls = generate_walls(model, config.walls.steps, config.walls.norm_bound, config.walls.rule)

@@ -17,10 +17,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import classes as cls
-from .errors import ComponentOutOfRange, NotPrimitiveCylinder, OutOfPrimitiveScope, ZeroVector
-from .lattice import Vec, norm, primitive_part
+from .errors import ComponentOutOfRange, OutOfPrimitiveScope, ZeroVector
+from .lattice import Vec, primitive_part
 from .model import ToricModel, build_model
-from .tropical import Cylinder, canonical_spine_split, extension_class
+from .tropical import Cylinder, canonical_spine_split, check_primitive, extension_class
 
 Support = dict[cls.CurveClass, int]
 
@@ -111,25 +111,13 @@ def twig_components(model: ToricModel, cyl: Cylinder) -> tuple[int, ...]:
     positive blowup multiplicity."""
     out = []
     for w in cyl.twig_type:
-        d, _ = primitive_part(w)
-        i = model.fan.ray_index(d)
-        if i is None or model.multiplicity(i) == 0:
+        i = model.exceptional_ray(w)
+        if i is None:
             raise OutOfPrimitiveScope(
                 f"leaf {w} does not head toward an exceptional ray"
             )
         out.append(i)
     return tuple(out)
-
-
-def check_primitive(model: ToricModel, cyl: Cylinder) -> None:
-    if not cyl.twig_type:
-        raise NotPrimitiveCylinder("cylinder has no twig leaves")
-    degrees = [norm(model.fan, w) for w in cyl.twig_type]
-    if any(d != 1 for d in degrees):
-        raise NotPrimitiveCylinder(f"twig leaf degrees {degrees} are not all 1")
-    dirs = [primitive_part(w)[0] for w in cyl.twig_type]
-    if len(set(dirs)) != len(dirs):
-        raise NotPrimitiveCylinder("twig leaf directions are not pairwise distinct")
 
 
 def _leaf_entries(model: ToricModel, i: int, table: ElementaryCountTable):

@@ -26,7 +26,6 @@ from .counting import (
     CylinderCount,
     ElementaryCountTable,
     Support,
-    check_primitive,
     convolve,
     cylinder_count,
     elementary_cylinder,
@@ -41,6 +40,7 @@ from .tropical import (
     Cylinder,
     Edge,
     MappedTree,
+    check_primitive,
     classify,
     make_tree,
     spine_decomposition,
@@ -56,31 +56,6 @@ def _ray_param(u: Vec, x: Point) -> Fraction:
     if (Fraction(u[0]) * c, Fraction(u[1]) * c) != tuple(x):
         raise AnchorOrderViolation(f"anchor {x} does not lie on the ray through {u}")
     return c
-
-
-def default_anchors(model: ToricModel, cyl: Cylinder) -> tuple[tuple[Point, Point], ...]:
-    """Per leaf s: the two interior anchor points on the leaf ray, at lattice
-    parameters 1 and 2."""
-    rays = [model.fan.ray(i) for i in twig_components(model, cyl)]
-    return tuple(((Fraction(x), Fraction(y)), (Fraction(2 * x), Fraction(2 * y))) for x, y in rays)
-
-
-def _check_anchors(model, comps, anchors) -> tuple[tuple[Fraction, Fraction], ...]:
-    if len(anchors) != len(comps):
-        raise AnchorOrderViolation(
-            f"expected {len(comps)} anchor pairs, got {len(anchors)}"
-        )
-    params = []
-    for i, (xg, xt) in zip(comps, anchors):
-        u = model.fan.ray(i)
-        g = _ray_param(u, xg)
-        t = _ray_param(u, xt)
-        if not 0 < g < t:
-            raise AnchorOrderViolation(
-                f"anchor parameters ({g}, {t}) on ray {u} must satisfy 0 < g < t"
-            )
-        params.append((g, t))
-    return tuple(params)
 
 
 _ATTACH_CANDIDATES = (
@@ -109,47 +84,33 @@ def _pick_attach(bend: Point, p1: Vec, wall_dirs) -> Fraction:
     raise AnchorOnWall("no attach point off the leaf wall lines was found")
 
 
-def family_tree_L(
-    model: ToricModel,
-    cyl: Cylinder,
-    k: int,
-    anchors: tuple[tuple[Point, Point], ...] | None = None,
-    attach: Fraction | None = None,
-    *,
-    _suffix: str = "",
-) -> MappedTree:
+def family_tree_L(model: ToricModel, cyl: Cylinder, k: int, *, _suffix: str = "") -> MappedTree:
     """The k-th member of the L family, 1 <= k <= t + 1: leaves 1 .. k - 1
     are forgotten, their t-marks are boundary legs carrying the leaf weight.
 
     L_1 is the extended cylinder with both anchor marks interior on every
-    leaf; L_{t+1} has no leaves left. Every vertex and mark name ends in
-    ``_suffix``, which keeps the elementary members M_k and N_k apart from
-    the L members they are glued to.
+    leaf: g_s at vg_s = u_s and t_s at vt_s = 2 u_s, lattice parameters 1
+    and 2 on the leaf ray; L_{t+1} has no leaves left. Every vertex and mark
+    name ends in ``_suffix``, which keeps the elementary members M_k and N_k
+    apart from the L members they are glued to.
     """
     comps = twig_components(model, cyl)
     t = len(comps)
     if not 1 <= k <= t + 1:
         raise AnchorOrderViolation(f"family index {k} out of range 1..{t + 1}")
-    if anchors is None:
-        anchors = default_anchors(model, cyl)
-    params = _check_anchors(model, comps, anchors)
     leaf_dirs = [model.fan.ray(i) for i in comps]
-    if attach is None:
-        attach = _pick_attach(cyl.bend, cyl.p1, leaf_dirs)
+    attach = _pick_attach(cyl.bend, cyl.p1, leaf_dirs)
+    # One leaf grows from the bend, which sits on its ray; more grow from 0.
+    base = _ray_param(leaf_dirs[0], cyl.bend) if t == 1 else Fraction(0)
+    if base >= 1:
+        raise AnchorOrderViolation(f"anchor parameter 1 on leaf 1 must exceed {base}")
     positions, edges, marks, root = spine_skeleton(cyl, attach, suffix=_suffix)
     interior = {"w" + _suffix}
     boundary = {"1" + _suffix, "2" + _suffix}
-    base_param = _ray_param(leaf_dirs[0], cyl.bend) if t == 1 else Fraction(0)
-    for s in range(1, t + 1):
-        u = leaf_dirs[s - 1]
-        g_param, t_param = params[s - 1]
-        if g_param <= base_param:
-            raise AnchorOrderViolation(
-                f"anchor parameter {g_param} on leaf {s} must exceed {base_param}"
-            )
+    for s, u in enumerate(leaf_dirs, start=1):
         vg, g, vt, tm, lf = (f"{name}{s}{_suffix}" for name in ("vg", "g", "vt", "t", "lf"))
-        positions[vg] = anchors[s - 1][0]
-        edges.append(Edge(root, vg, u, g_param - base_param))
+        positions[vg] = (Fraction(u[0]), Fraction(u[1]))
+        edges.append(Edge(root, vg, u, 1 - base))
         positions[g] = None
         edges.append(Edge(vg, g, (0, 0), None))
         marks[g] = g
@@ -161,8 +122,8 @@ def family_tree_L(
             edges.append(Edge(vg, tm, u, None))
             boundary.add(tm)
         else:
-            positions[vt] = anchors[s - 1][1]
-            edges.append(Edge(vg, vt, u, t_param - g_param))
+            positions[vt] = (Fraction(2 * u[0]), Fraction(2 * u[1]))
+            edges.append(Edge(vg, vt, u, Fraction(1)))
             edges.append(Edge(vt, tm, (0, 0), None))
             interior.add(tm)
             positions[lf] = None
@@ -189,7 +150,6 @@ class DeformationFamily:
     model: ToricModel
     cylinder: Cylinder
     comps: tuple[int, ...]
-    anchors: tuple[tuple[Point, Point], ...]
     curves: tuple[tuple[str, MappedTree], ...]
 
     @property
@@ -210,11 +170,7 @@ class DeformationFamily:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def build_deformation(
-    model: ToricModel,
-    cyl: Cylinder,
-    anchors: tuple[tuple[Point, Point], ...] | None = None,
-) -> DeformationFamily:
+def build_deformation(model: ToricModel, cyl: Cylinder) -> DeformationFamily:
     """Construct and validate every member of the deformation family.
 
     M_k and N_k are L_2 and L_1 of the extended elementary cylinder for leaf
@@ -226,15 +182,13 @@ def build_deformation(
     cyl = replace(cyl, extended=True)
     comps = twig_components(model, cyl)
     t = len(comps)
-    if anchors is None:
-        anchors = default_anchors(model, cyl)
     elems = {i: replace(elementary_cylinder(model, i), extended=True) for i in comps}
     # (name, tree, whether every leaf is forgotten)
-    members = [(f"L{k}", family_tree_L(model, cyl, k, anchors), k == t + 1) for k in range(1, t + 2)]
-    for k, (i, anchor) in enumerate(zip(comps, anchors), start=1):
+    members = [(f"L{k}", family_tree_L(model, cyl, k), k == t + 1) for k in range(1, t + 2)]
+    for k, i in enumerate(comps, start=1):
         members += [
-            (f"M{k}", family_tree_L(model, elems[i], 2, (anchor,), _suffix="p"), True),
-            (f"N{k}", family_tree_L(model, elems[i], 1, (anchor,), _suffix="p"), False),
+            (f"M{k}", family_tree_L(model, elems[i], 2, _suffix="p"), True),
+            (f"N{k}", family_tree_L(model, elems[i], 1, _suffix="p"), False),
         ]
     slopes = [cyl.p1, cyl.p2] + [p for e in elems.values() for p in (e.p1, e.p2)]
     refined = refine_for_slopes(model, slopes)
@@ -246,7 +200,7 @@ def build_deformation(
                 f"family member {name} classifies as {kind}, expected {expected}"
             )
     curves = tuple((name, tree) for name, tree, _ in members)
-    return DeformationFamily(model, cyl, comps, tuple(anchors), curves)
+    return DeformationFamily(model, cyl, comps, curves)
 
 
 def _family_L(shift: cls.CurveClass, measures) -> list[Support]:
@@ -491,11 +445,10 @@ def glue_domains(
     b: AbstractTree,
     leg_a: str,
     leg_b: str,
-    mid_label: str,
     r: Fraction | None,
 ) -> AbstractTree:
     """Join two domains by a bridge of length r between the carriers of two
-    legs, those legs removed, a fresh leg at the midpoint. r = 0 contracts
+    legs, those legs removed and leg_a moved to the midpoint. r = 0 contracts
     the bridge; r = None leaves it infinite."""
     a = _prefixed(a, "a.")
     b = _prefixed(b, "b.")
@@ -508,12 +461,11 @@ def glue_domains(
         ren = {va: "mid", vb: "mid"}
         edges = [(ren.get(x, x), ren.get(y, y), ln) for x, y, ln in edges]
         legs = [(l, ren.get(v, v)) for l, v in legs]
-        legs.append((mid_label, "mid"))
     else:
         half = None if r is None else r / 2
         edges.append((va, "mid", half))
         edges.append(("mid", vb, half))
-        legs.append((mid_label, "mid"))
+    legs.append((leg_a, "mid"))
     return AbstractTree(tuple(edges), tuple(sorted(legs)))
 
 
@@ -547,22 +499,8 @@ def degeneration_path(fam: DeformationFamily, k: int, r: Fraction | None) -> Deg
     if not 1 <= k <= fam.t:
         raise KeyError(f"step index {k} out of range 1..{fam.t}")
     by = fam.domains
-    first = glue_domains(
-        by[f"L{k}"],
-        by[f"M{k}"],
-        f"g{k}",
-        "g1p",
-        f"g{k}",
-        r,
-    )
-    second = glue_domains(
-        by[f"L{k + 1}"],
-        by[f"N{k}"],
-        f"g{k}",
-        "g1p",
-        f"g{k}",
-        r,
-    )
+    first = glue_domains(by[f"L{k}"], by[f"M{k}"], f"g{k}", "g1p", r)
+    second = glue_domains(by[f"L{k + 1}"], by[f"N{k}"], f"g{k}", "g1p", r)
     second = _swap_legs(second, f"t{k}", "t1p")
     expect = 2 * fam.t + 7
     for tree in (first, second):

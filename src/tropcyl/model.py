@@ -53,6 +53,12 @@ class ToricModel:
             raise RayIndexOutOfRange(f"ray index {i} out of range 1..{self.m}")
         return self.blowups[i - 1]
 
+    def exceptional_ray(self, w: Vec) -> int | None:
+        """1-based index of the ray that w heads toward when that ray carries
+        exceptional components, else None. Raises ZeroVector on w = 0."""
+        i = self.fan.ray_index(w)
+        return i if i is not None and self.blowups[i - 1] > 0 else None
+
     @property
     def exceptional_pairs(self) -> tuple[tuple[int, int], ...]:
         """All (i, j) with 1 <= j <= l_i, in lexicographic order."""

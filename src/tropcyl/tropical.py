@@ -19,6 +19,7 @@ from . import classes as cls
 from .errors import (
     AffineInconsistent,
     IdentityViolation,
+    NotPrimitiveCylinder,
     NotUnimodular,
     PathThroughOrigin,
     ZeroVector,
@@ -272,6 +273,17 @@ class Cylinder:
         return (sum(w[0] for w in self.twig_type), sum(w[1] for w in self.twig_type))
 
 
+def check_primitive(model: ToricModel, cyl: Cylinder) -> None:
+    if not cyl.twig_type:
+        raise NotPrimitiveCylinder("cylinder has no twig leaves")
+    degrees = [norm(model.fan, w) for w in cyl.twig_type]
+    if any(d != 1 for d in degrees):
+        raise NotPrimitiveCylinder(f"twig leaf degrees {degrees} are not all 1")
+    dirs = [primitive_part(w)[0] for w in cyl.twig_type]
+    if len(set(dirs)) != len(dirs):
+        raise NotPrimitiveCylinder("twig leaf directions are not pairwise distinct")
+
+
 @dataclass(frozen=True)
 class Classification:
     kind: str  # cylinder | twig | spine | tropical_curve | invalid
@@ -307,9 +319,7 @@ def _twig_problems(model: ToricModel, twig: MappedTree, root_label: str = "r") -
     for e in twig.edges:
         if e.length is not None:
             continue
-        d, _ = primitive_part(e.weight)
-        i = model.fan.ray_index(d)
-        if i is None or model.multiplicity(i) == 0:
+        if model.exceptional_ray(e.weight) is None:
             out.append(
                 f"twig leaf toward {e.weight} does not reach an exceptional boundary point"
             )
@@ -337,9 +347,11 @@ def classify(model: ToricModel, tree: MappedTree) -> Classification:
 
     cyl_reasons, cyl = _try_cylinder(model, tree)
     if not cyl_reasons:
-        primitive = all(norm(model.fan, w) == 1 for w in cyl.twig_type) and len(
-            set(primitive_part(w)[0] for w in cyl.twig_type)
-        ) == len(cyl.twig_type)
+        primitive = True
+        try:
+            check_primitive(model, cyl)
+        except NotPrimitiveCylinder:
+            primitive = False
         return Classification("cylinder", (), cyl, primitive)
 
     twig_reasons = _try_twig(model, tree)
@@ -505,9 +517,7 @@ def _try_curve(model: ToricModel, tree: MappedTree) -> list[str]:
             if w == (0, 0):
                 out.append(f"unmarked constant leg at {v}")
                 continue
-            d, _ = primitive_part(w)
-            i = model.fan.ray_index(d)
-            if i is None or model.multiplicity(i) == 0:
+            if model.exceptional_ray(w) is None:
                 out.append(
                     f"unmarked leg at {v} does not reach an exceptional boundary point"
                 )
@@ -691,20 +701,14 @@ def spine_skeleton(
     return positions, edges, marks, o
 
 
-def cylinder_tree(
-    model: ToricModel,
-    cyl: Cylinder,
-    leg_length: Fraction | None = None,
-    attach_param: Fraction = Fraction(1, 2),
-) -> MappedTree:
+def cylinder_tree(model: ToricModel, cyl: Cylinder) -> MappedTree:
     """Materialize a cylinder as a mapped tree with marks 1, 2 (spine legs)
-    and w (interior constant leg on leg 1)."""
-    if leg_length is None and not cyl.extended:
-        leg_length = Fraction(1, 4)
-    attach_len = attach_param if cyl.extended else leg_length * attach_param
-    positions, edges, marks, root = spine_skeleton(
-        cyl, attach_len, None if cyl.extended else leg_length
-    )
+    and w (interior constant leg on leg 1). The legs are infinite when the
+    cylinder is extended and have length 1/4 otherwise; w sits at distance
+    1/2, or halfway along leg 1."""
+    leg_length = None if cyl.extended else Fraction(1, 4)
+    attach = Fraction(1, 2) if cyl.extended else leg_length / 2
+    positions, edges, marks, root = spine_skeleton(cyl, attach, leg_length)
     for s, wleaf in enumerate(cyl.twig_type, start=1):
         positions[f"t{s}"] = None
         edges.append(Edge(root, f"t{s}", wleaf, None))

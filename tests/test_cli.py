@@ -41,6 +41,12 @@ def test_walls_query(capsys):
     assert out.strip() == "true"
 
 
+def test_walls_query_zero_vector(capsys):
+    assert main(["walls", "--is-wall", "0,0"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --is-wall: zero vector has no direction\n")
+
+
 def test_walls_golden_listing(capsys):
     code, out = run(capsys, "walls", "--steps", "2")
     assert code == 0

@@ -24,7 +24,6 @@ from tropcyl.counting import (
 from tropcyl.deformation import (
     AbstractTree,
     build_deformation,
-    default_anchors,
     degeneration_path,
     family_support,
     refine_for_slopes,
@@ -33,9 +32,8 @@ from tropcyl.deformation import (
     stable_domain,
 )
 from tropcyl.errors import AnchorOrderViolation
-from tropcyl.lattice import det
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, build_model, cubic_model
-from tropcyl.tropical import Edge, classify, extension_class, make_tree
+from tropcyl.tropical import Cylinder, Edge, classify, extension_class, make_tree
 
 F = Fraction
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -45,7 +43,6 @@ MODELS = (
     build_model(F1_RAYS, (1, 2, 1, 1)),
     build_model(HEXAGON_RAYS, (1, 2, 0, 1, 2, 1)),
 )
-_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 def _cyl(model, twig):
@@ -73,35 +70,34 @@ def test_build_t1_family(cubic):
 
 
 def test_anchor_order_violation(cubic):
-    cyl = _cyl(cubic, ((1, 0),))
-    bad = (((F(0), F(0)), (F(2), F(0))),)
-    with pytest.raises(AnchorOrderViolation):
-        build_deformation(cubic, cyl, anchors=bad)
+    """The anchor g of a one-leaf cylinder sits at parameter 1 on the leaf ray;
+    a bend at or past it is refused."""
+    for x in (1, 3):
+        cyl = Cylinder((0, 1), (-1, -1), (F(x), F(0)), ((1, 0),), extended=True)
+        with pytest.raises(AnchorOrderViolation, match=f"on leaf 1 must exceed {x}$"):
+            build_deformation(cubic, cyl)
 
 
 def test_default_anchor_parameters(cubic):
-    cyl = _cyl(cubic, ((1, 0), (0, 1)))
-    anchors = default_anchors(cubic, cyl)
-    assert anchors[0] == ((F(1), F(0)), (F(2), F(0)))
-    assert anchors[1] == ((F(0), F(1)), (F(0), F(2)))
+    """Each leaf's anchors sit at lattice parameters 1 and 2 on its ray, in the
+    L members and in the elementary members alike."""
+    fam = build_deformation(cubic, _cyl(cubic, ((1, 0), (0, 1))))
+    pos = fam.by_name["L1"].pos
+    assert (pos["vg1"], pos["vt1"]) == ((1, 0), (2, 0))
+    assert (pos["vg2"], pos["vt2"]) == ((0, 1), (0, 2))
+    n2 = fam.by_name["N2"].pos
+    assert (n2["vg1p"], n2["vt1p"]) == ((0, 1), (0, 2))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_anchor_on_its_ray_adds_no_class(data):
     """Extending from c * u_i along u_i crosses no ray, for every c > 0, so a
-    forgotten leaf adds no extension class; an anchor off its ray is refused."""
+    forgotten leaf adds no extension class wherever its anchors sit on its ray."""
     model = data.draw(st.sampled_from(MODELS))
     u = data.draw(st.sampled_from(model.fan.rays))
     c = data.draw(st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6))
     assert extension_class(model, (c * u[0], c * u[1]), u) == zero_class(model)
-    leaf = data.draw(st.sampled_from(model.exceptional_directions))
-    cyl = _cyl(model, (leaf,))
-    off = data.draw(st.tuples(_rationals, _rationals).filter(lambda x: det(leaf, x) != 0))
-    (g, t), = default_anchors(model, cyl)
-    bad = (off, t) if data.draw(st.booleans()) else (g, off)
-    with pytest.raises(AnchorOrderViolation):
-        build_deformation(model, cyl, anchors=(bad,))
 
 
 def test_elementary_members(cubic):

@@ -1,6 +1,11 @@
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
-from tropcyl.errors import AlreadyRay, LengthMismatch, NegativeMultiplicity
+import tropcyl
+from tropcyl.errors import AlreadyRay, LengthMismatch, NegativeMultiplicity, ZeroVector
 from tropcyl.lattice import Fan
 from tropcyl.model import P2_RAYS, build_model, cubic_model, refine_model
 
@@ -82,8 +87,32 @@ def test_model_equality_keeps_each_multiplicity_on_its_ray():
 
 
 def test_every_exported_name_resolves():
-    import tropcyl
-
     assert len(set(tropcyl.__all__)) == len(tropcyl.__all__)
     for name in tropcyl.__all__:
         assert getattr(tropcyl, name) is not None, name
+
+
+def test_exceptional_ray(cubic):
+    """Any positive multiple of u_i heads toward ray i; a direction off the
+    rays, or toward a ray with l_i = 0, reaches no exceptional curve."""
+    assert cubic.exceptional_ray((2, 0)) == 1
+    assert cubic.exceptional_ray((-3, -3)) == 3
+    assert cubic.exceptional_ray((1, 1)) is None
+    assert build_model(P2_RAYS, (2, 0, 1)).exceptional_ray((0, 1)) is None
+    with pytest.raises(ZeroVector):
+        cubic.exceptional_ray((0, 0))
+
+
+def test_sources_import_only_the_standard_library():
+    """The package promises to depend on nothing outside the standard library."""
+    for path in sorted(Path(tropcyl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "tropcyl" or top in sys.stdlib_module_names, (path.name, name)
