@@ -197,21 +197,3 @@ def direction_contrib(fan: Fan, w: Vec) -> tuple[int, ...]:
     out[i - 1] += a
     out[i % fan.m] += b
     return tuple(out)
-
-
-def pullback_class(
-    model: ToricModel, refined: ToricModel, beta: CurveClass
-) -> CurveClass:
-    """Translate a class to a refinement of the model.
-
-    The pullback meets each surviving strict transform with the original
-    multiplicity and every inserted ray's divisor in 0.
-    """
-    prof = intersect(model, beta)
-    by_ray = {u: prof.dD[k] for k, u in enumerate(model.fan.rays)}
-    dD = tuple(by_ray.get(u, 0) for u in refined.fan.rays)
-    dE = {}
-    for (i, j), v in prof.dE_map.items():
-        new_i = refined.fan.ray_index(model.fan.rays[i - 1])
-        dE[(new_i, j)] = v
-    return class_from_profile(refined, dD, dE)

@@ -222,6 +222,8 @@ def cmd_render(args) -> int:
         text = render_walls(walls, config.render)
     elif target == "cylinder":
         cyl, _ = _load_spec(args, model)
+        if len(cyl.twig_type) > 1 and cyl.leaf_sum == (0, 0):
+            raise ConfigError("spec.twig_type", "leaf weights sum to zero; no bend direction")
         text = render_tree(model, cylinder_tree(model, cyl), config.render)
     else:
         print(f"unknown render target: {target}", file=sys.stderr)

@@ -112,7 +112,10 @@ def parse_config(data) -> Config:
     if "render" in data:
         r = _obj(data["render"], "render")
         palette = r.get("palette", render.palette)
-        _expect(palette in PALETTES, "render.palette", f"expected one of {tuple(PALETTES)}")
+        _expect(
+            isinstance(palette, str) and palette in PALETTES,
+            "render.palette", f"expected one of {tuple(PALETTES)}",
+        )
         width = _int(r.get("width", render.width), "render.width")
         height = _int(r.get("height", render.height), "render.height")
         scale = r.get("scale", render.scale)
@@ -128,8 +131,10 @@ def parse_profile(data, model: ToricModel, path: str = "class") -> cls.CurveClas
     _expect(isinstance(dD_raw, list), f"{path}.dD", "expected a list")
     _expect(len(dD_raw) == model.m, f"{path}.dD", f"expected {model.m} entries")
     dD = tuple(_int(v, f"{path}.dD[{k}]") for k, v in enumerate(dD_raw))
+    dE_raw = data.get("dE", [])
+    _expect(isinstance(dE_raw, list), f"{path}.dE", "expected a list")
     dE = {}
-    for k, item in enumerate(data.get("dE", [])):
+    for k, item in enumerate(dE_raw):
         _expect(
             isinstance(item, (list, tuple)) and len(item) == 3,
             f"{path}.dE[{k}]", "expected [i, j, c]",
@@ -218,23 +223,3 @@ def load_json(path: str):
         raise ConfigError(path, f"cannot read: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"invalid JSON: {exc}")
-
-
-def config_to_dict(config: Config) -> dict:
-    return {
-        "model": {
-            "fan": {"rays": [list(r) for r in config.model.fan.rays]},
-            "blowups": list(config.model.blowups),
-        },
-        "walls": {
-            "steps": config.walls.steps,
-            "norm_bound": config.walls.norm_bound,
-            "rule": config.walls.rule,
-        },
-        "render": {
-            "width": config.render.width,
-            "height": config.render.height,
-            "scale": config.render.scale,
-            "palette": config.render.palette,
-        },
-    }

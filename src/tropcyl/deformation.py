@@ -229,18 +229,6 @@ def member_measures(cc: CylinderCount) -> dict[str, Support]:
     return supp
 
 
-def family_support(
-    model: ToricModel,
-    cyl: Cylinder,
-    name: str,
-    table: ElementaryCountTable | None = None,
-) -> Support:
-    """The counting measure of the family member ``name`` (L1 .. L{t+1},
-    M1 .. Mt, N1 .. Nt): curve class -> count, read from ``member_measures``.
-    An unknown name raises KeyError."""
-    return member_measures(cylinder_count(model, cyl, table))[name]
-
-
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str

@@ -73,10 +73,6 @@ class PathThroughOrigin(TropcylError):
     pass
 
 
-class NotUnimodular(TropcylError):
-    pass
-
-
 class OutOfPrimitiveScope(TropcylError):
     pass
 

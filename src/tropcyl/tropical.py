@@ -16,14 +16,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from . import classes as cls
-from .errors import (
-    AffineInconsistent,
-    IdentityViolation,
-    NotPrimitiveCylinder,
-    NotUnimodular,
-    PathThroughOrigin,
-    ZeroVector,
-)
+from .errors import AffineInconsistent, NotPrimitiveCylinder, PathThroughOrigin, ZeroVector
 from .lattice import Fan, Point, Vec, _complement, cone_coordinates, det, norm, primitive_part
 from .model import ToricModel
 from .walls import is_wall_direction
@@ -316,10 +309,7 @@ def _twig_problems(model: ToricModel, twig: MappedTree, root_label: str = "r") -
             out.append(f"twig edge {e.tail}-{e.head} does not lie on a line through the origin")
         if not is_wall_direction(model, e.weight):
             out.append(f"twig edge {e.tail}-{e.head} direction {e.weight} is not a wall direction")
-    for e in twig.edges:
-        if e.length is not None:
-            continue
-        if model.exceptional_ray(e.weight) is None:
+        if e.length is None and model.exceptional_ray(e.weight) is None:
             out.append(
                 f"twig leaf toward {e.weight} does not reach an exceptional boundary point"
             )
@@ -558,40 +548,6 @@ def extension_class(model: ToricModel, x: Point, p: Vec) -> cls.CurveClass:
     return cls.make_class(model.fan.rays, coeffs)
 
 
-def extend_spine(
-    model: ToricModel, tree: MappedTree
-) -> tuple[MappedTree, dict[str, cls.CurveClass], cls.CurveClass]:
-    """Extend every finite marked leg to infinity; return the extended tree,
-    the per-leg extension classes, and their sum.
-
-    A slope need not be a ray direction of the fan: crossing contributions
-    only ever involve the original rays.
-    """
-    pos = tree.pos
-    marks = tree.mark_vertex
-    deltas: dict[str, cls.CurveClass] = {}
-    new_edges = list(tree.edges)
-    new_pos = dict(pos)
-    for label in sorted(tree.finite):
-        v = marks[label]
-        e, w = tree.leg(v)
-        if w == (0, 0):
-            raise ZeroVector(f"finite leg {label} has weight zero")
-        deltas[label] = extension_class(model, pos[v], w)
-        new_edges[new_edges.index(e)] = Edge(e.tail if e.head == v else e.head, v, w, None)
-        new_pos[v] = None
-    total = sum(deltas.values(), cls.zero_class(model))
-    extended = MappedTree(
-        tuple(sorted(new_pos.items())),
-        tuple(new_edges),
-        tree.marks,
-        tree.interior,
-        tree.boundary | tree.finite,
-        frozenset(),
-    )
-    return extended, deltas, total
-
-
 def unimodular_complement(fan, w: Vec) -> Vec:
     """The canonical complement: |det(w, w')| = 1 with smallest fan norm,
     ties broken by lexicographic order."""
@@ -605,42 +561,6 @@ def unimodular_complement(fan, w: Vec) -> Vec:
             if best is None or key < best:
                 best = key
     return best[1]
-
-
-@dataclass(frozen=True)
-class TropicalLine:
-    point: Point
-    direction: Vec
-    boundary_profile: tuple[int, ...]
-
-
-def tropical_line(model: ToricModel, w: Vec, point: Point, w2: Vec | None = None) -> TropicalLine:
-    """The line through the point whose ends head in directions w' and -w'.
-
-    w' is the canonical unimodular complement of w unless supplied; the
-    boundary profile decomposes each end in cone coordinates. When w spans a
-    ray rho_k the profile is checked to meet D_k exactly once.
-    """
-    if point == (Fraction(0), Fraction(0)):
-        raise PathThroughOrigin("line basepoint must not be the origin")
-    d, _ = primitive_part(w)
-    if w2 is None:
-        w2 = unimodular_complement(model.fan, d)
-    elif abs(det(d, w2)) != 1:
-        raise NotUnimodular(f"det({d}, {w2}) is not a unit")
-    prof = [
-        a + b
-        for a, b in zip(
-            cls.direction_contrib(model.fan, w2),
-            cls.direction_contrib(model.fan, (-w2[0], -w2[1])),
-        )
-    ]
-    k = model.fan.ray_index(d)
-    if k is not None and prof[k - 1] != 1:
-        raise IdentityViolation(
-            f"line profile meets D_{k} in {prof[k - 1]}, expected 1"
-        )
-    return TropicalLine(point, w2, tuple(prof))
 
 
 def canonical_spine_split(model: ToricModel, w0: Vec) -> tuple[Vec, Vec]:

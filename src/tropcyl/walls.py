@@ -10,10 +10,15 @@ Two generation rules are supported:
   supported ray generators; the step of a direction is the minimal total
   coefficient sum minus one.
 
-Both rules stop at their fixpoint, so steps past it cost nothing. They agree
-through step 2; from step 3 pair_sum may reach a direction sooner (cubic model,
-bound >= 5: 12 against 6 directions at step 3). At saturation both give the
-same direction set, each direction's pair_sum step at most its support step.
+Both rules stop at their fixpoint, so steps past it cost nothing. On the four
+fixed fans of the property tests (P2, P1xP1, F1, the hexagon) they agree
+through step 2, and from step 3 pair_sum may reach a direction sooner (cubic
+model, bound >= 5: 12 against 6 directions at step 3), so there a direction's
+pair_sum step is at most its support step. Neither holds on every fan: on F3
+(rays (1,0), (0,1), (-1,3), (0,-1), multiplicities (1,3,2,2), bound 6) support
+reaches (-1,6) = 2(-1,3) + (1,0) at step 2 and pair_sum, which never adds a
+wall to itself, at step 3. The saturated direction sets have agreed on every
+model tried; that is checked, not proven.
 Membership queries (``is_wall_direction``) compare up to sign and are the
 authority for balancing checks.
 """

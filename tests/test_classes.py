@@ -10,11 +10,10 @@ from tropcyl.classes import (
     intersect,
     intersection_matrix,
     make_class,
-    pullback_class,
     zero_class,
 )
 from tropcyl.errors import ComponentOutOfRange, NonRepresentable, RayIndexOutOfRange
-from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model, refine_model
+from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 
 
 def test_intersection_matrix_p2():
@@ -84,18 +83,6 @@ def test_compatibility_bad_ray(cubic):
         compatibility_intersections(cubic, [(4, 1)])
 
 
-def test_pullback_preserves_profile(cubic):
-    refined = refine_model(cubic, (1, 1))
-    beta = divisor_class(cubic.fan, 2) - exceptional_class(cubic, 1, 2)
-    pulled = pullback_class(cubic, refined, beta)
-    prof = intersect(refined, pulled)
-    for u in cubic.fan.rays:
-        k = refined.fan.ray_index(u)
-        orig = intersect(cubic, beta).dD[cubic.fan.ray_index(u) - 1]
-        assert prof.dD[k - 1] == orig
-    assert prof.dD[refined.fan.ray_index((1, 1)) - 1] == 0
-
-
 MODELS = [
     cubic_model(),
     build_model(P1XP1_RAYS, (2, 1, 2, 1)),
@@ -136,17 +123,6 @@ def test_intersect_is_linear(mc1, mc2):
     for k, v in pb.dE_map.items():
         combined[k] = combined.get(k, 0) + v
     assert {k: v for k, v in combined.items() if v} == ps.dE_map
-
-
-@given(model_and_class())
-def test_pullback_orthogonal_to_inserted_rays(mc):
-    model, beta = mc
-    refined = refine_model(model, (3, 1)) if model.fan.ray_index((3, 1)) is None else model
-    pulled = pullback_class(model, refined, beta)
-    prof = intersect(refined, pulled)
-    for k, u in enumerate(refined.fan.rays, start=1):
-        if model.fan.ray_index(u) is None:
-            assert prof.dD[k - 1] == 0
 
 
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcyl.cli import main
+from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS
 
 GOLDEN = Path(__file__).parent / "golden"
+HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
 
 def run(capsys, *argv):
@@ -379,3 +386,143 @@ def test_verify_fails_on_a_class_the_listing_lacks(capsys, tmp_path, monkeypatch
     spec = spec_file(tmp_path, {"twig_type": [[1, 0], [0, 1]]})
     assert main(["verify", spec]) == 5
     assert "closed form 1, splitting sum 1, listed 0 for class" in capsys.readouterr().err
+
+
+def test_zero_leaf_sum_with_explicit_spine(capsys, tmp_path):
+    """Opposite leaves under an explicit spine have no bend direction:
+    render refuses them at spec.twig_type, while count and verify keep
+    refusing the leaf degrees."""
+    spec = spec_file(tmp_path, {
+        "twig_type": [[0, -1], [0, 1]],
+        "spine": {"p1": [3, 3], "p2": [-3, -3], "bend_at": [2, 3]},
+    })
+    degrees = "error: twig leaf degrees [2, 1] are not all 1\n"
+    for argv, code, err in (
+        (["render", "cylinder", spec], 2,
+         "error: spec.twig_type: leaf weights sum to zero; no bend direction\n"),
+        (["count", spec], 3, degrees),
+        (["verify", spec], 3, degrees),
+    ):
+        assert main(argv) == code
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", err)
+
+
+_small = st.integers(min_value=-3, max_value=3)
+_vec = st.lists(_small, min_size=2, max_size=2)
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(strategy, other):
+    """``strategy`` for seven draws in eight, ``other`` for the eighth."""
+    return st.sampled_from(range(8)).flatmap(lambda k: other if k == 7 else strategy)
+
+
+def _or_junk(strategy):
+    return _mostly(strategy, _junk)
+
+
+def _obj(required, optional=None):
+    return _or_junk(st.fixed_dictionaries(
+        {k: _or_junk(s) for k, s in required.items()},
+        optional={k: _or_junk(s) for k, s in (optional or {}).items()},
+    ))
+
+
+def _closed_twig(leaves):
+    """The leaves plus one closing leaf, so that the weights sum to zero:
+    such a twig has no bend direction, and random leaves rarely give one."""
+    return leaves + [[-sum(w[0] for w in leaves), -sum(w[1] for w in leaves)]]
+
+
+_rational = _small | st.builds("{}/{}".format, _small, _small)
+_profile = _obj(
+    {"dD": st.lists(_small, min_size=3, max_size=3) | st.lists(_small, max_size=6)},
+    {"dE": st.lists(st.lists(_small, min_size=3, max_size=3), max_size=3)},
+)
+_ray = st.sampled_from([[1, 0], [0, 1], [-1, -1], [-1, 0], [0, -1], [1, 1]])
+_twig = st.lists(_ray | _vec, min_size=1, max_size=3)
+_spine = _obj({"p1": _vec, "p2": _vec, "bend_at": st.lists(_rational, min_size=2, max_size=2)})
+_spec = st.one_of(*(
+    _obj(
+        {"twig_type": _twig.map(_closed_twig) | _twig, **spine},
+        {"extended": st.booleans(), "class": _profile},
+    )
+    for spine in ({"spine": _spine}, {})
+))
+_table = _obj({"entries": st.lists(_obj({
+    "pair": st.lists(st.integers(0, 4), min_size=2, max_size=2),
+    "counts": st.lists(_obj({"class": _profile, "count": _small}), max_size=2),
+}), max_size=3)})
+_model = st.one_of(*(
+    _obj({
+        "fan": _obj({"rays": st.just([list(u) for u in rays])}),
+        "blowups": _mostly(
+            st.lists(st.integers(0, 3), min_size=len(rays), max_size=len(rays)),
+            st.lists(st.integers(-1, 3), max_size=6),
+        ),
+    })
+    for rays in (P2_RAYS, P1XP1_RAYS, F1_RAYS, HEXAGON_RAYS)
+), _obj({
+    "fan": _obj({"rays": st.lists(_vec, max_size=5)}),
+    "blowups": st.lists(st.integers(-1, 3), max_size=6),
+}))
+_config = _obj(
+    {"model": _model},
+    {
+        "walls": _obj({}, {
+            "steps": st.integers(-1, 4),
+            "norm_bound": st.integers(-1, 8),
+            "rule": st.sampled_from(["pair_sum", "support", "other"]),
+        }),
+        "render": _obj({}, {
+            "width": st.integers(-1, 300),
+            "height": st.integers(-1, 300),
+            "scale": st.integers(-1, 40) | st.floats(-1, 40, allow_nan=False),
+            "palette": st.sampled_from(["default", "mono", "other"]),
+        }),
+    },
+)
+_commands = st.sampled_from([
+    ["render", "cylinder", "SPEC"], ["count", "--json", "SPEC"], ["verify", "--cases", "2", "SPEC"],
+    ["count", "SPEC"], ["verify", "--cases", "2", "--seed", "3"], ["render", "walls"],
+    ["walls", "--json"], ["walls"],
+])
+
+
+@pytest.fixture(scope="module")
+def wire_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("wire")
+
+
+@settings(deadline=None, max_examples=150)
+@given(_commands, st.booleans(), _config, st.booleans(), _table, _spec)
+def test_wire_formats_end_in_a_documented_exit_code(
+    wire_dir, command, with_config, config, with_table, table, spec
+):
+    """Random config, table and spec JSON through ``main``: every run returns
+    a documented exit code, no exception escapes, and a refused input prints
+    one ``error:`` line."""
+    paths = {}
+    for name, data in (("config", config), ("table", table), ("spec", spec)):
+        paths[name] = wire_dir / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    argv = [str(paths["spec"]) if a == "SPEC" else a for a in command]
+    if with_config:
+        argv += ["--config", str(paths["config"])]
+    if with_table and command[0] in ("count", "verify"):
+        argv += ["--table", str(paths["table"])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()
+    else:
+        assert err.getvalue() == ""

@@ -40,18 +40,24 @@ def test_bad_rule_rejected():
     assert "walls.rule" in str(exc.value)
 
 
+def test_unhashable_palette_is_path_addressed():
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_config(dict(CUBIC, render={"palette": []}))
+    assert str(exc.value).startswith("render.palette: expected one of")
+
+
+def test_non_list_exceptional_profile_is_path_addressed():
+    model = cfg.parse_config(CUBIC).model
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_profile({"dD": [1, 1, 1], "dE": 5}, model)
+    assert str(exc.value) == "class.dE: expected a list"
+
+
 def test_non_smooth_fan_reported_at_model():
     data = {"model": {"fan": {"rays": [[1, 0], [-1, 1], [-1, -1]]}, "blowups": [0, 0, 0]}}
     with pytest.raises(ConfigError) as exc:
         cfg.parse_config(data)
     assert "model" in str(exc.value)
-
-
-def test_config_round_trip():
-    config = cfg.parse_config(CUBIC)
-    again = cfg.parse_config(cfg.config_to_dict(config))
-    assert again.model == config.model
-    assert again.walls == config.walls
 
 
 def test_profile_round_trip():

@@ -25,7 +25,7 @@ from tropcyl.deformation import (
     AbstractTree,
     build_deformation,
     degeneration_path,
-    family_support,
+    member_measures,
     refine_for_slopes,
     replay_count,
     replay_induction,
@@ -154,8 +154,7 @@ def test_replay_is_table_agnostic(cubic):
 
 def test_family_support_endpoint(cubic):
     cyl = _cyl(cubic, ((1, 0), (0, 1)))
-    fam = build_deformation(cubic, cyl)
-    supp = family_support(cubic, cyl, "L3", default_table(cubic))
+    supp = member_measures(cylinder_count(cubic, cyl, default_table(cubic)))["L3"]
     assert len(supp) == 1
     assert list(supp.values()) == [1]
     assert list(supp.keys()) == [cylinder_count(cubic, cyl).shift]
@@ -197,7 +196,7 @@ def test_member_measures_follow_one_rule(monkeypatch, model):
 def test_family_support_unknown_name(cubic, name):
     cyl = _cyl(cubic, ((1, 0), (0, 1)))
     with pytest.raises(KeyError):
-        family_support(cubic, cyl, name)
+        member_measures(cylinder_count(cubic, cyl))[name]
 
 
 def test_replay_reports_a_corrupted_member(capsys, tmp_path, monkeypatch, cubic):

@@ -90,6 +90,13 @@ def test_every_exported_name_resolves():
     assert len(set(tropcyl.__all__)) == len(tropcyl.__all__)
     for name in tropcyl.__all__:
         assert getattr(tropcyl, name) is not None, name
+    source = ast.parse(Path(tropcyl.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in source.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(tropcyl.__all__) == imported
 
 
 def test_exceptional_ray(cubic):

@@ -8,24 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcyl.classes import divisor_class, intersect, zero_class
-from tropcyl.errors import NotUnimodular, PathThroughOrigin, ZeroVector
+from tropcyl.errors import PathThroughOrigin, ZeroVector
 from tropcyl.lattice import det
-from tropcyl.model import F1_RAYS, P1XP1_RAYS, build_model, cubic_model
+from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 from tropcyl.tropical import (
     BALANCED,
     BENDING,
     UNBALANCED,
-    Cylinder,
+    Classification,
     Edge,
     MappedTree,
     canonical_spine_split,
     classify,
     cylinder_tree,
-    extend_spine,
     extension_class,
     make_tree,
     spine_decomposition,
-    tropical_line,
     unimodular_complement,
     validate_balancing,
 )
@@ -194,6 +192,105 @@ class TestClassify:
         assert sorted(got.cylinder.twig_type) == sorted(cyl.twig_type)
 
 
+def _raw_tree(positions, edges, marks, interior=(), boundary=()):
+    """A mapped tree built without ``make_tree``'s structural check."""
+    return MappedTree(
+        tuple(sorted(positions.items())), tuple(edges), tuple(sorted(marks.items())),
+        frozenset(interior), frozenset(boundary),
+    )
+
+
+def _spine_tree(bend, legs, extra=(), marks=None):
+    """Spine legs from the bend with weights ``legs``: leg 1 runs through a1,
+    one unit along it, where the constant leg w sits. ``extra`` adds
+    (vertex, position, edge) triples."""
+    p1, p2 = legs
+    a1 = (bend[0] + p1[0], bend[1] + p1[1])
+    positions = {"b": bend, "a1": a1, "w": None, "v1": None, "v2": None}
+    edges = [
+        Edge("b", "a1", p1, F(1)),
+        Edge("a1", "w", (0, 0), None),
+        Edge("a1", "v1", p1, None),
+        Edge("b", "v2", p2, None),
+    ]
+    for v, p, e in extra:
+        positions[v] = p
+        edges.append(e)
+    marks = marks or {"1": "v1", "2": "v2", "w": "w"}
+    return _raw_tree(positions, edges, marks, interior=("w",), boundary=("1", "2"))
+
+
+_LEAF = ("t1", None, Edge("b", "t1", (-1, -1), None))
+_SPARSE = build_model(P2_RAYS, (1, 0, 0))
+
+REJECTIONS = {
+    "nonpositive length": (lambda: _raw_tree(
+        {"x": _pt(2, 2), "y": _pt(2, 1)}, [Edge("x", "y", (0, 1), F(-1))], {}),
+        "edge x-y has nonpositive length"),
+    "wrong edge count": (lambda: _raw_tree(
+        {"x": _pt(2, 2), "y": _pt(2, 3), "z": _pt(5, 5)}, [Edge("x", "y", (0, 1), F(1))], {}),
+        "graph is not a tree (wrong edge count)"),
+    "not connected": (lambda: _raw_tree(
+        {"x": _pt(2, 2), "y": _pt(2, 3), "z": _pt(5, 5)},
+        [Edge("x", "y", (0, 1), F(1)), Edge("y", "x", (0, -1), F(1))], {}),
+        "graph is not connected"),
+    "mark not 1-valent": (lambda: _spine_tree(
+        _pt(2, 2), ((0, 1), (1, 0)), [_LEAF], {"1": "b", "2": "v2", "w": "w"}),
+        "mark 1 must sit at a 1-valent vertex"),
+    "twig root infinite": (lambda: _raw_tree(
+        {"o": _pt(1, 0), "r": None, "t": None},
+        [Edge("o", "r", (1, 0), None), Edge("o", "t", (-1, 0), None)], {"r": "r"}),
+        "twig: twig root must be finite"),
+    "twig edge off a line through 0": (lambda: _raw_tree(
+        {"r": _pt(1, 2), "t": None}, [Edge("r", "t", (1, 1), None)], {"r": "r"}),
+        "twig: twig edge r-t does not lie on a line through the origin"),
+    "twig edge off the walls": (lambda: _raw_tree(
+        {"r": _pt(0, 1), "t": None}, [Edge("r", "t", (0, 1), None)], {"r": "r"}),
+        "twig: twig edge r-t direction (0, 1) is not a wall direction"),
+    "no bend": (lambda: _spine_tree(_pt(2, 2), ((0, 1), (0, -1)), [_LEAF]),
+        "cylinder: bending vertex has balanced spine weights; no bend"),
+    "constant leg at the bend": (lambda: _raw_tree(
+        {"b": _pt(2, 2), "w": None, "v1": None, "v2": None, "t1": None},
+        [Edge("b", "w", (0, 0), None), Edge("b", "v1", (0, 1), None),
+         Edge("b", "v2", (2, 1), None), Edge("b", "t1", (-2, -2), None)],
+        {"1": "v1", "2": "v2", "w": "w"}, interior=("w",), boundary=("1", "2")),
+        "cylinder: interior constant leg attaches at the bending vertex"),
+    "bend off its wall": (lambda: _spine_tree(_pt(2, 3), ((0, 1), (1, 0))),
+        "spine: vertex b bends away from its wall"),
+    "unmarked 2-valent vertex": (lambda: _raw_tree(
+        {"b": _pt(2, 2), "m": _pt(3, 2), "v1": None, "v2": None, "t1": None},
+        [Edge("b", "m", (1, 0), F(1)), Edge("m", "v2", (1, 0), None),
+         Edge("b", "v1", (0, 1), None), Edge("b", "t1", (-1, -1), None)],
+        {"1": "v1", "2": "v2"}, boundary=("1", "2")),
+        "tropical curve: vertex m is an unmarked 2-valent vertex; curve is not simple"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejection_reasons(cubic, case):
+    build, reason = REJECTIONS[case]
+    model = _SPARSE if case == "twig edge off the walls" else cubic
+    result = classify(model, build())
+    assert result.kind == "invalid"
+    assert reason in result.reasons, result.reasons
+
+
+def test_lone_twig_classifies_as_twig(cubic):
+    tree = make_tree({"r": _pt(1, 0), "t": None}, [Edge("r", "t", (1, 0), None)], {"r": "r"})
+    assert classify(cubic, tree) == Classification("twig", ())
+
+
+def test_zero_weight_twig_leg_is_invalid(cubic):
+    """An unmarked constant leg at the bend is a twig edge of weight zero:
+    classify names it instead of asking for its exceptional ray."""
+    tree = _spine_tree(
+        _pt(-1, -1), ((0, 1), (1, 0)), [("z", None, Edge("b", "z", (0, 0), None))]
+    )
+    result = classify(cubic, tree)
+    assert result.kind == "invalid"
+    assert "cylinder: twig edge b-z has weight zero" in result.reasons
+
+
 def test_spine_decomposition_shapes(cubic):
     tree = single_leaf_cylinder_tree()
     spine, twigs = spine_decomposition(tree)
@@ -237,22 +334,6 @@ class TestExtension:
         delta = extension_class(cubic, _pt(3, 1), (-1, -2))
         assert intersect(cubic, delta).dE_map == {}
 
-    def test_extend_spine_replaces_finite_legs(self, cubic):
-        positions = {"b": _pt(2, 2), "a1": _pt(2, 3), "w": None, "v1": None, "v2": None, "r": _pt(1, 2)}
-        edges = (
-            Edge("b", "a1", (0, 1), F(1)),
-            Edge("a1", "w", (0, 0), None),
-            Edge("a1", "v1", (0, 1), None),
-            Edge("b", "v2", (1, 0), None),
-            Edge("b", "r", (-1, 0), F(1)),
-        )
-        marks = {"1": "v1", "2": "v2", "w": "w", "f": "r"}
-        tree = make_tree(positions, edges, marks, interior=("w",), boundary=("1", "2"), finite=("f",))
-        extended, deltas, total = extend_spine(cubic, tree)
-        assert extended.finite == frozenset()
-        assert deltas["f"] == divisor_class(cubic.fan, 2)
-        assert total == deltas["f"]
-
 
 def test_unimodular_complement_is_unimodular(cubic):
     from tropcyl.lattice import det
@@ -262,30 +343,6 @@ def test_unimodular_complement_is_unimodular(cubic):
         from tropcyl.lattice import primitive_part
 
         assert abs(det(primitive_part(w)[0], c)) == 1
-
-
-class TestTropicalLine:
-    def test_profile_through_vertical_wall(self, cubic):
-        line = tropical_line(cubic, (0, 1), _pt(0, 2), w2=(1, 0))
-        assert line.boundary_profile == (1, 1, 1)
-
-    def test_refined_direction(self, cubic):
-        from tropcyl.model import refine_model
-
-        refined = refine_model(cubic, (1, 1))
-        # (2,1) = (1,0) + (1,1) heads through the cone containing the new ray,
-        # so the line meets the new divisor exactly once.
-        line = tropical_line(refined, (1, 1), _pt(1, 1), w2=(2, 1))
-        k = refined.fan.ray_index((1, 1))
-        assert line.boundary_profile[k - 1] == 1
-
-    def test_non_unimodular_rejected(self, cubic):
-        with pytest.raises(NotUnimodular):
-            tropical_line(cubic, (0, 1), _pt(0, 2), w2=(0, 1))
-
-    def test_origin_rejected(self, cubic):
-        with pytest.raises(PathThroughOrigin):
-            tropical_line(cubic, (0, 1), _pt(0, 0))
 
 
 def test_canonical_spine_split_interior(cubic):

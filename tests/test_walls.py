@@ -133,3 +133,17 @@ def test_rules_pinned_to_each_other(model_data, bound):
     support = generate_walls(model, steps, bound, "support").by_direction
     assert pair.keys() == support.keys()
     assert all(pair[d] <= support[d] for d in pair)
+
+
+def test_steps_unordered_on_f3():
+    """Off the fixed fans pair_sum can come a step later: support reaches
+    (-1, 6) = 2 (-1, 3) + (1, 0) and (1, 3) = (-1, 3) + 2 (1, 0) at step 2,
+    pair_sum at step 3. Both rules still saturate to the same 48 directions."""
+    model = build_model(((1, 0), (0, 1), (-1, 3), (0, -1)), (1, 3, 2, 2))
+    pair = generate_walls(model, 40, 6, "pair_sum").by_direction
+    support = generate_walls(model, 40, 6, "support").by_direction
+    assert len(pair) == 48 and pair.keys() == support.keys()
+    assert {d: (pair[d], support[d]) for d in pair if pair[d] > support[d]} == {
+        (-1, 6): (3, 2),
+        (1, 3): (3, 2),
+    }
