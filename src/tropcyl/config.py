@@ -9,12 +9,14 @@ raises ConfigError with the JSON path of the offending value.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import classes as cls
 from .counting import ElementaryCountTable, build_cylinder
 from .errors import ConfigError, TropcylError
+from .lattice import det, dot
 from .model import ToricModel, build_model
 from .svg import PALETTES, RenderOptions
 from .tropical import Cylinder
@@ -119,7 +121,10 @@ def parse_config(data) -> Config:
         width = _int(r.get("width", render.width), "render.width")
         height = _int(r.get("height", render.height), "render.height")
         scale = r.get("scale", render.scale)
-        _expect(isinstance(scale, (int, float)) and scale > 0, "render.scale", "expected a positive number")
+        _expect(
+            isinstance(scale, (int, float)) and math.isfinite(scale) and scale > 0,
+            "render.scale", "expected a positive finite number",
+        )
         _expect(width > 0 and height > 0, "render.width", "dimensions must be positive")
         render = RenderOptions(width, height, float(scale), palette)
     return Config(model, walls, render)
@@ -172,9 +177,22 @@ def parse_cylinder_spec(
     if "spine" in data:
         spine = _obj(data["spine"], "spec.spine")
         p1 = _vec(spine.get("p1"), "spec.spine.p1")
+        _expect(p1 != (0, 0), "spec.spine.p1", "spine slope must be nonzero")
         p2 = _vec(spine.get("p2"), "spec.spine.p2")
+        _expect(p2 != (0, 0), "spec.spine.p2", "spine slope must be nonzero")
         bend = _rational_pair(spine.get("bend_at"), "spec.spine.bend_at")
         cyl = Cylinder(p1, p2, bend, twig, extended)
+        w0 = cyl.leaf_sum
+        # The twig starts at the bend along the leaf's line; past one leaf its
+        # root sits at the origin, joined to the bend by an edge of weight w0.
+        if w0 != (0, 0):
+            if len(twig) == 1:
+                ok = bend != (0, 0) and det(bend, w0) == 0
+                where = f"a nonzero point on the line of the leaf {w0}"
+            else:
+                ok = det(bend, w0) == 0 and dot(bend, w0) < 0
+                where = f"a positive multiple of -(leaf sum) = {(-w0[0], -w0[1])}"
+            _expect(ok, "spec.spine.bend_at", f"bend must be {where}")
     else:
         try:
             cyl = build_cylinder(model, twig, extended)

@@ -8,6 +8,7 @@ with exceptional curves E_ij for 1 <= j <= l_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import LengthMismatch, NegativeMultiplicity, RayIndexOutOfRange
 from .lattice import Fan, Vec, _normalize_rotation, refine_fan
@@ -68,7 +69,7 @@ class ToricModel:
             for j in range(1, self.blowups[i - 1] + 1)
         )
 
-    @property
+    @cached_property
     def exceptional_directions(self) -> tuple[Vec, ...]:
         """Ray generators u_i with l_i > 0."""
         return tuple(

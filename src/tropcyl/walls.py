@@ -17,16 +17,30 @@ model, bound >= 5: 12 against 6 directions at step 3), so there a direction's
 pair_sum step is at most its support step. Neither holds on every fan: on F3
 (rays (1,0), (0,1), (-1,3), (0,-1), multiplicities (1,3,2,2), bound 6) support
 reaches (-1,6) = 2(-1,3) + (1,0) at step 2 and pair_sum, which never adds a
-wall to itself, at step 3. The saturated direction sets have agreed on every
-model tried; that is checked, not proven.
+wall to itself, at step 3. At the fixpoint support holds every primitive
+direction of the supported cone within the bound, and pair_sum a subset of
+them. The two sets agree on the four fixed fans but not on every smooth fan,
+since every pair_sum route to a direction may pass through walls past the
+bound: on rays (0,1), (-1,2), (0,-1), (1,0), (2,1), (1,1) with multiplicities
+(0,1,0,0,2,0) and bound 1, support adds the rays (0,1) and (1,1), while the
+only pair sum, (1,3), has norm 3.
+
 Membership queries (``is_wall_direction``) compare up to sign and are the
-authority for balancing checks.
+authority for balancing checks. Every wall lies in the closed cone spanned by
+the supported rays. Those rays are a subsequence of the fan's rays, so they
+come in counterclockwise order, and the cone is everything outside the one
+cyclic gap of angle >= pi between consecutive supported rays: empty without
+supported rays, the whole plane without such a gap, a closed half-plane for
+one gap of exactly pi, a line for two, and otherwise a closed sector (a ray
+when only one ray is supported). Finding the gap costs O(g) once per tuple of
+g supported rays (a bounded cache keyed on the tuple); a query then costs at
+most two determinants. ``support`` filters its candidates with the same test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from math import gcd
 
 from .lattice import Fan, Vec, det, dot, primitive_part, vadd
@@ -58,19 +72,34 @@ def is_wall_direction(model: ToricModel, d: Vec) -> bool:
     Comparison is up to sign; d may be non-primitive but must be nonzero.
     """
     p, _ = primitive_part(d)
-    gens = model.exceptional_directions
-    return _in_cone(gens, p) or _in_cone(gens, (-p[0], -p[1]))
+    inside = _cone(model.exceptional_directions)
+    return inside(p) or inside((-p[0], -p[1]))
 
 
-def _in_cone(gens, q: Vec) -> bool:
-    """True when q is a positive multiple of a nonzero Z>=0-combination of gens."""
-    if any(det(u, q) == 0 and dot(u, q) > 0 for u in gens):
-        return True
-    # q = (a u + b v) / det(u, v) with a = det(q, v) and b = det(u, q).
-    return any(
-        (dd := det(u, v)) != 0 and det(q, v) * dd >= 0 and det(u, q) * dd >= 0
-        for u, v in combinations(gens, 2)
-    )
+@lru_cache(maxsize=256)
+def _cone(gens: tuple[Vec, ...]):
+    """Membership test of the closed cone spanned by gens, which are distinct
+    primitive vectors in counterclockwise order: a nonzero q passes when it is
+    a positive multiple of a nonzero Z>=0-combination of gens."""
+    if not gens:
+        return lambda q: False
+    if len(gens) == 1:
+        (u,) = gens
+        return lambda q: det(u, q) == 0 and dot(u, q) > 0
+    # The gap u -> v between consecutive gens is at least pi wide when v is
+    # not strictly counterclockwise of u within a half turn.
+    gaps = [
+        (u, v) for u, v in zip(gens, gens[1:] + gens[:1])
+        if det(u, v) < 0 or (det(u, v) == 0 and dot(u, v) < 0)
+    ]
+    if not gaps:
+        return lambda q: True
+    (u, v), *rest = gaps
+    if rest:  # two gaps of exactly pi: the line through u
+        return lambda q: det(u, q) == 0
+    if det(u, v) == 0:  # the closed half-plane clockwise of u
+        return lambda q: det(u, q) <= 0
+    return lambda q: det(v, q) >= 0 and det(q, u) >= 0  # the sector from v to u
 
 
 def generate_walls(
@@ -106,7 +135,8 @@ def _pair_sum(fan: Fan, gens, steps: int, bound: int) -> dict[Vec, int]:
 def _support(fan: Fan, gens, steps: int, bound: int) -> dict[Vec, int]:
     """Step n - 1 for each direction within the bound that a sum of n
     generators first reaches, for n <= steps + 1."""
-    todo = {d for d in _primitive_within(fan, bound) if _in_cone(gens, d)}
+    inside = _cone(gens)
+    todo = {d for d in _primitive_within(fan, bound) if inside(d)}
     found: dict[Vec, int] = {}
     sums = {(0, 0)}
     for n in range(steps + 1):

@@ -408,6 +408,46 @@ def test_zero_leaf_sum_with_explicit_spine(capsys, tmp_path):
         assert (out.out, out.err) == ("", err)
 
 
+_TWO_LEAVES, _ONE_LEAF = [[1, 0], [0, 1]], [[1, 0]]
+_ON_RAY = "spec.spine.bend_at: bend must be a positive multiple of -(leaf sum) = (-1, -1)"
+_ON_LINE = "spec.spine.bend_at: bend must be a nonzero point on the line of the leaf (1, 0)"
+_BAD_SPINES = {
+    "zero-p1": (_TWO_LEAVES, [0, 0], [-1, -1], ["-1/2", "-1/2"],
+                "spec.spine.p1: spine slope must be nonzero"),
+    "zero-p2": (_TWO_LEAVES, [-1, 0], [0, 0], ["-1/2", "-1/2"],
+                "spec.spine.p2: spine slope must be nonzero"),
+    "bend-off-line": (_TWO_LEAVES, [-1, 0], [0, -1], ["-1/2", -1], _ON_RAY),
+    "bend-past-origin": (_TWO_LEAVES, [-1, 0], [0, -1], [1, 1], _ON_RAY),
+    "one-leaf-bend-off-line": (_ONE_LEAF, [0, 1], [-1, -1], ["-1/2", "-1/3"], _ON_LINE),
+    "one-leaf-bend-at-origin": (_ONE_LEAF, [0, 1], [-1, -1], [0, 0], _ON_LINE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SPINES))
+def test_explicit_spine_errors_are_path_addressed(capsys, tmp_path, case):
+    """A zero spine slope, or a bend where the twig cannot reach it, is
+    refused with its spec.spine field by every command that reads the spec."""
+    twig, p1, p2, bend, message = _BAD_SPINES[case]
+    spec = spec_file(tmp_path, {"twig_type": twig, "spine": {"p1": p1, "p2": p2, "bend_at": bend}})
+    for argv in (["count", spec], ["verify", spec], ["render", "cylinder", spec]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+def test_render_scale_must_be_finite(capsys, tmp_path):
+    """JSON's Infinity literal parses to a float; render refuses it rather
+    than drawing nan coordinates."""
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"model": {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "blowups": [2, 2, 2]},'
+        ' "render": {"scale": Infinity}}'
+    )
+    assert main(["render", "walls", "--config", str(config)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: render.scale: expected a positive finite number\n")
+
+
 _small = st.integers(min_value=-3, max_value=3)
 _vec = st.lists(_small, min_size=2, max_size=2)
 _junk = st.recursive(

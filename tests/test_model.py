@@ -123,3 +123,27 @@ def test_sources_import_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "tropcyl" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def _cache_decorators(tree):
+    """Every decorator that names functools' lru_cache or cache, as (name, node)."""
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", ()):
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = getattr(target, "id", None) or getattr(target, "attr", None)
+            if name in ("lru_cache", "cache"):
+                yield name, dec
+
+
+def test_every_cache_is_bounded():
+    """No unbounded cache: each lru_cache names a finite integer maxsize, and
+    functools.cache (unbounded by design) is not used."""
+    for path in sorted(Path(tropcyl.__file__).parent.glob("*.py")):
+        for name, dec in _cache_decorators(ast.parse(path.read_text(), str(path))):
+            where = (path.name, dec.lineno)
+            assert name == "lru_cache" and isinstance(dec, ast.Call), where
+            args = [kw.value for kw in dec.keywords if kw.arg == "maxsize"] + dec.args[:1]
+            assert len(args) == 1, where
+            maxsize = args[0]
+            assert isinstance(maxsize, ast.Constant), where
+            assert type(maxsize.value) is int and maxsize.value > 0, where

@@ -1,12 +1,17 @@
+from itertools import combinations
+
 import pytest
+from conftest import smooth_models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcyl.errors import ZeroVector
+from tropcyl.lattice import det, dot
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
-from tropcyl.walls import RULES, generate_walls, is_wall_direction
+from tropcyl.walls import RULES, _cone, generate_walls, is_wall_direction
 
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+BOX = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if (x, y) != (0, 0)]
 
 
 def test_step0_is_exceptional_directions(cubic):
@@ -147,3 +152,70 @@ def test_steps_unordered_on_f3():
         (-1, 6): (3, 2),
         (1, 3): (3, 2),
     }
+
+
+def _pairwise_in_cone(gens, q):
+    """Reference: q is a positive multiple of a nonnegative combination of at
+    most two of gens (Caratheodory in the plane), tried pair by pair."""
+    if any(det(u, q) == 0 and dot(u, q) > 0 for u in gens):
+        return True
+    # q = (a u + b v) / det(u, v) with a = det(q, v) and b = det(u, q).
+    return any(
+        (dd := det(u, v)) != 0 and det(q, v) * dd >= 0 and det(u, q) * dd >= 0
+        for u, v in combinations(gens, 2)
+    )
+
+
+@pytest.mark.parametrize("rays, blowups, expected", [
+    pytest.param(P2_RAYS, (0, 0, 0), lambda x, y: False, id="empty"),
+    pytest.param(P1XP1_RAYS, (1, 0, 0, 0), lambda x, y: y == 0 and x > 0, id="ray"),
+    pytest.param(P1XP1_RAYS, (1, 0, 1, 0), lambda x, y: y == 0, id="line"),
+    pytest.param(P1XP1_RAYS, (1, 1, 1, 0), lambda x, y: y >= 0, id="half-plane"),
+    pytest.param(HEXAGON_RAYS, (0, 1, 1, 1, 0, 0), lambda x, y: y >= max(x, 0), id="sector"),
+    pytest.param(P2_RAYS, (2, 2, 2), lambda x, y: True, id="plane"),
+])
+def test_cone_shapes(rays, blowups, expected):
+    """Each shape the supported cone can take: the one-sided test that
+    ``support`` filters with, and the up-to-sign ``is_wall_direction``."""
+    model = build_model(rays, blowups)
+    inside = _cone(model.exceptional_directions)
+    assert [q for q in BOX if inside(q)] == [q for q in BOX if expected(*q)]
+    assert [q for q in BOX if is_wall_direction(model, q)] == [
+        (x, y) for x, y in BOX if expected(x, y) or expected(-x, -y)
+    ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(smooth_models(max_l=1))
+def test_membership_matches_pairwise_reference(model):
+    gens = model.exceptional_directions
+    inside = _cone(gens)
+    for q in BOX:
+        assert inside(q) == _pairwise_in_cone(gens, q), q
+        assert is_wall_direction(model, q) == (
+            _pairwise_in_cone(gens, q) or _pairwise_in_cone(gens, (-q[0], -q[1]))
+        ), q
+
+
+@settings(deadline=None, max_examples=100)
+@given(smooth_models(), st.integers(min_value=1, max_value=6))
+def test_saturated_pair_sum_lies_in_support(model, bound):
+    """On random smooth models, each rule run to its own fixpoint: every
+    pair_sum direction is a support direction, and every support direction
+    lies in the supported cone. The sets can differ (see the next test)."""
+    pair = generate_walls(model, 10**4, bound, "pair_sum").by_direction
+    support = generate_walls(model, 10**4, bound, "support").by_direction
+    assert pair.keys() <= support.keys()
+    gens = model.exceptional_directions
+    assert all(_pairwise_in_cone(gens, d) for d in support)
+
+
+def test_saturated_sets_differ_when_the_bound_cuts_every_pair_sum():
+    """(0, 1) = (2 (-1, 2) + (2, 1)) / 5 and (1, 1) = ((-1, 2) + 3 (2, 1)) / 5
+    are rays, so support reaches them at bound 1. Every sum of two distinct
+    walls, (1, 3), has norm 3, so pair_sum never leaves the two generators."""
+    model = build_model(((0, 1), (-1, 2), (0, -1), (1, 0), (2, 1), (1, 1)), (0, 1, 0, 0, 2, 0))
+    pair = generate_walls(model, 10**4, 1, "pair_sum").by_direction
+    support = generate_walls(model, 10**4, 1, "support").by_direction
+    assert pair == {(-1, 2): 0, (2, 1): 0}
+    assert support == {(-1, 2): 0, (2, 1): 0, (0, 1): 2, (1, 1): 3}
