@@ -33,8 +33,9 @@ cyclic gap of angle >= pi between consecutive supported rays: empty without
 supported rays, the whole plane without such a gap, a closed half-plane for
 one gap of exactly pi, a line for two, and otherwise a closed sector (a ray
 when only one ray is supported). Finding the gap costs O(g) once per tuple of
-g supported rays (a bounded cache keyed on the tuple); a query then costs at
-most two determinants. ``support`` filters its candidates with the same test.
+g supported rays (a bounded cache keyed on the tuple); after the cache lookup
+a one-sided test costs at most two determinants, and is_wall_direction makes
+two. ``support`` filters its candidates with the one-sided test.
 """
 
 from __future__ import annotations
