@@ -21,27 +21,19 @@ from .errors import (
     NonRepresentable,
     RayIndexOutOfRange,
 )
-from .lattice import Fan, Vec, cone_coordinates, vadd
+from .lattice import Fan, Vec, cone_coordinates, det, validate_fan
 from .model import ToricModel
 
 
 @lru_cache(maxsize=64)
 def intersection_matrix(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
-    """Intersection numbers D_i . D_j of the toric boundary divisors."""
+    """Intersection numbers D_i . D_j of the toric boundary divisors of a smooth
+    fan, where u_{i-1} + u_{i+1} = a_i u_i with a_i = -(D_i^2) = det(u_{i-1}, u_{i+1})."""
+    validate_fan(rays)
     m = len(rays)
     mat = [[0] * m for _ in range(m)]
     for i in range(m):
-        prev = rays[(i - 1) % m]
-        nxt = rays[(i + 1) % m]
-        s = vadd(prev, nxt)
-        # prev + nxt = a * u_i with a = -(D_i^2).
-        u = rays[i]
-        if u[0] != 0:
-            a, rem = divmod(s[0], u[0])
-        else:
-            a, rem = divmod(s[1], u[1])
-        assert rem == 0 and (a * u[0], a * u[1]) == s
-        mat[i][i] = -a
+        mat[i][i] = -det(rays[(i - 1) % m], rays[(i + 1) % m])
         mat[i][(i + 1) % m] += 1
         mat[i][(i - 1) % m] += 1
     return tuple(tuple(r) for r in mat)

@@ -187,11 +187,8 @@ def cmd_verify(args) -> int:
         raise ConfigError("--cases", "must be >= 0")
     table = _load_table(args, model)
     if args.spec:
-        cyl, _ = cfg.parse_cylinder_spec(cfg.load_json(args.spec), model)
-        if not cyl.extended:
-            cyl = replace(cyl, extended=True)
-        steps = _verify_one(model, cyl, table)
-        print(f"PASS, {steps} induction steps")
+        cyl = replace(_load_spec(args, model)[0], extended=True)
+        print(f"PASS, {_verify_one(model, cyl, table)} induction steps")
         return EXIT_OK
     if not model.exceptional_directions:
         print("PASS, 0 cases, 0 induction steps")
@@ -222,8 +219,6 @@ def cmd_render(args) -> int:
         text = render_walls(walls, config.render)
     elif target == "cylinder":
         cyl, _ = _load_spec(args, model)
-        if len(cyl.twig_type) > 1 and cyl.leaf_sum == (0, 0):
-            raise ConfigError("spec.twig_type", "leaf weights sum to zero; no bend direction")
         text = render_tree(model, cylinder_tree(model, cyl), config.render)
     else:
         print(f"unknown render target: {target}", file=sys.stderr)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import classes as cls
 from .counting import ElementaryCountTable, build_cylinder
 from .errors import ConfigError, TropcylError
-from .lattice import det, dot
 from .model import ToricModel, build_model
 from .svg import PALETTES, RenderOptions
 from .tropical import Cylinder
@@ -122,7 +121,8 @@ def parse_config(data) -> Config:
         height = _int(r.get("height", render.height), "render.height")
         scale = r.get("scale", render.scale)
         _expect(
-            isinstance(scale, (int, float)) and math.isfinite(scale) and scale > 0,
+            isinstance(scale, (int, float)) and not isinstance(scale, bool)
+            and math.isfinite(scale) and scale > 0,
             "render.scale", "expected a positive finite number",
         )
         _expect(width > 0 and height > 0, "render.width", "dimensions must be positive")
@@ -162,12 +162,21 @@ def profile_to_dict(model: ToricModel, beta: cls.CurveClass) -> dict:
     }
 
 
+_SPINE_PATHS = {None: "spec.spine", "twig_type": "spec.twig_type", "bend": "spec.spine.bend_at"}
+
+
 def parse_cylinder_spec(
     data, model: ToricModel
 ) -> tuple[Cylinder, cls.CurveClass | None]:
     """Assemble a cylinder (and an optional explicit class) from a spec object.
 
     When "spine" is omitted the canonical cylinder for the twig type is built.
+    An explicit spine is refused at the first ``Cylinder.spine_problem``
+    clause it fails: ``spec.spine.p1``, then ``.p2``, nonzero;
+    ``spec.twig_type`` leaves not summing to zero; ``spec.spine`` balanced,
+    p1 + p2 = -(leaf sum); ``spec.spine.bend_at`` = c * (leaf sum), c != 0
+    for one leaf, c < 0 for more; ``spec.spine.p1``, then ``.p2``, not
+    running from the bend through the origin.
     """
     data = _obj(data, "spec")
     twig_raw = data.get("twig_type")
@@ -177,22 +186,13 @@ def parse_cylinder_spec(
     if "spine" in data:
         spine = _obj(data["spine"], "spec.spine")
         p1 = _vec(spine.get("p1"), "spec.spine.p1")
-        _expect(p1 != (0, 0), "spec.spine.p1", "spine slope must be nonzero")
         p2 = _vec(spine.get("p2"), "spec.spine.p2")
-        _expect(p2 != (0, 0), "spec.spine.p2", "spine slope must be nonzero")
         bend = _rational_pair(spine.get("bend_at"), "spec.spine.bend_at")
         cyl = Cylinder(p1, p2, bend, twig, extended)
-        w0 = cyl.leaf_sum
-        # The twig starts at the bend along the leaf's line; past one leaf its
-        # root sits at the origin, joined to the bend by an edge of weight w0.
-        if w0 != (0, 0):
-            if len(twig) == 1:
-                ok = bend != (0, 0) and det(bend, w0) == 0
-                where = f"a nonzero point on the line of the leaf {w0}"
-            else:
-                ok = det(bend, w0) == 0 and dot(bend, w0) < 0
-                where = f"a positive multiple of -(leaf sum) = {(-w0[0], -w0[1])}"
-            _expect(ok, "spec.spine.bend_at", f"bend must be {where}")
+        problem = cyl.spine_problem()
+        if problem:
+            field, message = problem
+            raise ConfigError(_SPINE_PATHS.get(field, f"spec.spine.{field}"), message)
     else:
         try:
             cyl = build_cylinder(model, twig, extended)

@@ -17,10 +17,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import classes as cls
-from .errors import ComponentOutOfRange, OutOfPrimitiveScope, ZeroVector
+from .errors import ComponentOutOfRange, OutOfPrimitiveScope
 from .lattice import Vec, primitive_part
 from .model import ToricModel, build_model
-from .tropical import Cylinder, canonical_spine_split, check_primitive, extension_class
+from .tropical import Cylinder, canonical_spine_split, check_primitive, extension_class, leaf_sum
 
 Support = dict[cls.CurveClass, int]
 
@@ -280,19 +280,14 @@ def count_spine(
     if not rays_hit:
         return 0
     cyl = replace(spine, twig_type=tuple(sorted(model.fan.ray(i) for i in rays_hit)))
-    w0 = cyl.leaf_sum
-    if (spine.p1[0] + spine.p2[0] + w0[0], spine.p1[1] + spine.p2[1] + w0[1]) != (0, 0):
-        return 0
-    return count_primitive_cylinder(model, cyl, beta, table)
+    return count_primitive_cylinder(model, cyl, beta, table) if cyl.balanced else 0
 
 
 def build_cylinder(model: ToricModel, twig_type, extended: bool = False) -> Cylinder:
     """Canonical cylinder for a twig type: bend on the ray opposite the leaf
     sum, spine slopes from the canonical split."""
     twig = tuple(tuple(w) for w in twig_type)
-    w0 = (sum(w[0] for w in twig), sum(w[1] for w in twig))
-    if w0 == (0, 0):
-        raise ZeroVector("leaf weights sum to zero; no bend direction")
-    neg, _ = primitive_part((-w0[0], -w0[1]))
+    w0 = leaf_sum(twig)
     p1, p2 = canonical_spine_split(model, w0)
+    neg, _ = primitive_part((-w0[0], -w0[1]))
     return Cylinder(p1, p2, (Fraction(neg[0]), Fraction(neg[1])), twig, extended)

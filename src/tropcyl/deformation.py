@@ -50,14 +50,6 @@ from .tropical import (
 _ORIGIN = (Fraction(0), Fraction(0))
 
 
-def _ray_param(u: Vec, x: Point) -> Fraction:
-    """The scalar c with x = c * u, or raise AnchorOrderViolation."""
-    c = Fraction(x[0], u[0]) if u[0] else Fraction(x[1], u[1])
-    if (Fraction(u[0]) * c, Fraction(u[1]) * c) != tuple(x):
-        raise AnchorOrderViolation(f"anchor {x} does not lie on the ray through {u}")
-    return c
-
-
 _ATTACH_CANDIDATES = (
     Fraction(1, 2),
     Fraction(1, 3),
@@ -101,7 +93,11 @@ def family_tree_L(model: ToricModel, cyl: Cylinder, k: int, *, _suffix: str = ""
     leaf_dirs = [model.fan.ray(i) for i in comps]
     attach = _pick_attach(cyl.bend, cyl.p1, leaf_dirs)
     # One leaf grows from the bend, which sits on its ray; more grow from 0.
-    base = _ray_param(leaf_dirs[0], cyl.bend) if t == 1 else Fraction(0)
+    base = cyl.bend_param if t == 1 else Fraction(0)
+    if base is None:
+        raise AnchorOrderViolation(
+            f"anchor {cyl.bend} does not lie on the ray through {leaf_dirs[0]}"
+        )
     if base >= 1:
         raise AnchorOrderViolation(f"anchor parameter 1 on leaf 1 must exceed {base}")
     positions, edges, marks, root = spine_skeleton(cyl, attach, suffix=_suffix)

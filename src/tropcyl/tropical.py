@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from . import classes as cls
 from .errors import AffineInconsistent, NotPrimitiveCylinder, PathThroughOrigin, ZeroVector
-from .lattice import Fan, Point, Vec, _complement, cone_coordinates, det, norm, primitive_part
+from .lattice import Fan, Point, Vec, cone_coordinates, det, dot, norm, primitive_part, vadd
 from .model import ToricModel
 from .walls import is_wall_direction
 
@@ -263,7 +263,49 @@ class Cylinder:
 
     @property
     def leaf_sum(self) -> Vec:
-        return (sum(w[0] for w in self.twig_type), sum(w[1] for w in self.twig_type))
+        return leaf_sum(self.twig_type)
+
+    @property
+    def balanced(self) -> bool:
+        """Whether the spine legs balance the twig: p1 + p2 = -(leaf sum)."""
+        return vadd(vadd(self.p1, self.p2), self.leaf_sum) == (0, 0)
+
+    @property
+    def bend_param(self) -> Fraction | None:
+        """The scalar c with bend = c * (leaf sum), or None when the bend is
+        off that line or the leaves sum to zero."""
+        w0, (x, y) = self.leaf_sum, self.bend
+        if w0 == (0, 0) or det(self.bend, w0) != 0:
+            return None
+        return Fraction(x) / w0[0] if w0[0] else Fraction(y) / w0[1]
+
+    def spine_problem(self) -> tuple[str | None, str] | None:
+        """The first clause, in the order checked below, that this cylinder's
+        spine fails, as (the Cylinder field it concerns, None for the balance;
+        message), or None."""
+        w0, legs = self.leaf_sum, (("p1", self.p1), ("p2", self.p2))
+        neg = (-w0[0], -w0[1])
+        for name, p in legs:
+            if p == (0, 0):
+                return name, "spine slope must be nonzero"
+        if w0 == (0, 0):
+            return "twig_type", "leaf weights sum to zero; no bend direction"
+        if not self.balanced:
+            return None, f"spine slopes must sum to -(leaf sum) = {neg}"
+        c = self.bend_param
+        if len(self.twig_type) == 1 and not c:
+            return "bend", f"bend must be a nonzero point on the line of the leaf {w0}"
+        if len(self.twig_type) > 1 and (c is None or c >= 0):
+            return "bend", f"bend must be a positive multiple of -(leaf sum) = {neg}"
+        for name, p in legs:
+            if det(self.bend, p) == 0 and dot(self.bend, p) < 0:
+                return name, "spine leg must not run through the origin"
+        return None
+
+
+def leaf_sum(twig_type) -> Vec:
+    """The sum of a twig type's leaf weights."""
+    return (sum(w[0] for w in twig_type), sum(w[1] for w in twig_type))
 
 
 def check_primitive(model: ToricModel, cyl: Cylinder) -> None:
@@ -317,14 +359,6 @@ def _twig_problems(model: ToricModel, twig: MappedTree, root_label: str = "r") -
         if rep.status != BALANCED:
             out.append(f"twig vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
     return out
-
-
-def _leaf_weights(twig: MappedTree) -> tuple[Vec, ...]:
-    leaves = []
-    for e in twig.edges:
-        if e.length is None:
-            leaves.append(e.weight)
-    return tuple(sorted(leaves))
 
 
 def classify(model: ToricModel, tree: MappedTree) -> Classification:
@@ -438,7 +472,8 @@ def _try_cylinder(model: ToricModel, tree: MappedTree):
     if out:
         return out, None
     p1, p2 = (legs[l] for l in sorted(legs))
-    cyl = Cylinder(p1, p2, pos[attach], _leaf_weights(twig), extended)
+    leaves = tuple(sorted(e.weight for e in twig.edges if e.length is None))
+    cyl = Cylinder(p1, p2, pos[attach], leaves, extended)
     return out, cyl
 
 
@@ -548,21 +583,6 @@ def extension_class(model: ToricModel, x: Point, p: Vec) -> cls.CurveClass:
     return cls.make_class(model.fan.rays, coeffs)
 
 
-def unimodular_complement(fan, w: Vec) -> Vec:
-    """The canonical complement: |det(w, w')| = 1 with smallest fan norm,
-    ties broken by lexicographic order."""
-    d, _ = primitive_part(w)
-    c0 = _complement(d)
-    best = None
-    for base in (c0, (-c0[0], -c0[1])):
-        for k in range(-6 - 2 * norm(fan, c0), 7 + 2 * norm(fan, c0)):
-            cand = (base[0] + k * d[0], base[1] + k * d[1])
-            key = (norm(fan, cand), cand)
-            if best is None or key < best:
-                best = key
-    return best[1]
-
-
 def canonical_spine_split(model: ToricModel, w0: Vec) -> tuple[Vec, Vec]:
     """Deterministic split of -w0 into two nonzero leg slopes p1 + p2 = -w0,
     preferring slopes along fan rays."""
@@ -581,11 +601,11 @@ def _spine_split(rays: tuple[Vec, ...], w0: Vec) -> tuple[Vec, Vec]:
     u, v = fan.ray(i), fan.ray(i + 1)
     if a > 0 and b > 0:
         return (a * u[0], a * u[1]), (b * v[0], b * v[1])
-    # -w0 lies on a ray; legs parallel to the wall line would extend through
-    # the origin, so split off a transverse unimodular complement instead.
-    w2 = unimodular_complement(fan, w0)
-    p1 = (neg[0] - w2[0], neg[1] - w2[1])
-    return p1, w2
+    # -w0 lies on the ray u; legs parallel to the wall line would extend
+    # through the origin, so split off a transverse unimodular complement
+    # instead: the lexicographically smallest fan ray r with |det(u, r)| = 1.
+    w2 = min(r for r in rays if abs(det(u, r)) == 1)
+    return (neg[0] - w2[0], neg[1] - w2[1]), w2
 
 
 def spine_skeleton(
@@ -614,10 +634,11 @@ def spine_skeleton(
     marks = {w: w, "1" + suffix: v1, "2" + suffix: v2}
     if len(cyl.twig_type) == 1:
         return positions, edges, marks, b
-    w0 = cyl.leaf_sum
+    c = cyl.bend_param
+    if c is None:
+        raise AffineInconsistent(f"bend {bend} is off the line of the leaf sum {cyl.leaf_sum}")
     positions[o] = (Fraction(0), Fraction(0))
-    lam = -bend[0] / Fraction(w0[0]) if w0[0] else -bend[1] / Fraction(w0[1])
-    edges.append(Edge(b, o, w0, lam))
+    edges.append(Edge(b, o, cyl.leaf_sum, -c))
     return positions, edges, marks, o
 
 

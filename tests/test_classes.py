@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+from conftest import smooth_models
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcyl.classes import (
@@ -12,7 +13,7 @@ from tropcyl.classes import (
     make_class,
     zero_class,
 )
-from tropcyl.errors import ComponentOutOfRange, NonRepresentable, RayIndexOutOfRange
+from tropcyl.errors import ComponentOutOfRange, NonRepresentable, NotSmooth, RayIndexOutOfRange
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 
 
@@ -32,6 +33,21 @@ def test_intersection_matrix_f1():
     m = intersection_matrix(F1_RAYS)
     # (1,0) + (0,1) = 1 * (1,1), so the (1,1) divisor has self-intersection -1.
     assert m[1][1] == -1
+
+
+@settings(deadline=None, max_examples=40)
+@given(smooth_models())
+def test_intersection_matrix_rows_are_relations(model):
+    """D_i meets every principal divisor sum_j <m, u_j> D_j in degree 0, so
+    sum_j (D_i . D_j) u_j = 0 for every row i."""
+    rays = model.fan.rays
+    for row in intersection_matrix(rays):
+        assert tuple(sum(c * u[k] for c, u in zip(row, rays)) for k in (0, 1)) == (0, 0)
+
+
+def test_intersection_matrix_refuses_a_non_smooth_fan():
+    with pytest.raises(NotSmooth):
+        intersection_matrix(((1, 0), (1, 2), (-1, -1)))
 
 
 def test_intersect_strict_transform(cubic):

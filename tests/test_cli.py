@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcyl.cli import main
-from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS
+from tropcyl.config import parse_cylinder_spec
+from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model
+from tropcyl.tropical import classify, cylinder_tree
 
 GOLDEN = Path(__file__).parent / "golden"
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -389,23 +391,19 @@ def test_verify_fails_on_a_class_the_listing_lacks(capsys, tmp_path, monkeypatch
 
 
 def test_zero_leaf_sum_with_explicit_spine(capsys, tmp_path):
-    """Opposite leaves under an explicit spine have no bend direction:
-    render refuses them at spec.twig_type, while count and verify keep
-    refusing the leaf degrees."""
+    """Opposite leaves under an explicit spine have no bend direction: every
+    command that reads the spec refuses them at spec.twig_type, before the
+    leaf degrees are read."""
     spec = spec_file(tmp_path, {
         "twig_type": [[0, -1], [0, 1]],
         "spine": {"p1": [3, 3], "p2": [-3, -3], "bend_at": [2, 3]},
     })
-    degrees = "error: twig leaf degrees [2, 1] are not all 1\n"
-    for argv, code, err in (
-        (["render", "cylinder", spec], 2,
-         "error: spec.twig_type: leaf weights sum to zero; no bend direction\n"),
-        (["count", spec], 3, degrees),
-        (["verify", spec], 3, degrees),
-    ):
-        assert main(argv) == code
+    for argv in (["render", "cylinder", spec], ["count", spec], ["verify", spec]):
+        assert main(argv) == 2
         out = capsys.readouterr()
-        assert (out.out, out.err) == ("", err)
+        assert (out.out, out.err) == (
+            "", "error: spec.twig_type: leaf weights sum to zero; no bend direction\n"
+        )
 
 
 _TWO_LEAVES, _ONE_LEAF = [[1, 0], [0, 1]], [[1, 0]]
@@ -420,6 +418,12 @@ _BAD_SPINES = {
     "bend-past-origin": (_TWO_LEAVES, [-1, 0], [0, -1], [1, 1], _ON_RAY),
     "one-leaf-bend-off-line": (_ONE_LEAF, [0, 1], [-1, -1], ["-1/2", "-1/3"], _ON_LINE),
     "one-leaf-bend-at-origin": (_ONE_LEAF, [0, 1], [-1, -1], [0, 0], _ON_LINE),
+    "unbalanced": (_TWO_LEAVES, [-1, 0], [1, -1], ["-1/2", "-1/2"],
+                   "spec.spine: spine slopes must sum to -(leaf sum) = (-1, -1)"),
+    "zero-leaf-sum": (_TWO_LEAVES + [[-1, -1]], [-1, 0], [0, -1], ["-1/2", "-1/2"],
+                      "spec.twig_type: leaf weights sum to zero; no bend direction"),
+    "leg-through-origin": (_TWO_LEAVES, [1, 1], [-2, -2], ["-1/2", "-1/2"],
+                           "spec.spine.p1: spine leg must not run through the origin"),
 }
 
 
@@ -436,16 +440,20 @@ def test_explicit_spine_errors_are_path_addressed(capsys, tmp_path, case):
 
 
 def test_render_scale_must_be_finite(capsys, tmp_path):
-    """JSON's Infinity literal parses to a float; render refuses it rather
-    than drawing nan coordinates."""
+    """JSON's Infinity literal parses to a float, and true and false to
+    booleans, which Python counts as integers; render refuses all three
+    rather than drawing nan coordinates or reading true as scale 1."""
     config = tmp_path / "config.json"
-    config.write_text(
-        '{"model": {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "blowups": [2, 2, 2]},'
-        ' "render": {"scale": Infinity}}'
-    )
-    assert main(["render", "walls", "--config", str(config)]) == 2
-    out = capsys.readouterr()
-    assert (out.out, out.err) == ("", "error: render.scale: expected a positive finite number\n")
+    for literal in ("Infinity", "true", "false"):
+        config.write_text(
+            '{"model": {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "blowups": [2, 2, 2]},'
+            f' "render": {{"scale": {literal}}}}}'
+        )
+        assert main(["render", "walls", "--config", str(config)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "", "error: render.scale: expected a positive finite number\n"
+        )
 
 
 _small = st.integers(min_value=-3, max_value=3)
@@ -566,3 +574,48 @@ def test_wire_formats_end_in_a_documented_exit_code(
         assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()
     else:
         assert err.getvalue() == ""
+
+
+_SPINE_MODELS = ((P2_RAYS, (2, 2, 2)), (P1XP1_RAYS, (1, 2, 1, 1)), (F1_RAYS, (1, 2, 1, 1)))
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def explicit_spine_specs(draw):
+    """A model and a spec whose leaves are distinct rays, so that only the
+    spine can fail. Spines are often balanced and bends often on the line of
+    the leaf sum, else nearly every spec would be refused early."""
+    rays, blowups = draw(st.sampled_from(_SPINE_MODELS))
+    twig = draw(st.lists(st.sampled_from(rays), min_size=1, max_size=3, unique=True))
+    w0 = (sum(w[0] for w in twig), sum(w[1] for w in twig))
+    p1 = draw(st.tuples(_small, _small))
+    p2 = draw(_mostly(st.just((-w0[0] - p1[0], -w0[1] - p1[1])), st.tuples(_small, _small)))
+    c = draw(_fractions)
+    bend = draw(_mostly(st.just((c * w0[0], c * w0[1])), st.tuples(_fractions, _fractions)))
+    spine = {"p1": list(p1), "p2": list(p2), "bend_at": [str(x) for x in bend]}
+    spec = {"twig_type": [list(w) for w in twig], "spine": spine, "extended": draw(st.booleans())}
+    return build_model(rays, blowups), spec
+
+
+@settings(deadline=None, max_examples=60)
+@given(explicit_spine_specs())
+def test_an_accepted_explicit_spine_is_a_primitive_cylinder(wire_dir, case):
+    """Every command accepts an explicit spine and it classifies as a
+    primitive cylinder, or every command refuses it at a spec path."""
+    model, spec = case
+    config = {"model": {"fan": {"rays": [list(u) for u in model.fan.rays]},
+                        "blowups": list(model.blowups)}}
+    flags = ["--config", spec_file(wire_dir, config, "config.json")]
+    path = spec_file(wire_dir, spec)
+    runs = []
+    for argv in (["count", path], ["verify", path], ["render", "cylinder", path]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            runs.append((main(argv + flags), err.getvalue()))
+    if runs[0][0] == 0:
+        assert runs == [(0, "")] * 3
+        cyl, _ = parse_cylinder_spec(spec, model)
+        verdict = classify(model, cylinder_tree(model, cyl))
+        assert (verdict.kind, verdict.primitive) == ("cylinder", True), verdict.reasons
+    else:
+        assert all(code == 2 and err.startswith("error: spec.") for code, err in runs), runs

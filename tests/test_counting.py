@@ -1,7 +1,9 @@
 import gc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import smooth_models
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,16 +14,18 @@ from tropcyl.counting import (
     contributing_classes,
     count_primitive_cylinder,
     count_spine,
+    cylinder_count,
     default_table,
     elementary_class,
     elementary_cylinder,
+    measure,
     spine_extension_shift,
     splitting_measure,
     splitting_sum,
 )
-from tropcyl.deformation import replay_induction
-from tropcyl.errors import NotPrimitiveCylinder, OutOfPrimitiveScope, TropcylError
-from tropcyl.model import P1XP1_RAYS, P2_RAYS, build_model
+from tropcyl.deformation import replay_count
+from tropcyl.errors import NotPrimitiveCylinder, OutOfPrimitiveScope, ZeroVector
+from tropcyl.model import P2_RAYS, build_model
 from tropcyl.tropical import Cylinder
 
 
@@ -228,9 +232,11 @@ def test_second_class_at_a_pair(cubic):
 
 @st.composite
 def multi_class_tables(draw):
-    """A model, a cylinder on it and a table with up to three classes per
-    pair: an elementary class of the same ray, shifted by boundary divisors."""
-    model = build_model(*draw(st.sampled_from([(P2_RAYS, (2, 2, 2)), (P1XP1_RAYS, (2, 1, 2, 1))])))
+    """A random smooth model with a supported ray, a twig type of distinct
+    supported rays and a table with up to three classes per pair: an
+    elementary class of the same ray, shifted by boundary divisors, each
+    counted from -2 to 3, as ``parse_table`` accepts."""
+    model = draw(smooth_models().filter(lambda m: m.exceptional_directions))
     entries = []
     for i, j in model.exceptional_pairs:
         counts = []
@@ -249,21 +255,26 @@ def multi_class_tables(draw):
 @settings(deadline=None, max_examples=30)
 @given(multi_class_tables())
 def test_closed_form_matches_oracle_on_any_table(case):
+    """On random smooth models and tables: closed form = oracle = listing on
+    the union of their classes, also off it by a divisor, at the extended
+    and the infinitesimal level; the replay passes; every class survives the
+    profile round trip."""
     model, twig, table, shift = case
     try:
         cyl = build_cylinder(model, twig, extended=True)
-        entries = contributing_classes(model, cyl, table)
-    except TropcylError:
+    except ZeroVector:
         assume(False)
-    listed = {}
-    for _, beta, n in entries:
-        listed[beta] = listed.get(beta, 0) + n
-    for beta, n in listed.items():
-        assert count_primitive_cylinder(model, cyl, beta, table) == n
-        assert splitting_sum(model, cyl, beta, table) == n
-        shifted = beta + shift
-        want = splitting_sum(model, cyl, shifted, table)
-        assert count_primitive_cylinder(model, cyl, shifted, table) == want
-    assert splitting_measure(model, cyl, table) == {b: n for b, n in listed.items() if n}
-    beta = entries[0][1] if entries else None
-    assert replay_induction(model, cyl, beta, table).ok
+    cc = cylinder_count(model, cyl, table)
+    inf = cylinder_count(model, replace(cyl, extended=False), table)
+    listed = measure((beta, n) for _, beta, n in cc.contributing)
+    oracle = splitting_measure(model, cyl, table)
+    for beta in dict.fromkeys([*listed, *oracle]):
+        n = listed.get(beta, 0)
+        assert cc.count(beta) == oracle.get(beta, 0) == n
+        assert inf.count(beta - cc.shift) == n
+        assert count_primitive_cylinder(model, cyl, beta + shift, table) == (
+            splitting_sum(model, cyl, beta + shift, table)
+        )
+        prof = intersect(model, beta)
+        assert class_from_profile(model, prof.dD, prof.dE_map) == beta
+    assert replay_count(cc, next(iter(listed), None)).ok

@@ -31,9 +31,9 @@ from tropcyl.deformation import (
     replay_induction,
     stable_domain,
 )
-from tropcyl.errors import AnchorOrderViolation
+from tropcyl.errors import AffineInconsistent, AnchorOrderViolation
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, build_model, cubic_model
-from tropcyl.tropical import Cylinder, Edge, classify, extension_class, make_tree
+from tropcyl.tropical import Cylinder, Edge, classify, cylinder_tree, extension_class, make_tree
 
 F = Fraction
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -71,11 +71,23 @@ def test_build_t1_family(cubic):
 
 def test_anchor_order_violation(cubic):
     """The anchor g of a one-leaf cylinder sits at parameter 1 on the leaf ray;
-    a bend at or past it is refused."""
+    a bend at or past it, or off the ray's line, is refused."""
     for x in (1, 3):
         cyl = Cylinder((0, 1), (-1, -1), (F(x), F(0)), ((1, 0),), extended=True)
         with pytest.raises(AnchorOrderViolation, match=f"on leaf 1 must exceed {x}$"):
             build_deformation(cubic, cyl)
+    cyl = Cylinder((0, 1), (-1, -1), (F(1, 2), F(1, 3)), ((1, 0),), extended=True)
+    with pytest.raises(AnchorOrderViolation, match=r"does not lie on the ray through \(1, 0\)$"):
+        build_deformation(cubic, cyl)
+
+
+def test_opposite_leaves_raise_a_library_error(p1xp1):
+    """Leaves that sum to zero give no bend parameter: the tree builders
+    refuse the cylinder with a library error, not a division by zero."""
+    cyl = Cylinder((0, 1), (0, -1), (F(1), F(1)), ((1, 0), (-1, 0)), extended=True)
+    for build in (cylinder_tree, build_deformation):
+        with pytest.raises(AffineInconsistent, match="off the line of the leaf sum"):
+            build(p1xp1, cyl)
 
 
 def test_default_anchor_parameters(cubic):

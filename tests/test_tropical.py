@@ -4,12 +4,13 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from conftest import smooth_models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcyl.classes import divisor_class, intersect, zero_class
 from tropcyl.errors import PathThroughOrigin, ZeroVector
-from tropcyl.lattice import det
+from tropcyl.lattice import _complement, det, norm, primitive_part
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 from tropcyl.tropical import (
     BALANCED,
@@ -24,7 +25,6 @@ from tropcyl.tropical import (
     extension_class,
     make_tree,
     spine_decomposition,
-    unimodular_complement,
     validate_balancing,
 )
 
@@ -335,14 +335,30 @@ class TestExtension:
         assert intersect(cubic, delta).dE_map == {}
 
 
-def test_unimodular_complement_is_unimodular(cubic):
-    from tropcyl.lattice import det
+def _reference_unimodular_complement(fan, w):
+    """The complement found by search: |det(w, w')| = 1 with smallest fan
+    norm over a window of translates, ties broken lexicographically."""
+    d, _ = primitive_part(w)
+    c0 = _complement(d)
+    best = None
+    for base in (c0, (-c0[0], -c0[1])):
+        for k in range(-6 - 2 * norm(fan, c0), 7 + 2 * norm(fan, c0)):
+            cand = (base[0] + k * d[0], base[1] + k * d[1])
+            key = (norm(fan, cand), cand)
+            if best is None or key < best:
+                best = key
+    return best[1]
 
-    for w in ((1, 0), (1, 1), (2, 1), (-1, -1), (3, -1)):
-        c = unimodular_complement(cubic.fan, w)
-        from tropcyl.lattice import primitive_part
 
-        assert abs(det(primitive_part(w)[0], c)) == 1
+@settings(deadline=None, max_examples=30)
+@given(smooth_models(), st.integers(1, 3), st.data())
+def test_spine_split_on_a_ray_matches_the_complement_search(model, n, data):
+    """On a ray the split takes the lexicographically smallest fan ray r with
+    |det(u, r)| = 1, which is the searched complement of smallest fan norm."""
+    u = data.draw(st.sampled_from(model.fan.rays))
+    w0 = (-n * u[0], -n * u[1])
+    w2 = _reference_unimodular_complement(model.fan, w0)
+    assert canonical_spine_split(model, w0) == ((n * u[0] - w2[0], n * u[1] - w2[1]), w2)
 
 
 def test_canonical_spine_split_interior(cubic):
@@ -552,3 +568,64 @@ def test_spine_split_cache_keys_on_ray_order():
             want = _spine_split.__wrapped__(rays, w)
             assert canonical_spine_split(model, w) == want
             assert canonical_spine_split(rotated, w) == want
+
+
+# ---------------------------------------------------------------------------
+# classify on random affinely consistent trees.
+
+TREE_MODELS = (
+    cubic_model(),
+    build_model(P1XP1_RAYS, (1, 0, 2, 1)),
+    build_model(F1_RAYS, (0, 1, 1, 0)),
+)
+_weights = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_lengths = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+
+
+@st.composite
+def affine_trees(draw):
+    """A tree grown from a random rational root, which ``make_tree`` accepts:
+    finite edges of nonzero weight and positive length, drawn either way
+    round; infinite legs, constant ones included; some finite vertices
+    balanced by one more leg; marks on random 1-valent vertices, each
+    interior, boundary, finite or none of these."""
+    positions = {"v0": draw(st.tuples(_rationals, _rationals))}
+    edges, finite = [], ["v0"]
+    for n in range(1, draw(st.integers(0, 7)) + 1):
+        parent, v, w = draw(st.sampled_from(finite)), f"v{n}", draw(_weights)
+        if w == (0, 0) or draw(st.booleans()):
+            positions[v] = None
+            edges.append(Edge(parent, v, w, None))
+            continue
+        length, p = draw(_lengths), positions[parent]
+        positions[v] = (p[0] + length * w[0], p[1] + length * w[1])
+        if draw(st.booleans()):
+            edges.append(Edge(parent, v, w, length))
+        else:
+            edges.append(Edge(v, parent, (-w[0], -w[1]), length))
+        finite.append(v)
+    for k, v in enumerate(finite):
+        out = [e.weight if e.tail == v else (-e.weight[0], -e.weight[1])
+               for e in edges if v in (e.tail, e.head)]
+        deficit = (-sum(w[0] for w in out), -sum(w[1] for w in out))
+        if out and deficit != (0, 0) and draw(st.booleans()):
+            positions[f"b{k}"] = None
+            edges.append(Edge(v, f"b{k}", deficit, None))
+    ends = sorted(v for v in positions if sum(v in (e.tail, e.head) for e in edges) == 1)
+    marked = draw(st.lists(st.sampled_from(ends), unique=True)) if ends else []
+    marks = {f"m{k}": v for k, v in enumerate(marked)}
+    kinds = {m: draw(st.sampled_from(("interior", "boundary", "finite", None))) for m in marks}
+    return make_tree(positions, edges, marks, *(
+        [label for label, kind in kinds.items() if kind == name]
+        for name in ("interior", "boundary", "finite")
+    ))
+
+
+@settings(deadline=None, max_examples=60)
+@given(affine_trees())
+def test_classify_is_total_on_affine_trees(tree):
+    """Every tree ``make_tree`` accepts gets one of the five kinds."""
+    for model in TREE_MODELS:
+        assert classify(model, tree).kind in (
+            "cylinder", "twig", "spine", "tropical_curve", "invalid"
+        )
