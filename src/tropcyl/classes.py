@@ -7,12 +7,15 @@ the coefficients c_ij. On a smooth complete fan the intersection pairing on
 Pic(Y_t) is unimodular, so d fixes beta_t, and a vector d in Z^m occurs
 exactly when sum_i d_i u_i = 0 (dualize 0 -> M -> Z^m -> Pic(Y_t) -> 0).
 Equality is syntactic, and a profile is inverted by checking that relation.
+``intersection_matrix`` is cyclic tridiagonal, so a toric class sum_k t_k D_{t,k}
+has d_i = -det(u_{i-1}, u_{i+1}) t_i + t_{i-1} + t_{i+1}, read in O(m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 from .errors import (
     ComponentOutOfRange,
@@ -45,33 +48,43 @@ class CurveClass:
 
     ``dt[i]`` is the class's intersection with D_{t,i+1}, the pullback of the
     toric boundary divisor; ``exc`` maps (i, j) to the coefficient of E_ij,
-    zero entries omitted.
+    zero entries omitted. Immutable; hashed once, from (dt, exc), when built.
     """
 
+    # Not slots=True: on Python 3.10/3.11 its copy raises TypeError on a new name.
+    __slots__ = ("rays", "dt", "exc", "_hash")
     rays: tuple[Vec, ...]
     dt: tuple[int, ...]
-    exc: frozenset[tuple[tuple[int, int], int]] = frozenset()
+    exc: frozenset[tuple[tuple[int, int], int]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.dt, self.exc)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return CurveClass, (self.rays, self.dt, self.exc)
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
-        return self._plus(other, 1)
+        return self._plus(other, add)
 
     def __sub__(self, other: "CurveClass") -> "CurveClass":
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "CurveClass":
-        return -1 * self
+        return self._plus(other, sub)
 
     def __rmul__(self, c: int) -> "CurveClass":
         exc = _nonzero((k, c * v) for k, v in self.exc)
         return CurveClass(self.rays, tuple(c * a for a in self.dt), exc)
 
-    def _plus(self, other: "CurveClass", sign: int) -> "CurveClass":
+    def _plus(self, other: "CurveClass", op) -> "CurveClass":
         if self.rays != other.rays:
             raise ModelMismatch("classes live on different fans")
+        dt = tuple(map(op, self.dt, other.dt))
+        if not other.exc:  # a toric summand leaves the exceptional part alone
+            return CurveClass(self.rays, dt, self.exc)
         exc = dict(self.exc)
         for k, v in other.exc:
-            exc[k] = exc.get(k, 0) + sign * v
-        dt = tuple(a + sign * b for a, b in zip(self.dt, other.dt))
+            exc[k] = op(exc.get(k, 0), v)
         return CurveClass(self.rays, dt, _nonzero(exc.items()))
 
     def is_zero(self) -> bool:
@@ -131,10 +144,10 @@ class IntersectionProfile:
 
 
 def toric_profile(rays: tuple[Vec, ...], toric: tuple[int, ...]) -> tuple[int, ...]:
-    """Intersections of a toric class with each D_{t,i}."""
+    """Intersections of a toric class with each D_{t,i}, row by tridiagonal row."""
     mat = intersection_matrix(rays)
     m = len(rays)
-    return tuple(sum(mat[i][k] * toric[k] for k in range(m)) for i in range(m))
+    return tuple(mat[i][i] * toric[i] + toric[i - 1] + toric[(i + 1) % m] for i in range(m))
 
 
 def intersect(model: ToricModel, beta: CurveClass) -> IntersectionProfile:

@@ -179,7 +179,7 @@ class CylinderCount:
         *first, last = self.measures
         residual: Support = {target: 1}
         for supp in first:
-            residual = convolve(residual, {-c: n for c, n in supp.items()})
+            residual = measure((r - c, w * n) for r, w in residual.items() for c, n in supp.items())
         return sum(w * last.get(r, 0) for r, w in residual.items())
 
 

@@ -474,7 +474,8 @@ def _try_cylinder(model: ToricModel, tree: MappedTree):
     p1, p2 = (legs[l] for l in sorted(legs))
     leaves = tuple(sorted(e.weight for e in twig.edges if e.length is None))
     cyl = Cylinder(p1, p2, pos[attach], leaves, extended)
-    return out, cyl
+    problem = cyl.spine_problem()
+    return ([problem[1]], None) if problem else (out, cyl)
 
 
 def _try_twig(model: ToricModel, tree: MappedTree) -> list[str]:

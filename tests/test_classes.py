@@ -1,9 +1,12 @@
+import pickle
+
 import pytest
 from conftest import smooth_models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcyl.classes import (
+    CurveClass,
     class_from_profile,
     compatibility_intersections,
     divisor_class,
@@ -11,9 +14,16 @@ from tropcyl.classes import (
     intersect,
     intersection_matrix,
     make_class,
+    toric_profile,
     zero_class,
 )
-from tropcyl.errors import ComponentOutOfRange, NonRepresentable, NotSmooth, RayIndexOutOfRange
+from tropcyl.errors import (
+    ComponentOutOfRange,
+    ModelMismatch,
+    NonRepresentable,
+    NotSmooth,
+    RayIndexOutOfRange,
+)
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 
 
@@ -43,6 +53,49 @@ def test_intersection_matrix_rows_are_relations(model):
     rays = model.fan.rays
     for row in intersection_matrix(rays):
         assert tuple(sum(c * u[k] for c, u in zip(row, rays)) for k in (0, 1)) == (0, 0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(smooth_models(), st.data())
+def test_toric_profile_is_the_intersection_matrix_product(model, data):
+    """The O(m) tridiagonal profile equals the full matrix-vector product."""
+    rays = model.fan.rays
+    toric = data.draw(st.tuples(*[st.integers(-9, 9)] * model.m))
+    full = tuple(sum(c * t for c, t in zip(row, toric)) for row in intersection_matrix(rays))
+    assert toric_profile(rays, toric) == full
+
+
+@st.composite
+def smooth_class(draw, model):
+    toric = draw(st.tuples(*[st.integers(-4, 4)] * model.m))
+    exc = {pair: draw(st.integers(-2, 2)) for pair in model.exceptional_pairs}
+    return make_class(model.fan.rays, toric, exc)
+
+
+@settings(deadline=None, max_examples=40)
+@given(smooth_models(), st.data())
+def test_class_contract(model, data):
+    """Classes are immutable values: arithmetic round-trips, equal classes
+    hash equally, and a class is tied to its ray tuple."""
+    a, b = data.draw(smooth_class(model)), data.draw(smooth_class(model))
+    back = (a + b) - b
+    assert back == a and hash(back) == hash(a)
+    prof = intersect(model, a)
+    same = class_from_profile(model, prof.dD, prof.dE_map)
+    assert same == a and hash(same) == hash(a)
+    rays = model.fan.rays
+    moved = CurveClass(rays[1:] + rays[:1], a.dt, a.exc)
+    assert moved != a
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ModelMismatch):
+            op(a, moved)
+    with pytest.raises(AttributeError):
+        a.dt = b.dt
+    with pytest.raises(AttributeError):
+        a.note = 1
+    assert not hasattr(a, "__dict__")
+    copied = pickle.loads(pickle.dumps(a))
+    assert copied == a and hash(copied) == hash(a)
 
 
 def test_intersection_matrix_refuses_a_non_smooth_fan():

@@ -17,6 +17,7 @@ from tropcyl.tropical import (
     BENDING,
     UNBALANCED,
     Classification,
+    Cylinder,
     Edge,
     MappedTree,
     canonical_spine_split,
@@ -263,13 +264,49 @@ REJECTIONS = {
          Edge("b", "v1", (0, 1), None), Edge("b", "t1", (-1, -1), None)],
         {"1": "v1", "2": "v2"}, boundary=("1", "2")),
         "tropical curve: vertex m is an unmarked 2-valent vertex; curve is not simple"),
+    "spine sum off the walls": (lambda: _spine_tree(_pt(2, 2), ((0, 1), (1, 0)), [_LEAF]),
+        "cylinder: spine weight sum (1, 1) at the bend is not parallel to a wall"),
+    "bend off the wall it bends along": (lambda: _spine_tree(
+        _pt(2, 3), ((0, 1), (1, 0)), [("t1", None, Edge("b", "t1", (-2, -2), None))]),
+        "cylinder: bending vertex does not lie on the wall it bends along"),
+    "spine leg of weight zero": (lambda: _spine_tree(_pt(2, 2), ((1, 1), (0, 0)), [_LEAF]),
+        "cylinder: spine leg 2 has weight zero"),
+    "interior leg not constant": (lambda: _raw_tree(
+        {"b": _pt(2, 2), "a1": _pt(2, 3), "w": None, "v1": None, "v2": None, "t1": None},
+        [Edge("b", "a1", (0, 1), F(1)), Edge("a1", "w", (1, 0), None),
+         Edge("a1", "v1", (0, 1), None), Edge("b", "v2", (1, 0), None),
+         Edge("b", "t1", (-1, -1), None)],
+        {"1": "v1", "2": "v2", "w": "w"}, interior=("w",), boundary=("1", "2")),
+        "cylinder: interior leg must be an infinite constant leg"),
+    # The marked 1-valent w has its neighbour on the hull of the marks, so the
+    # neighbour is a twig vertex only when every mark sits at w.
+    "interior leg off the spine": (lambda: _raw_tree(
+        {"a": _pt(1, 0), "w": _pt(2, 0), "t": None},
+        [Edge("a", "w", (1, 0), F(1)), Edge("a", "t", (-1, 0), None)],
+        {"1": "w", "2": "w", "w": "w"}, interior=("w",)),
+        "cylinder: interior constant leg must attach to the spine"),
+    # Infinite edges from b and c meet at x, so x joins the two spine legs
+    # and the twig at y hangs from a point at infinity.
+    "bend at infinity": (lambda: _raw_tree(
+        {"b": _pt(2, 2), "a1": _pt(2, 3), "w": None, "v1": None, "x": None,
+         "c": _pt(0, 1), "v2": None, "y": _pt(1, 0), "t": None},
+        [Edge("b", "a1", (0, 1), F(1)), Edge("a1", "w", (0, 0), None),
+         Edge("a1", "v1", (0, 1), None), Edge("b", "x", (1, 0), None),
+         Edge("c", "x", (1, 0), None), Edge("c", "v2", (-1, 0), None),
+         Edge("y", "x", (1, 0), None), Edge("y", "t", (-1, 0), None)],
+        {"1": "v1", "2": "v2", "w": "w"}, interior=("w",), boundary=("1", "2")),
+        "cylinder: bending vertex must be finite"),
+    "spine leg through the origin": (lambda: cylinder_tree(cubic_model(), Cylinder(
+        (1, 1), (-2, -2), (F(-1, 2), F(-1, 2)), ((1, 0), (0, 1)), extended=True)),
+        "cylinder: spine leg must not run through the origin"),
 }
+_ON_SPARSE = {"twig edge off the walls", "spine sum off the walls"}
 
 
 @pytest.mark.parametrize("case", sorted(REJECTIONS))
 def test_rejection_reasons(cubic, case):
     build, reason = REJECTIONS[case]
-    model = _SPARSE if case == "twig edge off the walls" else cubic
+    model = _SPARSE if case in _ON_SPARSE else cubic
     result = classify(model, build())
     assert result.kind == "invalid"
     assert reason in result.reasons, result.reasons
