@@ -175,6 +175,10 @@ class CylinderCount:
     def count(self, beta: cls.CurveClass) -> int:
         """The closed-form count at beta; see ``count_primitive_cylinder``."""
         _scope_profile(self.model, beta)
+        return self._mass(beta)
+
+    def _mass(self, beta: cls.CurveClass) -> int:
+        """``count`` at a class already checked to be in the primitive scope."""
         target = beta - self.shift if self.cyl.extended else beta
         *first, last = self.measures
         residual: Support = {target: 1}
@@ -226,7 +230,7 @@ def count_primitive_cylinder(
     A class outside the primitive scope is rejected before the cylinder.
     """
     _scope_profile(model, beta)
-    return cylinder_count(model, cyl, table).count(beta)
+    return cylinder_count(model, cyl, table)._mass(beta)
 
 
 def splitting_measure(
@@ -280,7 +284,7 @@ def count_spine(
     if not rays_hit:
         return 0
     cyl = replace(spine, twig_type=tuple(sorted(model.fan.ray(i) for i in rays_hit)))
-    return count_primitive_cylinder(model, cyl, beta, table) if cyl.balanced else 0
+    return cylinder_count(model, cyl, table)._mass(beta) if cyl.balanced else 0
 
 
 def build_cylinder(model: ToricModel, twig_type, extended: bool = False) -> Cylinder:

@@ -10,7 +10,9 @@ Two generation rules are supported:
   supported ray generators; the step of a direction is the minimal total
   coefficient sum minus one.
 
-Both rules stop at their fixpoint, so steps past it cost nothing. On the four
+pair_sum tries each unordered pair of walls once and stops when a step adds
+nothing or every direction within the bound is found; support expands each
+lattice point once. On the four
 fixed fans of the property tests (P2, P1xP1, F1, the hexagon) they agree
 through step 2, and from step 3 pair_sum may reach a direction sooner (cubic
 model, bound >= 5: 12 against 6 directions at step 3), so there a direction's
@@ -44,6 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from .errors import ZeroVector
 from .lattice import Fan, Vec, det, dot, primitive_part, vadd
 from .model import ToricModel
 
@@ -72,9 +75,10 @@ def is_wall_direction(model: ToricModel, d: Vec) -> bool:
 
     Comparison is up to sign; d may be non-primitive but must be nonzero.
     """
-    p, _ = primitive_part(d)
-    inside = _cone(model.exceptional_directions)
-    return inside(p) or inside((-p[0], -p[1]))
+    if d == (0, 0):
+        raise ZeroVector("zero vector has no direction")
+    inside = _cone(model.exceptional_directions)  # every cone test is positively homogeneous
+    return inside(d) or inside((-d[0], -d[1]))
 
 
 @lru_cache(maxsize=256)
@@ -118,35 +122,38 @@ def generate_walls(
 
 
 def _pair_sum(fan: Fan, gens, steps: int, bound: int) -> dict[Vec, int]:
-    """Semi-naive pair sums: a step pairs only the previous step's walls with
-    all walls, since pairs of two older walls were tried one step earlier."""
-    allowed = _primitive_within(fan, bound)
+    """Semi-naive pair sums: a step pairs each fresh wall with every wall found
+    before it, in order of discovery, so each unordered pair is tried once."""
     found = dict.fromkeys(gens, 0)
-    fresh = set(gens)
+    todo = _primitive_within(fan, bound) - found.keys()
+    old = 0  # the walls[:old] were paired with each other on earlier steps
     for n in range(1, steps + 1):
-        sums = {vadd(d1, d2) for d1 in fresh for d2 in found} - {(0, 0)}
-        new = ({primitive_part(s)[0] for s in sums} & allowed) - found.keys()
-        if not new:
+        walls = list(found)
+        if old == len(walls) or not todo:
             break
+        sums = {vadd(walls[i], e) for i in range(old, len(walls)) for e in walls[:i]}
+        new = {primitive_part(s)[0] for s in sums - {(0, 0)}} & todo
         found.update(dict.fromkeys(new, n))
-        fresh = new
+        todo -= new
+        old = len(walls)
     return found
 
 
 def _support(fan: Fan, gens, steps: int, bound: int) -> dict[Vec, int]:
     """Step n - 1 for each direction within the bound that a sum of n
-    generators first reaches, for n <= steps + 1."""
-    inside = _cone(gens)
-    todo = {d for d in _primitive_within(fan, bound) if inside(d)}
+    generators first reaches, for n <= steps + 1, breadth first: a point first
+    reached at n is one generator past a point first reached at n - 1."""
+    todo = set(filter(_cone(gens), _primitive_within(fan, bound)))
     found: dict[Vec, int] = {}
-    sums = {(0, 0)}
+    frontier, seen = {(0, 0)}, {(0, 0)}
     for n in range(steps + 1):
-        sums = {vadd(s, u) for s in sums for u in gens}
-        reached = todo & {primitive_part(s)[0] for s in sums - {(0, 0)}}
-        found.update(dict.fromkeys(reached, n))
-        todo -= reached
         if not todo:
             break
+        frontier = {vadd(s, u) for s in frontier for u in gens} - seen
+        seen |= frontier
+        reached = todo & {primitive_part(s)[0] for s in frontier}
+        found.update(dict.fromkeys(reached, n))
+        todo -= reached
     return found
 
 

@@ -111,6 +111,22 @@ def test_scope_checked_before_primitivity(cubic):
         count_primitive_cylinder(cubic, cyl, beta)
 
 
+def test_one_intersection_profile_per_query(cubic, monkeypatch):
+    """A single-class query checks the class's scope once, through one
+    ``intersect`` call, and ``CylinderCount.count`` still checks it."""
+    calls = []
+    monkeypatch.setattr("tropcyl.classes.intersect", lambda *a: calls.append(a) or intersect(*a))
+    cyl = build_cylinder(cubic, ((-1, -1),))
+    _, beta, n = contributing_classes(cubic, cyl)[0]
+    spine = Cylinder(cyl.p1, cyl.p2, cyl.bend, (), cyl.extended)
+    for query in (count_primitive_cylinder, count_spine):
+        calls.clear()
+        assert query(cubic, spine if query is count_spine else cyl, beta) == n
+        assert len(calls) == 1, query.__name__
+    with pytest.raises(OutOfPrimitiveScope):
+        cylinder_count(cubic, cyl).count(class_from_profile(cubic, (2, 2, 0), {(3, 1): 2}))
+
+
 def test_oracle_equality_three_leaves(p1xp1):
     cyl = build_cylinder(p1xp1, ((1, 0), (0, 1), (0, -1)))
     entries = contributing_classes(p1xp1, cyl)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcyl.errors import ZeroVector
-from tropcyl.lattice import det, dot
+from tropcyl.lattice import det, dot, primitive_part, vadd
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
-from tropcyl.walls import RULES, _cone, generate_walls, is_wall_direction
+from tropcyl.walls import RULES, _cone, _primitive_within, generate_walls, is_wall_direction
 
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 BOX = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if (x, y) != (0, 0)]
@@ -219,3 +219,72 @@ def test_saturated_sets_differ_when_the_bound_cuts_every_pair_sum():
     support = generate_walls(model, 10**4, 1, "support").by_direction
     assert pair == {(-1, 2): 0, (2, 1): 0}
     assert support == {(-1, 2): 0, (2, 1): 0, (0, 1): 2, (1, 1): 3}
+
+
+def _reference_walls(model, steps, bound, rule):
+    """Reference: pair_sum pairs every fresh wall with every wall found so
+    far, and support takes the primitive part of every sum of exactly n
+    generators; each runs to its step count or to a step that adds nothing."""
+    gens, allowed = model.exceptional_directions, _primitive_within(model.fan, bound)
+    if rule == "pair_sum":
+        found, fresh = dict.fromkeys(gens, 0), set(gens)
+        for n in range(1, steps + 1):
+            sums = {vadd(d1, d2) for d1 in fresh for d2 in found} - {(0, 0)}
+            new = ({primitive_part(s)[0] for s in sums} & allowed) - found.keys()
+            if not new:
+                break
+            found.update(dict.fromkeys(new, n))
+            fresh = new
+        return found
+    todo = set(filter(_cone(gens), allowed))
+    found, sums = {}, {(0, 0)}
+    for n in range(steps + 1):
+        sums = {vadd(s, u) for s in sums for u in gens}
+        reached = todo & {primitive_part(s)[0] for s in sums - {(0, 0)}}
+        found.update(dict.fromkeys(reached, n))
+        todo -= reached
+        if not todo:
+            break
+    return found
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    smooth_models(),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([0, 1, 2, 3, 10**4]),
+)
+def test_rules_match_reference_loops(model, bound, steps):
+    for rule in RULES:
+        assert generate_walls(model, steps, bound, rule).by_direction == _reference_walls(
+            model, steps, bound, rule
+        ), rule
+
+
+def _primitive_part_calls(monkeypatch, model, steps, bound, rule):
+    """The arguments of every primitive_part call one generate_walls makes."""
+    calls = []
+    monkeypatch.setattr(
+        "tropcyl.walls.primitive_part", lambda v: calls.append(v) or primitive_part(v)
+    )
+    generate_walls(model, steps, bound, rule)
+    monkeypatch.undo()
+    return calls
+
+
+def test_pair_sum_stops_at_its_last_productive_step(monkeypatch):
+    """Once every direction within the bound is found, pair_sum tries no more
+    pairs: a step count past its last productive step costs nothing."""
+    model = cubic_model()
+    last = generate_walls(model, 10**5, 10, "pair_sum").directions[-1][1]
+    at_last = _primitive_part_calls(monkeypatch, model, last, 10, "pair_sum")
+    assert len(at_last) == len(_primitive_part_calls(monkeypatch, model, 10**5, 10, "pair_sum"))
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(cubic_model(), id="cubic"),
+    pytest.param(build_model(HEXAGON_RAYS, (1, 0, 2, 0, 1, 1)), id="hexagon"),
+])
+def test_support_expands_each_lattice_point_once(monkeypatch, model):
+    calls = _primitive_part_calls(monkeypatch, model, 10**5, 8, "support")
+    assert calls and len(calls) == len(set(calls))
