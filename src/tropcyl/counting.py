@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 
 from . import classes as cls
 from .errors import ComponentOutOfRange, OutOfPrimitiveScope
-from .lattice import Vec, primitive_part
-from .model import ToricModel, build_model
+from .lattice import primitive_part
+from .model import ToricModel
 from .tropical import Cylinder, canonical_spine_split, check_primitive, extension_class, leaf_sum
 
 Support = dict[cls.CurveClass, int]
@@ -79,10 +79,8 @@ def extended_boundary_profile(model: ToricModel, cyl: Cylinder) -> tuple[int, ..
 
 
 @lru_cache(maxsize=256)
-def _elementary_data(rays: tuple[Vec, ...], blowups: tuple[int, ...], i: int):
-    """Extension shift and classes (j = 1 .. l_i) of the elementary cylinder at
-    u_i; keyed on the ray order, which fixes the ray indices (Fan equality does not)."""
-    model = build_model(rays, blowups)
+def _elementary_data(model: ToricModel, i: int):
+    """Extension shift and classes (j = 1 .. l_i) of the elementary cylinder at u_i."""
     cyl = elementary_cylinder(model, i)
     shift = spine_extension_shift(model, cyl)
     profile = extended_boundary_profile(model, cyl)
@@ -93,14 +91,14 @@ def _elementary_data(rays: tuple[Vec, ...], blowups: tuple[int, ...], i: int):
 
 
 def elementary_extension_shift(model: ToricModel, i: int) -> cls.CurveClass:
-    return _elementary_data(model.fan.rays, model.blowups, i)[0]
+    return _elementary_data(model, i)[0]
 
 
 def elementary_class(model: ToricModel, i: int, j: int) -> cls.CurveClass:
     """The unique class supported by the default table at (i, j): meets E_ij
     once, no other exceptional curve, toric part fixed by the extended
     elementary cylinder's boundary profile."""
-    classes = _elementary_data(model.fan.rays, model.blowups, i)[1]
+    classes = _elementary_data(model, i)[1]
     if not 1 <= j <= len(classes):
         raise ComponentOutOfRange(f"component {j} out of range 1..{len(classes)} at ray {i}")
     return classes[j - 1]

@@ -79,31 +79,18 @@ def angle_less(u: Vec, v: Vec) -> bool:
     return det(u, v) > 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Fan:
     """A smooth complete fan in rank 2, given by its cyclically ordered rays.
 
-    Ray indices are 1-based and follow the order the rays were given in.
-    Equality and hashing ignore the cyclic rotation: two fans are equal when
-    their canonical rotations (lexicographically smallest ray first) agree.
+    Ray indices are 1-based and follow the order the rays were given in, and
+    equality compares the rays by position, so a rotated fan is another fan.
     """
 
     rays: tuple[Vec, ...]
 
     def __post_init__(self):
         validate_fan(self.rays)
-
-    @property
-    def canonical_rotation(self) -> tuple[Vec, ...]:
-        return _normalize_rotation(self.rays)
-
-    def __eq__(self, other):
-        if not isinstance(other, Fan):
-            return NotImplemented
-        return self.canonical_rotation == other.canonical_rotation
-
-    def __hash__(self):
-        return hash(self.canonical_rotation)
 
     @property
     def m(self) -> int:
@@ -120,11 +107,6 @@ class Fan:
             if u == d:
                 return i + 1
         return None
-
-
-def _normalize_rotation(rays: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    start = min(range(len(rays)), key=lambda i: rays[i])
-    return rays[start:] + rays[:start]
 
 
 def validate_fan(rays) -> None:

@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from . import classes as cls
 from .errors import AffineInconsistent, NotPrimitiveCylinder, PathThroughOrigin, ZeroVector
-from .lattice import Fan, Point, Vec, cone_coordinates, det, dot, norm, primitive_part, vadd
+from .lattice import Point, Vec, cone_coordinates, det, dot, norm, primitive_part, vadd
 from .model import ToricModel
 from .walls import is_wall_direction
 
@@ -146,11 +146,18 @@ def structural_problems(tree: MappedTree) -> list[str]:
                     stack.append(o)
         if seen != verts:
             out.append("graph is not connected")
+    for v, p in tree.positions:
+        if p is None and tree.valency(v) != 1:
+            out.append(f"vertex {v} at infinity must be 1-valent")
+    first_mark: dict[str, str] = {}
     for label, v in tree.marks:
         if v not in verts:
             out.append(f"mark {label} at unknown vertex")
         elif tree.valency(v) != 1:
             out.append(f"mark {label} must sit at a 1-valent vertex")
+        if v in first_mark:
+            out.append(f"marks {first_mark[v]} and {label} share vertex {v}")
+        first_mark.setdefault(v, label)
     labels = {label for label, _ in tree.marks}
     for name, subset in (("interior", tree.interior), ("boundary", tree.boundary), ("finite", tree.finite)):
         extra = subset - labels
@@ -424,8 +431,6 @@ def _try_cylinder(model: ToricModel, tree: MappedTree):
         out.append(f"needs exactly one twig, found {len(twigs)}")
         return out, None
     attach, twig = twigs[0]
-    if pos[attach] is None:
-        return out + ["bending vertex must be finite"], None
     tw_problems = _twig_problems(model, twig)
     out.extend(tw_problems)
     # Spine-side weights at the bending vertex.
@@ -453,12 +458,11 @@ def _try_cylinder(model: ToricModel, tree: MappedTree):
                 )
         elif rep.status != BALANCED:
             out.append(f"vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
-    # The constant leg must attach to the spine away from the bend.
+    # The constant leg is on the spine, as each mark has its own vertex; it
+    # must attach away from the bend.
     wattach = wedge.tail if wedge.head == wvert else wedge.head
     if wattach == attach:
         out.append("interior constant leg attaches at the bending vertex")
-    if wattach in twig_vertices:
-        out.append("interior constant leg must attach to the spine")
     # Spine legs: both marked, nonzero weights.
     legs = {}
     extended = False
@@ -495,7 +499,7 @@ def _try_spine(model: ToricModel, tree: MappedTree) -> list[str]:
     marks = tree.mark_vertex
     marked_vertices = set(marks.values())
     for v, p in tree.positions:
-        if tree.valency(v) == 1 and p is None and v not in marked_vertices:
+        if p is None and v not in marked_vertices:
             out.append(f"unmarked infinite leg at {v}; spines meet the boundary only at marks")
     for label in tree.interior:
         e = tree.incident(marks[label])[0]
@@ -538,7 +542,7 @@ def _try_curve(model: ToricModel, tree: MappedTree) -> list[str]:
         if w == (0, 0) or model.fan.ray_index(w) is None:
             out.append(f"boundary mark {label} must point along a fan ray")
     for v, p in tree.positions:
-        if tree.valency(v) == 1 and p is None and v not in marked_vertices:
+        if p is None and v not in marked_vertices:
             _, w = tree.leg(v)
             if w == (0, 0):
                 out.append(f"unmarked constant leg at {v}")
@@ -584,17 +588,11 @@ def extension_class(model: ToricModel, x: Point, p: Vec) -> cls.CurveClass:
     return cls.make_class(model.fan.rays, coeffs)
 
 
+@lru_cache(maxsize=256)
 def canonical_spine_split(model: ToricModel, w0: Vec) -> tuple[Vec, Vec]:
     """Deterministic split of -w0 into two nonzero leg slopes p1 + p2 = -w0,
     preferring slopes along fan rays."""
-    return _spine_split(model.fan.rays, (w0[0], w0[1]))
-
-
-@lru_cache(maxsize=256)
-def _spine_split(rays: tuple[Vec, ...], w0: Vec) -> tuple[Vec, Vec]:
-    """``canonical_spine_split`` keyed on the ray order, which fixes the ray
-    indices (Fan equality does not)."""
-    fan = Fan(rays)
+    fan = model.fan
     neg = (-w0[0], -w0[1])
     if neg == (0, 0):
         raise ZeroVector("leaf weights sum to zero; no bend direction")
@@ -605,7 +603,7 @@ def _spine_split(rays: tuple[Vec, ...], w0: Vec) -> tuple[Vec, Vec]:
     # -w0 lies on the ray u; legs parallel to the wall line would extend
     # through the origin, so split off a transverse unimodular complement
     # instead: the lexicographically smallest fan ray r with |det(u, r)| = 1.
-    w2 = min(r for r in rays if abs(det(u, r)) == 1)
+    w2 = min(r for r in fan.rays if abs(det(u, r)) == 1)
     return (neg[0] - w2[0], neg[1] - w2[1]), w2
 
 

@@ -245,7 +245,7 @@ def test_walls_support_rule_on_toric_model(capsys, tmp_path):
     assert out == ""
 
 
-@pytest.mark.parametrize("flag, value", [("--steps", "-1"), ("--norm-bound", "0")])
+@pytest.mark.parametrize("flag, value", [("--steps", "-1"), ("--norm-bound", "0"), ("--norm-bound", "41")])
 def test_walls_override_out_of_range(capsys, flag, value):
     code = main(["walls", flag, value])
     assert code == 2

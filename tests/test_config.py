@@ -135,10 +135,15 @@ def test_loaded_table_matches_counts(tmp_path):
 
 
 def test_wall_ranges_are_path_addressed():
-    for walls, path in (({"steps": -1}, "walls.steps"), ({"norm_bound": 0}, "walls.norm_bound")):
+    for walls, path in (
+        ({"steps": -1}, "walls.steps"),
+        ({"norm_bound": 0}, "walls.norm_bound"),
+        ({"norm_bound": 41}, "walls.norm_bound"),
+    ):
         with pytest.raises(ConfigError) as exc:
             cfg.parse_config(dict(CUBIC, walls=walls))
         assert str(exc.value).startswith(f"{path}: ")
+    assert cfg.parse_config(dict(CUBIC, walls={"norm_bound": 40})).walls.norm_bound == 40
 
 
 def _table_payload(model, pairs):

@@ -221,15 +221,19 @@ def test_elementary_cylinder_shape(cubic):
 
 
 def test_elementary_class_follows_ray_order():
-    """Equal fans given in another cyclic order number their rays
-    differently, so they must not share elementary classes."""
+    """A fan given in another cyclic order numbers its rays differently, so
+    its model is another model with its own elementary classes, on its own
+    rays."""
     a = build_model(((1, 0), (0, 1), (-1, -1)), (2, 2, 2))
     b = build_model(((0, 1), (-1, -1), (1, 0)), (2, 2, 2))
-    assert a == b
-    elementary_class(a, 1, 1)
+    assert a != b
+    alpha = elementary_class(a, 2, 1)
     beta = elementary_class(b, 1, 1)
-    assert beta.rays == b.fan.rays
+    assert alpha.rays == a.fan.rays and beta.rays == b.fan.rays
     assert intersect(b, beta).dE_map == {(1, 1): 1}
+    # Ray 1 of b is ray 2 of a, so the two profiles agree up to the renumbering.
+    da = intersect(a, alpha).dD
+    assert intersect(b, beta).dD == da[1:] + da[:1]
 
 
 def test_second_class_at_a_pair(cubic):

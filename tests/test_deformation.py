@@ -308,14 +308,13 @@ def test_canonical_leaves_no_cyclic_garbage(p1xp1):
 
 
 def test_stable_domain_smooths_unmarked_two_valent_vertices():
-    """B loses its unmarked leg to the hull, X joins two infinite edges and D
-    joins an infinite edge to a finite one: all three are smoothed away,
-    finite lengths adding and any infinite length making the sum infinite,
-    while the marked vertices A, C and E keep their legs."""
+    """B loses its unmarked leg to the hull, and X and D each join two finite
+    edges: all three are smoothed away, their lengths adding, while the
+    marked vertices A, C and E keep their legs."""
     positions = {
         "A": (F(0), F(0)), "B": (F(1), F(0)), "C": (F(3), F(0)),
-        "D": (F(3), F(1)), "E": (F(4), F(1)),
-        "a": None, "c": None, "e": None, "z": None, "X": None,
+        "X": (F(4), F(-1)), "D": (F(3), F(1)), "E": (F(4), F(1)),
+        "a": None, "c": None, "e": None, "z": None,
     }
     edges = [
         Edge("A", "a", (0, 0)),
@@ -323,8 +322,8 @@ def test_stable_domain_smooths_unmarked_two_valent_vertices():
         Edge("B", "z", (0, 1)),
         Edge("B", "C", (1, 0), F(2)),
         Edge("C", "c", (0, 0)),
-        Edge("C", "X", (1, -1)),
-        Edge("D", "X", (1, 1)),
+        Edge("C", "X", (1, -1), F(1)),
+        Edge("D", "X", (1, -2), F(1)),
         Edge("D", "E", (1, 0), F(1)),
         Edge("E", "e", (0, 0)),
     ]
@@ -333,7 +332,7 @@ def test_stable_domain_smooths_unmarked_two_valent_vertices():
     assert dom.legs == (("a", "A"), ("c", "C"), ("e", "E"))
     assert sorted((sorted((x, y)), ln) for x, y, ln in dom.edges) == [
         (["A", "C"], F(3)),
-        (["C", "E"], None),
+        (["C", "E"], F(3)),
     ]
 
 

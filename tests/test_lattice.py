@@ -34,11 +34,15 @@ def test_too_few_rays():
         validate_fan(((1, 0), (-1, 0)))
 
 
-def test_fan_equality_is_rotation_invariant():
+def test_fan_equality_compares_rays_by_position():
+    """A rotated fan numbers its rays differently, so it is another fan."""
     a = Fan(((1, 0), (0, 1), (-1, -1)))
     b = Fan(((0, 1), (-1, -1), (1, 0)))
-    assert a == b
-    assert hash(a) == hash(b)
+    c = Fan(((-1, -1), (1, 0), (0, 1)))
+    assert a != b and b != c and a != c
+    assert len({a, b, c}) == 3
+    assert a == Fan(((1, 0), (0, 1), (-1, -1)))
+    assert hash(a) == hash(Fan(((1, 0), (0, 1), (-1, -1))))
     # Stored order is the input order.
     assert b.rays[0] == (0, 1)
 

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 import tropcyl
-from tropcyl.errors import AlreadyRay, LengthMismatch, NegativeMultiplicity, ZeroVector
+from tropcyl.classes import intersect
+from tropcyl.counting import elementary_class
+from tropcyl.errors import AlreadyRay, LengthMismatch, ModelMismatch, NegativeMultiplicity, ZeroVector
 from tropcyl.lattice import Fan
 from tropcyl.model import P2_RAYS, build_model, cubic_model, refine_model
 
@@ -74,16 +76,20 @@ def test_cubic_model_helper():
 
 
 def test_model_equality_keeps_each_multiplicity_on_its_ray():
-    """Rotating the rays and the multiplicities together gives an equal model;
-    rotating the rays alone moves l_i to another ray and does not."""
+    """Models compare rays and multiplicities by position: rotating both
+    together renumbers the rays, and rotating the rays alone moves l_i to
+    another ray, so each gives another model."""
     a = build_model(P2_RAYS, (2, 2, 1))
     rotated = ((0, 1), (-1, -1), (1, 0))
-    assert a == build_model(rotated, (2, 1, 2))
-    assert hash(a) == hash(build_model(rotated, (2, 1, 2)))
-    b = build_model(rotated, (2, 2, 1))
-    assert a.fan == b.fan and a.blowups == b.blowups
-    assert a != b
-    assert len({a, b}) == 2
+    b = build_model(rotated, (2, 1, 2))
+    c = build_model(rotated, (2, 2, 1))
+    assert a != b and b != c and a != c
+    assert len({a, b, c}) == 3
+    assert a == build_model(P2_RAYS, (2, 2, 1))
+    assert hash(a) == hash(build_model(P2_RAYS, (2, 2, 1)))
+    # Model equality agrees with the classes' own positional check.
+    with pytest.raises(ModelMismatch):
+        intersect(b, elementary_class(a, 1, 1))
 
 
 def test_every_exported_name_resolves():

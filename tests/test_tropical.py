@@ -193,11 +193,11 @@ class TestClassify:
         assert sorted(got.cylinder.twig_type) == sorted(cyl.twig_type)
 
 
-def _raw_tree(positions, edges, marks, interior=(), boundary=()):
+def _raw_tree(positions, edges, marks, interior=(), boundary=(), finite=()):
     """A mapped tree built without ``make_tree``'s structural check."""
     return MappedTree(
         tuple(sorted(positions.items())), tuple(edges), tuple(sorted(marks.items())),
-        frozenset(interior), frozenset(boundary),
+        frozenset(interior), frozenset(boundary), frozenset(finite),
     )
 
 
@@ -225,6 +225,36 @@ _LEAF = ("t1", None, Edge("b", "t1", (-1, -1), None))
 _SPARSE = build_model(P2_RAYS, (1, 0, 0))
 
 REJECTIONS = {
+    "unknown vertex": (lambda: _raw_tree(
+        {"x": _pt(2, 2)}, [Edge("x", "q", (0, 1), None)], {}),
+        "edge x-q references unknown vertex"),
+    "infinite edge to a finite point": (lambda: _raw_tree(
+        {"x": _pt(2, 2), "y": _pt(2, 3)}, [Edge("x", "y", (0, 1), None)], {}),
+        "infinite edge x-y must end at infinity"),
+    "infinite edge from infinity": (lambda: _raw_tree(
+        {"x": None, "y": None}, [Edge("x", "y", (0, 1), None)], {}),
+        "infinite edge x-y must start at a finite point"),
+    "finite edge to infinity": (lambda: _raw_tree(
+        {"x": _pt(2, 2), "y": None}, [Edge("x", "y", (0, 1), F(1))], {}),
+        "finite edge x-y has an infinite endpoint"),
+    "affinely inconsistent": (lambda: _raw_tree(
+        {"x": _pt(2, 2), "y": _pt(2, 4)}, [Edge("x", "y", (0, 1), F(1))], {}),
+        "edge x-y is affinely inconsistent"),
+    "finite edge of weight zero": (lambda: _raw_tree(
+        {"x": _pt(2, 2), "y": _pt(2, 2)}, [Edge("x", "y", (0, 0), F(1))], {}),
+        "finite edge x-y has weight zero"),
+    "mark at unknown vertex": (lambda: _raw_tree(
+        {"r": _pt(1, 0), "t": None}, [Edge("r", "t", (1, 0), None)], {"r": "q"}),
+        "mark r at unknown vertex"),
+    "interior label not a mark": (lambda: _raw_tree(
+        {"r": _pt(1, 0), "t": None}, [Edge("r", "t", (1, 0), None)], {"r": "r"}, interior=("q",)),
+        "interior marks ['q'] are not marks of the tree"),
+    "boundary label not a mark": (lambda: _raw_tree(
+        {"r": _pt(1, 0), "t": None}, [Edge("r", "t", (1, 0), None)], {"r": "r"}, boundary=("q",)),
+        "boundary marks ['q'] are not marks of the tree"),
+    "finite label not a mark": (lambda: _raw_tree(
+        {"r": _pt(1, 0), "t": None}, [Edge("r", "t", (1, 0), None)], {"r": "r"}, finite=("q",)),
+        "finite marks ['q'] are not marks of the tree"),
     "nonpositive length": (lambda: _raw_tree(
         {"x": _pt(2, 2), "y": _pt(2, 1)}, [Edge("x", "y", (0, 1), F(-1))], {}),
         "edge x-y has nonpositive length"),
@@ -278,15 +308,14 @@ REJECTIONS = {
          Edge("b", "t1", (-1, -1), None)],
         {"1": "v1", "2": "v2", "w": "w"}, interior=("w",), boundary=("1", "2")),
         "cylinder: interior leg must be an infinite constant leg"),
-    # The marked 1-valent w has its neighbour on the hull of the marks, so the
-    # neighbour is a twig vertex only when every mark sits at w.
+    # Every mark sits at w, which would put w's neighbour on the twig.
     "interior leg off the spine": (lambda: _raw_tree(
         {"a": _pt(1, 0), "w": _pt(2, 0), "t": None},
         [Edge("a", "w", (1, 0), F(1)), Edge("a", "t", (-1, 0), None)],
         {"1": "w", "2": "w", "w": "w"}, interior=("w",)),
-        "cylinder: interior constant leg must attach to the spine"),
-    # Infinite edges from b and c meet at x, so x joins the two spine legs
-    # and the twig at y hangs from a point at infinity.
+        "marks 1 and 2 share vertex w"),
+    # Infinite edges from b and c meet at x, which would join the two spine
+    # legs and hang the twig at y from a point at infinity.
     "bend at infinity": (lambda: _raw_tree(
         {"b": _pt(2, 2), "a1": _pt(2, 3), "w": None, "v1": None, "x": None,
          "c": _pt(0, 1), "v2": None, "y": _pt(1, 0), "t": None},
@@ -295,7 +324,7 @@ REJECTIONS = {
          Edge("c", "x", (1, 0), None), Edge("c", "v2", (-1, 0), None),
          Edge("y", "x", (1, 0), None), Edge("y", "t", (-1, 0), None)],
         {"1": "v1", "2": "v2", "w": "w"}, interior=("w",), boundary=("1", "2")),
-        "cylinder: bending vertex must be finite"),
+        "vertex x at infinity must be 1-valent"),
     "spine leg through the origin": (lambda: cylinder_tree(cubic_model(), Cylinder(
         (1, 1), (-2, -2), (F(-1, 2), F(-1, 2)), ((1, 0), (0, 1)), extended=True)),
         "cylinder: spine leg must not run through the origin"),
@@ -595,16 +624,20 @@ def test_cached_tree_views_are_read_only_and_keep_equality():
 
 
 def test_spine_split_cache_keys_on_ray_order():
-    """A rotated fan gets the same split, read through its own cache entry."""
-    from tropcyl.tropical import _spine_split
-
+    """A rotated model is its own cache entry, and its split is the uncached
+    split from its own fan."""
+    uncached = canonical_spine_split.__wrapped__
     for model in INDEX_MODELS:
         rays = model.fan.rays
         rotated = build_model(rays[1:] + rays[:1], model.blowups[1:] + model.blowups[:1])
+        assert rotated != model
         for w in rays + ((1, 1), (-1, -1), (2, -1)):
-            want = _spine_split.__wrapped__(rays, w)
-            assert canonical_spine_split(model, w) == want
-            assert canonical_spine_split(rotated, w) == want
+            assert canonical_spine_split(model, w) == uncached(model, w)
+            assert canonical_spine_split(rotated, w) == uncached(rotated, w)
+        canonical_spine_split.cache_clear()
+        canonical_spine_split(model, (1, 1))
+        canonical_spine_split(rotated, (1, 1))
+        assert canonical_spine_split.cache_info().currsize == 2
 
 
 # ---------------------------------------------------------------------------
