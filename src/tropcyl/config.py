@@ -185,7 +185,8 @@ def parse_cylinder_spec(
     twig_raw = data.get("twig_type")
     _expect(isinstance(twig_raw, list) and twig_raw, "spec.twig_type", "expected a nonempty list")
     twig = tuple(_vec(w, f"spec.twig_type[{k}]") for k, w in enumerate(twig_raw))
-    extended = bool(data.get("extended", True))
+    extended = data.get("extended", True)
+    _expect(isinstance(extended, bool), "spec.extended", "expected a boolean")
     if "spine" in data:
         spine = _obj(data["spine"], "spec.spine")
         p1 = _vec(spine.get("p1"), "spec.spine.p1")

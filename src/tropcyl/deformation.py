@@ -15,6 +15,7 @@ branches coincide at gluing parameter r = 0.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -81,8 +82,9 @@ def family_tree_L(model: ToricModel, cyl: Cylinder, k: int, *, _suffix: str = ""
     are forgotten, their t-marks are boundary legs carrying the leaf weight.
 
     L_1 is the extended cylinder with both anchor marks interior on every
-    leaf: g_s at vg_s = u_s and t_s at vt_s = 2 u_s, lattice parameters 1
-    and 2 on the leaf ray; L_{t+1} has no leaves left. Every vertex and mark
+    leaf: g_s at vg_s = n u_s and t_s at vt_s = (n + 1) u_s on the leaf ray,
+    with n = 1, or n = floor(c) + 1 for one leaf grown from a bend c u_1 with
+    c >= 1; L_{t+1} has no leaves left. Every vertex and mark
     name ends in ``_suffix``, which keeps the elementary members M_k and N_k
     apart from the L members they are glued to.
     """
@@ -98,15 +100,14 @@ def family_tree_L(model: ToricModel, cyl: Cylinder, k: int, *, _suffix: str = ""
         raise AnchorOrderViolation(
             f"anchor {cyl.bend} does not lie on the ray through {leaf_dirs[0]}"
         )
-    if base >= 1:
-        raise AnchorOrderViolation(f"anchor parameter 1 on leaf 1 must exceed {base}")
+    n = max(1, math.floor(base) + 1)
     positions, edges, marks, root = spine_skeleton(cyl, attach, suffix=_suffix)
     interior = {"w" + _suffix}
     boundary = {"1" + _suffix, "2" + _suffix}
     for s, u in enumerate(leaf_dirs, start=1):
         vg, g, vt, tm, lf = (f"{name}{s}{_suffix}" for name in ("vg", "g", "vt", "t", "lf"))
-        positions[vg] = (Fraction(u[0]), Fraction(u[1]))
-        edges.append(Edge(root, vg, u, 1 - base))
+        positions[vg] = (Fraction(n * u[0]), Fraction(n * u[1]))
+        edges.append(Edge(root, vg, u, n - base))
         positions[g] = None
         edges.append(Edge(vg, g, (0, 0), None))
         marks[g] = g
@@ -118,7 +119,7 @@ def family_tree_L(model: ToricModel, cyl: Cylinder, k: int, *, _suffix: str = ""
             edges.append(Edge(vg, tm, u, None))
             boundary.add(tm)
         else:
-            positions[vt] = (Fraction(2 * u[0]), Fraction(2 * u[1]))
+            positions[vt] = (Fraction((n + 1) * u[0]), Fraction((n + 1) * u[1]))
             edges.append(Edge(vg, vt, u, Fraction(1)))
             edges.append(Edge(vt, tm, (0, 0), None))
             interior.add(tm)
@@ -376,13 +377,13 @@ def _encode(v: str, parent: str | None, adj, legs_at) -> tuple:
 
 def stable_domain(tree: MappedTree) -> AbstractTree:
     """Forget the map: the convex hull of the marked legs, marked legs turned
-    into labels at their attachment vertices, then unmarked 2-valent vertices
-    smoothed away."""
+    into labels at their attachment vertices, then every unmarked 2-valent
+    vertex spliced out in one pass, the lengths of its two edges adding."""
     hull, _ = spine_decomposition(tree)
     mark_vertex = tree.mark_vertex
     endpoint = {v: label for label, v in mark_vertex.items()}
     legs: dict[str, str] = {}
-    edges: list[tuple[str, str, Fraction | None]] = []
+    edges: list[tuple[str, str, Fraction | None] | None] = []
     for e in tree.edges:
         if e.tail not in hull or e.head not in hull:
             continue
@@ -393,49 +394,35 @@ def stable_domain(tree: MappedTree) -> AbstractTree:
         else:
             edges.append((e.tail, e.head, e.length))
     marked = set(legs.values())
-    changed = True
-    while changed:
-        changed = False
-        degree: dict[str, list[int]] = {}
-        for idx, (a, b, _ln) in enumerate(edges):
-            degree.setdefault(a, []).append(idx)
-            degree.setdefault(b, []).append(idx)
-        for v, inc in degree.items():
-            if v in marked or len(inc) != 2:
-                continue
-            i1, i2 = inc
-            a1, b1, l1 = edges[i1]
-            a2, b2, l2 = edges[i2]
-            o1 = a1 if b1 == v else b1
-            o2 = a2 if b2 == v else b2
-            ln = None if l1 is None or l2 is None else l1 + l2
-            for idx in sorted((i1, i2), reverse=True):
-                edges.pop(idx)
-            edges.append((o1, o2, ln))
-            changed = True
-            break
-    return AbstractTree(tuple(edges), tuple(sorted(legs.items())))
-
-
-def _prefixed(tree: AbstractTree, prefix: str) -> AbstractTree:
-    return AbstractTree(
-        tuple((prefix + a, prefix + b, ln) for a, b, ln in tree.edges),
-        tuple((label, prefix + v) for label, v in tree.legs),
-    )
+    inc: dict[str, list[int]] = {}
+    for idx, (a, b, _ln) in enumerate(edges):
+        inc.setdefault(a, []).append(idx)
+        inc.setdefault(b, []).append(idx)
+    # Splicing v leaves every other degree unchanged; the joined edge takes
+    # the first edge's slot and the second's is emptied.
+    for v, pair in inc.items():
+        if v in marked or len(pair) != 2:
+            continue
+        i, j = pair
+        (a1, b1, l1), (a2, b2, l2) = edges[i], edges[j]
+        o1, o2 = (a1 if b1 == v else b1), (a2 if b2 == v else b2)
+        edges[i] = (o1, o2, None if l1 is None or l2 is None else l1 + l2)
+        edges[j] = None
+        inc[o2][inc[o2].index(j)] = i
+    return AbstractTree(tuple(e for e in edges if e), tuple(sorted(legs.items())))
 
 
 def glue_domains(
-    a: AbstractTree,
-    b: AbstractTree,
-    leg_a: str,
-    leg_b: str,
-    r: Fraction | None,
+    a: AbstractTree, b: AbstractTree, leg_a: str, leg_b: str, r: Fraction | None
 ) -> AbstractTree:
     """Join two domains by a bridge of length r between the carriers of two
     legs, those legs removed and leg_a moved to the midpoint. r = 0 contracts
-    the bridge; r = None leaves it infinite."""
-    a = _prefixed(a, "a.")
-    b = _prefixed(b, "b.")
+    the bridge; r = None leaves it infinite. The domains must share no vertex
+    name and neither may use ``mid``: family members keep theirs apart by the
+    elementary members' ``p`` suffix."""
+    clash = (a.vertices & b.vertices) | ({"mid"} & (a.vertices | b.vertices))
+    if clash:
+        raise ValueError(f"cannot glue domains that share or use vertex names {sorted(clash)}")
     va = dict(a.legs)[leg_a]
     vb = dict(b.legs)[leg_b]
     legs = [(l, v) for l, v in a.legs if l != leg_a]
@@ -455,9 +442,7 @@ def glue_domains(
 
 def _swap_legs(tree: AbstractTree, l1: str, l2: str) -> AbstractTree:
     ren = {l1: l2, l2: l1}
-    return AbstractTree(
-        tree.edges, tuple(sorted((ren.get(l, l), v) for l, v in tree.legs))
-    )
+    return AbstractTree(tree.edges, tuple(sorted((ren.get(l, l), v) for l, v in tree.legs)))
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,6 @@ def vadd(u, v):
     return (u[0] + v[0], u[1] + v[1])
 
 
-def vscale(c, u):
-    return (c * u[0], c * u[1])
-
-
 def content(v: Vec) -> int:
     """gcd of the coordinates; 0 for the zero vector."""
     return math.gcd(abs(v[0]), abs(v[1]))
@@ -173,35 +169,14 @@ def norm(fan: Fan, v) -> int:
     return a + b
 
 
-def _complement(u: Vec) -> Vec:
-    """Some integer vector w with det(u, w) = 1, for primitive u."""
-    x, y = u
-    # Solve x*b - y*a = 1 for (a, b) via the extended euclidean algorithm.
-    g, s, t = _ext_gcd(x, -y)
-    assert g in (1, -1)
-    if g == -1:
-        s, t = -s, -t
-    # x*s + (-y)*t = 1, so w = (t, s) gives det(u, w) = x*s - y*t = 1.
-    return (t, s)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def refine_fan(fan: Fan, d: Vec) -> tuple[Fan, tuple[Vec, ...]]:
-    """Insert the primitive direction d and resubdivide to a smooth fan.
+    """Insert the primitive direction d and the fewest rays that keep the fan smooth.
 
-    Returns the refined fan together with the tuple of inserted ray directions
-    (d first, then any rays added to restore smoothness).
+    In cone coordinates d = a * u_i + b * u_{i+1}; the minimal smooth
+    subdivision of the cone adds the mediants of the Stern-Brocot descent from
+    (1, 0), (0, 1) to (a, b), the continued fraction of b / a (Fulton, §2.6).
+    Returns the refined fan together with the tuple of inserted ray
+    directions: d first, then the mediants in slope order.
     Raises NotPrimitive, ZeroVector, or AlreadyRay.
     """
     if d == (0, 0):
@@ -210,29 +185,18 @@ def refine_fan(fan: Fan, d: Vec) -> tuple[Fan, tuple[Vec, ...]]:
         raise NotPrimitive(f"direction {d} is not primitive")
     if d in fan.rays:
         raise AlreadyRay(f"{d} is already a ray")
-    i = cone_of(fan, d)
-    rays = list(fan.rays)
-    pos = (i - 1) % len(rays)
-    rays.insert(pos + 1, d)
-    inserted = [d]
-    # Restore smoothness by repeatedly subdividing any cone of determinant > 1.
-    changed = True
-    while changed:
-        changed = False
-        m = len(rays)
-        for j in range(m):
-            u, v = rays[j], rays[(j + 1) % m]
-            k = det(u, v)
-            if k > 1:
-                w0 = _complement(u)
-                # Choose w = w0 + c*u with det(w, v) in (0, k).
-                r = det(w0, v) % k
-                if r == 0:
-                    r = k
-                c = (r - det(w0, v)) // k
-                w = vadd(w0, vscale(c, u))
-                rays.insert(j + 1, w)
-                inserted.append(w)
-                changed = True
-                break
-    return Fan(tuple(rays)), tuple(inserted)
+    i, a, b = cone_coordinates(fan, d)
+    lo, hi, mid = (1, 0), (0, 1), (1, 1)
+    below, above = [], []
+    while mid != (a, b):
+        if mid[1] * a < b * mid[0]:
+            lo = mid
+            below.append(mid)
+        else:
+            hi = mid
+            above.append(mid)
+        mid = vadd(lo, hi)
+    u, v = fan.ray(i), fan.ray(i + 1)
+    new = [(x * u[0] + y * v[0], x * u[1] + y * v[1]) for x, y in below + [(a, b)] + above[::-1]]
+    rays = fan.rays[:i] + tuple(new) + fan.rays[i:]
+    return Fan(rays), (d, *(w for w in new if w != d))

@@ -619,3 +619,62 @@ def test_an_accepted_explicit_spine_is_a_primitive_cylinder(wire_dir, case):
         assert (verdict.kind, verdict.primitive) == ("cylinder", True), verdict.reasons
     else:
         assert all(code == 2 and err.startswith("error: spec.") for code, err in runs), runs
+
+
+@pytest.mark.parametrize("extended", [True, False])
+def test_count_query_closed_form_equals_splitting_sum(capsys, tmp_path, extended):
+    """A spec with a class adds the query: its closed-form count equals the
+    splitting sum and the listed count, in the text and the JSON output."""
+    twig = [[1, 0], [0, 1]]
+    listing = spec_file(tmp_path, {"twig_type": twig, "extended": extended}, "listing.json")
+    _, out = run(capsys, "count", listing, "--json")
+    entry = json.loads(out)["contributing"][0]
+    spec = spec_file(tmp_path, {"twig_type": twig, "extended": extended, "class": entry["class"]})
+    code, out = run(capsys, "count", spec, "--json")
+    assert code == 0
+    assert json.loads(out)["query"] == {
+        "class": entry["class"], "count": entry["count"], "splitting_sum": entry["count"]
+    }
+    code, out = run(capsys, "count", spec)
+    assert code == 0
+    assert out.splitlines()[-1] == f"query count {entry['count']}  splitting_sum {entry['count']}"
+
+
+@pytest.mark.parametrize("value", ["no", 0, None])
+def test_spec_extended_must_be_a_boolean(capsys, tmp_path, value):
+    spec = spec_file(tmp_path, {"twig_type": [[1, 0]], "extended": value})
+    for argv in (["count", spec], ["verify", spec], ["render", "cylinder", spec]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: spec.extended: expected a boolean\n")
+
+
+def test_walls_svg(capsys, tmp_path):
+    """--svg writes the drawing of the listed walls beside the listing."""
+    path = tmp_path / "walls.svg"
+    code, out = run(capsys, "walls", "--steps", "2", "--svg", str(path))
+    assert code == 0
+    assert out == (GOLDEN / "walls_cubic_steps2.txt").read_text()
+    assert path.read_bytes() == (GOLDEN / "walls_cubic_steps2.svg").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["walls", "--is-wall", "1,2,3"], "--is-wall: expected X,Y with integer entries"),
+        (["count"], "spec: a cylinder spec file is required"),
+    ],
+)
+def test_missing_or_malformed_argument(capsys, argv, message):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+def test_verify_toric_model_has_no_cases(capsys, tmp_path):
+    """A model without exceptional components has no twig to draw."""
+    config = spec_file(
+        tmp_path, {"model": {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "blowups": [0, 0, 0]}}
+    )
+    code, out = run(capsys, "verify", "--config", config)
+    assert (code, out) == (0, "PASS, 0 cases, 0 induction steps\n")

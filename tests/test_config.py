@@ -164,3 +164,16 @@ def test_table_pair_out_of_range_rejected(pair):
     with pytest.raises(ConfigError) as exc:
         cfg.parse_table(_table_payload(model, [(1, 1), pair]), model)
     assert str(exc.value).startswith("table.entries[1].pair: ")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("1/0", "not a rational: '1/0'"), (1.5, "expected an integer or an 'a/b' string")],
+)
+def test_bad_rational_is_path_addressed(value, message):
+    model = cfg.parse_config(CUBIC).model
+    spine = {"p1": [1, 0], "p2": [0, 1], "bend_at": ["1/2", value]}
+    data = {"twig_type": [[-1, -1]], "spine": spine}
+    with pytest.raises(ConfigError) as exc:
+        cfg.parse_cylinder_spec(data, model)
+    assert str(exc.value) == f"spec.spine.bend_at[1]: {message}"

@@ -4,10 +4,11 @@ import json
 import pickle
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from conftest import smooth_models
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropcyl.classes import zero_class
@@ -25,15 +26,24 @@ from tropcyl.deformation import (
     AbstractTree,
     build_deformation,
     degeneration_path,
+    glue_domains,
     member_measures,
     refine_for_slopes,
     replay_count,
     replay_induction,
     stable_domain,
 )
-from tropcyl.errors import AffineInconsistent, AnchorOrderViolation
+from tropcyl.errors import AffineInconsistent, AnchorOrderViolation, ZeroVector
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, build_model, cubic_model
-from tropcyl.tropical import Cylinder, Edge, classify, cylinder_tree, extension_class, make_tree
+from tropcyl.tropical import (
+    Cylinder,
+    Edge,
+    classify,
+    cylinder_tree,
+    extension_class,
+    make_tree,
+    spine_decomposition,
+)
 
 F = Fraction
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -69,13 +79,20 @@ def test_build_t1_family(cubic):
     assert unmarked_infinite == []
 
 
-def test_anchor_order_violation(cubic):
-    """The anchor g of a one-leaf cylinder sits at parameter 1 on the leaf ray;
-    a bend at or past it, or off the ray's line, is refused."""
-    for x in (1, 3):
-        cyl = Cylinder((0, 1), (-1, -1), (F(x), F(0)), ((1, 0),), extended=True)
-        with pytest.raises(AnchorOrderViolation, match=f"on leaf 1 must exceed {x}$"):
-            build_deformation(cubic, cyl)
+def test_anchor_order_violation(cubic, p1xp1):
+    """The anchors of a one-leaf cylinder sit at the first integer parameter
+    past its bend c, and the next: a bend at or past parameter 1 on the leaf
+    ray moves them out to floor(c) + 1 and floor(c) + 2, and the family still
+    coincides at r = 0. A bend off the ray's line is refused."""
+    for model, c in product((cubic, p1xp1), (F(1), F(3), F(7, 2), F(10))):
+        cyl = Cylinder((0, 1), (-1, -1), (c, F(0)), ((1, 0),), extended=True)
+        fam = build_deformation(model, cyl)
+        n = int(c) + 1
+        assert [name for name, _ in fam.curves] == ["L1", "L2", "M1", "N1"]
+        l1 = fam.by_name["L1"]
+        assert (l1.pos["vg1"], l1.pos["vt1"]) == ((n, 0), (n + 1, 0))
+        assert {e.length for e in l1.edges if e.head == "vg1"} == {n - c}
+        assert degeneration_path(fam, 1, F(0)).coincide
     cyl = Cylinder((0, 1), (-1, -1), (F(1, 2), F(1, 3)), ((1, 0),), extended=True)
     with pytest.raises(AnchorOrderViolation, match=r"does not lie on the ray through \(1, 0\)$"):
         build_deformation(cubic, cyl)
@@ -334,6 +351,75 @@ def test_stable_domain_smooths_unmarked_two_valent_vertices():
         (["A", "C"], F(3)),
         (["C", "E"], F(3)),
     ]
+
+
+def _stable_domain_by_rescan(tree):
+    """Reference: the hull and legs as stable_domain takes them, then one
+    splice at a time, rebuilding the degree table after each."""
+    hull, _ = spine_decomposition(tree)
+    endpoint = {v: label for label, v in tree.mark_vertex.items()}
+    legs, edges = {}, []
+    for e in tree.edges:
+        if e.tail not in hull or e.head not in hull:
+            continue
+        if e.head in endpoint:
+            legs[endpoint[e.head]] = e.tail
+        elif e.tail in endpoint:
+            legs[endpoint[e.tail]] = e.head
+        else:
+            edges.append((e.tail, e.head, e.length))
+    marked = set(legs.values())
+    changed = True
+    while changed:
+        changed = False
+        degree = {}
+        for idx, (a, b, _ln) in enumerate(edges):
+            degree.setdefault(a, []).append(idx)
+            degree.setdefault(b, []).append(idx)
+        for v, inc in degree.items():
+            if v in marked or len(inc) != 2:
+                continue
+            (a1, b1, l1), (a2, b2, l2) = edges[inc[0]], edges[inc[1]]
+            o1 = a1 if b1 == v else b1
+            o2 = a2 if b2 == v else b2
+            for idx in sorted(inc, reverse=True):
+                edges.pop(idx)
+            edges.append((o1, o2, None if l1 is None or l2 is None else l1 + l2))
+            changed = True
+            break
+    return AbstractTree(tuple(edges), tuple(sorted(legs.items())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_models(), st.data())
+def test_stable_domain_matches_the_rescan_loop(model, data):
+    """On every member of a random family, the one-pass smoothing gives the
+    domain the rescan loop gives, up to the canonical encoding."""
+    dirs = sorted(model.exceptional_directions)
+    assume(dirs)
+    t = data.draw(st.integers(1, min(3, len(dirs))))
+    twig = tuple(data.draw(st.permutations(dirs))[:t])
+    try:
+        fam = build_deformation(model, _cyl(model, twig))
+    except ZeroVector:
+        assume(False)
+    for name, tree in fam.curves:
+        got, want = stable_domain(tree), _stable_domain_by_rescan(tree)
+        assert got.legs == want.legs, name
+        assert got.canonical() == want.canonical(), name
+
+
+def test_glue_refuses_shared_vertex_names(cubic):
+    """Gluing needs disjoint vertex names: an L member glued to itself, or to
+    a domain with a vertex named mid, is refused."""
+    fam = build_deformation(cubic, _cyl(cubic, ((1, 0), (0, 1))))
+    l1, m1 = fam.domains["L1"], fam.domains["M1"]
+    with pytest.raises(ValueError, match="share or use vertex names"):
+        glue_domains(l1, l1, "g1", "g1", F(1))
+    mid = AbstractTree((("mid", "x", F(1)),), (("g1p", "x"),))
+    with pytest.raises(ValueError, match=r"\['mid'\]"):
+        glue_domains(l1, mid, "g1", "g1p", F(0))
+    assert len(glue_domains(l1, m1, "g1", "g1p", F(0)).legs) == len(l1.legs) + len(m1.legs) - 1
 
 
 def _all_roots_form(tree):

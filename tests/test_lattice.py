@@ -1,12 +1,17 @@
+import math
+
 import pytest
-from hypothesis import given
+from conftest import smooth_models
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropcyl.errors import AlreadyRay, NotSmooth, TooFewRays, ZeroVector
 from tropcyl.lattice import (
     Fan,
     cone_coordinates,
+    cone_of,
     content,
+    det,
     norm,
     primitive_part,
     refine_fan,
@@ -101,6 +106,51 @@ def test_refine_fan_iterated_subdivision():
     fan, inserted = refine_fan(Fan(P2), (2, 1))
     assert fan == Fan(((1, 0), (2, 1), (1, 1), (0, 1), (-1, -1)))
     assert set(inserted) == {(2, 1), (1, 1)}
+
+
+def _complement(u):
+    """Some w with det(u, w) = 1 for primitive u = (x, y), from x * s = 1 mod |y|."""
+    x, y = u
+    if y == 0:
+        return (0, x)
+    s = pow(x, -1, abs(y))
+    return ((x * s - 1) // y, s)
+
+
+def _refine_by_rescan(fan, d):
+    """Reference: insert d into its cone, then split the first cone of
+    determinant k > 1 by the w with det(u, w) = 1 and 0 < det(w, v) < k,
+    rescanning from the start after every split."""
+    rays = list(fan.rays)
+    rays.insert(cone_of(fan, d), d)
+    inserted = [d]
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(rays)):
+            u, v = rays[j], rays[(j + 1) % len(rays)]
+            k = det(u, v)
+            if k > 1:
+                w0 = _complement(u)
+                c = (det(w0, v) % k - det(w0, v)) // k
+                w = (w0[0] + c * u[0], w0[1] + c * u[1])
+                rays.insert(j + 1, w)
+                inserted.append(w)
+                changed = True
+                break
+    return tuple(rays), inserted
+
+
+@settings(deadline=None, max_examples=200)
+@given(smooth_models(), st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+def test_refine_fan_matches_the_rescan_loop(model, d):
+    """The Stern-Brocot mediants are the rays the rescan loop inserts, in the
+    same places: same ray tuple, d first, same inserted set."""
+    assume(math.gcd(*d) == 1 and d not in model.fan.rays)
+    rays, inserted = _refine_by_rescan(model.fan, d)
+    fan, got = refine_fan(model.fan, d)
+    assert fan.rays == rays
+    assert got[0] == d and len(got) == len(inserted) and set(got) == set(inserted)
 
 
 vectors = st.tuples(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tropcyl.classes import divisor_class, intersect, zero_class
 from tropcyl.errors import PathThroughOrigin, ZeroVector
-from tropcyl.lattice import _complement, det, norm, primitive_part
+from tropcyl.lattice import det, norm, primitive_part
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 from tropcyl.tropical import (
     BALANCED,
@@ -399,6 +399,15 @@ class TestExtension:
     def test_zero_exceptional_part(self, cubic):
         delta = extension_class(cubic, _pt(3, 1), (-1, -2))
         assert intersect(cubic, delta).dE_map == {}
+
+
+def _complement(d):
+    """Some w with det(d, w) = 1 for primitive d = (x, y), from x * s = 1 mod |y|."""
+    x, y = d
+    if y == 0:
+        return (0, x)
+    s = pow(x, -1, abs(y))
+    return ((x * s - 1) // y, s)
 
 
 def _reference_unimodular_complement(fan, w):
