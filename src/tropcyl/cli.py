@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import replace
@@ -49,6 +50,10 @@ _EXIT_CODES = (
     (OutOfPrimitiveScope, EXIT_OUT_OF_SCOPE),
     (IdentityViolation, EXIT_IDENTITY),
 )
+
+# `count` lists and `verify` compares prod_s |leaf entries_s| rows. 3^8 rows
+# (8 leaves, every l_i = 3, 12-ray model) take `verify` about 1.4 s.
+MAX_ROWS = 3**8
 
 DEFAULT_CONFIG = {
     "model": {
@@ -115,12 +120,21 @@ def _load_table(args, model):
     return default_table(model)
 
 
+def _check_rows(model, comps, table, path: str) -> None:
+    """Refuse at path a cylinder with these leaf rays whose listing has more
+    than MAX_ROWS rows."""
+    rows = math.prod(len(table.leaf(model, i)[0]) for i in comps)
+    if rows > MAX_ROWS:
+        raise ConfigError(path, f"the listing has {rows} rows, more than {MAX_ROWS}")
+
+
 def cmd_count(args) -> int:
     config = _load_config(args)
     model = config.model
     cyl, beta = _load_spec(args, model)
     table = _load_table(args, model)
     data = cylinder_count(model, cyl, table)
+    _check_rows(model, data.comps, table, "spec.twig_type")
     entries = data.contributing
     if args.json:
         out = {
@@ -161,6 +175,7 @@ def _random_twig(model, rng) -> tuple:
 
 def _verify_one(model, cyl, table) -> int:
     data = cylinder_count(model, cyl, table)
+    _check_rows(model, data.comps, table, "spec.twig_type")
     entries = data.contributing
     listed = measure((b, k) for _, b, k in entries)
     oracle = splitting_measure(model, cyl, table)
@@ -198,6 +213,8 @@ def cmd_verify(args) -> int:
     steps_total = 0
     while done < args.cases:
         twig = _random_twig(model, rng)
+        # A draw over the cap ends the run: redrawing might never stop.
+        _check_rows(model, [model.exceptional_ray(w) for w in twig], table, "--cases")
         try:
             cyl = build_cylinder(model, twig, extended=True)
             steps_total += _verify_one(model, cyl, table)

@@ -319,6 +319,58 @@ def test_verify_randomized_reports_errors(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: raised by the test\n"
 
 
+TWELVE_RAYS = (
+    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1),
+    (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, -1), (2, -1),
+)
+
+
+def _twelve_ray_files(tmp_path, t):
+    """A config for the 12-ray smooth model with every l_i = 3 and a spec
+    whose twig is its first t rays, listing 3^t rows."""
+    model = {"fan": {"rays": [list(u) for u in TWELVE_RAYS]}, "blowups": [3] * 12}
+    config = spec_file(tmp_path, {"model": model}, "twelve.json")
+    return config, spec_file(tmp_path, {"twig_type": [list(u) for u in TWELVE_RAYS[:t]]})
+
+
+def test_count_refuses_a_listing_over_the_row_cap(capsys, tmp_path):
+    """3^8 = MAX_ROWS rows are listed; 3^9 exit 2 at spec.twig_type before
+    anything is listed."""
+    from tropcyl.cli import MAX_ROWS
+
+    config, spec = _twelve_ray_files(tmp_path, 8)
+    code, out = run(capsys, "count", "--config", config, spec)
+    assert (code, len(out.splitlines())) == (0, MAX_ROWS)
+    config, spec = _twelve_ray_files(tmp_path, 9)
+    assert main(["count", "--config", config, spec]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: spec.twig_type: the listing has 19683 rows, more than 6561\n")
+
+
+def test_verify_refuses_a_spec_over_the_row_cap(capsys, tmp_path):
+    config, spec = _twelve_ray_files(tmp_path, 9)
+    assert main(["verify", "--config", config, spec]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: spec.twig_type: the listing has 19683 rows, more than 6561\n")
+
+
+def test_verify_refuses_a_random_draw_over_the_row_cap(capsys, tmp_path, monkeypatch):
+    """With l_i = 19 on the cubic fan, a draw of all three leaves lists
+    19^3 > MAX_ROWS rows: the run ends at --cases instead of redrawing, so
+    draws of one or two leaves run first and the rest never do."""
+    from tropcyl import cli
+
+    real, verified = cli._verify_one, []
+    monkeypatch.setattr(cli, "_verify_one", lambda *a: verified.append(a[1]) or real(*a))
+    config = spec_file(
+        tmp_path, {"model": {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "blowups": [19, 19, 19]}}
+    )
+    assert main(["verify", "--config", config, "--seed", "0", "--cases", "40"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --cases: the listing has 6859 rows, more than 6561\n")
+    assert verified and all(len(cyl.twig_type) < 3 for cyl in verified)
+
+
 def test_verify_negative_cases_rejected(capsys):
     assert main(["verify", "--cases", "-3"]) == 2
     out = capsys.readouterr()

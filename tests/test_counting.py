@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +9,14 @@ from conftest import smooth_models
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropcyl.classes import class_from_profile, divisor_class, intersect, make_class
+from tropcyl.classes import (
+    CurveClass,
+    class_from_profile,
+    divisor_class,
+    exceptional_class,
+    intersect,
+    make_class,
+)
 from tropcyl.counting import (
     ElementaryCountTable,
     build_cylinder,
@@ -24,7 +33,12 @@ from tropcyl.counting import (
     splitting_sum,
 )
 from tropcyl.deformation import replay_count
-from tropcyl.errors import NotPrimitiveCylinder, OutOfPrimitiveScope, ZeroVector
+from tropcyl.errors import (
+    ComponentOutOfRange,
+    NotPrimitiveCylinder,
+    OutOfPrimitiveScope,
+    ZeroVector,
+)
 from tropcyl.model import P2_RAYS, build_model
 from tropcyl.tropical import Cylinder
 
@@ -298,3 +312,175 @@ def test_closed_form_matches_oracle_on_any_table(case):
         prof = intersect(model, beta)
         assert class_from_profile(model, prof.dD, prof.dE_map) == beta
     assert replay_count(cc, next(iter(listed), None)).ok
+
+
+def _unpruned_mass(cc, beta):
+    """The closed form as a residual loop without pruning: every class of
+    every leaf but the last is subtracted from every residual."""
+    target = beta - cc.shift if cc.cyl.extended else beta
+    *first, last = cc.measures
+    residual = {target: 1}
+    for supp in first:
+        residual = measure((r - c, w * n) for r, w in residual.items() for c, n in supp.items())
+    return sum(w * last.get(r, 0) for r, w in residual.items())
+
+
+@st.composite
+def shared_pair_tables(draw):
+    """Like ``multi_class_tables``, with two or three leaves and classes that
+    may also carry E_ij, of either sign, for the ray of another leaf. Each
+    ray draws its classes from a pool of two, so a class recurs at several
+    pairs and its counts can cancel."""
+    model = draw(smooth_models().filter(lambda m: len(m.exceptional_directions) >= 2))
+    twig = draw(st.lists(st.sampled_from(model.exceptional_directions), min_size=2, max_size=3, unique=True))
+    rays = [model.exceptional_ray(w) for w in twig]
+    pools = {}
+    for i in rays:
+        pools[i] = []
+        for _ in range(2):
+            c = elementary_class(model, i, draw(st.integers(1, model.multiplicity(i))))
+            c = c + draw(st.integers(-1, 1)) * divisor_class(model.fan, draw(st.integers(1, model.m)))
+            for r in rays:
+                if r != i and draw(st.booleans()):
+                    e = exceptional_class(model, r, draw(st.integers(1, model.multiplicity(r))))
+                    c = c + draw(st.sampled_from((-1, 1))) * e
+            pools[i].append(c)
+    entries = []
+    for i, j in model.exceptional_pairs:
+        k = draw(st.integers(0, 3)) if i in pools else 0
+        entries.append(((i, j), tuple((draw(st.sampled_from(pools[i])), draw(st.integers(-2, 3))) for _ in range(k))))
+    shift = divisor_class(model.fan, draw(st.integers(1, model.m)))
+    return model, twig, ElementaryCountTable(tuple(entries)), shift
+
+
+@settings(deadline=None, max_examples=80)
+@given(shared_pair_tables())
+def test_pruned_mass_matches_the_unpruned_loop(case):
+    """Where leaf classes meet pairs of later leaves, the pruned ``_mass``
+    still equals the unpruned residual loop and the oracle, on the listed and
+    oracle classes and on those shifted by a divisor, at the extended and the
+    infinitesimal level."""
+    model, twig, table, shift = case
+    try:
+        cyl = build_cylinder(model, twig, extended=True)
+    except ZeroVector:
+        assume(False)
+    cc = cylinder_count(model, cyl, table)
+    inf = cylinder_count(model, replace(cyl, extended=False), table)
+    listed = measure((beta, n) for _, beta, n in cc.contributing)
+    oracle = splitting_measure(model, cyl, table)
+    for beta in dict.fromkeys([*listed, *oracle]):
+        for b in (beta, beta + shift):
+            assert cc._mass(b) == _unpruned_mass(cc, b) == oracle.get(b, 0)
+            assert inf._mass(b - cc.shift) == _unpruned_mass(inf, b - cc.shift) == oracle.get(b, 0)
+
+
+TWELVE_RAYS = (
+    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1),
+    (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, -1), (2, -1),
+)
+
+
+def test_default_table_query_subtracts_once_per_leaf(monkeypatch):
+    """On the 12-ray model with every l_i = 3, a query with t = 8 leaves keeps
+    one residual per leaf: t subtractions, where subtracting every class of
+    every leaf but the last takes 1 + 3 + 9 + ... + 3^7."""
+    model = build_model(TWELVE_RAYS, (3,) * 12)
+    cc = cylinder_count(model, build_cylinder(model, TWELVE_RAYS[:8], extended=True))
+    beta = cc.shift
+    for i in cc.comps:
+        beta = beta + elementary_class(model, i, 2)
+    real, calls = CurveClass.__sub__, []
+    monkeypatch.setattr(CurveClass, "__sub__", lambda a, b: calls.append(b) or real(a, b))
+    for query, want in ((beta, 1), (beta + divisor_class(model.fan, 1), 0)):
+        calls.clear()
+        assert cc.count(query) == want
+        assert len(calls) <= len(cc.comps) == 8
+
+
+def test_leaf_measures_are_read_only_and_shared(cubic):
+    """Leaf data is read once per table: two cylinders with a leaf on ray 1
+    share its entries and measure, and the measure cannot be written."""
+    table = default_table(cubic)
+    a = cylinder_count(cubic, build_cylinder(cubic, ((1, 0), (0, 1))), table)
+    b = cylinder_count(cubic, build_cylinder(cubic, ((1, 0),)), table)
+    assert a.comps[0] == b.comps[0] == 1
+    assert a.measures[0] is b.measures[0] and a.leaves[0] is b.leaves[0]
+    with pytest.raises(TypeError):
+        a.measures[0][elementary_class(cubic, 1, 1)] = 2
+    assert cylinder_count(cubic, build_cylinder(cubic, ((1, 0),))).measures[0] is b.measures[0]
+
+
+def test_count_data_survives_pickle_and_deepcopy(cubic):
+    """Tables and count data copy and pickle as at their fields; the copies
+    rebuild their read-only views and count alike."""
+    table = default_table(cubic)
+    cc = cylinder_count(cubic, build_cylinder(cubic, ((1, 0), (0, 1))), table)
+    beta = cc.contributing[0][1]
+    for copied in (copy.deepcopy(cc), pickle.loads(pickle.dumps(cc))):
+        assert copied.measures == cc.measures and copied.count(beta) == 1
+        with pytest.raises(TypeError):
+            copied.measures[0][beta] = 2
+    for copied in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert copied == table and copied.leaf(cubic, 1) == table.leaf(cubic, 1)
+
+
+def test_leaf_data_follows_the_multiplicity(cubic):
+    """One table read on a model with fewer components at ray 1 keeps only
+    the pairs (1, j), j <= l_1, of that model."""
+    table = default_table(cubic)
+    fewer = build_model(P2_RAYS, (1, 2, 2))
+    rows, supp = table.leaf(fewer, 1)
+    assert [j for j, _c, _n in rows] == [1]
+    assert dict(supp) == {elementary_class(cubic, 1, 1): 1}
+    assert len(table.leaf(cubic, 1)[0]) == 2
+
+
+def test_a_leaf_without_private_pairs_keeps_every_class(cubic):
+    """When every pair leaf 1 meets is met by leaf 2 too, leaf 1 has no
+    private pairs: its classes form one group and each residual meets all of
+    them."""
+    e21 = exceptional_class(cubic, 2, 1)
+    shared = elementary_class(cubic, 2, 1) - elementary_class(cubic, 1, 1)
+    table = ElementaryCountTable((
+        ((1, 1), ((e21, 2),)),
+        ((1, 2), ((e21 + divisor_class(cubic.fan, 3), 1),)),
+        ((2, 1), ((shared, 5), (elementary_class(cubic, 2, 1), -1))),
+    ))
+    cc = cylinder_count(cubic, build_cylinder(cubic, ((1, 0), (0, 1))), table)
+    [(private, groups)] = cc._groups
+    assert private == set() and len(groups[frozenset()]) == 2
+    oracle = splitting_measure(cubic, cc.cyl, table)
+    assert len(oracle) == 4
+    for beta in oracle:
+        assert cc._mass(beta) == _unpruned_mass(cc, beta) == oracle[beta]
+
+
+def test_a_residual_outside_every_group_counts_zero(cubic):
+    """A class whose part on leaf 1's private pairs matches no class of leaf
+    1 is dropped at that leaf, before any subtraction."""
+    cc = cylinder_count(cubic, build_cylinder(cubic, ((1, 0), (0, 1))))
+    beta = cc.shift - exceptional_class(cubic, 2, 1)
+    assert cc.count(beta) == _unpruned_mass(cc, beta) == splitting_sum(cubic, cc.cyl, beta) == 0
+
+
+def test_elementary_data_out_of_range(cubic):
+    with pytest.raises(ComponentOutOfRange, match="component 3 out of range 1..2 at ray 1"):
+        elementary_class(cubic, 1, 3)
+    bare = build_model(P2_RAYS, (0, 2, 2))
+    with pytest.raises(OutOfPrimitiveScope, match="ray 1 carries no exceptional components"):
+        elementary_cylinder(bare, 1)
+
+
+def test_a_leaf_toward_a_bare_ray_is_out_of_scope():
+    bare = build_model(P2_RAYS, (0, 2, 2))
+    with pytest.raises(OutOfPrimitiveScope, match="does not head toward an exceptional ray"):
+        cylinder_count(bare, build_cylinder(bare, ((1, 0), (0, 1))))
+
+
+def test_count_spine_refuses_two_pairs_of_one_ray(cubic):
+    cyl = build_cylinder(cubic, ((-1, -1),))
+    spine = Cylinder(cyl.p1, cyl.p2, cyl.bend, (), cyl.extended)
+    beta = elementary_class(cubic, 3, 1) - exceptional_class(cubic, 3, 2)
+    with pytest.raises(OutOfPrimitiveScope, match="two twig leaves in the same direction"):
+        count_spine(cubic, spine, beta)
