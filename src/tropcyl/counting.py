@@ -12,11 +12,9 @@ independent oracle and enumerates from the table itself.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 from . import classes as cls
 from .errors import ComponentOutOfRange, OutOfPrimitiveScope
@@ -43,25 +41,21 @@ class ElementaryCountTable:
         return dict(self.entries)
 
     @cached_property
-    def _leaves(self) -> dict[tuple[int, int], tuple[LeafRows, Mapping[cls.CurveClass, int]]]:
+    def _leaves(self) -> dict[tuple[int, int], tuple[LeafRows, Support]]:
         """``leaf`` results by ray and multiplicity."""
         return {}
 
-    def __getstate__(self):
-        """The entries only: cached views are rebuilt, and a mapping proxy
-        cannot be pickled or deep-copied."""
-        return {"entries": self.entries}
-
-    def leaf(self, model: ToricModel, i: int) -> tuple[LeafRows, Mapping[cls.CurveClass, int]]:
+    def leaf(self, model: ToricModel, i: int) -> tuple[LeafRows, Support]:
         """Every (j, class, count) listed at a pair (i, j), j <= l_i, and
-        those counts summed per class, read-only. Built once per ray and
-        multiplicity, and shared by every cylinder counted under this table."""
+        those counts summed per class. Built once per ray and multiplicity,
+        and shared by every cylinder counted under this table: callers must
+        not write to the measure."""
         key = (i, model.multiplicity(i))
         hit = self._leaves.get(key)
         if hit is None:
             by_pair, js = self.by_pair, range(1, key[1] + 1)
             rows = tuple((j, c, n) for j in js for c, n in by_pair.get((i, j), ()))
-            hit = self._leaves[key] = (rows, MappingProxyType(measure((c, n) for _j, c, n in rows)))
+            hit = self._leaves[key] = (rows, measure((c, n) for _j, c, n in rows))
         return hit
 
     def count(self, i: int, j: int, beta: cls.CurveClass) -> int:
@@ -71,7 +65,6 @@ class ElementaryCountTable:
         return 0
 
 
-@lru_cache(maxsize=64)
 def default_table(model: ToricModel) -> ElementaryCountTable:
     entries = []
     for i, j in model.exceptional_pairs:
@@ -157,7 +150,9 @@ def convolve(a: Support, b: Support) -> Support:
     return measure((ca + cb, na * nb) for ca, na in a.items() for cb, nb in b.items())
 
 
-def _scope_profile(model: ToricModel, beta: cls.CurveClass) -> cls.IntersectionProfile:
+def scope_profile(model: ToricModel, beta: cls.CurveClass) -> cls.IntersectionProfile:
+    """The intersection profile of beta; raises ``OutOfPrimitiveScope`` when
+    beta meets an exceptional curve with multiplicity other than 0 or 1."""
     prof = cls.intersect(model, beta)
     if any(v not in (0, 1) for _, v in prof.dE):
         raise OutOfPrimitiveScope("class meets an exceptional curve with multiplicity > 1")
@@ -171,8 +166,8 @@ class CylinderCount:
     ``comps`` holds the ray index i(s) of each twig leaf, ``shift`` the spine
     extension class, ``leaves`` per leaf every (j, class, count) the table
     lists at (i(s), j), j <= l_i, and ``measures`` per leaf those counts
-    summed per class, read-only and shared with every cylinder counted under
-    the same table (see ``ElementaryCountTable.leaf``). Built once by
+    summed per class, shared with every cylinder counted under the same
+    table and never written (see ``ElementaryCountTable.leaf``). Built once by
     ``cylinder_count``; the closed form, its listing and the deformation
     replay all read it.
 
@@ -190,16 +185,7 @@ class CylinderCount:
     shift: cls.CurveClass
     comps: tuple[int, ...]
     leaves: tuple[LeafRows, ...]
-    measures: tuple[Mapping[cls.CurveClass, int], ...]
-
-    def __getstate__(self):
-        """The fields, with the read-only leaf measures as plain dicts, since
-        a mapping proxy cannot be pickled or deep-copied."""
-        state = {f.name: getattr(self, f.name) for f in fields(self)}
-        return state | {"measures": tuple(map(dict, self.measures))}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, measures=tuple(map(MappingProxyType, state["measures"])))
+    measures: tuple[Support, ...]
 
     @cached_property
     def contributing(self) -> tuple[tuple[tuple[int, ...], cls.CurveClass, int], ...]:
@@ -211,7 +197,7 @@ class CylinderCount:
 
     def count(self, beta: cls.CurveClass) -> int:
         """The closed-form count at beta; see ``count_primitive_cylinder``."""
-        _scope_profile(self.model, beta)
+        scope_profile(self.model, beta)
         return self._mass(beta)
 
     @cached_property
@@ -295,7 +281,7 @@ def count_primitive_cylinder(
     matched at the extended level beta + shift.
     A class outside the primitive scope is rejected before the cylinder.
     """
-    _scope_profile(model, beta)
+    scope_profile(model, beta)
     return cylinder_count(model, cyl, table)._mass(beta)
 
 
@@ -341,7 +327,7 @@ def count_spine(
     """Count over twig types compatible with the class: the dE pattern of
     beta forces the leaf set; incompatible patterns either count 0 (wrong
     bend direction) or fall outside the primitive method's scope."""
-    prof = _scope_profile(model, beta)
+    prof = scope_profile(model, beta)
     rays_hit = [i for (i, _j), v in prof.dE if v == 1]
     if len(set(rays_hit)) != len(rays_hit):
         raise OutOfPrimitiveScope(

@@ -5,6 +5,13 @@ from tropcyl.lattice import Fan, refine_fan, vadd
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 
 
+# A smooth complete fan with twelve rays, for leaf-count work bounds.
+TWELVE_RAYS = (
+    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1),
+    (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, -1), (2, -1),
+)
+
+
 @pytest.fixture
 def cubic():
     return cubic_model()

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
+from conftest import TWELVE_RAYS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -308,21 +309,15 @@ def test_verify_randomized_reports_errors(capsys, monkeypatch):
     real = cli._verify_one
     calls = []
 
-    def flaky(model, cyl, table):
+    def flaky(model, cyl, table, path):
         calls.append(cyl)
         if len(calls) == 1:
             raise OutOfPrimitiveScope("raised by the test")
-        return real(model, cyl, table)
+        return real(model, cyl, table, path)
 
     monkeypatch.setattr(cli, "_verify_one", flaky)
     assert main(["verify", "--seed", "0", "--cases", "3"]) == 4
     assert capsys.readouterr().err == "error: raised by the test\n"
-
-
-TWELVE_RAYS = (
-    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1),
-    (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, -1), (2, -1),
-)
 
 
 def _twelve_ray_files(tmp_path, t):
@@ -354,21 +349,50 @@ def test_verify_refuses_a_spec_over_the_row_cap(capsys, tmp_path):
     assert (out.out, out.err) == ("", "error: spec.twig_type: the listing has 19683 rows, more than 6561\n")
 
 
+def test_verify_at_the_row_cap_makes_one_query_on_a_cross_leaf_table(capsys, tmp_path, monkeypatch):
+    """Leaf s's classes carry E_{i(s-1),1}, so no leaf's classes split by
+    private pairs and one query would keep 3^s residuals at leaf s; the
+    3^(s-1) D_1 steps keep all 3^8 sums apart. verify reads the closed form
+    off one product measure; the only query is the replay's, at one class."""
+    from tropcyl import counting
+    from tropcyl.classes import divisor_class, exceptional_class
+
+    model = build_model(TWELVE_RAYS, (3,) * 12)
+    d, by_pair = divisor_class(model.fan, 1), {}
+    for s in range(8):
+        base = counting.elementary_class(model, s + 1, 1)
+        if s:
+            base = base + exceptional_class(model, s, 1)
+        for j in (1, 2, 3):
+            by_pair[(s + 1, j)] = [(base + (3**s * (j - 1)) * d, 1)]
+    table = counting.ElementaryCountTable(tuple((p, tuple(c)) for p, c in by_pair.items()))
+    cc = counting.cylinder_count(model, counting.build_cylinder(model, TWELVE_RAYS[:8]), table)
+    assert [len(groups) for _private, groups in cc._groups] == [1] * 7
+    assert len(counting.measure((b, n) for _, b, n in cc.contributing)) == 3**8
+    real, queries = counting.CylinderCount._mass, []
+    monkeypatch.setattr(
+        counting.CylinderCount, "_mass", lambda self, beta: queries.append(beta) or real(self, beta)
+    )
+    config, spec = _twelve_ray_files(tmp_path, 8)
+    code, out = run(capsys, "verify", "--config", config, spec, "--table", _table_file(tmp_path, model, by_pair))
+    assert (code, out, len(queries)) == (0, "PASS, 8 induction steps\n", 1)
+
+
 def test_verify_refuses_a_random_draw_over_the_row_cap(capsys, tmp_path, monkeypatch):
-    """With l_i = 19 on the cubic fan, a draw of all three leaves lists
-    19^3 > MAX_ROWS rows: the run ends at --cases instead of redrawing, so
-    draws of one or two leaves run first and the rest never do."""
+    """With l_i = 19 on P1 x P1, a draw of three leaves lists 19^3 > MAX_ROWS
+    rows: the run ends at --cases on the first such draw instead of
+    redrawing, after the draws of one or two leaves before it."""
     from tropcyl import cli
 
     real, verified = cli._verify_one, []
     monkeypatch.setattr(cli, "_verify_one", lambda *a: verified.append(a[1]) or real(*a))
-    config = spec_file(
-        tmp_path, {"model": {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "blowups": [19, 19, 19]}}
-    )
+    rays = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    config = spec_file(tmp_path, {"model": {"fan": {"rays": rays}, "blowups": [19] * 4}})
     assert main(["verify", "--config", config, "--seed", "0", "--cases", "40"]) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", "error: --cases: the listing has 6859 rows, more than 6561\n")
-    assert verified and all(len(cyl.twig_type) < 3 for cyl in verified)
+    *before, last = verified
+    assert before and all(len(cyl.twig_type) < 3 for cyl in before) and len(last.twig_type) == 3
 
 
 def test_verify_negative_cases_rejected(capsys):
@@ -401,7 +425,7 @@ def test_verify_one_builds_count_data_once(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(counting.CylinderCount, "__init__", counted)
-    assert cli._verify_one(model, cyl, table) == 3
+    assert cli._verify_one(model, cyl, table, "spec.twig_type") == 3
     assert len(built) == 1
 
 
@@ -420,7 +444,7 @@ def test_verify_one_enumerates_the_oracle_once(monkeypatch):
 
     for module in (cli, counting):
         monkeypatch.setattr(module, "splitting_measure", counted)
-    assert cli._verify_one(model, cyl, counting.default_table(model)) == 3
+    assert cli._verify_one(model, cyl, counting.default_table(model), "spec.twig_type") == 3
     assert len(calls) == 1
 
 
