@@ -96,7 +96,8 @@ def _nonzero(items) -> frozenset:
 
 
 def make_class(rays, toric, exc=None) -> CurveClass:
-    """The class pi^*(sum_i toric_i D_{t,i}) + sum exc_ij E_ij."""
+    """The class pi^*(sum_i toric_i D_{t,i}) + sum exc_ij E_ij. The rays are
+    taken to be a ``Fan``'s and are not validated here."""
     rays = tuple(tuple(r) for r in rays)
     if len(toric) != len(rays):
         raise LengthMismatch("toric part length does not match ray count")
@@ -144,10 +145,13 @@ class IntersectionProfile:
 
 
 def toric_profile(rays: tuple[Vec, ...], toric: tuple[int, ...]) -> tuple[int, ...]:
-    """Intersections of a toric class with each D_{t,i}, row by tridiagonal row."""
-    mat = intersection_matrix(rays)
+    """Intersections of a toric class with each D_{t,i}, row by tridiagonal
+    row, a_i read off the neighbouring rays rather than a built matrix."""
     m = len(rays)
-    return tuple(mat[i][i] * toric[i] + toric[i - 1] + toric[(i + 1) % m] for i in range(m))
+    return tuple(
+        toric[i - 1] + toric[(i + 1) % m] - det(rays[i - 1], rays[(i + 1) % m]) * toric[i]
+        for i in range(m)
+    )
 
 
 def intersect(model: ToricModel, beta: CurveClass) -> IntersectionProfile:

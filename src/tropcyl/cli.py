@@ -21,12 +21,11 @@ from .counting import (
     build_cylinder,
     cylinder_count,
     default_table,
-    measure,
     scope_profile,
     splitting_measure,
     splitting_sum,
 )
-from .deformation import member_measures, replay_count
+from .deformation import replay_count
 from .errors import (
     ConfigError,
     IdentityViolation,
@@ -53,7 +52,7 @@ _EXIT_CODES = (
 )
 
 # `count` lists and `verify` compares prod_s |leaf entries_s| rows. 3^8 rows
-# (8 leaves, every l_i = 3, 12-ray model) take `verify` about 0.8 s.
+# (8 leaves, every l_i = 3, 12-ray model) take `verify` about 0.6 s.
 MAX_ROWS = 3**8
 
 DEFAULT_CONFIG = {
@@ -176,32 +175,25 @@ def _random_twig(model, rng) -> tuple:
 
 
 def _verify_one(model, cyl, table, path: str) -> int:
-    """Check an extended cylinder's closed form against its listing and the
-    splitting-sum oracle at every class either has, then replay the
-    induction; a listing over the row cap is refused at path. The closed form
-    is read off L1, one product measure, rather than queried per class: on a
-    table whose classes meet other leaves' pairs, one query can cost a
-    product of leaf sizes."""
+    """Check an extended cylinder's summed listing against the splitting-sum
+    oracle at every class either holds, then replay the induction once and
+    return its t steps; a listing over the row cap is refused at path. The
+    replay checks L1, the closed form as one product measure, against the
+    same listing and against the pruned query at one class: on a table whose
+    classes meet other leaves' pairs, one query can cost a product of leaf sizes."""
     data = _count_data(model, cyl, table, path)
-    entries = data.contributing
-    listed = measure((b, k) for _, b, k in entries)
-    oracle = splitting_measure(model, cyl, table)
-    closed = member_measures(data)["L1"]
+    listed, oracle = data.listed, splitting_measure(model, cyl, table)
     for beta in dict.fromkeys([*listed, *oracle]):
         scope_profile(model, beta)
-        c, s, n = closed.get(beta, 0), oracle.get(beta, 0), listed.get(beta, 0)
-        if not (c == s == n):
-            raise IdentityViolation(
-                f"closed form {c}, splitting sum {s}, listed {n} for class {beta}"
-            )
-    steps = 0
-    if entries:
-        rep = replay_count(data, entries[0][1])
-        steps = sum(1 for ch in rep.checks if ch.name.startswith("splitting-"))
-        if not rep.ok:
-            bad = next(ch for ch in rep.checks if not ch.ok)
-            raise IdentityViolation(f"{bad.name}: {bad.detail}")
-    return steps
+        s, n = oracle.get(beta, 0), listed.get(beta, 0)
+        if s != n:
+            where = json.dumps(cfg.profile_to_dict(model, beta))
+            raise IdentityViolation(f"listed {n}, splitting sum {s} for class {where}")
+    rep = replay_count(data, data.contributing[0][1] if data.contributing else None)
+    if not rep.ok:
+        bad = next(ch for ch in rep.checks if not ch.ok)
+        raise IdentityViolation(f"{bad.name}: {bad.detail}")
+    return len(data.comps)
 
 
 def cmd_verify(args) -> int:

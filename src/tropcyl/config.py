@@ -214,7 +214,7 @@ def parse_table(data, model: ToricModel) -> ElementaryCountTable:
     data = _obj(data, "table")
     raw = data.get("entries")
     _expect(isinstance(raw, list), "table.entries", "expected a list")
-    entries = []
+    entries, seen = [], set()
     for k, item in enumerate(raw):
         item = _obj(item, f"table.entries[{k}]")
         pair = item.get("pair")
@@ -225,7 +225,8 @@ def parse_table(data, model: ToricModel) -> ElementaryCountTable:
             cls._check_pair(model, i, j)
         except TropcylError as exc:
             raise ConfigError(path, str(exc))
-        _expect((i, j) not in {p for p, _ in entries}, path, f"pair [{i}, {j}] is listed twice")
+        _expect((i, j) not in seen, path, f"pair [{i}, {j}] is listed twice")
+        seen.add((i, j))
         counts = []
         raw_counts = item.get("counts")
         _expect(isinstance(raw_counts, list), f"table.entries[{k}].counts", "expected a list")

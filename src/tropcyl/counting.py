@@ -58,12 +58,6 @@ class ElementaryCountTable:
             hit = self._leaves[key] = (rows, measure((c, n) for _j, c, n in rows))
         return hit
 
-    def count(self, i: int, j: int, beta: cls.CurveClass) -> int:
-        for c, n in self.by_pair.get((i, j), ()):
-            if c == beta:
-                return n
-        return 0
-
 
 def default_table(model: ToricModel) -> ElementaryCountTable:
     entries = []
@@ -194,6 +188,11 @@ class CylinderCount:
         for leaf in self.leaves:
             rows = [(ch + (j,), b + c, n * k) for ch, b, n in rows for j, c, k in leaf]
         return tuple(rows)
+
+    @cached_property
+    def listed(self) -> Support:
+        """The ``contributing`` entries summed per class."""
+        return measure((b, n) for _choice, b, n in self.contributing)
 
     def count(self, beta: cls.CurveClass) -> int:
         """The closed-form count at beta; see ``count_primitive_cylinder``."""

@@ -31,7 +31,6 @@ from .counting import (
     cylinder_count,
     elementary_cylinder,
     elementary_extension_shift,
-    measure,
     twig_components,
 )
 from .errors import AnchorOnWall, AnchorOrderViolation, NotATropicalCurve
@@ -200,29 +199,24 @@ def build_deformation(model: ToricModel, cyl: Cylinder) -> DeformationFamily:
     return DeformationFamily(model, cyl, comps, curves)
 
 
-def _family_L(shift: cls.CurveClass, measures) -> list[Support]:
-    """[L_1, ..., L_{t+1}] of a cylinder with this spine extension class and
-    these leaf measures: L_k keeps leaves k .. t, so the measures are suffix
-    products, built in one backward pass of t convolutions."""
-    out = [{shift: 1}]
-    for leaf in reversed(measures):
-        out.append(convolve(out[-1], leaf))
-    return out[::-1]
-
-
 def member_measures(cc: CylinderCount) -> dict[str, Support]:
     """The counting measure of every family member, by name.
 
     One rule covers every member: the member cylinder's spine extension class
-    convolved with the leaf measures it keeps. M_k and N_k are L_2 and L_1 of
-    the elementary cylinder for leaf k, whose only leaf measure is the
-    cylinder's k-th. Classes are recorded at the extended level. Anchors sit
-    on their leaf rays, and extending along a ray crosses no ray, so
-    forgetting a leaf adds no extension class and no measure depends on them.
+    convolved with the leaf measures it keeps, built in one backward pass
+    (L_k keeps leaves k .. t). M_k and N_k are L_2 and L_1 of the elementary
+    cylinder for leaf k, whose only leaf measure is the cylinder's k-th.
+    Classes are recorded at the extended level. Anchors sit on their leaf
+    rays, and extending along a ray crosses no ray, so forgetting a leaf adds
+    no extension class and no measure depends on them.
     """
-    supp = {f"L{k}": m for k, m in enumerate(_family_L(cc.shift, cc.measures), start=1)}
-    for k, (i, leaf) in enumerate(zip(cc.comps, cc.measures), start=1):
-        supp[f"N{k}"], supp[f"M{k}"] = _family_L(elementary_extension_shift(cc.model, i), (leaf,))
+    t = len(cc.comps)
+    supp = {f"L{t + 1}": {cc.shift: 1}}
+    for k in range(t, 0, -1):
+        leaf = cc.measures[k - 1]
+        supp[f"L{k}"] = convolve(supp[f"L{k + 1}"], leaf)
+        supp[f"M{k}"] = {elementary_extension_shift(cc.model, cc.comps[k - 1]): 1}
+        supp[f"N{k}"] = convolve(supp[f"M{k}"], leaf)
     return supp
 
 
@@ -275,54 +269,33 @@ def replay_count(cc: CylinderCount, beta: cls.CurveClass | None = None) -> Repla
     All comparisons are exact equalities of counting measures, each read
     from ``member_measures`` of the cylinder's count data. L1 is the closed
     form, the spine extension class convolved with every leaf measure;
-    endpoint-initial compares it with the per-class sums of the
-    ``contributing`` entries. The checks hold for every table
-    ``parse_table`` accepts, not only the canonical one.
+    endpoint-initial compares it with the summed listing ``cc.listed``. The
+    checks hold for every table ``parse_table`` accepts, not only the
+    canonical one.
     """
     model, t = cc.model, len(cc.comps)
     supp = member_measures(cc)
-    checks: list[IdentityCheck] = []
-    for k in range(1, t + 1):
-        lhs = convolve(supp[f"L{k}"], supp[f"M{k}"])
-        rhs = convolve(supp[f"L{k + 1}"], supp[f"N{k}"])
-        ok = lhs == rhs
-        detail = "measures agree" if ok else (
-            f"lhs {_fmt_support(model, lhs)} != rhs {_fmt_support(model, rhs)}"
+    sides = [
+        (
+            f"splitting-{k}",
+            convolve(supp[f"L{k}"], supp[f"M{k}"]),
+            convolve(supp[f"L{k + 1}"], supp[f"N{k}"]),
         )
-        checks.append(IdentityCheck(f"splitting-{k}", ok, detail))
-    agg = measure((c, n) for _choice, c, n in cc.contributing)
-    ok = supp["L1"] == agg
-    checks.append(
-        IdentityCheck(
-            "endpoint-initial",
-            ok,
-            "L1 matches the cylinder's contributing classes"
-            if ok
-            else f"L1 {_fmt_support(model, supp['L1'])} != {_fmt_support(model, agg)}",
-        )
-    )
-    final = {cc.shift: 1}
-    ok = supp[f"L{t + 1}"] == final
-    checks.append(
-        IdentityCheck(
-            "endpoint-final",
-            ok,
-            "last member is the pure extension class"
-            if ok
-            else f"L{t + 1} is {_fmt_support(model, supp[f'L{t + 1}'])}",
-        )
-    )
+        for k in range(1, t + 1)
+    ]
+    sides.append(("endpoint-initial", supp["L1"], cc.listed))
+    sides.append(("endpoint-final", supp[f"L{t + 1}"], {cc.shift: 1}))
+    checks = []
+    for name, lhs, rhs in sides:
+        detail = "measures agree"
+        if lhs != rhs:
+            detail = f"lhs {_fmt_support(model, lhs)} != rhs {_fmt_support(model, rhs)}"
+        checks.append(IdentityCheck(name, lhs == rhs, detail))
     if beta is not None:
-        key = beta if cc.cyl.extended else beta + cc.shift
-        got = supp["L1"].get(key, 0)
+        got = supp["L1"].get(beta if cc.cyl.extended else beta + cc.shift, 0)
         want = cc.count(beta)
-        checks.append(
-            IdentityCheck(
-                "closed-form",
-                got == want,
-                f"replayed count {got}, closed form {want}",
-            )
-        )
+        detail = f"replayed count {got}, closed form {want}"
+        checks.append(IdentityCheck("closed-form", got == want, detail))
     return ReplayReport(tuple(checks))
 
 

@@ -24,6 +24,7 @@ from tropcyl.errors import (
     NotSmooth,
     RayIndexOutOfRange,
 )
+from tropcyl.lattice import Fan
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 
 
@@ -63,6 +64,21 @@ def test_toric_profile_is_the_intersection_matrix_product(model, data):
     toric = data.draw(st.tuples(*[st.integers(-9, 9)] * model.m))
     full = tuple(sum(c * t for c, t in zip(row, toric)) for row in intersection_matrix(rays))
     assert toric_profile(rays, toric) == full
+
+
+def test_make_class_on_a_many_ray_fan_builds_no_matrix(monkeypatch):
+    """toric_profile reads each a_i off the neighbouring rays, so a class on
+    a fan of m rays costs O(m), not an m x m intersection matrix."""
+    from tropcyl import classes
+
+    def refused(rays):
+        raise AssertionError("intersection_matrix was built")
+
+    monkeypatch.setattr(classes, "intersection_matrix", refused)
+    fan = Fan(tuple((1, k) for k in range(2001)) + ((0, 1), (-1, -1)))
+    d = divisor_class(fan, 501)  # (1, 500): a_i = det((1, 499), (1, 501)) = 2
+    assert d.dt[499:502] == (1, -2, 1) and sum(map(abs, d.dt)) == 4
+    assert make_class(fan.rays, (0,) * fan.m).is_zero()
 
 
 @st.composite

@@ -448,9 +448,46 @@ def test_verify_one_enumerates_the_oracle_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_builds_each_measure_once_per_cylinder(capsys, monkeypatch):
+    """Per cylinder, verify builds the member measures, the summed listing
+    and the oracle once each: the replay's endpoint-initial check reads the
+    listing verify compared with the oracle."""
+    from functools import cached_property
+
+    from tropcyl import cli, counting, deformation
+    from tropcyl.model import build_model, P1XP1_RAYS
+
+    calls = {"member_measures": 0, "listed": 0, "splitting_measure": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        deformation, "member_measures", counted("member_measures", deformation.member_measures)
+    )
+    oracle = counted("splitting_measure", counting.splitting_measure)
+    for module in (cli, counting):
+        monkeypatch.setattr(module, "splitting_measure", oracle)
+    listed = cached_property(counted("listed", counting.CylinderCount.listed.func))
+    listed.__set_name__(counting.CylinderCount, "listed")
+    monkeypatch.setattr(counting.CylinderCount, "listed", listed)
+
+    model = build_model(P1XP1_RAYS, (2, 1, 2, 1))
+    cyl = counting.build_cylinder(model, ((1, 0), (0, 1), (0, -1)), extended=True)
+    assert cli._verify_one(model, cyl, counting.default_table(model), "spec.twig_type") == 3
+    assert calls == dict.fromkeys(calls, 1)
+    calls.update(dict.fromkeys(calls, 0))
+    code, out = run(capsys, "verify", "--seed", "3", "--cases", "4")
+    assert (code, calls) == (0, dict.fromkeys(calls, 4)), out
+
+
 def test_verify_fails_on_a_class_the_listing_lacks(capsys, tmp_path, monkeypatch):
     """The oracle holds a class that the listing drops: verify exits 5 from
-    the comparison of the whole measures, naming that class as listed 0."""
+    the comparison of the whole measures, naming that class as listed 0 in
+    the spec's class format."""
     from tropcyl import cli
 
     real = cli.cylinder_count
@@ -463,7 +500,11 @@ def test_verify_fails_on_a_class_the_listing_lacks(capsys, tmp_path, monkeypatch
     monkeypatch.setattr(cli, "cylinder_count", dropping)
     spec = spec_file(tmp_path, {"twig_type": [[1, 0], [0, 1]]})
     assert main(["verify", spec]) == 5
-    assert "closed form 1, splitting sum 1, listed 0 for class" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "",
+        'error: listed 0, splitting sum 1 for class {"dD": [1, 1, 2], "dE": [[1, 1, 1], [2, 1, 1]]}\n',
+    )
 
 
 def test_zero_leaf_sum_with_explicit_spine(capsys, tmp_path):

@@ -43,19 +43,18 @@ from tropcyl.tropical import Cylinder
 
 def test_default_table_supports_one_class_per_pair(cubic):
     table = default_table(cubic)
+    assert list(table.by_pair) == list(cubic.exceptional_pairs)
     for (i, j), counts in table.by_pair.items():
-        assert len(counts) == 1
-        beta, n = counts[0]
-        assert n == 1
-        assert table.count(i, j, beta) == 1
+        assert counts == ((elementary_class(cubic, i, j), 1),)
 
 
 def test_table_lookup_miss(cubic):
-    table = default_table(cubic)
-    wrong = elementary_class(cubic, 3, 2)
-    assert table.count(3, 1, wrong) == 0
-    zero = make_class(cubic.fan.rays, (0, 0, 0))
-    assert table.count(3, 1, zero) == 0
+    """A pair lists only its own elementary class, and a pair past l_i lists nothing."""
+    by_pair = default_table(cubic).by_pair
+    listed = {c for c, _n in by_pair[(3, 1)]}
+    assert elementary_class(cubic, 3, 2) not in listed
+    assert make_class(cubic.fan.rays, (0, 0, 0)) not in listed
+    assert (3, cubic.multiplicity(3) + 1) not in by_pair
 
 
 def test_elementary_class_profile(cubic):

@@ -258,6 +258,34 @@ def test_replay_reports_a_corrupted_member(capsys, tmp_path, monkeypatch, cubic)
     assert "error: splitting-1: lhs {dD [" in capsys.readouterr().err
 
 
+def test_replay_reports_a_corrupted_initial_member(capsys, tmp_path, monkeypatch, cubic):
+    """L_1 .. L_t and N_t off by a factor of 2 still satisfy every splitting
+    identity; only the endpoints see it. endpoint-initial compares L1 with
+    the summed listing, and ``verify`` exits 5 on it."""
+    from tropcyl import cli, deformation
+
+    real = deformation.member_measures
+
+    def doubled(cc):
+        supp = real(cc)
+        t = len(cc.comps)
+        for name in [f"L{k}" for k in range(1, t + 1)] + [f"N{t}"]:
+            supp[name] = {c: 2 * n for c, n in supp[name].items()}
+        return supp
+
+    monkeypatch.setattr(deformation, "member_measures", doubled)
+    cyl = _cyl(cubic, ((1, 0), (0, 1)))
+    report = replay_count(cylinder_count(cubic, cyl), contributing_classes(cubic, cyl)[0][1])
+    failed = [c.name for c in report.checks if not c.ok]
+    assert failed == ["endpoint-initial", "closed-form"]
+    line = next(line for line in report.lines() if "endpoint-initial" in line)
+    assert line.startswith("FAIL endpoint-initial: lhs {dD [") and " count 2" in line
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"twig_type": [[1, 0], [0, 1]]}))
+    assert cli.main(["verify", str(spec)]) == 5
+    assert capsys.readouterr().err.startswith("error: endpoint-initial: lhs {dD [")
+
+
 class TestDegenerationPath:
     def test_branches_coincide_at_zero(self, cubic):
         fam = build_deformation(cubic, _cyl(cubic, ((1, 0), (0, 1))))
