@@ -115,9 +115,11 @@ def _load_spec(args, model):
 
 
 def _load_table(args, model):
+    """The --table file's table, or None: each count of a spec then builds
+    the default table at its leaves' rays alone."""
     if args.table:
         return cfg.parse_table(cfg.load_json(args.table), model)
-    return default_table(model)
+    return None
 
 
 def _count_data(model, cyl, table, path: str):
@@ -209,6 +211,8 @@ def cmd_verify(args) -> int:
     if not model.exceptional_directions:
         print("PASS, 0 cases, 0 induction steps")
         return EXIT_OK
+    if table is None:
+        table = default_table(model)
     rng = random.Random(args.seed if args.seed is not None else 0)
     done = 0
     steps_total = 0

