@@ -39,9 +39,9 @@ class ElementaryCountTable:
     the canonical elementary class with count 1.
 
     A table keeps two memos, both plain dicts: ``leaf`` data by ray and
-    multiplicity, and by (model, cylinder) the count data ``cylinder_count``
-    reads off it, at most ``CYLINDER_MEMO_SIZE`` cylinders, the oldest
-    dropped first. Neither holds a listing.
+    multiplicity, and by ``_memo_key`` the count data ``cylinder_count`` reads
+    off it, at most ``CYLINDER_MEMO_SIZE`` cylinders, the oldest dropped
+    first. Neither holds a listing.
     """
 
     entries: tuple[tuple[tuple[int, int], tuple[tuple[cls.CurveClass, int], ...]], ...]
@@ -69,8 +69,8 @@ class ElementaryCountTable:
         return hit
 
     @cached_property
-    def _cylinders(self) -> dict[tuple[ToricModel, Cylinder], tuple]:
-        """``cylinder_count`` data by model and cylinder, oldest first."""
+    def _cylinders(self) -> dict[tuple, tuple]:
+        """``cylinder_count`` data by ``_memo_key``, oldest first."""
         return {}
 
 
@@ -184,6 +184,8 @@ class CylinderCount:
     ``cylinder_count`` builds a fresh one per call from the table's memo, so
     these fields and ``_groups`` are shared across calls and never written,
     while the listing (``contributing``, ``listed``) belongs to the object.
+    Per-leaf fields follow the cylinder's leaf order; ``_groups`` and the
+    ``_last`` measure follow its memo entry's, as the product is symmetric.
 
     A single-class query prunes by exceptional support. A pair is private to
     leaf s < t when some class of leaf s meets it and no class of a later
@@ -201,6 +203,7 @@ class CylinderCount:
     leaves: tuple[LeafRows, ...]
     measures: tuple[Support, ...]
     _groups: Groups = field(repr=False)
+    _last: Support = field(repr=False)
 
     @cached_property
     def contributing(self) -> tuple[tuple[tuple[int, ...], cls.CurveClass, int], ...]:
@@ -230,8 +233,7 @@ class CylinderCount:
                 for r, w in residual.items()
                 for c, n in groups.get(_part(r, private), ())
             )
-        last = self.measures[-1]
-        return sum(w * last.get(r, 0) for r, w in residual.items())
+        return sum(w * self._last.get(r, 0) for r, w in residual.items())
 
 
 def _part(c: cls.CurveClass, pairs: set[tuple[int, int]]) -> frozenset:
@@ -255,16 +257,26 @@ def _private_groups(measures: tuple[Support, ...]) -> Groups:
     return tuple(out[::-1])
 
 
+def _memo_key(model: ToricModel, cyl: Cylinder) -> tuple:
+    """A cylinder's key in a table's memo: its fields, the leaves sorted, so
+    every leaf order shares it."""
+    return model, cyl.p1, cyl.p2, cyl.bend, tuple(sorted(cyl.twig_type)), cyl.extended
+
+
 def cylinder_count(
     model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None = None
 ) -> CylinderCount:
     """A fresh ``CylinderCount`` over the table's memo entry for the
-    cylinder. On a miss, check that the cylinder is primitive, then read its
-    leaf components, spine extension class, leaf data and groups; a cylinder
-    that raises is not stored. Without a table, the default table is built
-    at the leaves' rays for this call alone."""
+    cylinder, which every order of its leaves shares. On a miss, check that
+    the cylinder is primitive, then read its leaf components, spine extension
+    class, leaf data and groups; a cylinder that raises is not stored. A hit
+    in another leaf order gets the per-leaf data in its own order, kept for
+    one such order besides the first (``count_spine`` sorts the leaves).
+    Without a table, the default table is built at the leaves' rays for
+    this call alone."""
     memo = {} if table is None else table._cylinders
-    data = memo.get((model, cyl))
+    key = _memo_key(model, cyl)
+    data = memo.get(key)
     if data is None:
         check_primitive(model, cyl)
         comps = twig_components(model, cyl)
@@ -272,11 +284,20 @@ def cylinder_count(
             table = default_table(model, comps)
         leaves, measures = zip(*(table.leaf(model, i) for i in comps))
         shift = spine_extension_shift(model, cyl)
-        data = (shift, comps, leaves, measures, _private_groups(measures))
+        orders = {cyl.twig_type: (comps, leaves, measures)}
+        data = (shift, _private_groups(measures), measures[-1], orders)
         if len(memo) >= CYLINDER_MEMO_SIZE:
             del memo[next(iter(memo))]
-        memo[(model, cyl)] = data
-    return CylinderCount(model, cyl, *data)
+        memo[key] = data
+    shift, groups, last, orders = data
+    per_leaf = orders.get(cyl.twig_type)
+    if per_leaf is None:
+        twig, first = next(iter(orders.items()))
+        at = [twig.index(w) for w in cyl.twig_type]
+        per_leaf = tuple(tuple(map(xs.__getitem__, at)) for xs in first)
+        if len(orders) < 2:
+            orders[cyl.twig_type] = per_leaf
+    return CylinderCount(model, cyl, shift, *per_leaf, groups, last)
 
 
 def contributing_classes(

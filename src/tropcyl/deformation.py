@@ -6,6 +6,10 @@ first k - 1 leaves forgotten), M_k (the elementary spine for leaf k), and
 N_k (the elementary cylinder for leaf k with both twig anchors marked).
 M_k and N_k are L_2 and L_1 of the elementary cylinder, so one builder
 makes every member and one rule gives every member's counting measure.
+A family's L members are assembled from parts built once per family, and
+M_k and N_k, with their stable domains, come from a bounded memo (256
+entries) kept per (model, leaf ray); every member is still classified over
+its family's refined fan.
 Counts with fixed curve class satisfy, for each k, a splitting identity
 relating L_k to L_{k+1} through M_k and N_k; chaining the t identities
 turns the count of V into a product of elementary counts. The identities
@@ -19,7 +23,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from . import classes as cls
@@ -87,44 +91,66 @@ def family_tree_L(model: ToricModel, cyl: Cylinder, k: int, *, _suffix: str = ""
     name ends in ``_suffix``, which keeps the elementary members M_k and N_k
     apart from the L members they are glued to.
     """
+    return _family_member(_family_parts(model, cyl, _suffix), k)
+
+
+def _family_parts(model: ToricModel, cyl: Cylinder, suffix: str = ""):
+    """What the L members of a cylinder's family share: the leaf components,
+    the spine with each leaf's g-anchor, and per leaf its t-mark, the edges a
+    member adds when it forgets the leaf, and the positions and edges it adds
+    when it keeps it."""
     comps = twig_components(model, cyl)
-    t = len(comps)
-    if not 1 <= k <= t + 1:
-        raise AnchorOrderViolation(f"family index {k} out of range 1..{t + 1}")
     leaf_dirs = [model.fan.ray(i) for i in comps]
     attach = _pick_attach(cyl.bend, cyl.p1, leaf_dirs)
     # One leaf grows from the bend, which sits on its ray; more grow from 0.
-    base = cyl.bend_param if t == 1 else Fraction(0)
+    base = cyl.bend_param if len(comps) == 1 else Fraction(0)
     if base is None:
         raise AnchorOrderViolation(
             f"anchor {cyl.bend} does not lie on the ray through {leaf_dirs[0]}"
         )
     n = max(1, math.floor(base) + 1)
-    positions, edges, marks, root = spine_skeleton(cyl, attach, suffix=_suffix)
-    interior = {"w" + _suffix}
-    boundary = {"1" + _suffix, "2" + _suffix}
+    positions, edges, marks, root = spine_skeleton(cyl, attach, suffix=suffix)
+    interior = {"w" + suffix}
+    leaves = []
     for s, u in enumerate(leaf_dirs, start=1):
-        vg, g, vt, tm, lf = (f"{name}{s}{_suffix}" for name in ("vg", "g", "vt", "t", "lf"))
-        positions[vg] = (Fraction(n * u[0]), Fraction(n * u[1]))
-        edges.append(Edge(root, vg, u, n - base))
-        positions[g] = None
-        edges.append(Edge(vg, g, (0, 0), None))
-        marks[g] = g
+        vg, g, vt, tm, lf = (f"{name}{s}{suffix}" for name in ("vg", "g", "vt", "t", "lf"))
+        positions.update({vg: (Fraction(n * u[0]), Fraction(n * u[1])), g: None, tm: None})
+        marks.update({g: g, tm: tm})
         interior.add(g)
-        positions[tm] = None
-        marks[tm] = tm
+        shared = (Edge(root, vg, u, n - base), Edge(vg, g, (0, 0), None))
+        kept = {vt: (Fraction((n + 1) * u[0]), Fraction((n + 1) * u[1])), lf: None}
+        kept_edges = (Edge(vg, vt, u, Fraction(1)), Edge(vt, tm, (0, 0), None), Edge(vt, lf, u, None))
+        leaves.append((tm, shared + (Edge(vg, tm, u, None),), kept, shared + kept_edges))
+    return comps, positions, edges, marks, interior, {"1" + suffix, "2" + suffix}, leaves
+
+
+def _family_member(parts, k: int) -> MappedTree:
+    """L_k assembled from ``_family_parts``: leaves before k forgotten, their
+    t-marks boundary legs carrying the leaf weight."""
+    _, positions, edges, marks, interior, boundary, leaves = parts
+    if not 1 <= k <= len(leaves) + 1:
+        raise AnchorOrderViolation(f"family index {k} out of range 1..{len(leaves) + 1}")
+    positions, edges, interior, boundary = dict(positions), list(edges), set(interior), set(boundary)
+    for s, (tm, forgot, kept, kept_edges) in enumerate(leaves, start=1):
         if s < k:
-            # Forgotten leaf: the t-mark is a boundary leg with the leaf weight.
-            edges.append(Edge(vg, tm, u, None))
+            edges += forgot
             boundary.add(tm)
         else:
-            positions[vt] = (Fraction((n + 1) * u[0]), Fraction((n + 1) * u[1]))
-            edges.append(Edge(vg, vt, u, Fraction(1)))
-            edges.append(Edge(vt, tm, (0, 0), None))
+            positions.update(kept)
+            edges += kept_edges
             interior.add(tm)
-            positions[lf] = None
-            edges.append(Edge(vt, lf, u, None))
     return make_tree(positions, edges, marks, interior, boundary, frozenset())
+
+
+@lru_cache(maxsize=256)
+def _elementary_members(model: ToricModel, i: int):
+    """The extended elementary cylinder for ray i, its L_2 and L_1 (M and N
+    of every family with a leaf at ray i, suffixed ``p``) and their stable
+    domains, each built and checked once per (model, ray)."""
+    elem = replace(elementary_cylinder(model, i), extended=True)
+    parts = _family_parts(model, elem, "p")
+    m, n = _family_member(parts, 2), _family_member(parts, 1)
+    return elem, m, n, stable_domain(m), stable_domain(n)
 
 
 def refine_for_slopes(model: ToricModel, slopes) -> ToricModel:
@@ -158,8 +184,12 @@ class DeformationFamily:
 
     @cached_property
     def domains(self) -> Mapping[str, AbstractTree]:
-        """The stable domain of every member, by name, each computed once."""
-        return MappingProxyType({name: stable_domain(tree) for name, tree in self.curves})
+        """The stable domain of every member, by name: each L member's
+        computed once, each M and N member's read from the elementary memo."""
+        out = {name: stable_domain(tree) for name, tree in self.curves if name[0] == "L"}
+        for k, i in enumerate(self.comps, start=1):
+            *_, out[f"M{k}"], out[f"N{k}"] = _elementary_members(self.model, i)
+        return MappingProxyType(out)
 
     def __getstate__(self):
         """The fields only, as for ``MappedTree``."""
@@ -169,24 +199,23 @@ class DeformationFamily:
 def build_deformation(model: ToricModel, cyl: Cylinder) -> DeformationFamily:
     """Construct and validate every member of the deformation family.
 
-    M_k and N_k are L_2 and L_1 of the extended elementary cylinder for leaf
-    k. Each tree is classified over a fan refined so the spine slopes span
-    rays: a member with no leaf left (L_{t+1}, M_k) must be a spine and every
-    other member a tropical curve, or NotATropicalCurve is raised.
+    The L members are assembled from one set of shared parts. M_k and N_k
+    are L_2 and L_1 of the extended elementary cylinder for leaf k, read
+    from a memo kept per (model, ray). Each tree is classified over a fan
+    refined so the spine slopes span rays, for every family: a member with
+    no leaf left (L_{t+1}, M_k) must be a spine and every other member a
+    tropical curve, or NotATropicalCurve is raised.
     """
     check_primitive(model, cyl)
     cyl = replace(cyl, extended=True)
-    comps = twig_components(model, cyl)
-    t = len(comps)
-    elems = {i: replace(elementary_cylinder(model, i), extended=True) for i in comps}
+    parts = _family_parts(model, cyl)
+    comps, t = parts[0], len(parts[0])
     # (name, tree, whether every leaf is forgotten)
-    members = [(f"L{k}", family_tree_L(model, cyl, k), k == t + 1) for k in range(1, t + 2)]
-    for k, i in enumerate(comps, start=1):
-        members += [
-            (f"M{k}", family_tree_L(model, elems[i], 2, _suffix="p"), True),
-            (f"N{k}", family_tree_L(model, elems[i], 1, _suffix="p"), False),
-        ]
-    slopes = [cyl.p1, cyl.p2] + [p for e in elems.values() for p in (e.p1, e.p2)]
+    members = [(f"L{k}", _family_member(parts, k), k == t + 1) for k in range(1, t + 2)]
+    elems = [_elementary_members(model, i) for i in comps]
+    for k, (_, m, n, *_) in enumerate(elems, start=1):
+        members += [(f"M{k}", m, True), (f"N{k}", n, False)]
+    slopes = [cyl.p1, cyl.p2] + [p for e, *_ in elems for p in (e.p1, e.p2)]
     refined = refine_for_slopes(model, slopes)
     for name, tree, leafless in members:
         kind = classify(refined, tree).kind
@@ -393,7 +422,8 @@ def glue_domains(
     the bridge; r = None leaves it infinite. The domains must share no vertex
     name and neither may use ``mid``: family members keep theirs apart by the
     elementary members' ``p`` suffix."""
-    clash = (a.vertices & b.vertices) | ({"mid"} & (a.vertices | b.vertices))
+    verts_a, verts_b = a.vertices, b.vertices
+    clash = (verts_a & verts_b) | ({"mid"} & (verts_a | verts_b))
     if clash:
         raise ValueError(f"cannot glue domains that share or use vertex names {sorted(clash)}")
     va = dict(a.legs)[leg_a]

@@ -389,11 +389,12 @@ def classify(model: ToricModel, tree: MappedTree) -> Classification:
     if not twig_reasons:
         return Classification("twig", ())
 
-    spine_reasons = _try_spine(model, tree)
+    balancing = validate_balancing(model, tree)
+    spine_reasons = _try_spine(model, tree, balancing)
     if not spine_reasons:
         return Classification("spine", ())
 
-    curve_reasons = _try_curve(model, tree)
+    curve_reasons = _try_curve(model, tree, balancing)
     if not curve_reasons:
         return Classification("tropical_curve", ())
 
@@ -493,7 +494,7 @@ def _try_twig(model: ToricModel, tree: MappedTree) -> list[str]:
     return out
 
 
-def _try_spine(model: ToricModel, tree: MappedTree) -> list[str]:
+def _try_spine(model: ToricModel, tree: MappedTree, balancing) -> list[str]:
     out = []
     pos = tree.pos
     marks = tree.mark_vertex
@@ -514,7 +515,7 @@ def _try_spine(model: ToricModel, tree: MappedTree) -> list[str]:
         v = marks[label]
         if pos[v] is None:
             out.append(f"finite mark {label} must sit at a finite point")
-    for rep in validate_balancing(model, tree):
+    for rep in balancing:
         if rep.status == UNBALANCED:
             out.append(f"vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
         elif rep.status == BENDING:
@@ -524,7 +525,7 @@ def _try_spine(model: ToricModel, tree: MappedTree) -> list[str]:
     return out
 
 
-def _try_curve(model: ToricModel, tree: MappedTree) -> list[str]:
+def _try_curve(model: ToricModel, tree: MappedTree, balancing) -> list[str]:
     out = []
     pos = tree.pos
     marks = tree.mark_vertex
@@ -555,7 +556,7 @@ def _try_curve(model: ToricModel, tree: MappedTree) -> list[str]:
             ws = tree.outgoing(v)
             if ws[0] == (-ws[1][0], -ws[1][1]):
                 out.append(f"vertex {v} is an unmarked 2-valent vertex; curve is not simple")
-    for rep in validate_balancing(model, tree):
+    for rep in balancing:
         if rep.status != BALANCED:
             out.append(f"vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
     return out

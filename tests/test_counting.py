@@ -19,6 +19,7 @@ from tropcyl import counting
 from tropcyl.counting import (
     CYLINDER_MEMO_SIZE,
     ElementaryCountTable,
+    _memo_key,
     build_cylinder,
     contributing_classes,
     count_primitive_cylinder,
@@ -32,7 +33,7 @@ from tropcyl.counting import (
     splitting_measure,
     splitting_sum,
 )
-from tropcyl.deformation import replay_count
+from tropcyl.deformation import member_measures, replay_count
 from tropcyl.errors import (
     ComponentOutOfRange,
     NotPrimitiveCylinder,
@@ -566,6 +567,81 @@ def test_a_second_query_reads_the_memo(cubic, monkeypatch):
     assert calls == {"extension_class": 2, "_private_groups": 1}
 
 
+def test_a_permuted_cylinder_reads_the_same_entry(cubic, monkeypatch):
+    """Every leaf order of a cylinder shares one memo entry: on a warm table
+    the permuted cylinder adds no entry and walks no extension class or
+    group, and its listing rows pick components in its own leaf order."""
+    table = default_table(cubic)
+    cyl = build_cylinder(cubic, ((1, 0), (0, 1)), extended=True)
+    first = contributing_classes(cubic, cyl, table)
+    calls = {"extension_class": 0, "_private_groups": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(counting, name, counted(name, getattr(counting, name)))
+    permuted = replace(cyl, twig_type=((0, 1), (1, 0)))
+    cc = cylinder_count(cubic, permuted, table)
+    assert cc.comps == (2, 1) and cc.measures == cylinder_count(cubic, cyl, table).measures[::-1]
+    assert sorted(cc.contributing) == sorted((ch[::-1], b, n) for ch, b, n in first)
+    for _, beta, n in first:
+        assert count_primitive_cylinder(cubic, permuted, beta, table) == n == 1
+    assert calls == {"extension_class": 0, "_private_groups": 0}
+    assert list(table._cylinders) == [_memo_key(cubic, cyl)] == [_memo_key(cubic, permuted)]
+    *_, orders = table._cylinders[_memo_key(cubic, cyl)]
+    assert list(orders) == [cyl.twig_type, permuted.twig_type]
+
+
+def test_a_memo_entry_keeps_two_leaf_orders(p1xp1):
+    """An entry keeps the per-leaf data of the order it was read in and of
+    one other; a third order is answered from the first and not kept."""
+    table = default_table(p1xp1)
+    cyl = build_cylinder(p1xp1, ((1, 0), (0, 1), (0, -1)), extended=True)
+    twigs = [cyl.twig_type, ((0, -1), (0, 1), (1, 0)), ((0, 1), (1, 0), (0, -1))]
+    for twig in twigs + twigs:
+        cc = cylinder_count(p1xp1, replace(cyl, twig_type=twig), table)
+        assert cc.comps == tuple(p1xp1.exceptional_ray(w) for w in twig)
+    *_, orders = table._cylinders[_memo_key(p1xp1, cyl)]
+    assert list(orders) == twigs[:2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_models(), st.data())
+def test_a_count_does_not_depend_on_the_leaf_order(model, data):
+    """The product measure is symmetric in the leaves: a permuted cylinder
+    lists the same classes, counts the same at each and replays the same L1
+    measure, whether its table's memo entry was read in its own leaf order
+    or in another one."""
+    dirs = sorted(model.exceptional_directions)
+    assume(dirs)
+    t = data.draw(st.integers(1, min(3, len(dirs))))
+    twig = tuple(data.draw(st.permutations(dirs))[:t])
+    try:
+        cyl = build_cylinder(model, twig, extended=data.draw(st.booleans()))
+    except ZeroVector:
+        assume(False)
+    warm = default_table(model)
+    base = cylinder_count(model, cyl, warm)
+    # Two more orders: past the second, a warm entry keeps no further order.
+    for _ in range(2):
+        permuted = replace(cyl, twig_type=tuple(data.draw(st.permutations(twig))))
+        own = cylinder_count(model, permuted, default_table(model))
+        for cc in (cylinder_count(model, permuted, warm), own):
+            assert cc.listed == base.listed
+            assert member_measures(cc)["L1"] == member_measures(base)["L1"]
+        assert cylinder_count(model, permuted, warm).contributing == own.contributing
+        for beta in base.listed:
+            b = beta if cyl.extended else beta - base.shift
+            want = count_primitive_cylinder(model, cyl, b, warm)
+            assert want == base.listed[beta]
+            for table in (warm, default_table(model), None):
+                assert count_primitive_cylinder(model, permuted, b, table) == want
+
+
 def test_the_memo_keeps_the_newest_cylinders(cubic):
     """Past CYLINDER_MEMO_SIZE cylinders a table drops the oldest; a dropped
     cylinder is read again and counts as before."""
@@ -576,8 +652,8 @@ def test_the_memo_keeps_the_newest_cylinders(cubic):
     for cyl in cyls:
         cylinder_count(cubic, cyl, table)
         assert len(table._cylinders) <= CYLINDER_MEMO_SIZE == 256
-    assert (cubic, cyls[0]) not in table._cylinders
-    assert (cubic, cyls[-1]) in table._cylinders
+    assert _memo_key(cubic, cyls[0]) not in table._cylinders
+    assert _memo_key(cubic, cyls[-1]) in table._cylinders
     for _, beta, n in first:
         assert count_primitive_cylinder(cubic, cyls[0], beta, table) == n == 1
         assert splitting_sum(cubic, cyls[0], beta, table) == 1
@@ -618,7 +694,7 @@ def test_the_oracle_does_not_read_the_memo(cubic):
     cyl = build_cylinder(cubic, ((1, 0), (0, 1)), extended=True)
     beta = contributing_classes(cubic, cyl, table)[0][1]
     assert count_primitive_cylinder(cubic, cyl, beta, table) == splitting_sum(cubic, cyl, beta, table) == 1
-    shift, *rest = table._cylinders[(cubic, cyl)]
-    table._cylinders[(cubic, cyl)] = (shift + divisor_class(cubic.fan, 1), *rest)
+    shift, *rest = table._cylinders[_memo_key(cubic, cyl)]
+    table._cylinders[_memo_key(cubic, cyl)] = (shift + divisor_class(cubic.fan, 1), *rest)
     assert count_primitive_cylinder(cubic, cyl, beta, table) == 0
     assert splitting_sum(cubic, cyl, beta, table) == 1

@@ -3,6 +3,7 @@ import gc
 import json
 import pickle
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,8 +25,10 @@ from tropcyl.counting import (
 )
 from tropcyl.deformation import (
     AbstractTree,
+    _elementary_members,
     build_deformation,
     degeneration_path,
+    family_tree_L,
     glue_domains,
     member_measures,
     refine_for_slopes,
@@ -33,9 +36,16 @@ from tropcyl.deformation import (
     replay_induction,
     stable_domain,
 )
-from tropcyl.errors import AffineInconsistent, AnchorOrderViolation, ZeroVector
+from tropcyl.errors import (
+    AffineInconsistent,
+    AnchorOnWall,
+    AnchorOrderViolation,
+    NotATropicalCurve,
+    ZeroVector,
+)
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, build_model, cubic_model
 from tropcyl.tropical import (
+    Classification,
     Cylinder,
     Edge,
     classify,
@@ -57,6 +67,15 @@ MODELS = (
 
 def _cyl(model, twig):
     return build_cylinder(model, twig, extended=True)
+
+
+@pytest.fixture
+def fresh_elementary_memo():
+    """An empty elementary-member memo, emptied again afterwards, so that no
+    tree built while a test patches what the memo calls outlives the test."""
+    _elementary_members.cache_clear()
+    yield
+    _elementary_members.cache_clear()
 
 
 def test_build_t2_family_counts(cubic):
@@ -523,21 +542,37 @@ def _counting_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("model", MODELS[:3])
-def test_build_deformation_checks_each_member_once(monkeypatch, model):
-    """make_tree runs the structural check and classify reuses it, so each
-    member is checked once; every member is still classified."""
+def test_build_deformation_checks_each_member_once(monkeypatch, fresh_elementary_memo, model):
+    """make_tree runs the structural check, classify reuses it and the
+    elementary members are built once per (model, ray), so each distinct
+    member is checked once: a first build checks all 3t + 1 members, and a
+    second build, of a cylinder that shares the leaf (0, 1), only its L
+    members and the elementary members of its new leaf. Every build still
+    classifies all of its members."""
     from tropcyl import deformation, tropical
 
     checked = _counting_calls(monkeypatch, tropical, "structural_problems")
     classified = _counting_calls(monkeypatch, deformation, "classify")
-    fam = build_deformation(model, _cyl(model, ((1, 0), (0, 1))))
-    members = [tree for _, tree in fam.curves]
-    assert len(members) == 3 * fam.t + 1
-    assert sorted(id(args[0]) for args in checked) == sorted(map(id, members))
-    assert sorted(id(args[1]) for args in classified) == sorted(map(id, members))
+    new = min(set(model.exceptional_directions) - {(1, 0), (0, 1)})
+    seen = set()
+    for twig, want_checked in ((((1, 0), (0, 1)), 7), (((0, 1), new), 5)):
+        checked.clear()
+        classified.clear()
+        fam = build_deformation(model, _cyl(model, twig))
+        members = [tree for _, tree in fam.curves]
+        fresh = [
+            tree for name, tree in fam.curves
+            if name[0] == "L" or fam.comps[int(name[1:]) - 1] not in seen
+        ]
+        assert len(members) == 3 * fam.t + 1 and len(fresh) == want_checked
+        assert sorted(id(args[0]) for args in checked) == sorted(map(id, fresh))
+        assert sorted(id(args[1]) for args in classified) == sorted(map(id, members))
+        seen.update(fam.comps)
 
 
-def test_degeneration_path_builds_each_stable_domain_once(monkeypatch, p1xp1):
+def test_degeneration_path_builds_each_stable_domain_once(monkeypatch, fresh_elementary_memo, p1xp1):
+    """The L members' domains are built once per family; the elementary
+    members' come with the memo entry the build filled."""
     from tropcyl import deformation
 
     fam = build_deformation(p1xp1, _cyl(p1xp1, ((1, 0), (0, 1), (0, -1))))
@@ -545,7 +580,76 @@ def test_degeneration_path_builds_each_stable_domain_once(monkeypatch, p1xp1):
     for k in range(1, fam.t + 1):
         for r in (None, F(1), F(0)):
             assert degeneration_path(fam, k, r).coincide == (r == 0)
-    assert fam.t == 3 and len(built) <= 3 * fam.t + 1
+    assert fam.t == 3 and [id(args[0]) for args in built] == [
+        id(fam.by_name[f"L{k}"]) for k in range(1, fam.t + 2)
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(smooth_models(), st.data())
+def test_a_warm_elementary_memo_builds_the_same_family(model, data):
+    """A family built over a warm memo equals one built over an empty memo,
+    member by member and domain by domain, and its degeneration paths agree;
+    the memo's M and N trees are L_2 and L_1 of the elementary cylinder."""
+    dirs = sorted(model.exceptional_directions)
+    assume(dirs)
+    t = data.draw(st.integers(1, min(3, len(dirs))))
+    twig = tuple(data.draw(st.permutations(dirs))[:t])
+    _elementary_members.cache_clear()
+    try:
+        cold = build_deformation(model, _cyl(model, twig))
+    except ZeroVector:
+        assume(False)
+    cold_domains = dict(cold.domains)
+    warm = build_deformation(model, _cyl(model, twig))
+    assert warm == cold
+    for name, tree in cold.curves:
+        assert warm.by_name[name] == tree
+        assert warm.domains[name] == cold_domains[name] == stable_domain(tree)
+    for k in range(1, t + 1):
+        for r in (None, F(1), F(0)):
+            assert degeneration_path(warm, k, r).coincide == degeneration_path(cold, k, r).coincide
+    for i in cold.comps:
+        elem, m, n, *_ = _elementary_members(model, i)
+        assert elem == replace(elementary_cylinder(model, i), extended=True)
+        assert m == family_tree_L(model, elem, 2, _suffix="p")
+        assert n == family_tree_L(model, elem, 1, _suffix="p")
+
+
+def test_degeneration_path_refuses_a_step_out_of_range(cubic):
+    fam = build_deformation(cubic, _cyl(cubic, ((1, 0), (0, 1))))
+    for k in (0, fam.t + 1):
+        with pytest.raises(KeyError, match=f"step index {k} out of range 1..2"):
+            degeneration_path(fam, k, F(0))
+
+
+def test_family_tree_L_refuses_an_index_out_of_range(cubic):
+    cyl = _cyl(cubic, ((1, 0), (0, 1)))
+    assert family_tree_L(cubic, cyl, 3) == build_deformation(cubic, cyl).by_name["L3"]
+    for k in (0, 4):
+        with pytest.raises(AnchorOrderViolation, match=rf"^family index {k} out of range 1..3$"):
+            family_tree_L(cubic, cyl, k)
+
+
+def test_a_member_that_classifies_wrong_is_refused(monkeypatch, cubic):
+    """build_deformation raises when classify does not give a member its
+    expected kind."""
+    from tropcyl import deformation
+
+    monkeypatch.setattr(deformation, "classify", lambda model, tree: Classification("invalid"))
+    with pytest.raises(
+        NotATropicalCurve, match="^family member L1 classifies as invalid, expected tropical_curve$"
+    ):
+        build_deformation(cubic, _cyl(cubic, ((1, 0), (0, 1))))
+
+
+def test_no_attach_point_off_the_leaf_walls(cubic):
+    """With the bend on the line of p1, and p1 along the leaf's wall, every
+    candidate attach point lies on that wall line."""
+    cyl = Cylinder((1, 0), (-2, 0), (F(1), F(0)), ((1, 0),), extended=True)
+    for build in (lambda: family_tree_L(cubic, cyl, 1), lambda: build_deformation(cubic, cyl)):
+        with pytest.raises(AnchorOnWall, match="^no attach point off the leaf wall lines was found$"):
+            build()
 
 
 def test_family_views_are_read_only(cubic):
