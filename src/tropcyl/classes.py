@@ -14,7 +14,6 @@ has d_i = -det(u_{i-1}, u_{i+1}) t_i + t_{i-1} + t_{i+1}, read in O(m).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add, sub
 
 from .errors import (
@@ -28,10 +27,11 @@ from .lattice import Fan, Vec, cone_coordinates, det, validate_fan
 from .model import ToricModel
 
 
-@lru_cache(maxsize=64)
 def intersection_matrix(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
     """Intersection numbers D_i . D_j of the toric boundary divisors of a smooth
-    fan, where u_{i-1} + u_{i+1} = a_i u_i with a_i = -(D_i^2) = det(u_{i-1}, u_{i+1})."""
+    fan, where u_{i-1} + u_{i+1} = a_i u_i with a_i = -(D_i^2) = det(u_{i-1}, u_{i+1}).
+    Built per call: ``toric_profile`` reads the a_i directly, and this matrix
+    is the reference it is checked against."""
     validate_fan(rays)
     m = len(rays)
     mat = [[0] * m for _ in range(m)]

@@ -38,10 +38,10 @@ class ElementaryCountTable:
     The default table supports, for each exceptional component E_ij, exactly
     the canonical elementary class with count 1.
 
-    A table keeps two memos, both plain dicts: ``leaf`` data by ray and
-    multiplicity, and by ``_memo_key`` the count data ``cylinder_count`` reads
-    off it, at most ``CYLINDER_MEMO_SIZE`` cylinders, the oldest dropped
-    first. Neither holds a listing.
+    A table keeps one memo, a plain dict: by (model, cylinder), the cylinder
+    as given, the count data ``cylinder_count`` reads off it, at most
+    ``CYLINDER_MEMO_SIZE`` = 256 cylinders, the oldest dropped first. It holds
+    no listing.
     """
 
     entries: tuple[tuple[tuple[int, int], tuple[tuple[cls.CurveClass, int], ...]], ...]
@@ -51,26 +51,8 @@ class ElementaryCountTable:
         return dict(self.entries)
 
     @cached_property
-    def _leaves(self) -> dict[tuple[int, int], tuple[LeafRows, Support]]:
-        """``leaf`` results by ray and multiplicity."""
-        return {}
-
-    def leaf(self, model: ToricModel, i: int) -> tuple[LeafRows, Support]:
-        """Every (j, class, count) listed at a pair (i, j), j <= l_i, and
-        those counts summed per class. Built once per ray and multiplicity,
-        and shared by every cylinder counted under this table: callers must
-        not write to the measure."""
-        key = (i, model.multiplicity(i))
-        hit = self._leaves.get(key)
-        if hit is None:
-            by_pair, js = self.by_pair, range(1, key[1] + 1)
-            rows = tuple((j, c, n) for j in js for c, n in by_pair.get((i, j), ()))
-            hit = self._leaves[key] = (rows, measure((c, n) for _j, c, n in rows))
-        return hit
-
-    @cached_property
-    def _cylinders(self) -> dict[tuple, tuple]:
-        """``cylinder_count`` data by ``_memo_key``, oldest first."""
+    def _cylinders(self) -> dict[tuple[ToricModel, Cylinder], tuple]:
+        """``cylinder_count`` data by (model, cylinder), oldest first."""
         return {}
 
 
@@ -178,14 +160,12 @@ class CylinderCount:
     ``comps`` holds the ray index i(s) of each twig leaf, ``shift`` the spine
     extension class, ``leaves`` per leaf every (j, class, count) the table
     lists at (i(s), j), j <= l_i, and ``measures`` per leaf those counts
-    summed per class, shared with every cylinder counted under the same
-    table and never written (see ``ElementaryCountTable.leaf``). The closed
-    form, its listing and the deformation replay all read one object.
-    ``cylinder_count`` builds a fresh one per call from the table's memo, so
-    these fields and ``_groups`` are shared across calls and never written,
-    while the listing (``contributing``, ``listed``) belongs to the object.
-    Per-leaf fields follow the cylinder's leaf order; ``_groups`` and the
-    ``_last`` measure follow its memo entry's, as the product is symmetric.
+    summed per class. The closed form, its listing and the deformation replay
+    all read one object. ``cylinder_count`` builds a fresh one per call from
+    the table's memo entry, so these fields and ``_groups`` are shared across
+    calls and never written, while the listing (``contributing``, ``listed``)
+    belongs to the object. Every per-leaf field follows the cylinder's leaf
+    order.
 
     A single-class query prunes by exceptional support. A pair is private to
     leaf s < t when some class of leaf s meets it and no class of a later
@@ -203,7 +183,6 @@ class CylinderCount:
     leaves: tuple[LeafRows, ...]
     measures: tuple[Support, ...]
     _groups: Groups = field(repr=False)
-    _last: Support = field(repr=False)
 
     @cached_property
     def contributing(self) -> tuple[tuple[tuple[int, ...], cls.CurveClass, int], ...]:
@@ -233,7 +212,8 @@ class CylinderCount:
                 for r, w in residual.items()
                 for c, n in groups.get(_part(r, private), ())
             )
-        return sum(w * self._last.get(r, 0) for r, w in residual.items())
+        last = self.measures[-1]
+        return sum(w * last.get(r, 0) for r, w in residual.items())
 
 
 def _part(c: cls.CurveClass, pairs: set[tuple[int, int]]) -> frozenset:
@@ -257,47 +237,38 @@ def _private_groups(measures: tuple[Support, ...]) -> Groups:
     return tuple(out[::-1])
 
 
-def _memo_key(model: ToricModel, cyl: Cylinder) -> tuple:
-    """A cylinder's key in a table's memo: its fields, the leaves sorted, so
-    every leaf order shares it."""
-    return model, cyl.p1, cyl.p2, cyl.bend, tuple(sorted(cyl.twig_type)), cyl.extended
-
-
 def cylinder_count(
     model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None = None
 ) -> CylinderCount:
-    """A fresh ``CylinderCount`` over the table's memo entry for the
-    cylinder, which every order of its leaves shares. On a miss, check that
-    the cylinder is primitive, then read its leaf components, spine extension
-    class, leaf data and groups; a cylinder that raises is not stored. A hit
-    in another leaf order gets the per-leaf data in its own order, kept for
-    one such order besides the first (``count_spine`` sorts the leaves).
-    Without a table, the default table is built at the leaves' rays for
-    this call alone."""
+    """A fresh ``CylinderCount`` over the table's memo entry for the cylinder
+    as given, so two leaf orders of one cylinder are two entries. An entry
+    holds the shift, comps, leaves, measures and groups. On a miss, check
+    that the cylinder is primitive, then read its leaf components, spine
+    extension class, per leaf the rows the table lists at (i(s), j),
+    j <= l_i, and their measure, and the groups; a cylinder that raises is
+    not stored. Without a table, the default table is built at the leaves'
+    rays for this call alone."""
     memo = {} if table is None else table._cylinders
-    key = _memo_key(model, cyl)
-    data = memo.get(key)
+    data = memo.get((model, cyl))
     if data is None:
         check_primitive(model, cyl)
         comps = twig_components(model, cyl)
-        if table is None:
-            table = default_table(model, comps)
-        leaves, measures = zip(*(table.leaf(model, i) for i in comps))
+        by_pair = (default_table(model, comps) if table is None else table).by_pair
+        leaves = tuple(
+            tuple(
+                (j, c, n)
+                for j in range(1, model.multiplicity(i) + 1)
+                for c, n in by_pair.get((i, j), ())
+            )
+            for i in comps
+        )
+        measures = tuple(measure((c, n) for _j, c, n in rows) for rows in leaves)
         shift = spine_extension_shift(model, cyl)
-        orders = {cyl.twig_type: (comps, leaves, measures)}
-        data = (shift, _private_groups(measures), measures[-1], orders)
+        data = (shift, comps, leaves, measures, _private_groups(measures))
         if len(memo) >= CYLINDER_MEMO_SIZE:
             del memo[next(iter(memo))]
-        memo[key] = data
-    shift, groups, last, orders = data
-    per_leaf = orders.get(cyl.twig_type)
-    if per_leaf is None:
-        twig, first = next(iter(orders.items()))
-        at = [twig.index(w) for w in cyl.twig_type]
-        per_leaf = tuple(tuple(map(xs.__getitem__, at)) for xs in first)
-        if len(orders) < 2:
-            orders[cyl.twig_type] = per_leaf
-    return CylinderCount(model, cyl, shift, *per_leaf, groups, last)
+        memo[(model, cyl)] = data
+    return CylinderCount(model, cyl, *data)
 
 
 def contributing_classes(
@@ -380,7 +351,10 @@ def count_spine(
 ) -> int:
     """Count over twig types compatible with the class: the dE pattern of
     beta forces the leaf set; incompatible patterns either count 0 (wrong
-    bend direction) or fall outside the primitive method's scope."""
+    bend direction) or fall outside the primitive method's scope. The leaves
+    are listed in ray-index order, as in ``model.exceptional_directions``, so
+    the cylinder is the one ``build_cylinder`` makes from those directions
+    and shares its memo entry."""
     prof = scope_profile(model, beta)
     rays_hit = [i for (i, _j), v in prof.dE if v == 1]
     if len(set(rays_hit)) != len(rays_hit):
@@ -389,7 +363,7 @@ def count_spine(
         )
     if not rays_hit:
         return 0
-    cyl = replace(spine, twig_type=tuple(sorted(model.fan.ray(i) for i in rays_hit)))
+    cyl = replace(spine, twig_type=tuple(model.fan.ray(i) for i in rays_hit))
     return cylinder_count(model, cyl, table)._mass(beta) if cyl.balanced else 0
 
 

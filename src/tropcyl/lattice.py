@@ -133,17 +133,17 @@ def cone_of(fan: Fan, v) -> int:
     """1-based index i of the cone spanned by rays i, i+1 containing v.
 
     A vector on the ray u_i reports cone i (coefficient b = 0 there).
-    Raises ZeroVector on the zero vector.
+    Raises ZeroVector on the zero vector. A ``Fan`` is complete, so its
+    half-open cones cover the plane, and a vector in no earlier cone lies in
+    the last one.
     """
     if v[0] == 0 and v[1] == 0:
         raise ZeroVector("zero vector lies in every cone")
     m = fan.m
-    for i in range(m):
-        a = det(v, fan.rays[(i + 1) % m])
-        b = det(fan.rays[i], v)
-        if a > 0 and b >= 0:
+    for i in range(m - 1):
+        if det(v, fan.rays[i + 1]) > 0 and det(fan.rays[i], v) >= 0:
             return i + 1
-    raise NotComplete("no cone contains the vector; fan is not complete")
+    return m
 
 
 def cone_coordinates(fan: Fan, v):

@@ -214,11 +214,11 @@ def spine_decomposition(tree: MappedTree) -> tuple[set[str], list[tuple[str, Map
     # Peel unmarked vertices of degree <= 1 until the hull of the marks remains.
     degree = {v: sum(1 for k in inc.get(v, ()) if other(k, v) in pos) for v in pos}
     spine = set(pos)
+    # A vertex queued twice has no neighbor left in the hull when it comes up
+    # again, so its second pass changes nothing.
     stack = [v for v in pos if v not in marked and degree[v] <= 1]
     while stack:
         v = stack.pop()
-        if v not in spine:
-            continue
         spine.discard(v)
         for k in inc.get(v, ()):
             o = other(k, v)
@@ -226,14 +226,14 @@ def spine_decomposition(tree: MappedTree) -> tuple[set[str], list[tuple[str, Map
                 degree[o] -= 1
                 if degree[o] <= 1 and o not in marked:
                     stack.append(o)
+    # A peeled component meets the hull by at most one edge: a second would
+    # close a cycle through the hull, and no vertex on a cycle is peeled. So
+    # each edge leaving the hull starts its own twig.
     twigs = []
-    visited: set[str] = set()
     for e in edges:
         if (e.tail in spine) == (e.head in spine) or not (e.tail in pos and e.head in pos):
             continue
         attach, first_out = (e.tail, e.head) if e.tail in spine else (e.head, e.tail)
-        if first_out in visited:
-            continue
         comp = {first_out}
         stack = [first_out]
         while stack:
@@ -243,7 +243,6 @@ def spine_decomposition(tree: MappedTree) -> tuple[set[str], list[tuple[str, Map
                 if o in pos and o not in spine and o not in comp:
                     comp.add(o)
                     stack.append(o)
-        visited |= comp
         tw_vertices = comp | {attach}
         tw_edges = sorted(
             {k for v in tw_vertices for k in inc[v] if other(k, v) in tw_vertices}
@@ -603,9 +602,9 @@ def canonical_spine_split(model: ToricModel, w0: Vec) -> tuple[Vec, Vec]:
         return (a * u[0], a * u[1]), (b * v[0], b * v[1])
     # -w0 lies on the ray u; legs parallel to the wall line would extend
     # through the origin, so split off a transverse unimodular complement
-    # instead: the lexicographically smallest fan ray r with |det(u, r)| = 1.
-    w2 = min(r for r in fan.rays if abs(det(u, r)) == 1)
-    return (neg[0] - w2[0], neg[1] - w2[1]), w2
+    # instead: the next ray counterclockwise, det(u, v) = 1 in a smooth fan.
+    # Unlike an order on coordinates, this choice commutes with SL2(Z).
+    return (neg[0] - v[0], neg[1] - v[1]), v
 
 
 def spine_skeleton(

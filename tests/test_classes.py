@@ -19,6 +19,7 @@ from tropcyl.classes import (
 )
 from tropcyl.errors import (
     ComponentOutOfRange,
+    LengthMismatch,
     ModelMismatch,
     NonRepresentable,
     NotSmooth,
@@ -258,3 +259,13 @@ def test_profile_representable_iff_balanced(mve, data):
         return
     back = intersect(model, class_from_profile(model, dD, prof.dE_map))
     assert (back.dD, back.dE) == (dD, prof.dE)
+
+
+def test_class_constructors_check_lengths_and_indices(cubic):
+    with pytest.raises(LengthMismatch, match="^toric part length does not match ray count$"):
+        make_class(cubic.fan.rays, (1, 0))
+    with pytest.raises(LengthMismatch, match="^dD length does not match ray count$"):
+        class_from_profile(cubic, (1, 1, 1, 1), {})
+    for i in (0, 4):
+        with pytest.raises(RayIndexOutOfRange, match=f"^ray index {i} out of range 1..3$"):
+            divisor_class(cubic.fan, i)

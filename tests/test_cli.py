@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tropcyl.cli import main
 from tropcyl.config import parse_cylinder_spec
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model
+from tropcyl.svg import _fmt
 from tropcyl.tropical import classify, cylinder_tree
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -194,6 +195,12 @@ def test_render_cylinder_golden(tmp_path, capsys):
     code, _ = run(capsys, "render", "cylinder", spec, "--svg", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == (GOLDEN / "cylinder_single_leaf.svg").read_bytes()
+
+
+def test_svg_numbers_print_no_negative_zero():
+    """A coordinate that rounds through -0.0 prints as 0, so a drawing does
+    not depend on the sign of a zero."""
+    assert [_fmt(x) for x in (-0.0, 0, 0.5, -1.25)] == ["0.000000", "0.000000", "0.500000", "-1.250000"]
 
 
 def test_render_toric_model_boundary_only(tmp_path, capsys):

@@ -46,6 +46,18 @@ def test_unhashable_palette_is_path_addressed():
     assert str(exc.value).startswith("render.palette: expected one of")
 
 
+def test_render_section_parsed():
+    config = cfg.parse_config(dict(CUBIC, render={"width": 300, "height": 200, "scale": 2, "palette": "mono"}))
+    assert config.render == cfg.RenderOptions(300, 200, 2.0, "mono")
+    assert type(config.render.scale) is float
+
+
+def test_non_positive_render_size_rejected():
+    for size in ({"width": 0}, {"height": -5}):
+        with pytest.raises(ConfigError, match="^render.width: dimensions must be positive$"):
+            cfg.parse_config(dict(CUBIC, render=size))
+
+
 def test_non_list_exceptional_profile_is_path_addressed():
     model = cfg.parse_config(CUBIC).model
     with pytest.raises(ConfigError) as exc:

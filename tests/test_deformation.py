@@ -24,8 +24,10 @@ from tropcyl.counting import (
     elementary_extension_shift,
 )
 from tropcyl.deformation import (
+    _ATTACH_CANDIDATES,
     AbstractTree,
     _elementary_members,
+    _pick_attach,
     build_deformation,
     degeneration_path,
     family_tree_L,
@@ -398,6 +400,23 @@ def test_stable_domain_smooths_unmarked_two_valent_vertices():
         (["A", "C"], F(3)),
         (["C", "E"], F(3)),
     ]
+
+
+def test_stable_domain_reads_a_leg_written_from_its_end():
+    """A marked leg written from the mark's vertex toward the hull is
+    attached to the same vertex as one written the other way."""
+    positions = {"A": (F(0), F(0)), "B": (F(1), F(0)), "a": (F(-1), F(0)), "b": None}
+    rest = [Edge("A", "B", (1, 0), F(1)), Edge("B", "b", (1, 0))]
+    for leg in (Edge("A", "a", (-1, 0), F(1)), Edge("a", "A", (1, 0), F(1))):
+        dom = stable_domain(make_tree(positions, [leg, *rest], {"a": "a", "b": "b"}, finite=("a",)))
+        assert dom.legs == (("a", "A"), ("b", "B")) and dom.edges == (("A", "B", F(1)),)
+
+
+def test_no_attach_point_at_the_origin():
+    """The first candidate puts the attach point on the origin, so the next
+    one is taken."""
+    q0, q1 = _ATTACH_CANDIDATES[:2]
+    assert _pick_attach((-q0, F(0)), (1, 0), ()) == q1
 
 
 def _stable_domain_by_rescan(tree):

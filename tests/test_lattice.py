@@ -1,11 +1,12 @@
 import math
+import re
 
 import pytest
 from conftest import smooth_models
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropcyl.errors import AlreadyRay, NotSmooth, TooFewRays, ZeroVector
+from tropcyl.errors import AlreadyRay, NotComplete, NotPrimitive, NotSmooth, TooFewRays, ZeroVector
 from tropcyl.lattice import (
     Fan,
     cone_coordinates,
@@ -39,6 +40,22 @@ def test_too_few_rays():
         validate_fan(((1, 0), (-1, 0)))
 
 
+def test_zero_or_non_primitive_ray_rejected():
+    for rays, message, index in (
+        (((1, 0), (0, 0), (-1, -1)), "zero vector is not a ray", 2),
+        (((1, 0), (0, 1), (-2, -2)), "ray 3 = (-2, -2) is not primitive", 3),
+    ):
+        with pytest.raises(NotPrimitive, match=f"^{re.escape(message)}$") as exc:
+            validate_fan(rays)
+        assert exc.value.index == index
+
+
+def test_rays_that_wind_twice_rejected():
+    """Every adjacent pair is unimodular, but the rays go round twice."""
+    with pytest.raises(NotComplete, match="^rays do not wrap around the origin exactly once$"):
+        validate_fan(P2 + P2)
+
+
 def test_fan_equality_compares_rays_by_position():
     """A rotated fan numbers its rays differently, so it is another fan."""
     a = Fan(((1, 0), (0, 1), (-1, -1)))
@@ -70,6 +87,12 @@ class TestConeCoordinates:
         with pytest.raises(ZeroVector):
             cone_coordinates(Fan(P2), (0, 0))
 
+    def test_the_last_cone_takes_what_the_others_leave(self):
+        """Cone m, from u_m to u_1, holds u_m and the vectors past it, but
+        not u_1, which cone 1 reports."""
+        fan = Fan(P2)
+        assert [cone_of(fan, v) for v in ((0, -1), (-1, -1), (1, -1), (1, 0))] == [3, 3, 3, 1]
+
 
 def test_norm_degree_family():
     """Degrees of the three-leaf family: 2+n, 1+n, n."""
@@ -100,6 +123,13 @@ def test_refine_fan_single_insertion():
 def test_refine_fan_already_ray():
     with pytest.raises(AlreadyRay):
         refine_fan(Fan(P2), (1, 0))
+
+
+def test_refine_fan_refuses_a_zero_or_non_primitive_direction():
+    with pytest.raises(ZeroVector, match="^cannot insert the zero vector$"):
+        refine_fan(Fan(P2), (0, 0))
+    with pytest.raises(NotPrimitive, match=r"^direction \(2, 2\) is not primitive$"):
+        refine_fan(Fan(P2), (2, 2))
 
 
 def test_refine_fan_iterated_subdivision():

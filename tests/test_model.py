@@ -7,7 +7,14 @@ import pytest
 import tropcyl
 from tropcyl.classes import intersect
 from tropcyl.counting import elementary_class
-from tropcyl.errors import AlreadyRay, LengthMismatch, ModelMismatch, NegativeMultiplicity, ZeroVector
+from tropcyl.errors import (
+    AlreadyRay,
+    LengthMismatch,
+    ModelMismatch,
+    NegativeMultiplicity,
+    RayIndexOutOfRange,
+    ZeroVector,
+)
 from tropcyl.lattice import Fan
 from tropcyl.model import P2_RAYS, build_model, cubic_model, refine_model
 
@@ -32,6 +39,12 @@ def test_length_mismatch():
 def test_negative_multiplicity():
     with pytest.raises(NegativeMultiplicity):
         build_model(P2_RAYS, (1, -1, 0))
+
+
+def test_multiplicity_out_of_range(cubic):
+    for i in (0, 4):
+        with pytest.raises(RayIndexOutOfRange, match=f"^ray index {i} out of range 1..3$"):
+            cubic.multiplicity(i)
 
 
 def test_exceptional_directions(cubic):

@@ -2,6 +2,7 @@ import copy
 import pickle
 from dataclasses import fields
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from conftest import smooth_models
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcyl.classes import divisor_class, intersect, zero_class
-from tropcyl.errors import PathThroughOrigin, ZeroVector
-from tropcyl.lattice import det, norm, primitive_part
+from tropcyl.errors import AffineInconsistent, NotPrimitiveCylinder, PathThroughOrigin, ZeroVector
+from tropcyl.lattice import det
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 from tropcyl.tropical import (
     BALANCED,
@@ -20,7 +21,9 @@ from tropcyl.tropical import (
     Cylinder,
     Edge,
     MappedTree,
+    _twig_problems,
     canonical_spine_split,
+    check_primitive,
     classify,
     cylinder_tree,
     extension_class,
@@ -401,38 +404,24 @@ class TestExtension:
         assert intersect(cubic, delta).dE_map == {}
 
 
-def _complement(d):
-    """Some w with det(d, w) = 1 for primitive d = (x, y), from x * s = 1 mod |y|."""
-    x, y = d
-    if y == 0:
-        return (0, x)
-    s = pow(x, -1, abs(y))
-    return ((x * s - 1) // y, s)
-
-
-def _reference_unimodular_complement(fan, w):
-    """The complement found by search: |det(w, w')| = 1 with smallest fan
-    norm over a window of translates, ties broken lexicographically."""
-    d, _ = primitive_part(w)
-    c0 = _complement(d)
-    best = None
-    for base in (c0, (-c0[0], -c0[1])):
-        for k in range(-6 - 2 * norm(fan, c0), 7 + 2 * norm(fan, c0)):
-            cand = (base[0] + k * d[0], base[1] + k * d[1])
-            key = (norm(fan, cand), cand)
-            if best is None or key < best:
-                best = key
-    return best[1]
+def _reference_next_complement(fan, u):
+    """Among fan rays r with det(u, r) = 1, the one at the smallest
+    counterclockwise angle from u. They all lie in the open half plane left
+    of u, where r comes before r' exactly when det(r, r') > 0."""
+    return min(
+        (r for r in fan.rays if det(u, r) == 1),
+        key=cmp_to_key(lambda r, s: -det(r, s)),
+    )
 
 
 @settings(deadline=None, max_examples=30)
 @given(smooth_models(), st.integers(1, 3), st.data())
 def test_spine_split_on_a_ray_matches_the_complement_search(model, n, data):
-    """On a ray the split takes the lexicographically smallest fan ray r with
-    |det(u, r)| = 1, which is the searched complement of smallest fan norm."""
+    """On a ray u the split takes the fan ray r with det(u, r) = 1 at the
+    smallest counterclockwise angle from u, found by search over the rays."""
     u = data.draw(st.sampled_from(model.fan.rays))
     w0 = (-n * u[0], -n * u[1])
-    w2 = _reference_unimodular_complement(model.fan, w0)
+    w2 = _reference_next_complement(model.fan, u)
     assert canonical_spine_split(model, w0) == ((n * u[0] - w2[0], n * u[1] - w2[1]), w2)
 
 
@@ -708,3 +697,50 @@ def test_classify_is_total_on_affine_trees(tree):
         assert classify(model, tree).kind in (
             "cylinder", "twig", "spine", "tropical_curve", "invalid"
         )
+
+
+def test_make_tree_refuses_a_structural_problem():
+    """A vertex at infinity ending two edges: both problems are reported."""
+    with pytest.raises(
+        AffineInconsistent,
+        match="^graph is not a tree \\(wrong edge count\\); vertex x at infinity must be 1-valent$",
+    ):
+        make_tree({"a": _pt(0, 0), "x": None}, [Edge("a", "x", (1, 0)), Edge("a", "x", (0, 1))], {})
+
+
+def test_a_cylinder_without_leaves_is_not_primitive(cubic):
+    with pytest.raises(NotPrimitiveCylinder, match="^cylinder has no twig leaves$"):
+        check_primitive(cubic, Cylinder((1, 0), (0, 1), _pt(-1, -1), ()))
+
+
+def test_a_twig_without_its_root_mark(cubic):
+    assert _twig_problems(cubic, single_leaf_cylinder_tree(), "r") == ["twig has no root mark 'r'"]
+
+
+def test_a_twig_with_a_finite_leaf(cubic):
+    """Only the root of a twig may be finite: a 1-valent vertex at a finite
+    point is reported."""
+    twig = MappedTree(
+        (("a", _pt(1, 0)), ("b", _pt(2, 0))),
+        (Edge("a", "b", (1, 0), F(1)),),
+        (("r", "a"),),
+        finite=frozenset({"r"}),
+    )
+    assert "twig vertex b is finite but only the root may be" in _twig_problems(cubic, twig)
+
+
+def test_extension_from_the_origin_refused(cubic):
+    with pytest.raises(PathThroughOrigin, match="^extension starts at the origin$"):
+        extension_class(cubic, _pt(0, 0), (1, 0))
+
+
+def test_spine_decomposition_peels_an_unmarked_component():
+    """A tree built without ``make_tree`` and with no marks: the path
+    a - b - c has no hull, so every vertex is peeled; a is queued at the
+    start and again when b goes, and its second pass finds no neighbor."""
+    tree = MappedTree(
+        (("a", _pt(0, 0)), ("b", _pt(1, 0)), ("c", _pt(2, 0))),
+        (Edge("a", "b", (1, 0), F(1)), Edge("b", "c", (1, 0), F(1))),
+        (),
+    )
+    assert spine_decomposition(tree) == (set(), [])

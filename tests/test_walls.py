@@ -288,3 +288,11 @@ def test_pair_sum_stops_at_its_last_productive_step(monkeypatch):
 def test_support_expands_each_lattice_point_once(monkeypatch, model):
     calls = _primitive_part_calls(monkeypatch, model, 10**5, 8, "support")
     assert calls and len(calls) == len(set(calls))
+
+
+def test_generate_walls_refuses_bad_arguments(cubic):
+    with pytest.raises(ValueError, match="^unknown wall rule 'pairs'$"):
+        generate_walls(cubic, 1, 5, rule="pairs")
+    for steps, norm_bound in ((-1, 5), (1, 0)):
+        with pytest.raises(ValueError, match="^steps must be >= 0 and norm_bound >= 1$"):
+            generate_walls(cubic, steps, norm_bound)
