@@ -305,7 +305,3 @@ def main(argv=None) -> int:
     except TropcylError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), EXIT_PARSE)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

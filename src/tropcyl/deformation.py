@@ -4,12 +4,12 @@ Starting from an extended cylinder V with t twig leaves, the replay builds
 three interlocking families of mapped trees: L_k (the cylinder with the
 first k - 1 leaves forgotten), M_k (the elementary spine for leaf k), and
 N_k (the elementary cylinder for leaf k with both twig anchors marked).
-M_k and N_k are L_2 and L_1 of the elementary cylinder, so one builder
-makes every member and one rule gives every member's counting measure.
-A family's L members are assembled from parts built once per family, and
-M_k and N_k, with their stable domains, come from a bounded memo (256
-entries) kept per (model, leaf ray); every member is still classified over
-its family's refined fan.
+M_k and N_k are L_2 and L_1 of the elementary cylinder, so one builder,
+``family_L``, makes every member, and one rule gives every member's
+counting measure. M_k and N_k, with their stable domains, come from a
+bounded memo (256 entries) kept per (model, leaf ray); every member is
+still classified over its family's refined fan. Memo entries and the
+cached dicts of trees and families are shared and must not be written.
 Counts with fixed curve class satisfy, for each k, a splitting identity
 relating L_k to L_{k+1} through M_k and N_k; chaining the t identities
 turns the count of V into a product of elementary counts. The identities
@@ -20,11 +20,9 @@ branches coincide at gluing parameter r = 0.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 from . import classes as cls
 from .counting import (
@@ -80,25 +78,20 @@ def _pick_attach(bend: Point, p1: Vec, wall_dirs) -> Fraction:
     raise AnchorOnWall("no attach point off the leaf wall lines was found")
 
 
-def family_tree_L(model: ToricModel, cyl: Cylinder, k: int, *, _suffix: str = "") -> MappedTree:
-    """The k-th member of the L family, 1 <= k <= t + 1: leaves 1 .. k - 1
-    are forgotten, their t-marks are boundary legs carrying the leaf weight.
+def family_L(
+    model: ToricModel, cyl: Cylinder, suffix: str = ""
+) -> tuple[tuple[int, ...], tuple[MappedTree, ...]]:
+    """The leaf components of a cylinder and its L members (L_1, ..., L_{t+1}).
 
-    L_1 is the extended cylinder with both anchor marks interior on every
-    leaf: g_s at vg_s = n u_s and t_s at vt_s = (n + 1) u_s on the leaf ray,
-    with n = 1, or n = floor(c) + 1 for one leaf grown from a bend c u_1 with
-    c >= 1; L_{t+1} has no leaves left. Every vertex and mark
-    name ends in ``_suffix``, which keeps the elementary members M_k and N_k
-    apart from the L members they are glued to.
+    L_k forgets leaves 1 .. k - 1: their t-marks are boundary legs carrying
+    the leaf weight. L_1 is the extended cylinder with both anchor marks
+    interior on every leaf: g_s at vg_s = n u_s and t_s at vt_s = (n + 1) u_s
+    on the leaf ray, with n = 1, or n = floor(c) + 1 for one leaf grown from
+    a bend c u_1 with c >= 1; L_{t+1} has no leaves left. The spine and each
+    leaf's edges are built once and one loop assembles the members. Every
+    vertex and mark name ends in ``suffix``, which keeps the elementary
+    members M_k and N_k apart from the L members they are glued to.
     """
-    return _family_member(_family_parts(model, cyl, _suffix), k)
-
-
-def _family_parts(model: ToricModel, cyl: Cylinder, suffix: str = ""):
-    """What the L members of a cylinder's family share: the leaf components,
-    the spine with each leaf's g-anchor, and per leaf its t-mark, the edges a
-    member adds when it forgets the leaf, and the positions and edges it adds
-    when it keeps it."""
     comps = twig_components(model, cyl)
     leaf_dirs = [model.fan.ray(i) for i in comps]
     attach = _pick_attach(cyl.bend, cyl.p1, leaf_dirs)
@@ -111,35 +104,31 @@ def _family_parts(model: ToricModel, cyl: Cylinder, suffix: str = ""):
     n = max(1, math.floor(base) + 1)
     positions, edges, marks, root = spine_skeleton(cyl, attach, suffix=suffix)
     interior = {"w" + suffix}
-    leaves = []
+    # Per leaf, what a member adds when it forgets or keeps the leaf.
+    forgot, kept = [], []
     for s, u in enumerate(leaf_dirs, start=1):
         vg, g, vt, tm, lf = (f"{name}{s}{suffix}" for name in ("vg", "g", "vt", "t", "lf"))
         positions.update({vg: (Fraction(n * u[0]), Fraction(n * u[1])), g: None, tm: None})
         marks.update({g: g, tm: tm})
         interior.add(g)
         shared = (Edge(root, vg, u, n - base), Edge(vg, g, (0, 0), None))
-        kept = {vt: (Fraction((n + 1) * u[0]), Fraction((n + 1) * u[1])), lf: None}
-        kept_edges = (Edge(vg, vt, u, Fraction(1)), Edge(vt, tm, (0, 0), None), Edge(vt, lf, u, None))
-        leaves.append((tm, shared + (Edge(vg, tm, u, None),), kept, shared + kept_edges))
-    return comps, positions, edges, marks, interior, {"1" + suffix, "2" + suffix}, leaves
-
-
-def _family_member(parts, k: int) -> MappedTree:
-    """L_k assembled from ``_family_parts``: leaves before k forgotten, their
-    t-marks boundary legs carrying the leaf weight."""
-    _, positions, edges, marks, interior, boundary, leaves = parts
-    if not 1 <= k <= len(leaves) + 1:
-        raise AnchorOrderViolation(f"family index {k} out of range 1..{len(leaves) + 1}")
-    positions, edges, interior, boundary = dict(positions), list(edges), set(interior), set(boundary)
-    for s, (tm, forgot, kept, kept_edges) in enumerate(leaves, start=1):
-        if s < k:
-            edges += forgot
+        forgot.append((tm, shared + (Edge(vg, tm, u, None),)))
+        at = {vt: (Fraction((n + 1) * u[0]), Fraction((n + 1) * u[1])), lf: None}
+        ends = (Edge(vg, vt, u, Fraction(1)), Edge(vt, tm, (0, 0), None), Edge(vt, lf, u, None))
+        kept.append((tm, at, shared + ends))
+    members = []
+    for k in range(len(comps) + 1):  # L_{k+1} forgets the first k leaves
+        member_pos, member_edges = dict(positions), list(edges)
+        inner, boundary = set(interior), {"1" + suffix, "2" + suffix}
+        for tm, leaf_edges in forgot[:k]:
+            member_edges += leaf_edges
             boundary.add(tm)
-        else:
-            positions.update(kept)
-            edges += kept_edges
-            interior.add(tm)
-    return make_tree(positions, edges, marks, interior, boundary, frozenset())
+        for tm, leaf_pos, leaf_edges in kept[k:]:
+            member_pos.update(leaf_pos)
+            member_edges += leaf_edges
+            inner.add(tm)
+        members.append(make_tree(member_pos, member_edges, marks, inner, boundary))
+    return comps, tuple(members)
 
 
 @lru_cache(maxsize=256)
@@ -148,9 +137,8 @@ def _elementary_members(model: ToricModel, i: int):
     of every family with a leaf at ray i, suffixed ``p``) and their stable
     domains, each built and checked once per (model, ray)."""
     elem = replace(elementary_cylinder(model, i), extended=True)
-    parts = _family_parts(model, elem, "p")
-    m, n = _family_member(parts, 2), _family_member(parts, 1)
-    return elem, m, n, stable_domain(m), stable_domain(n)
+    N, M = family_L(model, elem, "p")[1]
+    return elem, M, N, stable_domain(M), stable_domain(N)
 
 
 def refine_for_slopes(model: ToricModel, slopes) -> ToricModel:
@@ -167,7 +155,7 @@ def refine_for_slopes(model: ToricModel, slopes) -> ToricModel:
 @dataclass(frozen=True)
 class DeformationFamily:
     """All members of the replay: the cylinder V and the trees L_1 .. L_{t+1},
-    M_1 .. M_t, N_1 .. N_t, indexed by name."""
+    M_1 .. M_t, N_1 .. N_t as (name, tree) pairs."""
 
     model: ToricModel
     cylinder: Cylinder
@@ -179,39 +167,31 @@ class DeformationFamily:
         return len(self.comps)
 
     @cached_property
-    def by_name(self) -> Mapping[str, MappedTree]:
-        return MappingProxyType(dict(self.curves))
-
-    @cached_property
-    def domains(self) -> Mapping[str, AbstractTree]:
+    def domains(self) -> dict[str, AbstractTree]:
         """The stable domain of every member, by name: each L member's
-        computed once, each M and N member's read from the elementary memo."""
+        computed once, each M and N member's read from the elementary memo.
+        The dict is shared by every reader and must not be written."""
         out = {name: stable_domain(tree) for name, tree in self.curves if name[0] == "L"}
         for k, i in enumerate(self.comps, start=1):
             *_, out[f"M{k}"], out[f"N{k}"] = _elementary_members(self.model, i)
-        return MappingProxyType(out)
-
-    def __getstate__(self):
-        """The fields only, as for ``MappedTree``."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return out
 
 
 def build_deformation(model: ToricModel, cyl: Cylinder) -> DeformationFamily:
     """Construct and validate every member of the deformation family.
 
-    The L members are assembled from one set of shared parts. M_k and N_k
-    are L_2 and L_1 of the extended elementary cylinder for leaf k, read
-    from a memo kept per (model, ray). Each tree is classified over a fan
-    refined so the spine slopes span rays, for every family: a member with
-    no leaf left (L_{t+1}, M_k) must be a spine and every other member a
-    tropical curve, or NotATropicalCurve is raised.
+    The L members come from ``family_L``. M_k and N_k are L_2 and L_1 of
+    the extended elementary cylinder for leaf k, read from a memo kept per
+    (model, ray). Each tree is classified over a fan refined so the spine
+    slopes span rays, for every family: a member with no leaf left
+    (L_{t+1}, M_k) must be a spine and every other member a tropical curve,
+    or NotATropicalCurve is raised.
     """
     check_primitive(model, cyl)
     cyl = replace(cyl, extended=True)
-    parts = _family_parts(model, cyl)
-    comps, t = parts[0], len(parts[0])
+    comps, Ls = family_L(model, cyl)
     # (name, tree, whether every leaf is forgotten)
-    members = [(f"L{k}", _family_member(parts, k), k == t + 1) for k in range(1, t + 2)]
+    members = [(f"L{k}", tree, k == len(Ls)) for k, tree in enumerate(Ls, start=1)]
     elems = [_elementary_members(model, i) for i in comps]
     for k, (_, m, n, *_) in enumerate(elems, start=1):
         members += [(f"M{k}", m, True), (f"N{k}", n, False)]

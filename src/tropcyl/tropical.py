@@ -4,16 +4,16 @@ A mapped tree is a metric tree together with an affine map to the plane:
 vertices carry rational positions (or None when at infinity), edges carry
 integral weight vectors and positive rational lengths (None for infinite
 edges). Marked legs are 1-valent vertices addressed by labels, partitioned
-into interior (I), boundary (B), and finite (F) marks.
+into interior (I), boundary (B), and finite (F) marks. A tree's cached
+views (``pos``, ``mark_vertex``) are plain dicts shared by every reader
+and must not be written.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from types import MappingProxyType
+from functools import cached_property
 
 from . import classes as cls
 from .errors import AffineInconsistent, NotPrimitiveCylinder, PathThroughOrigin, ZeroVector
@@ -40,12 +40,12 @@ class MappedTree:
     finite: frozenset[str] = frozenset()
 
     @cached_property
-    def pos(self) -> Mapping[str, Point | None]:
-        return MappingProxyType(dict(self.positions))
+    def pos(self) -> dict[str, Point | None]:
+        return dict(self.positions)
 
     @cached_property
-    def mark_vertex(self) -> Mapping[str, str]:
-        return MappingProxyType(dict(self.marks))
+    def mark_vertex(self) -> dict[str, str]:
+        return dict(self.marks)
 
     @cached_property
     def _incidence(self) -> dict[str, tuple[int, ...]]:
@@ -61,11 +61,6 @@ class MappedTree:
     def problems(self) -> tuple[str, ...]:
         """``structural_problems`` of this tree, computed once."""
         return tuple(structural_problems(self))
-
-    def __getstate__(self):
-        """The fields only: cached views are rebuilt, and a mapping proxy
-        cannot be pickled or deep-copied."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def incident(self, v: str) -> list[Edge]:
         return [self.edges[k] for k in self._incidence.get(v, ())]
@@ -588,7 +583,6 @@ def extension_class(model: ToricModel, x: Point, p: Vec) -> cls.CurveClass:
     return cls.make_class(model.fan.rays, coeffs)
 
 
-@lru_cache(maxsize=256)
 def canonical_spine_split(model: ToricModel, w0: Vec) -> tuple[Vec, Vec]:
     """Deterministic split of -w0 into two nonzero leg slopes p1 + p2 = -w0,
     preferring slopes along fan rays."""

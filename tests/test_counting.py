@@ -225,6 +225,37 @@ def test_the_canonical_cylinder_commutes_with_sl2(model, A, extended, data):
     )
 
 
+def _measure_profiles(model, cyl):
+    """The listing and the splitting measure of a cylinder under the default
+    table, each as the sorted (dD, dE, count) profiles of its classes."""
+    table = default_table(model)
+    out = []
+    for supp in (cylinder_count(model, cyl, table).listed, splitting_measure(model, cyl, table)):
+        profiles = ((intersect(model, c), n) for c, n in supp.items())
+        out.append(sorted((prof.dD, prof.dE, n) for prof, n in profiles))
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(smooth_models(), st.sampled_from(SL2_SMALL), st.booleans(), st.data())
+def test_counts_commute_with_sl2(model, A, extended, data):
+    """For A in SL2(Z), the canonical cylinder of the transported twig type on
+    the transported model has the original's listing and splitting measure
+    under the default table, as multisets of intersection profiles. The ray
+    order is kept, so profiles map index for index."""
+    dirs = model.exceptional_directions
+    assume(dirs)
+    t = data.draw(st.integers(1, min(3, len(dirs))))
+    twig = tuple(data.draw(st.permutations(dirs))[:t])
+    try:
+        cyl = build_cylinder(model, twig, extended)
+    except ZeroVector:
+        assume(False)
+    moved = build_model(tuple(_act(A, u) for u in model.fan.rays), model.blowups)
+    moved_cyl = build_cylinder(moved, tuple(_act(A, w) for w in twig), extended)
+    assert _measure_profiles(moved, moved_cyl) == _measure_profiles(model, cyl)
+
+
 def test_scaled_table_scales_counts(cubic):
     base = default_table(cubic)
     scaled = ElementaryCountTable(

@@ -30,7 +30,7 @@ from tropcyl.deformation import (
     _pick_attach,
     build_deformation,
     degeneration_path,
-    family_tree_L,
+    family_L,
     glue_domains,
     member_measures,
     refine_for_slopes,
@@ -92,7 +92,7 @@ def test_build_t1_family(cubic):
     fam = build_deformation(cubic, _cyl(cubic, ((-1, -1),)))
     assert {name for name, _ in fam.curves} == {"L1", "L2", "M1", "N1"}
     # The final family carries no twig legs.
-    l2 = fam.by_name["L2"]
+    l2 = dict(fam.curves)["L2"]
     unmarked_infinite = [
         e for e in l2.edges
         if l2.pos[e.head] is None and e.head not in {v for _, v in l2.marks}
@@ -110,7 +110,7 @@ def test_anchor_order_violation(cubic, p1xp1):
         fam = build_deformation(model, cyl)
         n = int(c) + 1
         assert [name for name, _ in fam.curves] == ["L1", "L2", "M1", "N1"]
-        l1 = fam.by_name["L1"]
+        l1 = dict(fam.curves)["L1"]
         assert (l1.pos["vg1"], l1.pos["vt1"]) == ((n, 0), (n + 1, 0))
         assert {e.length for e in l1.edges if e.head == "vg1"} == {n - c}
         assert degeneration_path(fam, 1, F(0)).coincide
@@ -132,10 +132,10 @@ def test_default_anchor_parameters(cubic):
     """Each leaf's anchors sit at lattice parameters 1 and 2 on its ray, in the
     L members and in the elementary members alike."""
     fam = build_deformation(cubic, _cyl(cubic, ((1, 0), (0, 1))))
-    pos = fam.by_name["L1"].pos
+    pos = dict(fam.curves)["L1"].pos
     assert (pos["vg1"], pos["vt1"]) == ((1, 0), (2, 0))
     assert (pos["vg2"], pos["vt2"]) == ((0, 1), (0, 2))
-    n2 = fam.by_name["N2"].pos
+    n2 = dict(fam.curves)["N2"].pos
     assert (n2["vg1p"], n2["vt1p"]) == ((0, 1), (0, 2))
 
 
@@ -162,8 +162,9 @@ def test_elementary_members(cubic):
         slopes += [e.p1, e.p2]
     refined = refine_for_slopes(cubic, slopes)
     labels = {"wp", "1p", "2p", "g1p", "t1p"}
+    curves = dict(fam.curves)
     for k in (1, 2):
-        m, n = fam.by_name[f"M{k}"], fam.by_name[f"N{k}"]
+        m, n = curves[f"M{k}"], curves[f"N{k}"]
         assert set(m.mark_vertex) == set(n.mark_vertex) == labels
         assert (m.interior, m.boundary) == ({"wp", "g1p"}, {"1p", "2p", "t1p"})
         assert (n.interior, n.boundary) == ({"wp", "g1p", "t1p"}, {"1p", "2p"})
@@ -600,7 +601,7 @@ def test_degeneration_path_builds_each_stable_domain_once(monkeypatch, fresh_ele
         for r in (None, F(1), F(0)):
             assert degeneration_path(fam, k, r).coincide == (r == 0)
     assert fam.t == 3 and [id(args[0]) for args in built] == [
-        id(fam.by_name[f"L{k}"]) for k in range(1, fam.t + 2)
+        id(tree) for name, tree in fam.curves if name[0] == "L"
     ]
 
 
@@ -622,8 +623,9 @@ def test_a_warm_elementary_memo_builds_the_same_family(model, data):
     cold_domains = dict(cold.domains)
     warm = build_deformation(model, _cyl(model, twig))
     assert warm == cold
+    warm_curves = dict(warm.curves)
     for name, tree in cold.curves:
-        assert warm.by_name[name] == tree
+        assert warm_curves[name] == tree
         assert warm.domains[name] == cold_domains[name] == stable_domain(tree)
     for k in range(1, t + 1):
         for r in (None, F(1), F(0)):
@@ -631,8 +633,7 @@ def test_a_warm_elementary_memo_builds_the_same_family(model, data):
     for i in cold.comps:
         elem, m, n, *_ = _elementary_members(model, i)
         assert elem == replace(elementary_cylinder(model, i), extended=True)
-        assert m == family_tree_L(model, elem, 2, _suffix="p")
-        assert n == family_tree_L(model, elem, 1, _suffix="p")
+        assert family_L(model, elem, "p") == ((i,), (n, m))
 
 
 def test_degeneration_path_refuses_a_step_out_of_range(cubic):
@@ -640,14 +641,6 @@ def test_degeneration_path_refuses_a_step_out_of_range(cubic):
     for k in (0, fam.t + 1):
         with pytest.raises(KeyError, match=f"step index {k} out of range 1..2"):
             degeneration_path(fam, k, F(0))
-
-
-def test_family_tree_L_refuses_an_index_out_of_range(cubic):
-    cyl = _cyl(cubic, ((1, 0), (0, 1)))
-    assert family_tree_L(cubic, cyl, 3) == build_deformation(cubic, cyl).by_name["L3"]
-    for k in (0, 4):
-        with pytest.raises(AnchorOrderViolation, match=rf"^family index {k} out of range 1..3$"):
-            family_tree_L(cubic, cyl, k)
 
 
 def test_a_member_that_classifies_wrong_is_refused(monkeypatch, cubic):
@@ -666,15 +659,15 @@ def test_no_attach_point_off_the_leaf_walls(cubic):
     """With the bend on the line of p1, and p1 along the leaf's wall, every
     candidate attach point lies on that wall line."""
     cyl = Cylinder((1, 0), (-2, 0), (F(1), F(0)), ((1, 0),), extended=True)
-    for build in (lambda: family_tree_L(cubic, cyl, 1), lambda: build_deformation(cubic, cyl)):
+    for build in (lambda: family_L(cubic, cyl), lambda: build_deformation(cubic, cyl)):
         with pytest.raises(AnchorOnWall, match="^no attach point off the leaf wall lines was found$"):
             build()
 
 
-def test_family_views_are_read_only(cubic):
+def test_family_domains_are_built_once_and_keep_equality(cubic):
+    """``domains`` is computed once; a family with it filled copies and
+    pickles to an equal family with equal domains."""
     fam = build_deformation(cubic, _cyl(cubic, ((-1, -1),)))
-    assert fam.by_name is fam.by_name and fam.domains is fam.domains
-    for view in (fam.by_name, fam.domains):
-        with pytest.raises(TypeError):
-            view["L1"] = None
-    assert copy.deepcopy(fam) == fam and pickle.loads(pickle.dumps(fam)) == fam
+    assert fam.domains is fam.domains
+    for twin in (copy.deepcopy(fam), pickle.loads(pickle.dumps(fam))):
+        assert twin == fam and twin.domains == fam.domains

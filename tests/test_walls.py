@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from conftest import smooth_models
@@ -296,3 +296,33 @@ def test_generate_walls_refuses_bad_arguments(cubic):
     for steps, norm_bound in ((-1, 5), (1, 0)):
         with pytest.raises(ValueError, match="^steps must be >= 0 and norm_bound >= 1$"):
             generate_walls(cubic, steps, norm_bound)
+
+
+GL2_SMALL = [
+    ((a, b), (c, d)) for a, b, c, d in product(range(-3, 4), repeat=4) if abs(a * d - b * c) == 1
+]
+
+
+def _act(A, v):
+    return (A[0][0] * v[0] + A[0][1] * v[1], A[1][0] * v[0] + A[1][1] * v[1])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    smooth_models(),
+    st.sampled_from(GL2_SMALL),
+    st.integers(1, 8),
+    st.sampled_from((0, 1, 2, 3, 10**4)),
+)
+def test_walls_commute_with_gl2(model, A, bound, steps):
+    """For A in GL2(Z), both rules on the transported model give the
+    transported (direction, step) set. A reflection (det A = -1) reverses
+    the cyclic order of the rays, so the transported rays are listed in
+    reverse order, each with its blowups."""
+    rays, blowups = tuple(_act(A, u) for u in model.fan.rays), model.blowups
+    if A[0][0] * A[1][1] - A[0][1] * A[1][0] == -1:
+        rays, blowups = rays[::-1], blowups[::-1]
+    moved = build_model(rays, blowups)
+    for rule in RULES:
+        want = {(_act(A, d), s) for d, s in generate_walls(model, steps, bound, rule).directions}
+        assert set(generate_walls(moved, steps, bound, rule).directions) == want

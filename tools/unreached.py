@@ -18,8 +18,10 @@ object, so the two tests that assert a call leaves no cyclic garbage
 ``test_canonical_leaves_no_cyclic_garbage``) pass under it as they do
 untraced.
 
-Exits 0 after printing the report, or 2 when pytest itself could not run
-the suite (usage or internal error, or no tests collected).
+A gate: exits 0 when every statement ran and every test passed, 1 after
+printing a report that lists some statement or when a test failed, and 2
+when pytest itself could not run the suite (usage or internal error, or no
+tests collected).
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def main(argv: list[str]) -> int:
         for line in missed:
             print(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}")
     print(f"{total} statements unreached in {PACKAGE.relative_to(ROOT)}/")
-    return 0
+    return 1 if total or code else 0
 
 
 if __name__ == "__main__":
