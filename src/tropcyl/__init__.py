@@ -3,7 +3,6 @@ on blowups of smooth complete toric surfaces."""
 
 from .classes import (
     CurveClass,
-    IntersectionProfile,
     class_from_profile,
     divisor_class,
     exceptional_class,
@@ -62,7 +61,6 @@ __all__ = [
     "ElementaryCountTable",
     "F1_RAYS",
     "Fan",
-    "IntersectionProfile",
     "MappedTree",
     "P1XP1_RAYS",
     "P2_RAYS",

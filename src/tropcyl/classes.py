@@ -1,12 +1,13 @@
-"""Curve classes on a blown-up toric surface and their intersection profiles.
+"""Curve classes on a blown-up toric surface, stored as intersection profiles.
 
 A class beta = pi^* beta_t + sum c_ij E_ij on the blowup Y of the toric
-surface Y_t is stored by its intersection numbers: ``dt`` holds
-d_i = beta . D_{t,i} for the pulled-back toric boundary divisors, and ``exc``
-the coefficients c_ij. On a smooth complete fan the intersection pairing on
+surface Y_t is stored as the profile the wire format carries: ``dD`` holds
+beta . D_i for the strict transforms D_i = D_{t,i} - sum_j E_ij, and ``dE``
+holds beta . E_ij = -c_ij. The relation is read on d_i = dD_i + sum_j dE_ij
+= beta . D_{t,i}: on a smooth complete fan the intersection pairing on
 Pic(Y_t) is unimodular, so d fixes beta_t, and a vector d in Z^m occurs
 exactly when sum_i d_i u_i = 0 (dualize 0 -> M -> Z^m -> Pic(Y_t) -> 0).
-Equality is syntactic, and a profile is inverted by checking that relation.
+Equality is syntactic, and a profile is read back by checking that relation.
 ``intersection_matrix`` is cyclic tridiagonal, so a toric class sum_k t_k D_{t,k}
 has d_i = -det(u_{i-1}, u_{i+1}) t_i + t_{i-1} + t_{i+1}, read in O(m).
 """
@@ -44,27 +45,28 @@ def intersection_matrix(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class CurveClass:
-    """A curve class by its intersection numbers.
+    """A curve class by its intersection profile.
 
-    ``dt[i]`` is the class's intersection with D_{t,i+1}, the pullback of the
-    toric boundary divisor; ``exc`` maps (i, j) to the coefficient of E_ij,
-    zero entries omitted. Immutable; hashed once, from (dt, exc), when built.
+    ``dD[i]`` is the class's intersection with D_{i+1}, the strict transform
+    of the toric boundary divisor; ``dE`` lists ((i, j), beta . E_ij) sorted
+    by pair, zero entries omitted. Immutable; hashed once, from (dD, dE),
+    when built.
     """
 
     # Not slots=True: on Python 3.10/3.11 its copy raises TypeError on a new name.
-    __slots__ = ("rays", "dt", "exc", "_hash")
+    __slots__ = ("rays", "dD", "dE", "_hash")
     rays: tuple[Vec, ...]
-    dt: tuple[int, ...]
-    exc: frozenset[tuple[tuple[int, int], int]]
+    dD: tuple[int, ...]
+    dE: tuple[tuple[tuple[int, int], int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.dt, self.exc)))
+        object.__setattr__(self, "_hash", hash((self.dD, self.dE)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        return CurveClass, (self.rays, self.dt, self.exc)
+        return CurveClass, (self.rays, self.dD, self.dE)
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
         return self._plus(other, add)
@@ -73,35 +75,49 @@ class CurveClass:
         return self._plus(other, sub)
 
     def __rmul__(self, c: int) -> "CurveClass":
-        exc = _nonzero((k, c * v) for k, v in self.exc)
-        return CurveClass(self.rays, tuple(c * a for a in self.dt), exc)
+        dE = tuple((k, c * v) for k, v in self.dE) if c else ()
+        return CurveClass(self.rays, tuple(c * a for a in self.dD), dE)
 
     def _plus(self, other: "CurveClass", op) -> "CurveClass":
         if self.rays != other.rays:
             raise ModelMismatch("classes live on different fans")
-        dt = tuple(map(op, self.dt, other.dt))
-        if not other.exc:  # a toric summand leaves the exceptional part alone
-            return CurveClass(self.rays, dt, self.exc)
-        exc = dict(self.exc)
-        for k, v in other.exc:
-            exc[k] = op(exc.get(k, 0), v)
-        return CurveClass(self.rays, dt, _nonzero(exc.items()))
+        dD = tuple(map(op, self.dD, other.dD))
+        if not other.dE:  # a toric summand leaves the exceptional part alone
+            return CurveClass(self.rays, dD, self.dE)
+        dE = dict(self.dE)
+        for k, v in other.dE:
+            dE[k] = op(dE.get(k, 0), v)
+        return CurveClass(self.rays, dD, _canonical(dE.items()))
+
+    @property
+    def dE_map(self) -> dict[tuple[int, int], int]:
+        return dict(self.dE)
 
     def is_zero(self) -> bool:
-        return not any(self.dt) and not self.exc
+        return not any(self.dD) and not self.dE
 
 
-def _nonzero(items) -> frozenset:
-    return frozenset((k, v) for k, v in items if v != 0)
+def _canonical(items) -> tuple:
+    """``dE`` entries sorted by pair, zero entries dropped."""
+    return tuple(sorted((k, v) for k, v in items if v != 0))
 
 
 def make_class(rays, toric, exc=None) -> CurveClass:
-    """The class pi^*(sum_i toric_i D_{t,i}) + sum exc_ij E_ij. The rays are
-    taken to be a ``Fan``'s and are not validated here."""
+    """The class pi^*(sum_i toric_i D_{t,i}) + sum exc_ij E_ij: dD_i is
+    ``toric_profile``_i + sum_j exc_ij and dE_ij = -exc_ij. The rays are taken
+    to be a ``Fan``'s; j needs a model and is checked by ``intersect``."""
     rays = tuple(tuple(r) for r in rays)
-    if len(toric) != len(rays):
+    m = len(rays)
+    if len(toric) != m:
         raise LengthMismatch("toric part length does not match ray count")
-    return CurveClass(rays, toric_profile(rays, toric), _nonzero((exc or {}).items()))
+    dD = list(toric_profile(rays, toric))
+    dE = []
+    for (i, j), c in (exc or {}).items():
+        if not 1 <= i <= m:
+            raise RayIndexOutOfRange(f"ray index {i} out of range 1..{m}")
+        dD[i - 1] += c
+        dE.append(((i, j), -c))
+    return CurveClass(rays, tuple(dD), _canonical(dE))
 
 
 def zero_class(model: ToricModel) -> CurveClass:
@@ -132,18 +148,6 @@ def _check_pair(model: ToricModel, i: int, j: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
-    """Intersection numbers with strict-transform boundary and exceptional curves."""
-
-    dD: tuple[int, ...]
-    dE: tuple[tuple[tuple[int, int], int], ...]
-
-    @property
-    def dE_map(self) -> dict[tuple[int, int], int]:
-        return dict(self.dE)
-
-
 def toric_profile(rays: tuple[Vec, ...], toric: tuple[int, ...]) -> tuple[int, ...]:
     """Intersections of a toric class with each D_{t,i}, row by tridiagonal
     row, a_i read off the neighbouring rays rather than a built matrix."""
@@ -154,38 +158,34 @@ def toric_profile(rays: tuple[Vec, ...], toric: tuple[int, ...]) -> tuple[int, .
     )
 
 
-def intersect(model: ToricModel, beta: CurveClass) -> IntersectionProfile:
-    """Profile of beta against the strict transforms D_i = D_{t,i} - sum_j E_ij
-    and all E_ij: dD_i = d_i + sum_j c_ij and dE_ij = -c_ij."""
+def intersect(model: ToricModel, beta: CurveClass) -> CurveClass:
+    """Check beta against the model, its fan and every exceptional pair it
+    meets, and return it: a class is its own intersection profile."""
     if beta.rays != model.fan.rays:
         raise ModelMismatch("class does not live on this model's fan")
-    dD = list(beta.dt)
-    for (i, j), c in beta.exc:
+    for (i, j), _v in beta.dE:
         _check_pair(model, i, j)
-        dD[i - 1] += c
-    dE = tuple(sorted(((i, j), -c) for (i, j), c in beta.exc))
-    return IntersectionProfile(tuple(dD), dE)
+    return beta
 
 
 def class_from_profile(model: ToricModel, dD, dE) -> CurveClass:
-    """Invert ``intersect``: recover the class with the given profile.
+    """Invert ``intersect``: the class with the given profile on the model.
 
     Every listed pair is checked, zero entries included. Raises
-    NonRepresentable when the toric intersections left after removing the
-    exceptional contributions violate sum_i d_i u_i = 0.
+    NonRepresentable when d_i = dD_i + sum_j dE_ij, the intersections with
+    the pulled-back boundary, violate sum_i d_i u_i = 0.
     """
     if len(dD) != model.m:
         raise LengthMismatch("dD length does not match ray count")
-    dt = list(dD)
-    exc = {}
-    for (i, j), v in dict(dE).items():
+    dE = dict(dE)
+    d = list(dD)
+    for (i, j), v in dE.items():
         _check_pair(model, i, j)
-        dt[i - 1] += v
-        exc[(i, j)] = -v
+        d[i - 1] += v
     rays = model.fan.rays
-    if any(sum(d * u[k] for d, u in zip(dt, rays)) for k in (0, 1)):
+    if any(sum(x * u[k] for x, u in zip(d, rays)) for k in (0, 1)):
         raise NonRepresentable("profile is not in the intersection image")
-    return CurveClass(rays, tuple(dt), _nonzero(exc.items()))
+    return CurveClass(rays, tuple(dD), _canonical(dE.items()))
 
 
 def compatibility_intersections(model: ToricModel, legs) -> tuple[int, ...]:

@@ -160,9 +160,8 @@ def cmd_count(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
         return EXIT_OK
     for choice, b, n in entries:
-        prof = cls.intersect(model, b)
-        dE = " ".join(f"E{i}{j}:{c}" for (i, j), c in sorted(prof.dE))
-        print(f"choice {','.join(map(str, choice))}  dD {list(prof.dD)}  {dE}  count {n}")
+        dE = " ".join(f"E{i}{j}:{c}" for (i, j), c in cls.intersect(model, b).dE)
+        print(f"choice {','.join(map(str, choice))}  dD {list(b.dD)}  {dE}  count {n}")
     if beta is not None:
         n = data.count(beta)
         s = splitting_sum(model, cyl, beta, table)

@@ -158,11 +158,8 @@ def parse_profile(data, model: ToricModel, path: str = "class") -> cls.CurveClas
 
 
 def profile_to_dict(model: ToricModel, beta: cls.CurveClass) -> dict:
-    prof = cls.intersect(model, beta)
-    return {
-        "dD": list(prof.dD),
-        "dE": [[i, j, c] for (i, j), c in sorted(prof.dE)],
-    }
+    cls.intersect(model, beta)
+    return {"dD": list(beta.dD), "dE": [[i, j, c] for (i, j), c in beta.dE]}
 
 
 _SPINE_PATHS = {None: "spec.spine", "twig_type": "spec.twig_type", "bend": "spec.spine.bend_at"}

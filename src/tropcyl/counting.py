@@ -144,13 +144,13 @@ def convolve(a: Support, b: Support) -> Support:
     return measure((ca + cb, na * nb) for ca, na in a.items() for cb, nb in b.items())
 
 
-def scope_profile(model: ToricModel, beta: cls.CurveClass) -> cls.IntersectionProfile:
-    """The intersection profile of beta; raises ``OutOfPrimitiveScope`` when
+def scope_profile(model: ToricModel, beta: cls.CurveClass) -> cls.CurveClass:
+    """beta, checked by ``intersect``; raises ``OutOfPrimitiveScope`` when
     beta meets an exceptional curve with multiplicity other than 0 or 1."""
-    prof = cls.intersect(model, beta)
-    if any(v not in (0, 1) for _, v in prof.dE):
+    cls.intersect(model, beta)
+    if any(v != 1 for _, v in beta.dE):
         raise OutOfPrimitiveScope("class meets an exceptional curve with multiplicity > 1")
-    return prof
+    return beta
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,17 +218,17 @@ class CylinderCount:
 
 def _part(c: cls.CurveClass, pairs: set[tuple[int, int]]) -> frozenset:
     """The exceptional part of a class on the given pairs."""
-    return frozenset(kv for kv in c.exc if kv[0] in pairs)
+    return frozenset(kv for kv in c.dE if kv[0] in pairs)
 
 
 def _private_groups(measures: tuple[Support, ...]) -> Groups:
     """Per leaf s < t: its private pairs, and its (class, count) terms
     grouped by each class's exceptional part on them."""
     *first, last = measures
-    later = {p for c in last for p, _v in c.exc}
+    later = {p for c in last for p, _v in c.dE}
     out = []
     for supp in reversed(first):
-        met = {p for c in supp for p, _v in c.exc}
+        met = {p for c in supp for p, _v in c.dE}
         private, groups = met - later, {}
         for c, n in supp.items():
             groups.setdefault(_part(c, private), []).append((c, n))
@@ -355,8 +355,7 @@ def count_spine(
     are listed in ray-index order, as in ``model.exceptional_directions``, so
     the cylinder is the one ``build_cylinder`` makes from those directions
     and shares its memo entry."""
-    prof = scope_profile(model, beta)
-    rays_hit = [i for (i, _j), v in prof.dE if v == 1]
+    rays_hit = [i for (i, _j), _v in scope_profile(model, beta).dE]
     if len(set(rays_hit)) != len(rays_hit):
         raise OutOfPrimitiveScope(
             "class needs two twig leaves in the same direction; not primitive"

@@ -254,9 +254,8 @@ def _fmt_support(model: ToricModel, supp: Support) -> str:
     """A measure as ``dD [...] Eij:c count n`` terms, one per class."""
     terms = []
     for c, n in supp.items():
-        prof = cls.intersect(model, c)
-        dE = "".join(f" E{i}{j}:{v}" for (i, j), v in prof.dE)
-        terms.append(f"dD {list(prof.dD)}{dE} count {n}")
+        dE = "".join(f" E{i}{j}:{v}" for (i, j), v in cls.intersect(model, c).dE)
+        terms.append(f"dD {list(c.dD)}{dE} count {n}")
     return "{" + ", ".join(sorted(terms)) + "}"
 
 

@@ -60,10 +60,6 @@ class ToricModel:
             self.fan.rays[i] for i in range(self.m) if self.blowups[i] > 0
         )
 
-    @property
-    def is_toric(self) -> bool:
-        return all(l == 0 for l in self.blowups)
-
 
 def build_model(rays, blowups) -> ToricModel:
     return ToricModel(Fan(tuple(tuple(r) for r in rays)), tuple(blowups))

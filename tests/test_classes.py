@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import pytest
@@ -5,6 +6,7 @@ from conftest import smooth_models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropcyl import config as cfg
 from tropcyl.classes import (
     CurveClass,
     class_from_profile,
@@ -78,7 +80,7 @@ def test_make_class_on_a_many_ray_fan_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(classes, "intersection_matrix", refused)
     fan = Fan(tuple((1, k) for k in range(2001)) + ((0, 1), (-1, -1)))
     d = divisor_class(fan, 501)  # (1, 500): a_i = det((1, 499), (1, 501)) = 2
-    assert d.dt[499:502] == (1, -2, 1) and sum(map(abs, d.dt)) == 4
+    assert d.dD[499:502] == (1, -2, 1) and sum(map(abs, d.dD)) == 4
     assert make_class(fan.rays, (0,) * fan.m).is_zero()
 
 
@@ -101,18 +103,31 @@ def test_class_contract(model, data):
     same = class_from_profile(model, prof.dD, prof.dE_map)
     assert same == a and hash(same) == hash(a)
     rays = model.fan.rays
-    moved = CurveClass(rays[1:] + rays[:1], a.dt, a.exc)
+    moved = CurveClass(rays[1:] + rays[:1], a.dD, a.dE)
     assert moved != a
     for op in (lambda x, y: x + y, lambda x, y: x - y):
         with pytest.raises(ModelMismatch):
             op(a, moved)
     with pytest.raises(AttributeError):
-        a.dt = b.dt
+        a.dD = b.dD
     with pytest.raises(AttributeError):
         a.note = 1
     assert not hasattr(a, "__dict__")
     copied = pickle.loads(pickle.dumps(a))
     assert copied == a and hash(copied) == hash(a)
+
+
+@settings(deadline=None, max_examples=40)
+@given(smooth_models(), st.data())
+def test_wire_format_round_trips(model, data):
+    """A class is its profile: the wire format writes dD and dE as stored,
+    reads them back to an equal class, and ``intersect`` returns the class."""
+    b = data.draw(smooth_class(model))
+    wire = cfg.profile_to_dict(model, b)
+    assert wire == {"dD": list(b.dD), "dE": [[i, j, c] for (i, j), c in b.dE]}
+    back = cfg.parse_profile(json.loads(json.dumps(wire)), model)
+    assert back == b and hash(back) == hash(b)
+    assert intersect(model, b) is b
 
 
 def test_intersection_matrix_refuses_a_non_smooth_fan():
@@ -269,3 +284,5 @@ def test_class_constructors_check_lengths_and_indices(cubic):
     for i in (0, 4):
         with pytest.raises(RayIndexOutOfRange, match=f"^ray index {i} out of range 1..3$"):
             divisor_class(cubic.fan, i)
+        with pytest.raises(RayIndexOutOfRange, match=f"^ray index {i} out of range 1..3$"):
+            make_class(cubic.fan.rays, (0, 0, 0), {(i, 1): 1})

@@ -28,7 +28,6 @@ def test_toric_model_has_no_exceptional_data():
     m = build_model(P2_RAYS, (0, 0, 0))
     assert m.exceptional_pairs == ()
     assert m.exceptional_directions == ()
-    assert m.is_toric
 
 
 def test_length_mismatch():
