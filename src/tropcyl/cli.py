@@ -80,6 +80,8 @@ def cmd_walls(args) -> int:
     config = _load_config(args)
     model = config.model
     if args.is_wall is not None:
+        if args.svg or args.json:
+            raise ConfigError("--is-wall", "a direction query writes no --svg or --json")
         try:
             x, y = (int(p) for p in args.is_wall.split(","))
         except ValueError:

@@ -328,14 +328,17 @@ class Classification:
     primitive: bool | None = None
 
 
-def _twig_problems(model: ToricModel, twig: MappedTree, root_label: str = "r") -> list[str]:
+def _twig_problems(model: ToricModel, twig: MappedTree, balancing) -> list[str]:
     """Failures of the twig clauses: image in the wall set, leaves to the
-    exceptional boundary, balancing, only the root finite."""
+    exceptional boundary, balancing, only the root finite. The root is the
+    twig's one mark. ``balancing`` is ``validate_balancing`` of the twig or of
+    a tree that holds it: a twig vertex other than the root has the same
+    edges in both, and the root, 1-valent in the twig, is skipped."""
+    if len(twig.mark_vertex) != 1:
+        return ["twig must carry exactly one root mark"]
     out = []
     pos = twig.pos
-    root = twig.mark_vertex.get(root_label)
-    if root is None:
-        return [f"twig has no root mark {root_label!r}"]
+    [root] = twig.mark_vertex.values()
     if pos[root] is None:
         out.append("twig root must be finite")
     for v, p in twig.positions:
@@ -356,136 +359,84 @@ def _twig_problems(model: ToricModel, twig: MappedTree, root_label: str = "r") -
             out.append(
                 f"twig leaf toward {e.weight} does not reach an exceptional boundary point"
             )
-    for rep in validate_balancing(model, twig):
-        if rep.status != BALANCED:
+    for rep in balancing:
+        if rep.status != BALANCED and rep.vertex in pos and rep.vertex != root:
             out.append(f"twig vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
     return out
+
+
+def _is_primitive(model: ToricModel, cyl: Cylinder) -> bool:
+    try:
+        check_primitive(model, cyl)
+    except NotPrimitiveCylinder:
+        return False
+    return True
 
 
 def classify(model: ToricModel, tree: MappedTree) -> Classification:
     """Decide whether the tree is a cylinder, twig, spine, or tropical curve.
 
-    Clause-level failure reasons accompany an ``invalid`` verdict.
+    The four checks run in that order on one balancing report, and the first
+    that passes gives the kind. Clause-level failure reasons of all four
+    accompany an ``invalid`` verdict.
     """
     if tree.problems:
         return Classification("invalid", tree.problems)
-
-    cyl_reasons, cyl = _try_cylinder(model, tree)
-    if not cyl_reasons:
-        primitive = True
-        try:
-            check_primitive(model, cyl)
-        except NotPrimitiveCylinder:
-            primitive = False
-        return Classification("cylinder", (), cyl, primitive)
-
-    twig_reasons = _try_twig(model, tree)
-    if not twig_reasons:
-        return Classification("twig", ())
-
     balancing = validate_balancing(model, tree)
-    spine_reasons = _try_spine(model, tree, balancing)
-    if not spine_reasons:
-        return Classification("spine", ())
-
-    curve_reasons = _try_curve(model, tree, balancing)
-    if not curve_reasons:
-        return Classification("tropical_curve", ())
-
-    reasons = tuple(
-        f"{kind}: {r}"
-        for kind, rs in (
-            ("cylinder", cyl_reasons),
-            ("twig", twig_reasons),
-            ("spine", spine_reasons),
-            ("tropical curve", curve_reasons),
-        )
-        for r in rs
-    )
-    return Classification("invalid", reasons)
+    cyl_reasons, cyl = _try_cylinder(model, tree, balancing)
+    if not cyl_reasons:
+        return Classification("cylinder", (), cyl, _is_primitive(model, cyl))
+    failed = [("cylinder", cyl_reasons)]
+    for kind, check in (("twig", _twig_problems), ("spine", _try_spine), ("tropical_curve", _try_curve)):
+        reasons = check(model, tree, balancing)
+        if not reasons:
+            return Classification(kind, ())
+        failed.append((kind.replace("_", " "), reasons))
+    return Classification("invalid", tuple(f"{kind}: {r}" for kind, rs in failed for r in rs))
 
 
-def _try_cylinder(model: ToricModel, tree: MappedTree):
+def _try_cylinder(model: ToricModel, tree: MappedTree, balancing):
+    """Failures of the cylinder clauses and, when there are none, the
+    cylinder. The spine's own clauses are ``Cylinder.spine_problem``'s. No
+    clause reads the bend: where the tree balances, the spine weights there
+    sum to minus the twig's root edge, which the twig clauses keep a nonzero
+    wall direction on a line through the origin."""
     out: list[str] = []
     marks = tree.mark_vertex
-    pos = tree.pos
-    leg_labels = [l for l in marks if l not in tree.interior]
+    leg_labels = sorted(l for l in marks if l not in tree.interior)
     if len(leg_labels) != 2:
         out.append(f"needs exactly two marked spine legs, found {len(leg_labels)}")
     if len(tree.interior) != 1:
         out.append("needs exactly one interior constant leg")
     if out:
         return out, None
-    wlabel = next(iter(tree.interior))
-    wvert = marks[wlabel]
+    wvert = marks[next(iter(tree.interior))]
     wedge, _ = tree.leg(wvert)
     if wedge.weight != (0, 0) or wedge.length is not None:
         out.append("interior leg must be an infinite constant leg")
-    spine_verts, twigs = spine_decomposition(tree)
+    _, twigs = spine_decomposition(tree)
     if len(twigs) != 1:
         out.append(f"needs exactly one twig, found {len(twigs)}")
         return out, None
     attach, twig = twigs[0]
-    tw_problems = _twig_problems(model, twig)
-    out.extend(tw_problems)
-    # Spine-side weights at the bending vertex.
-    spine_sum = (0, 0)
-    twig_vertices = {v for v, _ in twig.positions} - {attach}
-    for e in tree.incident(attach):
-        other = e.head if e.tail == attach else e.tail
-        if other in twig_vertices:
-            continue
-        w = e.weight if e.tail == attach else (-e.weight[0], -e.weight[1])
-        spine_sum = (spine_sum[0] + w[0], spine_sum[1] + w[1])
-    if spine_sum == (0, 0):
-        out.append("bending vertex has balanced spine weights; no bend")
-    else:
-        if not is_wall_direction(model, spine_sum):
-            out.append(f"spine weight sum {spine_sum} at the bend is not parallel to a wall")
-        if det(pos[attach], spine_sum) != 0:
-            out.append("bending vertex does not lie on the wall it bends along")
-    # Full-curve balancing at the bend and plain balancing elsewhere.
-    for rep in validate_balancing(model, tree):
-        if rep.vertex == attach:
-            if rep.status != BALANCED:
-                out.append(
-                    f"bending vertex fails full-curve balancing (deficit {rep.deficit})"
-                )
-        elif rep.status != BALANCED:
+    out.extend(_twig_problems(model, twig, balancing))
+    # The twig clause reports the twig's vertices; this reports the rest.
+    for rep in balancing:
+        if rep.status != BALANCED and (rep.vertex == attach or rep.vertex not in twig.pos):
             out.append(f"vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
     # The constant leg is on the spine, as each mark has its own vertex; it
     # must attach away from the bend.
     wattach = wedge.tail if wedge.head == wvert else wedge.head
     if wattach == attach:
         out.append("interior constant leg attaches at the bending vertex")
-    # Spine legs: both marked, nonzero weights.
-    legs = {}
-    extended = False
-    for label in leg_labels:
-        e, w = tree.leg(marks[label])
-        if w == (0, 0):
-            out.append(f"spine leg {label} has weight zero")
-        legs[label] = w
-        if e.length is None:
-            extended = True
     if out:
         return out, None
-    p1, p2 = (legs[l] for l in sorted(legs))
+    (e1, p1), (e2, p2) = (tree.leg(marks[l]) for l in leg_labels)
     leaves = tuple(sorted(e.weight for e in twig.edges if e.length is None))
-    cyl = Cylinder(p1, p2, pos[attach], leaves, extended)
+    extended = e1.length is None or e2.length is None
+    cyl = Cylinder(p1, p2, tree.pos[attach], leaves, extended)
     problem = cyl.spine_problem()
-    return ([problem[1]], None) if problem else (out, cyl)
-
-
-def _try_twig(model: ToricModel, tree: MappedTree) -> list[str]:
-    out = []
-    labels = set(tree.mark_vertex)
-    if len(labels) != 1:
-        out.append("twig must carry exactly one root mark")
-        return out
-    root_label = next(iter(labels))
-    out.extend(_twig_problems(model, tree, root_label))
-    return out
+    return ([problem[1]], None) if problem else ([], cyl)
 
 
 def _try_spine(model: ToricModel, tree: MappedTree, balancing) -> list[str]:

@@ -52,6 +52,18 @@ def test_walls_query(capsys):
     assert out.strip() == "true"
 
 
+@pytest.mark.parametrize("flags", [["--json"], ["--svg", "SVG"], ["--svg", "SVG", "--json"]])
+def test_walls_query_refuses_output_flags(capsys, tmp_path, flags):
+    """A direction query prints one word: it refuses --svg and --json rather
+    than drop them, and writes no file."""
+    svg = tmp_path / "walls.svg"
+    argv = ["walls", "--is-wall", "2,1", *(str(svg) if f == "SVG" else f for f in flags)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --is-wall: a direction query writes no --svg or --json\n")
+    assert not svg.exists()
+
+
 def test_walls_query_zero_vector(capsys):
     assert main(["walls", "--is-wall", "0,0"]) == 2
     out = capsys.readouterr()

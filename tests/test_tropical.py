@@ -1,16 +1,20 @@
 import copy
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
 from conftest import smooth_models
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropcyl.classes import divisor_class, intersect, zero_class
-from tropcyl.errors import AffineInconsistent, NotPrimitiveCylinder, PathThroughOrigin, ZeroVector
+from tropcyl import tropical
+from tropcyl.counting import build_cylinder
+from tropcyl.errors import (
+    AffineInconsistent, NotPrimitiveCylinder, PathThroughOrigin, TropcylError, ZeroVector,
+)
 from tropcyl.lattice import det
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 from tropcyl.tropical import (
@@ -31,6 +35,7 @@ from tropcyl.tropical import (
     spine_decomposition,
     validate_balancing,
 )
+from tropcyl.walls import is_wall_direction
 
 F = Fraction
 
@@ -187,8 +192,6 @@ class TestClassify:
         assert result.reasons
 
     def test_cylinder_tree_round_trip(self, cubic):
-        from tropcyl.counting import build_cylinder
-
         cyl = build_cylinder(cubic, ((1, 0), (0, 1)), extended=True)
         tree = cylinder_tree(cubic, cyl)
         got = classify(cubic, tree)
@@ -281,8 +284,10 @@ REJECTIONS = {
     "twig edge off the walls": (lambda: _raw_tree(
         {"r": _pt(0, 1), "t": None}, [Edge("r", "t", (0, 1), None)], {"r": "r"}),
         "twig: twig edge r-t direction (0, 1) is not a wall direction"),
+    # A spine sum of zero leaves the bend unbalanced, or the root edge of
+    # weight zero.
     "no bend": (lambda: _spine_tree(_pt(2, 2), ((0, 1), (0, -1)), [_LEAF]),
-        "cylinder: bending vertex has balanced spine weights; no bend"),
+        "cylinder: vertex b is unbalanced (deficit (-1, -1))"),
     "constant leg at the bend": (lambda: _raw_tree(
         {"b": _pt(2, 2), "w": None, "v1": None, "v2": None, "t1": None},
         [Edge("b", "w", (0, 0), None), Edge("b", "v1", (0, 1), None),
@@ -297,13 +302,24 @@ REJECTIONS = {
          Edge("b", "v1", (0, 1), None), Edge("b", "t1", (-1, -1), None)],
         {"1": "v1", "2": "v2"}, boundary=("1", "2")),
         "tropical curve: vertex m is an unmarked 2-valent vertex; curve is not simple"),
+    # Under balancing the spine sum is minus the twig's root edge, so the
+    # twig clauses name a sum off the walls or a bend off its wall.
     "spine sum off the walls": (lambda: _spine_tree(_pt(2, 2), ((0, 1), (1, 0)), [_LEAF]),
-        "cylinder: spine weight sum (1, 1) at the bend is not parallel to a wall"),
+        "cylinder: twig edge b-t1 direction (-1, -1) is not a wall direction"),
     "bend off the wall it bends along": (lambda: _spine_tree(
         _pt(2, 3), ((0, 1), (1, 0)), [("t1", None, Edge("b", "t1", (-2, -2), None))]),
-        "cylinder: bending vertex does not lie on the wall it bends along"),
+        "cylinder: twig edge b-t1 does not lie on a line through the origin"),
     "spine leg of weight zero": (lambda: _spine_tree(_pt(2, 2), ((1, 1), (0, 0)), [_LEAF]),
-        "cylinder: spine leg 2 has weight zero"),
+        "cylinder: spine slope must be nonzero"),
+    # Leg 1 turns at a1 and the bend is off by the opposite deficit, so the
+    # legs balance the leaf and only the balancing clause rejects the tree.
+    "spine unbalanced at two vertices": (lambda: _raw_tree(
+        {"b": _pt(2, 2), "a1": _pt(2, 3), "w": None, "v1": None, "v2": None, "t1": None},
+        [Edge("b", "a1", (0, 1), F(1)), Edge("a1", "w", (0, 0), None),
+         Edge("a1", "v1", (1, 2), None), Edge("b", "v2", (0, -1), None),
+         Edge("b", "t1", (-1, -1), None)],
+        {"1": "v1", "2": "v2", "w": "w"}, interior=("w",), boundary=("1", "2")),
+        "cylinder: vertex a1 is unbalanced (deficit (1, 1))"),
     "interior leg not constant": (lambda: _raw_tree(
         {"b": _pt(2, 2), "a1": _pt(2, 3), "w": None, "v1": None, "v2": None, "t1": None},
         [Edge("b", "a1", (0, 1), F(1)), Edge("a1", "w", (1, 0), None),
@@ -342,6 +358,33 @@ def test_rejection_reasons(cubic, case):
     result = classify(model, build())
     assert result.kind == "invalid"
     assert reason in result.reasons, result.reasons
+
+
+ONE_OF_EACH_KIND = {
+    "cylinder": single_leaf_cylinder_tree,
+    "twig": lambda: make_tree({"r": _pt(1, 0), "t": None}, [Edge("r", "t", (1, 0), None)], {"r": "r"}),
+    "spine": lambda: _spine_tree(_pt(2, 2), ((0, 1), (1, 0))),
+    "tropical_curve": lambda: make_tree(
+        {"b": _pt(2, 2), "v1": None, "v2": None, "t1": None},
+        [Edge("b", "v1", (0, 1), None), Edge("b", "v2", (1, 0), None), Edge("b", "t1", (-1, -1), None)],
+        {"1": "v1", "2": "v2"}, boundary=("1", "2")),
+    "invalid": REJECTIONS["no bend"][0],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_OF_EACH_KIND))
+def test_classify_reports_balancing_once(cubic, monkeypatch, kind):
+    """Every check of ``classify`` reads one balancing report of the tree."""
+    calls = []
+
+    def counted(model, tree):
+        calls.append(tree)
+        return validate_balancing(model, tree)
+
+    tree = ONE_OF_EACH_KIND[kind]()
+    monkeypatch.setattr(tropical, "validate_balancing", counted)
+    assert classify(cubic, tree).kind == kind
+    assert calls == [tree]
 
 
 def test_lone_twig_classifies_as_twig(cubic):
@@ -683,6 +726,79 @@ def test_classify_is_total_on_affine_trees(tree):
         )
 
 
+@settings(deadline=None, max_examples=100)
+@given(smooth_models(), st.booleans(), st.data())
+def test_the_canonical_cylinder_classifies_as_itself(model, extended, data):
+    """The tree of a canonical cylinder with distinct leaves is a primitive
+    cylinder, and ``classify`` reads back the cylinder, its leaves sorted."""
+    dirs = model.exceptional_directions
+    assume(dirs)
+    t = data.draw(st.integers(1, min(3, len(dirs))))
+    twig = tuple(data.draw(st.permutations(dirs))[:t])
+    try:
+        cyl = build_cylinder(model, twig, extended)
+        tree = cylinder_tree(model, cyl)
+    except TropcylError:
+        assume(False)
+    assert classify(model, tree) == Classification(
+        "cylinder", (), replace(cyl, twig_type=tuple(sorted(twig))), True
+    )
+
+
+_small = st.integers(-2, 2)
+_negative_rationals = st.fractions(min_value=-5, max_value=F(-1, 7), max_denominator=7)
+
+
+@st.composite
+def explicit_cylinder_trees(draw):
+    """A model and the tree of a cylinder with a random explicit spine: one
+    to three leaves toward exceptional rays, a random leg p1, p2 balancing
+    it, the bend on the leaf-sum line (at a negative multiple of the sum for
+    more than one leaf) or, for one leaf, anywhere; then, half of the time,
+    one infinite edge's weight redrawn in -2..2."""
+    model = draw(smooth_models().filter(lambda m: m.exceptional_directions))
+    twig = tuple(draw(st.lists(st.sampled_from(model.exceptional_directions), min_size=1, max_size=3)))
+    w0 = tropical.leaf_sum(twig)
+    p1 = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    p2 = (-w0[0] - p1[0], -w0[1] - p1[1])
+    if len(twig) == 1 and draw(st.booleans()):
+        bend = draw(st.tuples(_rationals, _rationals))
+    else:
+        c = draw(_rationals if len(twig) == 1 else _negative_rationals)
+        bend = (c * w0[0], c * w0[1])
+    try:
+        tree = cylinder_tree(model, Cylinder(p1, p2, bend, twig, draw(st.booleans())))
+    except TropcylError:
+        assume(False)
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([k for k, e in enumerate(tree.edges) if e.length is None]))
+        edges = list(tree.edges)
+        edges[k] = replace(edges[k], weight=draw(st.tuples(_small, _small)))
+        tree = replace(tree, edges=tuple(edges))
+    return model, tree
+
+
+@settings(deadline=None, max_examples=200)
+@given(explicit_cylinder_trees())
+def test_a_cylinder_bends_along_its_wall(case):
+    """What a cylinder verdict implies at the bend b: the spine legs' weight
+    sum there is a nonzero wall direction through b, and neither spine leg
+    has weight zero. ``classify`` checks none of this directly: balancing,
+    the twig clauses and ``Cylinder.spine_problem`` imply it."""
+    model, tree = case
+    if classify(model, tree).kind != "cylinder":
+        return
+    sum_ = (0, 0)
+    for e in tree.incident("b"):
+        if {e.tail, e.head} & {"a1", "v2"}:
+            w = e.weight if e.tail == "b" else (-e.weight[0], -e.weight[1])
+            sum_ = (sum_[0] + w[0], sum_[1] + w[1])
+    assert sum_ != (0, 0) and is_wall_direction(model, sum_)
+    assert det(tree.pos["b"], sum_) == 0
+    for label in ("1", "2"):
+        assert tree.leg(tree.mark_vertex[label])[1] != (0, 0)
+
+
 def test_make_tree_refuses_a_structural_problem():
     """A vertex at infinity ending two edges: both problems are reported."""
     with pytest.raises(
@@ -698,7 +814,10 @@ def test_a_cylinder_without_leaves_is_not_primitive(cubic):
 
 
 def test_a_twig_without_its_root_mark(cubic):
-    assert _twig_problems(cubic, single_leaf_cylinder_tree(), "r") == ["twig has no root mark 'r'"]
+    tree = single_leaf_cylinder_tree()
+    assert _twig_problems(cubic, tree, validate_balancing(cubic, tree)) == [
+        "twig must carry exactly one root mark"
+    ]
 
 
 def test_a_twig_with_a_finite_leaf(cubic):
@@ -710,7 +829,8 @@ def test_a_twig_with_a_finite_leaf(cubic):
         (("r", "a"),),
         finite=frozenset({"r"}),
     )
-    assert "twig vertex b is finite but only the root may be" in _twig_problems(cubic, twig)
+    problems = _twig_problems(cubic, twig, validate_balancing(cubic, twig))
+    assert "twig vertex b is finite but only the root may be" in problems
 
 
 def test_extension_from_the_origin_refused(cubic):
