@@ -3,21 +3,24 @@
 Each mutant is one exact text replacement in one file of ``src/``. For each
 mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
 temporary directory of its own, applies the replacement there, and runs the
-tier-1 command (pytest over ``tests/`` with ``src`` on the path, stopping at
-the first failure, Hypothesis seed 0). A mutant is killed when that run
-fails. The unmutated copy runs first, so a suite that already fails is
-reported instead of counted as kills.
+tier-1 command (pytest over ``tests/`` with ``src`` on the path and the flags
+of ``tools/unreached.py``, plus ``-x`` to stop at the first failure). A
+mutant is killed when that run fails. The unmutated copy runs first, so a
+suite that already fails is reported instead of counted as kills.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
-With names, only those mutants run. It is not part of tier-1. A full run
-takes about 3 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated copy
-and each survivor cost a whole suite run, about 25 s, and a killed mutant
-less. The script writes only to its temporary directories.
+It runs every mutant and is not part of tier-1. A full run takes about 3
+minutes (Python 3.11.7, 2 shared vCPUs): the unmutated copy and each
+survivor cost a whole suite run, about 25 s, and a killed mutant less. The
+script writes only to its temporary directories.
 
-A gate: exits 0 when every mutant marked ``must_kill`` was killed, 1 when
-one survived or when an ``old`` text does not occur exactly once in its
-file, and 2 when the unmutated suite fails or a name is unknown.
+A gate: exits 0 when every mutant marked ``must_kill`` was killed and every
+other one survived; 1 when a ``must_kill`` mutant survived, when a mutant not
+marked ``must_kill`` was killed (the test that now kills it closes its
+ROADMAP item, and the mark should flip to ``True``), or when an ``old`` text
+does not occur exactly once in its file; and 2 when the unmutated suite
+fails.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
+from unreached import TIER1_FLAGS
+
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = [
-    sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
-    "-p", "no:cacheprovider", "--hypothesis-seed=0",
-]
+TIER1 = [sys.executable, "-m", "pytest", *TIER1_FLAGS, "-x", "tests"]
 
 
 class Mutant(NamedTuple):
@@ -134,13 +136,8 @@ def run_tier1(mutant: Mutant | None) -> tuple[bool, float]:
         return done.returncode == 0, time.perf_counter() - start
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    bad = bad_anchors(chosen)
+def main() -> int:
+    bad = bad_anchors(MUTANTS)
     for line in bad:
         print(line)
     if bad:
@@ -149,18 +146,20 @@ def main(argv: list[str]) -> int:
     print(f"unmutated: {'pass' if passed else 'FAIL'} ({seconds:.1f} s)")
     if not passed:
         return 2
-    escaped = []
-    for m in chosen:
+    wrong = []
+    for m in MUTANTS:
         passed, seconds = run_tier1(m)
         verdict = "survived" if passed else "killed"
         print(f"{m.name}: {verdict} ({seconds:.1f} s){'' if m.must_kill else ', not must_kill'} - {m.note}")
-        if passed and m.must_kill:
-            escaped.append(m.name)
-    if escaped:
-        print(f"must_kill mutants survived: {', '.join(escaped)}")
-        return 1
-    return 0
+        if passed == m.must_kill:
+            wrong.append(m)
+    for m in wrong:
+        if m.must_kill:
+            print(f"must_kill mutant survived: {m.name}")
+        else:
+            print(f"mutant not marked must_kill was killed: {m.name}; mark it must_kill")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -35,9 +35,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "tropcyl"
-TIER1_ARGS = [
-    "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-    "--hypothesis-seed=0", str(ROOT / "tests"),
+# The tier-1 pytest flags, shared with tools/mutants.py; the tests path is
+# added by each caller.
+TIER1_FLAGS = [
+    "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--hypothesis-seed=0",
 ]
 
 
@@ -102,7 +103,8 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     sys.settrace(tracer)
     try:
         with tempfile.TemporaryDirectory() as home:
-            code = pytest.main(TIER1_ARGS + pytest_args, plugins=[HypothesisHome(home)])
+            args = [*TIER1_FLAGS, str(ROOT / "tests"), *pytest_args]
+            code = pytest.main(args, plugins=[HypothesisHome(home)])
     finally:
         sys.settrace(None)
         threading.settrace(None)
