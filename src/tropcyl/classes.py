@@ -10,6 +10,8 @@ exactly when sum_i d_i u_i = 0 (dualize 0 -> M -> Z^m -> Pic(Y_t) -> 0).
 Equality is syntactic, and a profile is read back by checking that relation.
 ``intersection_matrix`` is cyclic tridiagonal, so a toric class sum_k t_k D_{t,k}
 has d_i = -det(u_{i-1}, u_{i+1}) t_i + t_{i-1} + t_{i+1}, read in O(m).
+A sum costs O(m) for ``dD``; its ``dE`` is the concatenation of the two
+sorted runs when their pairs do not interleave, and a dict merge otherwise.
 """
 
 from __future__ import annotations
@@ -82,10 +84,16 @@ class CurveClass:
         if self.rays != other.rays:
             raise ModelMismatch("classes live on different fans")
         dD = tuple(map(op, self.dD, other.dD))
-        if not other.dE:  # a toric summand leaves the exceptional part alone
-            return CurveClass(self.rays, dD, self.dE)
-        dE = dict(self.dE)
-        for k, v in other.dE:
+        a, b = self.dE, other.dE
+        if not b:  # a toric summand leaves the exceptional part alone
+            return CurveClass(self.rays, dD, a)
+        # Sorted runs whose pairs do not interleave add by concatenation.
+        if not a or a[-1][0] < b[0][0]:
+            return CurveClass(self.rays, dD, a + _signed(b, op))
+        if b[-1][0] < a[0][0]:
+            return CurveClass(self.rays, dD, _signed(b, op) + a)
+        dE = dict(a)
+        for k, v in b:
             dE[k] = op(dE.get(k, 0), v)
         return CurveClass(self.rays, dD, _canonical(dE.items()))
 
@@ -95,6 +103,11 @@ class CurveClass:
 
     def is_zero(self) -> bool:
         return not any(self.dD) and not self.dE
+
+
+def _signed(dE: tuple, op) -> tuple:
+    """``dE`` as a summand under ``op``: its values negated for a difference."""
+    return dE if op is add else tuple((k, -v) for k, v in dE)
 
 
 def _canonical(items) -> tuple:

@@ -52,7 +52,7 @@ _EXIT_CODES = (
 )
 
 # `count` lists and `verify` compares prod_s |leaf entries_s| rows. 3^8 rows
-# (8 leaves, every l_i = 3, 12-ray model) take `verify` about 0.6 s.
+# (8 leaves, every l_i = 3, 12-ray model) take `verify` 0.25-0.4 s.
 MAX_ROWS = 3**8
 
 DEFAULT_CONFIG = {
@@ -200,6 +200,8 @@ def _verify_one(model, cyl, table, path: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.spec and args.seed is not None:
+        raise ConfigError("--seed", "a spec run draws no random cases")
     config = _load_config(args)
     model = config.model
     if args.cases < 0:
@@ -231,9 +233,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    target = args.target
+    if target == "walls" and args.spec:
+        raise ConfigError("spec", "a wall drawing reads no cylinder spec")
+    if target == "cylinder":
+        given = (("--steps", args.steps), ("--norm-bound", args.norm_bound), ("--rule", args.rule))
+        for flag, value in given:
+            if value is not None:
+                raise ConfigError(flag, "a cylinder drawing generates no walls")
     config = _load_config(args)
     model = config.model
-    target = args.target
     if target == "walls":
         walls = generate_walls(
             model, config.walls.steps, config.walls.norm_bound, config.walls.rule

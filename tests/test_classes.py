@@ -1,5 +1,6 @@
 import json
 import pickle
+from operator import add, sub
 
 import pytest
 from conftest import smooth_models
@@ -128,6 +129,51 @@ def test_wire_format_round_trips(model, data):
     back = cfg.parse_profile(json.loads(json.dumps(wire)), model)
     assert back == b and hash(back) == hash(b)
     assert intersect(model, b) is b
+
+
+@st.composite
+def coefficients(draw, model, rays):
+    """A toric part and nonzero exceptional coefficients on a random subset
+    of the pairs over the given rays."""
+    toric = draw(st.tuples(*[st.integers(-4, 4)] * model.m))
+    pairs = [p for p in model.exceptional_pairs if p[0] in rays]
+    support = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return toric, {p: draw(st.sampled_from((-2, -1, 1, 2))) for p in support}
+
+
+@pytest.mark.parametrize("layout", ["a-before-b", "b-before-a", "interleaved", "cancelling"])
+@settings(deadline=None, max_examples=60)
+@given(smooth_models(), st.data())
+def test_sum_is_canonical(layout, model, data):
+    """a + b and a - b are the classes of the summed coefficients, with dE
+    strictly sorted by pair and free of zeros, whether the summands'
+    exceptional pairs lie in disjoint runs (either order), interleave, or
+    cancel."""
+    split = data.draw(st.integers(1, model.m + 1))
+    low, high = range(1, split), range(split, model.m + 1)
+    every = range(1, model.m + 1)
+    a_rays, b_rays = {
+        "a-before-b": (low, high),
+        "b-before-a": (high, low),
+        "interleaved": (every, every),
+        "cancelling": (every, every),
+    }[layout]
+    ta, ea = data.draw(coefficients(model, a_rays))
+    if layout == "cancelling":
+        tb, eb = tuple(-t for t in ta), {p: -c for p, c in ea.items()}
+    else:
+        tb, eb = data.draw(coefficients(model, b_rays))
+    rays = model.fan.rays
+    a, b = make_class(rays, ta, ea), make_class(rays, tb, eb)
+    for got, op in ((a + b, add), (a - b, sub)):
+        exc = {p: op(ea.get(p, 0), eb.get(p, 0)) for p in ea.keys() | eb.keys()}
+        want = make_class(rays, tuple(map(op, ta, tb)), exc)
+        assert got == want and hash(got) == hash(want)
+        assert all(p < q for (p, _), (q, _) in zip(got.dE, got.dE[1:]))
+        assert all(v for _, v in got.dE)
+        assert class_from_profile(model, got.dD, got.dE) == got
+    if layout == "cancelling":
+        assert (a + b).is_zero()
 
 
 def test_intersection_matrix_refuses_a_non_smooth_fan():

@@ -228,6 +228,31 @@ def test_render_toric_model_boundary_only(tmp_path, capsys):
     assert "<line" not in text
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["verify", "SPEC", "--seed", "7"],
+                     "--seed: a spec run draws no random cases", id="verify-spec-seed"),
+        pytest.param(["render", "cylinder", "SPEC", "--steps", "99", "--rule", "support"],
+                     "--steps: a cylinder drawing generates no walls", id="render-cylinder-steps"),
+        pytest.param(["render", "cylinder", "SPEC", "--norm-bound", "4"],
+                     "--norm-bound: a cylinder drawing generates no walls", id="render-cylinder-norm-bound"),
+        pytest.param(["render", "cylinder", "SPEC", "--rule", "support"],
+                     "--rule: a cylinder drawing generates no walls", id="render-cylinder-rule"),
+        pytest.param(["render", "walls", "SPEC", "--svg", "SVG"],
+                     "spec: a wall drawing reads no cylinder spec", id="render-walls-spec"),
+    ],
+)
+def test_flags_a_command_ignores_are_refused(capsys, tmp_path, argv, message):
+    """An input the command would not read is refused where it is named,
+    before any output is written."""
+    spec, svg = spec_file(tmp_path, {"twig_type": [[-1, -1]]}), tmp_path / "out.svg"
+    assert main([{"SPEC": spec, "SVG": str(svg)}.get(a, a) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+    assert not svg.exists()
+
+
 def test_render_unknown_target(capsys):
     code, _ = run(capsys, "render", "bogus")
     assert code == 6

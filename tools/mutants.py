@@ -10,7 +10,7 @@ suite that already fails is reported instead of counted as kills.
 
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run takes about 3
+It runs every mutant and is not part of tier-1. A full run takes 3-4
 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated copy and each
 survivor cost a whole suite run, about 25 s, and a killed mutant less. The
 script writes only to its temporary directories.
@@ -55,6 +55,18 @@ MUTANTS = (
         "toric[i - 1] + toric[(i + 1) % m] - det(",
         "toric[i - 1] - det(",
         True, "toric_profile forgets t_{i+1}",
+    ),
+    Mutant(
+        "sum-concatenates-equal-pairs", "src/tropcyl/classes.py",
+        "a[-1][0] < b[0][0]",
+        "a[-1][0] <= b[0][0]",
+        True, "CurveClass._plus concatenates runs that share a pair, leaving a duplicate key",
+    ),
+    Mutant(
+        "sum-keeps-subtrahend-sign", "src/tropcyl/classes.py",
+        "(k, -v) for k, v in dE",
+        "(k, v) for k, v in dE",
+        True, "CurveClass._plus concatenates the subtrahend's exceptional part unnegated",
     ),
     Mutant(
         "lexicographic-on-ray-split", "src/tropcyl/tropical.py",
