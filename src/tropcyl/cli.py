@@ -55,6 +55,9 @@ _EXIT_CODES = (
 # (8 leaves, every l_i = 3, 12-ray model) take `verify` 0.25-0.4 s.
 MAX_ROWS = 3**8
 
+# Randomized cases `verify` draws without --cases.
+DEFAULT_CASES = 20
+
 DEFAULT_CONFIG = {
     "model": {
         "fan": {"rays": [[1, 0], [0, 1], [-1, -1]]},
@@ -76,10 +79,17 @@ def _write_svg(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _refuse_wall_flags(args, reason: str) -> None:
+    """Refuse the first wall generation flag given, for a command that
+    generates no walls."""
+    for flag, value in (("--steps", args.steps), ("--norm-bound", args.norm_bound), ("--rule", args.rule)):
+        if value is not None:
+            raise ConfigError(flag, reason)
+
+
 def cmd_walls(args) -> int:
-    config = _load_config(args)
-    model = config.model
     if args.is_wall is not None:
+        _refuse_wall_flags(args, "a direction query generates no walls")
         if args.svg or args.json:
             raise ConfigError("--is-wall", "a direction query writes no --svg or --json")
         try:
@@ -88,8 +98,10 @@ def cmd_walls(args) -> int:
             raise ConfigError("--is-wall", "expected X,Y with integer entries")
         if (x, y) == (0, 0):
             raise ConfigError("--is-wall", "zero vector has no direction")
-        print("true" if is_wall_direction(model, (x, y)) else "false")
+        print("true" if is_wall_direction(_load_config(args).model, (x, y)) else "false")
         return EXIT_OK
+    config = _load_config(args)
+    model = config.model
     walls = generate_walls(model, config.walls.steps, config.walls.norm_bound, config.walls.rule)
     if args.json:
         out = {
@@ -200,11 +212,14 @@ def _verify_one(model, cyl, table, path: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.spec and args.seed is not None:
-        raise ConfigError("--seed", "a spec run draws no random cases")
+    if args.spec:
+        for flag, value in (("--seed", args.seed), ("--cases", args.cases)):
+            if value is not None:
+                raise ConfigError(flag, "a spec run draws no random cases")
     config = _load_config(args)
     model = config.model
-    if args.cases < 0:
+    cases = DEFAULT_CASES if args.cases is None else args.cases
+    if cases < 0:
         raise ConfigError("--cases", "must be >= 0")
     table = _load_table(args, model)
     if args.spec:
@@ -219,7 +234,7 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed if args.seed is not None else 0)
     done = 0
     steps_total = 0
-    while done < args.cases:
+    while done < cases:
         twig = _random_twig(model, rng)
         try:
             cyl = build_cylinder(model, twig, extended=True)
@@ -237,10 +252,7 @@ def cmd_render(args) -> int:
     if target == "walls" and args.spec:
         raise ConfigError("spec", "a wall drawing reads no cylinder spec")
     if target == "cylinder":
-        given = (("--steps", args.steps), ("--norm-bound", args.norm_bound), ("--rule", args.rule))
-        for flag, value in given:
-            if value is not None:
-                raise ConfigError(flag, "a cylinder drawing generates no walls")
+        _refuse_wall_flags(args, "a cylinder drawing generates no walls")
     config = _load_config(args)
     model = config.model
     if target == "walls":
@@ -275,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--norm-bound": dict(type=int, help="prune walls above this fan norm"),
         "--rule": dict(choices=RULES, help="wall generation rule"),
         "--is-wall": dict(help="query a direction X,Y instead of listing"),
-        "--cases": dict(type=int, default=20, help="randomized case count"),
+        "--cases": dict(type=int, help=f"randomized case count (default {DEFAULT_CASES})"),
     }
 
     def add(name, func, summary, *names):

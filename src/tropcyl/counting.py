@@ -77,7 +77,9 @@ def elementary_cylinder(model: ToricModel, i: int) -> Cylinder:
 
 
 def spine_extension_shift(model: ToricModel, cyl: Cylinder) -> cls.CurveClass:
-    """Sum of the extension classes of the two spine legs, from the bend."""
+    """Sum of the extension classes of the two spine legs, from the bend. Its
+    dD is ``extended_boundary_profile`` minus g(cyl): the linear pieces of
+    ``direction_contrib`` on the cones the two legs enter, at their slopes."""
     return extension_class(model, cyl.bend, cyl.p1) + extension_class(
         model, cyl.bend, cyl.p2
     )

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from . import classes as cls
 from .errors import AffineInconsistent, NotPrimitiveCylinder, PathThroughOrigin, ZeroVector
-from .lattice import Point, Vec, cone_coordinates, det, dot, norm, primitive_part, vadd
+from .lattice import Point, Vec, cone_coordinates, cone_of, det, dot, norm, primitive_part, vadd
 from .model import ToricModel
 from .walls import is_wall_direction
 
@@ -510,28 +510,28 @@ def _try_curve(model: ToricModel, tree: MappedTree, balancing) -> list[str]:
 def extension_class(model: ToricModel, x: Point, p: Vec) -> cls.CurveClass:
     """Curve class picked up by extending affinely from x to infinity with slope p.
 
-    Each transverse crossing of a ray rho contributes |det(u_rho, p)| times the
-    class of D_{t,rho}. Raises PathThroughOrigin when the open path hits 0.
+    contrib = ``classes.direction_contrib`` is linear on each cone (u_i,
+    u_{i+1}), by L_i: a u_i + b u_{i+1} -> a e_i + b e_{i+1} for any signs.
+    The class is the kink contrib(p) - L_i(p) on the cone i that the path
+    x + eps p enters, in d-coordinates: each ray u_k it crosses adds
+    |det(u_k, p)| D_{t,k}. Raises PathThroughOrigin when the path hits 0.
     """
     if p == (0, 0):
         raise ZeroVector("extension slope must be nonzero")
     if x == (0, 0):
         raise PathThroughOrigin("extension starts at the origin")
-    # x + t p = s u_rho solves to t = det(u, x) / d and s = det(p, x) / d with
-    # d = det(p, u); X is x times a positive integer, so the signs of t and s
-    # are those of det(u, X) * d and det(p, X) * d.
+    # X is x times a positive integer: the same cone, without Fractions.
     X = (x[0].numerator * x[1].denominator, x[1].numerator * x[0].denominator)
-    coeffs = [0] * model.m
-    for k, u in enumerate(model.fan.rays):
-        d = det(p, u)
-        if d == 0 or det(u, X) * d <= 0:
-            continue
-        s = det(p, X) * d
-        if s == 0:
-            raise PathThroughOrigin("extension path passes through the origin")
-        if s > 0:
-            coeffs[k] = abs(d)
-    return cls.make_class(model.fan.rays, coeffs)
+    if det(X, p) == 0 and dot(X, p) < 0:
+        raise PathThroughOrigin("extension path passes through the origin")
+    fan = model.fan
+    i = cone_of(fan, X)
+    if det(fan.ray(i), X) == 0 and det(fan.ray(i), p) < 0:
+        i = i - 1 or fan.m  # from the ray u_i the path enters the cone before
+    d = list(cls.direction_contrib(fan, p))
+    d[i - 1] -= det(p, fan.ray(i + 1))
+    d[i % fan.m] -= det(fan.ray(i), p)
+    return cls.CurveClass(fan.rays, tuple(d), ())
 
 
 def canonical_spine_split(model: ToricModel, w0: Vec) -> tuple[Vec, Vec]:

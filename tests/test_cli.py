@@ -47,7 +47,7 @@ def test_walls_step0(capsys):
 
 
 def test_walls_query(capsys):
-    code, out = run(capsys, "walls", "--rule", "support", "--is-wall", "2,1")
+    code, out = run(capsys, "walls", "--is-wall", "2,1")
     assert code == 0
     assert out.strip() == "true"
 
@@ -233,6 +233,14 @@ def test_render_toric_model_boundary_only(tmp_path, capsys):
     [
         pytest.param(["verify", "SPEC", "--seed", "7"],
                      "--seed: a spec run draws no random cases", id="verify-spec-seed"),
+        pytest.param(["verify", "SPEC", "--cases", "3"],
+                     "--cases: a spec run draws no random cases", id="verify-spec-cases"),
+        pytest.param(["walls", "--is-wall", "2,1", "--steps", "3", "--rule", "support"],
+                     "--steps: a direction query generates no walls", id="walls-query-steps"),
+        pytest.param(["walls", "--is-wall", "2,1", "--norm-bound", "4"],
+                     "--norm-bound: a direction query generates no walls", id="walls-query-norm-bound"),
+        pytest.param(["walls", "--is-wall", "2,1", "--rule", "support"],
+                     "--rule: a direction query generates no walls", id="walls-query-rule"),
         pytest.param(["render", "cylinder", "SPEC", "--steps", "99", "--rule", "support"],
                      "--steps: a cylinder drawing generates no walls", id="render-cylinder-steps"),
         pytest.param(["render", "cylinder", "SPEC", "--norm-bound", "4"],
@@ -734,7 +742,7 @@ _config = _obj(
     },
 )
 _commands = st.sampled_from([
-    ["render", "cylinder", "SPEC"], ["count", "--json", "SPEC"], ["verify", "--cases", "2", "SPEC"],
+    ["render", "cylinder", "SPEC"], ["count", "--json", "SPEC"], ["verify", "SPEC"],
     ["count", "SPEC"], ["verify", "--cases", "2", "--seed", "3"], ["render", "walls"],
     ["walls", "--json"], ["walls"],
 ])

@@ -28,10 +28,12 @@ from tropcyl.counting import (
     default_table,
     elementary_class,
     elementary_cylinder,
+    extended_boundary_profile,
     measure,
     spine_extension_shift,
     splitting_measure,
     splitting_sum,
+    twig_components,
 )
 from tropcyl.deformation import member_measures, replay_count
 from tropcyl.errors import (
@@ -41,6 +43,7 @@ from tropcyl.errors import (
     TropcylError,
     ZeroVector,
 )
+from tropcyl.lattice import cone_of, det
 from tropcyl.model import P2_RAYS, build_model
 from tropcyl.tropical import Cylinder
 
@@ -254,6 +257,51 @@ def test_counts_commute_with_sl2(model, A, extended, data):
     moved = build_model(tuple(_act(A, u) for u in model.fan.rays), model.blowups)
     moved_cyl = build_cylinder(moved, tuple(_act(A, w) for w in twig), extended)
     assert _measure_profiles(moved, moved_cyl) == _measure_profiles(model, cyl)
+
+
+def _entered_piece(model, x, p):
+    """L(p) for the linear piece L of ``direction_contrib`` on the cone that
+    the path x + eps p enters, found by ``cone_of`` at half the first ray
+    crossing: a u_i + b u_{i+1} -> a e_i + b e_{i+1}, for any signs."""
+    fan = model.fan
+    crossings = [det(u, x) / Fraction(det(p, u)) for u in fan.rays if det(p, u)]
+    eps = min((t for t in crossings if t > 0), default=Fraction(1)) / 2
+    i = cone_of(fan, (x[0] + eps * p[0], x[1] + eps * p[1]))
+    out = [0] * model.m
+    out[i - 1] += det(p, fan.ray(i + 1))
+    out[i % model.m] += det(fan.ray(i), p)
+    return out
+
+
+def _kinks(model, cyl):
+    """g(cyl): the entered pieces of the two spine legs, summed."""
+    return [a + b for a, b in zip(*(_entered_piece(model, cyl.bend, p) for p in (cyl.p1, cyl.p2)))]
+
+
+@settings(deadline=None, max_examples=60)
+@given(smooth_models(), st.data())
+def test_the_criterion_6_defect_is_a_difference_of_kinks(model, data):
+    """Criterion 6 asks that every class listed for an extended cylinder V
+    meet the boundary as V's legs do. What holds on every model is weaker:
+    the leg profile minus the class's dD is g(V) - sum_s g(E_s), where E_s
+    is leaf s's elementary cylinder and g adds, over a cylinder's two spine
+    legs, the linear piece of ``direction_contrib`` on the cone the leg
+    enters, at its slope. g is read here with ``cone_of`` and ``det``, not
+    from the spine extension shift, so a wrong shift shows."""
+    dirs = model.exceptional_directions
+    assume(dirs)
+    t = data.draw(st.integers(1, min(3, len(dirs))))
+    twig = tuple(data.draw(st.permutations(dirs))[:t])
+    try:
+        cyl = build_cylinder(model, twig, extended=True)
+    except ZeroVector:
+        assume(False)
+    defect = _kinks(model, cyl)
+    for i in twig_components(model, cyl):
+        defect = [a - b for a, b in zip(defect, _kinks(model, elementary_cylinder(model, i)))]
+    legs = extended_boundary_profile(model, cyl)
+    for _choice, beta, _n in contributing_classes(model, cyl):
+        assert [a - b for a, b in zip(legs, beta.dD)] == defect
 
 
 def test_scaled_table_scales_counts(cubic):

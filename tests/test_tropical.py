@@ -521,10 +521,12 @@ _slopes = st.one_of(
 
 @st.composite
 def extension_inputs(draw):
-    """A model, a point and a slope. The point is a free nonzero point, a
-    point on a ray, or a multiple of the slope (a path through the origin
-    when the multiple is negative)."""
-    model = draw(st.sampled_from(EXTENSION_MODELS))
+    """A model, a point and a slope. The model is a fixed one or a random
+    smooth one, whose rotated ray order puts the cyclic step back from ray 1
+    to ray m in play. The point is a free nonzero point, a point on a ray, or
+    a multiple of the slope (a path through the origin when the multiple is
+    negative)."""
+    model = draw(st.sampled_from(EXTENSION_MODELS) | smooth_models())
     p = draw(_slopes)
     kind = draw(st.sampled_from(("free", "on ray", "along slope")))
     if kind == "free":
@@ -546,7 +548,7 @@ def _outcome(fn, model, x, p):
 @settings(deadline=None, max_examples=300)
 @given(extension_inputs())
 def test_extension_class_matches_fraction_reference(case):
-    """The integer sign tests give the class of the fraction formula, and raise
+    """The kink of the entered cone gives the class of the crossing rule, and raise
     PathThroughOrigin and ZeroVector on exactly the same inputs."""
     model, x, p = case
     assert _outcome(extension_class, model, x, p) == _outcome(

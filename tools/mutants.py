@@ -101,6 +101,13 @@ MUTANTS = (
         True, "_try_cylinder accepts any spine",
     ),
     Mutant(
+        "extension-reads-start-cone", "src/tropcyl/tropical.py",
+        "    if det(fan.ray(i), X) == 0 and det(fan.ray(i), p) < 0:\n"
+        "        i = i - 1 or fan.m  # from the ray u_i the path enters the cone before\n",
+        "",
+        True, "extension_class reads the kink on the cone of x, not the cone the path enters",
+    ),
+    Mutant(
         "zero-spine-shift", "src/tropcyl/counting.py",
         "    return extension_class(model, cyl.bend, cyl.p1) + extension_class(\n"
         "        model, cyl.bend, cyl.p2\n"
@@ -109,7 +116,15 @@ MUTANTS = (
         "        model, cyl.bend, cyl.p2\n"
         "    )\n"
         "    return a - a\n",
-        False, "ROADMAP item 9: the spine extension shift is zero, every call kept",
+        True, "the spine extension shift is zero, every call kept",
+    ),
+    Mutant(
+        "spine-shift-drops-p2", "src/tropcyl/counting.py",
+        "    return extension_class(model, cyl.bend, cyl.p1) + extension_class(\n"
+        "        model, cyl.bend, cyl.p2\n"
+        "    )\n",
+        "    return extension_class(model, cyl.bend, cyl.p1)\n",
+        True, "the spine extension shift leaves out the p2 leg",
     ),
     Mutant(
         "corrupt-elementary-shift", "src/tropcyl/deformation.py",
