@@ -201,16 +201,6 @@ def class_from_profile(model: ToricModel, dD, dE) -> CurveClass:
     return CurveClass(rays, tuple(dD), _canonical(dE.items()))
 
 
-def compatibility_intersections(model: ToricModel, legs) -> tuple[int, ...]:
-    """Sum of boundary-leg multiplicities per ray; legs are (ray_index, mult)."""
-    out = [0] * model.m
-    for i, mult in legs:
-        if not 1 <= i <= model.m:
-            raise RayIndexOutOfRange(f"ray index {i} out of range 1..{model.m}")
-        out[i - 1] += mult
-    return tuple(out)
-
-
 def direction_contrib(fan: Fan, w: Vec) -> tuple[int, ...]:
     """Boundary profile of an end direction: w = a u_i + b u_{i+1} contributes
     a to D_i and b to D_{i+1}."""

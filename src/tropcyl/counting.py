@@ -21,7 +21,8 @@ from . import classes as cls
 from .errors import ComponentOutOfRange, OutOfPrimitiveScope
 from .lattice import primitive_part
 from .model import ToricModel
-from .tropical import Cylinder, canonical_spine_split, check_primitive, extension_class, leaf_sum
+from .tropical import Cylinder, canonical_spine_split, check_primitive, cylinder_tree
+from .tropical import extension_class, leaf_sum, tree_class
 
 Support = dict[cls.CurveClass, int]
 LeafRows = tuple[tuple[int, cls.CurveClass, int], ...]
@@ -78,19 +79,11 @@ def elementary_cylinder(model: ToricModel, i: int) -> Cylinder:
 
 def spine_extension_shift(model: ToricModel, cyl: Cylinder) -> cls.CurveClass:
     """Sum of the extension classes of the two spine legs, from the bend. Its
-    dD is ``extended_boundary_profile`` minus g(cyl): the linear pieces of
+    dD is their part of ``tree_class`` minus g(cyl): the linear pieces of
     ``direction_contrib`` on the cones the two legs enter, at their slopes."""
     return extension_class(model, cyl.bend, cyl.p1) + extension_class(
         model, cyl.bend, cyl.p2
     )
-
-
-def extended_boundary_profile(model: ToricModel, cyl: Cylinder) -> tuple[int, ...]:
-    """Boundary intersections of the extended cylinder, by cone decomposition
-    of the two spine slopes."""
-    a = cls.direction_contrib(model.fan, cyl.p1)
-    b = cls.direction_contrib(model.fan, cyl.p2)
-    return tuple(x + y for x, y in zip(a, b))
 
 
 @lru_cache(maxsize=256)
@@ -98,9 +91,9 @@ def _elementary_data(model: ToricModel, i: int):
     """Extension shift and classes (j = 1 .. l_i) of the elementary cylinder at u_i."""
     cyl = elementary_cylinder(model, i)
     shift = spine_extension_shift(model, cyl)
-    profile = extended_boundary_profile(model, cyl)
+    tree = cylinder_tree(model, replace(cyl, extended=True))
     return shift, tuple(
-        cls.class_from_profile(model, profile, {(i, j): 1}) - shift
+        tree_class(model, tree, {"t1": (i, j)}) - shift
         for j in range(1, model.multiplicity(i) + 1)
     )
 

@@ -534,6 +534,22 @@ def extension_class(model: ToricModel, x: Point, p: Vec) -> cls.CurveClass:
     return cls.CurveClass(fan.rays, tuple(d), ())
 
 
+def tree_class(model: ToricModel, tree: MappedTree, pairs) -> cls.CurveClass:
+    """The class the tree carries: ``pairs`` maps a vertex at infinity to
+    (i, j), and a leg of weight w ending there meets E_ij content(w) times
+    (one pair's entries add up); every other infinite nonconstant leg adds
+    ``classes.direction_contrib`` of w to dD. Raises NonRepresentable when
+    sum_i d_i u_i != 0, as for an unbalanced tree or a pair off its leg's ray."""
+    dD, dE = [0] * model.m, {}
+    for v, p in tree.positions:
+        w = (0, 0) if p is not None else tree.leg(v)[1]
+        if w != (0, 0) and v in pairs:
+            dE[pairs[v]] = dE.get(pairs[v], 0) + primitive_part(w)[1]
+        elif w != (0, 0):
+            dD = [a + b for a, b in zip(dD, cls.direction_contrib(model.fan, w))]
+    return cls.class_from_profile(model, dD, dE)
+
+
 def canonical_spine_split(model: ToricModel, w0: Vec) -> tuple[Vec, Vec]:
     """Deterministic split of -w0 into two nonzero leg slopes p1 + p2 = -w0,
     preferring slopes along fan rays."""

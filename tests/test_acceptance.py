@@ -24,14 +24,14 @@ from tropcyl.counting import (
     contributing_classes,
     count_primitive_cylinder,
     default_table,
-    extended_boundary_profile,
     splitting_sum,
+    twig_components,
 )
 from tropcyl.deformation import replay_induction
 from tropcyl.errors import NonRepresentable, PathThroughOrigin, ZeroVector
 from tropcyl.lattice import Fan, det, norm
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
-from tropcyl.tropical import Edge, classify, extension_class, make_tree
+from tropcyl.tropical import Edge, classify, cylinder_tree, extension_class, make_tree, tree_class
 from tropcyl.walls import generate_walls
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -213,9 +213,10 @@ def test_criterion_6_extension_consistency():
                 cyl = build_cylinder(model, twig, extended=True)
             except ZeroVector:
                 continue
-            leg_sums = extended_boundary_profile(model, cyl)
-            for _, beta, _ in contributing_classes(model, cyl):
-                assert intersect(model, beta).dD == leg_sums
+            tree, comps = cylinder_tree(model, cyl), twig_components(model, cyl)
+            for choice, beta, _ in contributing_classes(model, cyl):
+                pairs = {f"t{s}": ij for s, ij in enumerate(zip(comps, choice), start=1)}
+                assert intersect(model, beta).dD == tree_class(model, tree, pairs).dD
                 checked += 1
     assert checked > 0
     _report(6, f"extension classes additive and toric on 100 legs; dD matches leg sums on {checked} classes")

@@ -11,7 +11,6 @@ from tropcyl import config as cfg
 from tropcyl.classes import (
     CurveClass,
     class_from_profile,
-    compatibility_intersections,
     divisor_class,
     exceptional_class,
     intersect,
@@ -217,17 +216,6 @@ def test_class_from_profile_non_representable(cubic):
 def test_class_from_profile_checks_zero_entries(cubic):
     with pytest.raises(ComponentOutOfRange):
         class_from_profile(cubic, (0, 0, 0), {(1, 9): 0})
-
-
-def test_compatibility_intersections(cubic):
-    assert compatibility_intersections(cubic, [(1, 1), (2, 1)]) == (1, 1, 0)
-    assert compatibility_intersections(cubic, []) == (0, 0, 0)
-    assert compatibility_intersections(cubic, [(3, 2)]) == (0, 0, 2)
-
-
-def test_compatibility_bad_ray(cubic):
-    with pytest.raises(RayIndexOutOfRange):
-        compatibility_intersections(cubic, [(4, 1)])
 
 
 MODELS = [

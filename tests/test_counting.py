@@ -28,7 +28,6 @@ from tropcyl.counting import (
     default_table,
     elementary_class,
     elementary_cylinder,
-    extended_boundary_profile,
     measure,
     spine_extension_shift,
     splitting_measure,
@@ -45,7 +44,7 @@ from tropcyl.errors import (
 )
 from tropcyl.lattice import cone_of, det
 from tropcyl.model import P2_RAYS, build_model
-from tropcyl.tropical import Cylinder
+from tropcyl.tropical import Cylinder, cylinder_tree, tree_class
 
 
 def test_default_table_supports_one_class_per_pair(cubic):
@@ -283,7 +282,8 @@ def _kinks(model, cyl):
 def test_the_criterion_6_defect_is_a_difference_of_kinks(model, data):
     """Criterion 6 asks that every class listed for an extended cylinder V
     meet the boundary as V's legs do. What holds on every model is weaker:
-    the leg profile minus the class's dD is g(V) - sum_s g(E_s), where E_s
+    the leg profile, the dD of ``tree_class`` on V's tree with the class's
+    leaf pairs, minus the class's dD is g(V) - sum_s g(E_s), where E_s
     is leaf s's elementary cylinder and g adds, over a cylinder's two spine
     legs, the linear piece of ``direction_contrib`` on the cone the leg
     enters, at its slope. g is read here with ``cone_of`` and ``det``, not
@@ -296,11 +296,13 @@ def test_the_criterion_6_defect_is_a_difference_of_kinks(model, data):
         cyl = build_cylinder(model, twig, extended=True)
     except ZeroVector:
         assume(False)
+    comps, tree = twig_components(model, cyl), cylinder_tree(model, cyl)
     defect = _kinks(model, cyl)
-    for i in twig_components(model, cyl):
+    for i in comps:
         defect = [a - b for a, b in zip(defect, _kinks(model, elementary_cylinder(model, i)))]
-    legs = extended_boundary_profile(model, cyl)
-    for _choice, beta, _n in contributing_classes(model, cyl):
+    for choice, beta, _n in contributing_classes(model, cyl):
+        pairs = {f"t{s}": ij for s, ij in enumerate(zip(comps, choice), start=1)}
+        legs = tree_class(model, tree, pairs).dD
         assert [a - b for a, b in zip(legs, beta.dD)] == defect
 
 

@@ -12,7 +12,7 @@ from conftest import smooth_models
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropcyl.classes import zero_class
+from tropcyl.classes import exceptional_class, zero_class
 from tropcyl.counting import (
     ElementaryCountTable,
     build_cylinder,
@@ -55,6 +55,7 @@ from tropcyl.tropical import (
     extension_class,
     make_tree,
     spine_decomposition,
+    tree_class,
 )
 
 F = Fraction
@@ -671,3 +672,31 @@ def test_family_domains_are_built_once_and_keep_equality(cubic):
     assert fam.domains is fam.domains
     for twin in (copy.deepcopy(fam), pickle.loads(pickle.dumps(fam))):
         assert twin == fam and twin.domains == fam.domains
+
+
+@settings(max_examples=60, deadline=None)
+@given(smooth_models(), st.data())
+def test_a_forgotten_leaf_adds_its_exceptional_class(model, data):
+    """For any components j_s, ``tree_class`` of the L members of a canonical
+    cylinder steps by E_{i(k) j_k}: L_k pairs the leaf leg lf_s of each leaf
+    it keeps, and L_{k+1} keeps leaf k's t-mark as a boundary leg along
+    u_{i(k)}, which adds e_{i(k)} to dD in place of the pair. L_1 carries
+    the class of the cylinder's own tree, its leaves t_s so paired."""
+    dirs = model.exceptional_directions
+    assume(dirs)
+    t = data.draw(st.integers(1, min(3, len(dirs))))
+    twig = tuple(data.draw(st.permutations(dirs))[:t])
+    try:
+        cyl = _cyl(model, twig)
+    except ZeroVector:
+        assume(False)
+    comps, members = family_L(model, cyl)
+    pairs = [(i, data.draw(st.integers(1, model.multiplicity(i)))) for i in comps]
+    classes = [
+        tree_class(model, tree, {f"lf{s}": ij for s, ij in enumerate(pairs, start=1) if s >= k})
+        for k, tree in enumerate(members, start=1)
+    ]
+    leaves = {f"t{s}": ij for s, ij in enumerate(pairs, start=1)}
+    assert classes[0] == tree_class(model, cylinder_tree(model, cyl), leaves)
+    for k, (i, j) in enumerate(pairs):
+        assert classes[k + 1] == classes[k] + exceptional_class(model, i, j)

@@ -1,22 +1,27 @@
 import copy
+import math
 import pickle
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
 
 import pytest
 from conftest import smooth_models
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tropcyl.classes import divisor_class, intersect, zero_class
+from tropcyl.classes import (
+    CurveClass, class_from_profile, direction_contrib, divisor_class, intersect, zero_class,
+)
 from tropcyl import tropical
-from tropcyl.counting import build_cylinder
+from tropcyl.counting import build_cylinder, elementary_cylinder
 from tropcyl.errors import (
-    AffineInconsistent, NotPrimitiveCylinder, PathThroughOrigin, TropcylError, ZeroVector,
+    AffineInconsistent, NonRepresentable, NotPrimitiveCylinder, PathThroughOrigin,
+    RayIndexOutOfRange, TropcylError, ZeroVector,
 )
 from tropcyl.lattice import det
-from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
+from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model, refine_model
 from tropcyl.tropical import (
     BALANCED,
     BENDING,
@@ -33,6 +38,7 @@ from tropcyl.tropical import (
     extension_class,
     make_tree,
     spine_decomposition,
+    tree_class,
     validate_balancing,
 )
 from tropcyl.walls import is_wall_direction
@@ -849,3 +855,130 @@ def test_spine_decomposition_peels_an_unmarked_component():
         (),
     )
     assert spine_decomposition(tree) == (set(), [])
+
+
+def _legs_class(model, cyl, pairs):
+    """The class an extended cylinder's tree should carry: dD sums
+    ``direction_contrib`` over the two spine slopes, and each leaf pair
+    meets the leaf once."""
+    dD = [a + b for a, b in zip(*(direction_contrib(model.fan, p) for p in (cyl.p1, cyl.p2)))]
+    return CurveClass(model.fan.rays, tuple(dD), tuple(sorted((ij, 1) for ij in pairs.values())))
+
+
+@settings(deadline=None, max_examples=60)
+@given(smooth_models(), st.data())
+def test_tree_class_reads_the_spine_legs_and_the_leaf_pairs(model, data):
+    """On every extended canonical cylinder with at most three leaves, and on
+    each leaf's extended elementary cylinder, ``tree_class`` is the sum of
+    ``direction_contrib`` over the spine slopes plus one meeting per leaf
+    pair, a component drawn per exceptional ray."""
+    dirs = model.exceptional_directions
+    assume(dirs)
+    js = {}
+    for u in dirs:
+        i = model.fan.ray_index(u)
+        js[i] = data.draw(st.integers(1, model.multiplicity(i)))
+    for i, j in js.items():
+        cyl = replace(elementary_cylinder(model, i), extended=True)
+        pairs = {"t1": (i, j)}
+        assert tree_class(model, cylinder_tree(model, cyl), pairs) == _legs_class(model, cyl, pairs)
+    for t in range(1, min(3, len(dirs)) + 1):
+        for twig in combinations(dirs, t):
+            try:
+                cyl = build_cylinder(model, twig, extended=True)
+            except ZeroVector:
+                continue
+            pairs = {
+                f"t{s}": (model.fan.ray_index(w), js[model.fan.ray_index(w)])
+                for s, w in enumerate(twig, start=1)
+            }
+            assert tree_class(model, cylinder_tree(model, cyl), pairs) == _legs_class(model, cyl, pairs)
+
+
+def _tripod(legs):
+    """A tree on the cubic's fan: infinite legs of the given weights, named
+    by key, from a vertex at the origin."""
+    positions = {"o": _pt(0, 0), **{v: None for v in legs}}
+    return make_tree(positions, [Edge("o", v, w, None) for v, w in legs.items()], {})
+
+
+@pytest.mark.parametrize(
+    "legs, pairs, expected",
+    [
+        pytest.param(
+            {"a": (2, 0), "b": (0, 2), "c": (-2, -2)}, {"a": (1, 1)},
+            ((0, 2, 2), (((1, 1), 2),)), id="weight-2-leaf",
+        ),
+        pytest.param(
+            {"a": (1, 0), "a2": (1, 0), "b": (0, 2), "c": (-2, -2)}, {"a": (1, 1), "a2": (1, 1)},
+            ((0, 2, 2), (((1, 1), 2),)), id="two-leaves-one-pair",
+        ),
+        pytest.param(
+            {"a": (2, 0), "b": (0, 2), "c": (-2, -2)}, {"a": (2, 1)},
+            NonRepresentable, id="pair-on-the-wrong-ray",
+        ),
+        pytest.param(
+            {"a": (2, 0), "b": (0, 2), "c": (-2, -2)}, {"a": (4, 1)},
+            RayIndexOutOfRange, id="ray-index-past-m",
+        ),
+    ],
+)
+def test_tree_class_on_hand_built_legs(cubic, legs, pairs, expected):
+    """A paired leg meets E_ij content(w) times, and entries naming one pair
+    add up; a pair off its leg's ray breaks sum_i d_i u_i = 0, and a ray
+    index past m is refused as ``exceptional_class`` refuses it."""
+    tree = _tripod(legs)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            tree_class(cubic, tree, pairs)
+    else:
+        beta = tree_class(cubic, tree, pairs)
+        assert (beta.dD, beta.dE) == expected
+
+
+def _pushforward(model, beta):
+    """A class on a refinement of the model's fan, pushed forward to the
+    model: the dD entry of each ray r adds that many times
+    ``direction_contrib(model.fan, r)``, which is e_r on a ray of the model,
+    and dE keeps its pairs, their ray matched by vector."""
+    dD = [0] * model.m
+    for r, v in zip(beta.rays, beta.dD):
+        dD = [a + v * b for a, b in zip(dD, direction_contrib(model.fan, r))]
+    dE = {(model.fan.ray_index(beta.rays[i - 1]), j): v for (i, j), v in beta.dE}
+    return class_from_profile(model, dD, dE)
+
+
+@st.composite
+def refined_cylinders(draw):
+    """A model from ``smooth_models``, a primitive d on none of its rays, up
+    to three of its exceptional directions as a twig type, and a component
+    j_s per leaf."""
+    model = draw(smooth_models())
+    dirs = model.exceptional_directions
+    assume(dirs)
+    grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if math.gcd(x, y) == 1]
+    d = draw(st.sampled_from([v for v in grid if model.fan.ray_index(v) is None]))
+    twig = tuple(draw(st.permutations(dirs))[: draw(st.integers(1, min(3, len(dirs))))])
+    js = tuple(draw(st.integers(1, model.multiplicity(model.fan.ray_index(w)))) for w in twig)
+    return model, d, twig, js
+
+
+@settings(deadline=None, max_examples=100)
+@given(refined_cylinders())
+@example((build_model(((1, 0), (0, 1), (-1, 2), (0, -1)), (0, 0, 1, 0)), (1, -1), ((-1, 2),), (1,)))
+def test_tree_class_pushes_forward_from_a_refinement(case):
+    """A fixed canonical cylinder tree carries, on ``refine_model(M, d)``
+    and pushed forward to M, the class it carries on M: the toric blowup
+    changes the fan, not the curve. The example is F2 refined by (1, -1),
+    where the reader gives dD (1, 0, 0, 2) + E_31 on both fans."""
+    model, d, twig, js = case
+    try:
+        cyl = build_cylinder(model, twig, extended=True)
+    except ZeroVector:
+        assume(False)
+    tree, fine = cylinder_tree(model, cyl), refine_model(model, d)
+
+    def pairs(m):
+        return {f"t{s}": (m.fan.ray_index(w), j) for s, (w, j) in enumerate(zip(twig, js), start=1)}
+
+    assert _pushforward(model, tree_class(fine, tree, pairs(fine))) == tree_class(model, tree, pairs(model))

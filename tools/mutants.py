@@ -108,6 +108,12 @@ MUTANTS = (
         True, "extension_class reads the kink on the cone of x, not the cone the path enters",
     ),
     Mutant(
+        "tree-class-leaf-as-boundary", "src/tropcyl/tropical.py",
+        "        if w != (0, 0) and v in pairs:\n",
+        "        if False:\n",
+        True, "tree_class adds a paired leg's direction_contrib to dD instead of meeting E_ij",
+    ),
+    Mutant(
         "zero-spine-shift", "src/tropcyl/counting.py",
         "    return extension_class(model, cyl.bend, cyl.p1) + extension_class(\n"
         "        model, cyl.bend, cyl.p2\n"
