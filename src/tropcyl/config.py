@@ -21,7 +21,7 @@ from .svg import PALETTES, RenderOptions
 from .tropical import Cylinder
 from .walls import RULES
 
-# pair_sum takes 0.37 s at norm bound 40 and 7.4 s at 80 (cubic model, 10^5 steps).
+# pair_sum takes 0.23 s at norm bound 40 and 4.4 s at 80 (cubic model, 10^5 steps).
 MAX_NORM_BOUND = 40
 
 

@@ -2,7 +2,9 @@
 
 Every drawing uses exact input data projected to floats only at the final
 formatting step, with a fixed 6-decimal precision and a fixed element order,
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files. ``render_walls`` writes its
+walls from parts formatted once per drawing; the other elements go through
+``_Canvas``.
 """
 
 from __future__ import annotations
@@ -127,19 +129,34 @@ def _boundary(canvas: _Canvas, model: ToricModel, radius: float) -> None:
 
 def render_walls(walls: WallStructure, opts: RenderOptions | None = None) -> str:
     """Wall-structure diagram: boundary polygon, one segment per wall from the
-    origin, initial walls thick, step labels near the outer end."""
+    origin, initial walls thick, step labels near the outer end.
+
+    The origin's screen point and the stroke and label attributes are
+    formatted once per drawing; each wall costs one hypot and its four
+    coordinates, computed as ``_Canvas.line`` and ``_Canvas.text`` would."""
     opts = opts or RenderOptions()
     canvas = _Canvas(opts)
     radius = _clip_radius(opts)
     _boundary(canvas, walls.model, radius)
     colors = opts.colors()
-    for d, step in walls.directions:
-        tip = _unit(d, radius)
-        color = colors["initial"] if step == 0 else colors["wall"]
-        width = 2.5 if step == 0 else 1.0
-        canvas.line((0, 0), tip, color, width)
-        label = _unit(d, radius * 1.08)
-        canvas.text(label, str(step), colors["label"])
+    cx, cy, scale, far = opts.width / 2, opts.height / 2, opts.scale, radius * 1.08
+    origin = f'<line x1="{_fmt(cx)}" y1="{_fmt(cy)}"'
+    initial, later = (
+        f'stroke="{colors[kind]}" stroke-width="{_fmt(width)}" stroke-linecap="round" />'
+        for kind, width in (("initial", 2.5), ("wall", 1.0))
+    )
+    label = f'font-size="10" font-family="monospace" fill="{colors["label"]}" text-anchor="middle"'
+    # Each coordinate is a positive half-dimension plus or minus a product, so
+    # never -0.0: plain .6f formatting writes what _fmt writes.
+    for (x, y), step in walls.directions:
+        x, y = float(x), float(y)
+        n = math.hypot(x, y)
+        canvas.parts += (
+            f'{origin} x2="{cx + scale * (radius * x / n):.6f}" '
+            f'y2="{cy - scale * (radius * y / n):.6f}" {later if step else initial}',
+            f'<text x="{cx + scale * (far * x / n):.6f}" y="{cy - scale * (far * y / n):.6f}" '
+            f"{label}>{step}</text>",
+        )
     canvas.dot((0, 0), colors["boundary"], 2.0)
     return canvas.render()
 

@@ -16,7 +16,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import classes as cls
-from .errors import AffineInconsistent, NotPrimitiveCylinder, PathThroughOrigin, ZeroVector
+from .errors import (
+    AffineInconsistent,
+    NonRepresentable,
+    NotPrimitiveCylinder,
+    PathThroughOrigin,
+    ZeroVector,
+)
 from .lattice import Point, Vec, cone_coordinates, cone_of, det, dot, norm, primitive_part, vadd
 from .model import ToricModel
 from .walls import is_wall_direction
@@ -538,15 +544,19 @@ def tree_class(model: ToricModel, tree: MappedTree, pairs) -> cls.CurveClass:
     """The class the tree carries: ``pairs`` maps a vertex at infinity to
     (i, j), and a leg of weight w ending there meets E_ij content(w) times
     (one pair's entries add up); every other infinite nonconstant leg adds
-    ``classes.direction_contrib`` of w to dD. Raises NonRepresentable when
+    ``classes.direction_contrib`` of w to dD. Raises NonRepresentable for a
+    key of ``pairs`` that ends no infinite nonconstant leg, and when
     sum_i d_i u_i != 0, as for an unbalanced tree or a pair off its leg's ray."""
-    dD, dE = [0] * model.m, {}
+    dD, dE, unpaired = [0] * model.m, {}, set(pairs)
     for v, p in tree.positions:
         w = (0, 0) if p is not None else tree.leg(v)[1]
         if w != (0, 0) and v in pairs:
             dE[pairs[v]] = dE.get(pairs[v], 0) + primitive_part(w)[1]
+            unpaired.discard(v)
         elif w != (0, 0):
             dD = [a + b for a, b in zip(dD, cls.direction_contrib(model.fan, w))]
+    if unpaired:
+        raise NonRepresentable(f"pairs key {min(unpaired)!r} ends no infinite nonconstant leg")
     return cls.class_from_profile(model, dD, dE)
 
 

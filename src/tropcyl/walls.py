@@ -12,7 +12,8 @@ Two generation rules are supported:
 
 pair_sum tries each unordered pair of walls once and stops when a step adds
 nothing or every direction within the bound is found; support expands each
-lattice point once. On the four
+lattice point once. Both add integer pairs inline and take the primitive
+parts of a step's sums in one gcd pass (``_directions``). On the four
 fixed fans of the property tests (P2, P1xP1, F1, the hexagon) they agree
 through step 2, and from step 3 pair_sum may reach a direction sooner (cubic
 model, bound >= 5: 12 against 6 directions at step 3), so there a direction's
@@ -47,7 +48,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import ZeroVector
-from .lattice import Fan, Vec, det, dot, primitive_part, vadd
+from .lattice import Fan, Vec, det, dot
 from .model import ToricModel
 
 RULES = ("pair_sum", "support")
@@ -131,8 +132,8 @@ def _pair_sum(fan: Fan, gens, steps: int, bound: int) -> dict[Vec, int]:
         walls = list(found)
         if old == len(walls) or not todo:
             break
-        sums = {vadd(walls[i], e) for i in range(old, len(walls)) for e in walls[:i]}
-        new = {primitive_part(s)[0] for s in sums - {(0, 0)}} & todo
+        sums = {(x + a, y + b) for i, (x, y) in enumerate(walls[old:], old) for a, b in walls[:i]}
+        new = _directions(sums) & todo
         found.update(dict.fromkeys(new, n))
         todo -= new
         old = len(walls)
@@ -149,12 +150,18 @@ def _support(fan: Fan, gens, steps: int, bound: int) -> dict[Vec, int]:
     for n in range(steps + 1):
         if not todo:
             break
-        frontier = {vadd(s, u) for s in frontier for u in gens} - seen
+        frontier = {(x + a, y + b) for x, y in frontier for a, b in gens} - seen
         seen |= frontier
-        reached = todo & {primitive_part(s)[0] for s in frontier}
+        reached = todo & _directions(frontier)
         found.update(dict.fromkeys(reached, n))
         todo -= reached
     return found
+
+
+def _directions(vectors) -> set[Vec]:
+    """The primitive parts of the nonzero vectors, one gcd each; a zero
+    vector has gcd 0 and is dropped."""
+    return {(x // g, y // g) for x, y in vectors if (g := gcd(x, y))}
 
 
 def _primitive_within(fan: Fan, bound: int) -> set[Vec]:

@@ -5,15 +5,25 @@ import re
 from pathlib import Path
 
 import pytest
-from conftest import TWELVE_RAYS
+from conftest import TWELVE_RAYS, smooth_models
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcyl.cli import main
 from tropcyl.config import parse_cylinder_spec
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model
-from tropcyl.svg import _fmt
+from tropcyl.svg import (
+    PALETTES,
+    RenderOptions,
+    _boundary,
+    _Canvas,
+    _clip_radius,
+    _fmt,
+    _unit,
+    render_walls,
+)
 from tropcyl.tropical import classify, cylinder_tree
+from tropcyl.walls import RULES, generate_walls
 
 GOLDEN = Path(__file__).parent / "golden"
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -199,6 +209,39 @@ def test_render_walls_golden(tmp_path, capsys):
     code, _ = run(capsys, "render", "walls", "--steps", "2", "--svg", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == (GOLDEN / "walls_cubic_steps2.svg").read_bytes()
+
+
+def _reference_render_walls(walls, opts):
+    """Reference: every wall drawn through ``_Canvas.line`` and
+    ``_Canvas.text``, one ``_unit`` per endpoint."""
+    canvas = _Canvas(opts)
+    radius = _clip_radius(opts)
+    _boundary(canvas, walls.model, radius)
+    colors = opts.colors()
+    for d, step in walls.directions:
+        color = colors["initial"] if step == 0 else colors["wall"]
+        canvas.line((0, 0), _unit(d, radius), color, 2.5 if step == 0 else 1.0)
+        canvas.text(_unit(d, radius * 1.08), str(step), colors["label"])
+    canvas.dot((0, 0), colors["boundary"], 2.0)
+    return canvas.render()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    smooth_models(),
+    st.integers(1, 6),
+    st.sampled_from((0, 1, 2, 10**4)),
+    st.lists(st.integers(50, 400).map(lambda k: 2 * k + 1), min_size=2, max_size=2, unique=True),
+    st.floats(5, 120).filter(lambda s: not s.is_integer()),
+)
+def test_render_walls_matches_canvas_reference(model, bound, steps, size, scale):
+    """On unequal odd sizes and a non-integer scale, under both rules and
+    both palettes, ``render_walls`` writes the bytes of the reference."""
+    for rule in RULES:
+        walls = generate_walls(model, steps, bound, rule)
+        for palette in sorted(PALETTES):
+            opts = RenderOptions(*size, scale, palette)
+            assert render_walls(walls, opts) == _reference_render_walls(walls, opts)
 
 
 def test_render_cylinder_golden(tmp_path, capsys):

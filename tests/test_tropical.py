@@ -936,6 +936,16 @@ def test_tree_class_on_hand_built_legs(cubic, legs, pairs, expected):
         assert (beta.dD, beta.dE) == expected
 
 
+@pytest.mark.parametrize("key", ["t9", "w", "b"])
+def test_tree_class_refuses_a_key_that_ends_no_leg(cubic, key):
+    """On the cubic's extended one-leaf cylinder, a pairs key naming no
+    vertex (t9), a constant leg (w) or a vertex in the plane (b) is refused
+    by name instead of leaving the leaf unpaired."""
+    tree = cylinder_tree(cubic, build_cylinder(cubic, ((1, 0),), extended=True))
+    with pytest.raises(NonRepresentable, match=f"^pairs key '{key}' ends no infinite nonconstant leg$"):
+        tree_class(cubic, tree, {key: (1, 1)})
+
+
 def _pushforward(model, beta):
     """A class on a refinement of the model's fan, pushed forward to the
     model: the dD entry of each ray r adds that many times

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from tropcyl.errors import ZeroVector
 from tropcyl.lattice import det, dot, primitive_part, vadd
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
-from tropcyl.walls import RULES, _cone, _primitive_within, generate_walls, is_wall_direction
+from tropcyl.walls import (
+    RULES,
+    _cone,
+    _directions,
+    _primitive_within,
+    generate_walls,
+    is_wall_direction,
+)
 
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 BOX = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if (x, y) != (0, 0)]
@@ -39,6 +46,13 @@ def test_step2_support_rule(cubic):
     assert walls.step_set(2) == {
         (2, 1), (1, 2), (-2, -1), (-1, -2), (1, -1), (-1, 1),
     }
+
+
+def test_gcd_pass_takes_primitive_parts():
+    """Both rules reduce their sums through one gcd pass: each nonzero
+    vector keeps its sign and loses its content, and the zero sum is dropped."""
+    vectors = [(2, 4), (-3, 6), (0, -5), (0, 0), (1, 1), (1, 2)]
+    assert _directions(vectors) == {(1, 2), (-1, 2), (0, -1), (1, 1)}
 
 
 def test_single_wall_never_scatters():
@@ -261,15 +275,19 @@ def test_rules_match_reference_loops(model, bound, steps):
         ), rule
 
 
-def _primitive_part_calls(monkeypatch, model, steps, bound, rule):
-    """The arguments of every primitive_part call one generate_walls makes."""
-    calls = []
-    monkeypatch.setattr(
-        "tropcyl.walls.primitive_part", lambda v: calls.append(v) or primitive_part(v)
-    )
+def _gcd_pass_vectors(monkeypatch, model, steps, bound, rule):
+    """Every vector one generate_walls hands to ``walls._directions``, in order."""
+    seen = []
+
+    def counting(vectors):
+        vectors = list(vectors)
+        seen.extend(vectors)
+        return _directions(vectors)
+
+    monkeypatch.setattr("tropcyl.walls._directions", counting)
     generate_walls(model, steps, bound, rule)
     monkeypatch.undo()
-    return calls
+    return seen
 
 
 def test_pair_sum_stops_at_its_last_productive_step(monkeypatch):
@@ -277,8 +295,9 @@ def test_pair_sum_stops_at_its_last_productive_step(monkeypatch):
     pairs: a step count past its last productive step costs nothing."""
     model = cubic_model()
     last = generate_walls(model, 10**5, 10, "pair_sum").directions[-1][1]
-    at_last = _primitive_part_calls(monkeypatch, model, last, 10, "pair_sum")
-    assert len(at_last) == len(_primitive_part_calls(monkeypatch, model, 10**5, 10, "pair_sum"))
+    at_last = _gcd_pass_vectors(monkeypatch, model, last, 10, "pair_sum")
+    assert at_last
+    assert len(at_last) == len(_gcd_pass_vectors(monkeypatch, model, 10**5, 10, "pair_sum"))
 
 
 @pytest.mark.parametrize("model", [
@@ -286,7 +305,7 @@ def test_pair_sum_stops_at_its_last_productive_step(monkeypatch):
     pytest.param(build_model(HEXAGON_RAYS, (1, 0, 2, 0, 1, 1)), id="hexagon"),
 ])
 def test_support_expands_each_lattice_point_once(monkeypatch, model):
-    calls = _primitive_part_calls(monkeypatch, model, 10**5, 8, "support")
+    calls = _gcd_pass_vectors(monkeypatch, model, 10**5, 8, "support")
     assert calls and len(calls) == len(set(calls))
 
 

@@ -10,7 +10,7 @@ suite that already fails is reported instead of counted as kills.
 
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run takes 3-4
+It runs every mutant and is not part of tier-1. A full run takes 4-5
 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated copy and each
 survivor cost a whole suite run, about 25 s, and a killed mutant less. The
 script writes only to its temporary directories.
@@ -80,6 +80,18 @@ MUTANTS = (
         "if old == len(walls) or not todo:",
         "if old == len(walls):",
         True, "_pair_sum runs on after every direction is found",
+    ),
+    Mutant(
+        "gcd-pass-keeps-multiples", "src/tropcyl/walls.py",
+        "{(x // g, y // g) for x, y in vectors if (g := gcd(x, y))}",
+        "{(x, y) for x, y in vectors if gcd(x, y)}",
+        True, "_directions returns each nonzero sum unreduced, not its primitive part",
+    ),
+    Mutant(
+        "wall-label-at-tip", "src/tropcyl/svg.py",
+        "opts.scale, radius * 1.08",
+        "opts.scale, radius",
+        True, "render_walls places each step label at the wall's tip, not 1.08 times its radius",
     ),
     Mutant(
         "twig-edge-off-origin-line", "src/tropcyl/tropical.py",
