@@ -75,19 +75,19 @@ def _obj(value, path: str) -> dict:
     return value
 
 
-def parse_model(data, path: str = "model") -> ToricModel:
-    data = _obj(data, path)
-    fan = _obj(data.get("fan"), f"{path}.fan")
+def parse_model(data) -> ToricModel:
+    data = _obj(data, "model")
+    fan = _obj(data.get("fan"), "model.fan")
     rays_raw = fan.get("rays")
-    _expect(isinstance(rays_raw, list) and rays_raw, f"{path}.fan.rays", "expected a nonempty list")
-    rays = tuple(_vec(r, f"{path}.fan.rays[{k}]") for k, r in enumerate(rays_raw))
+    _expect(isinstance(rays_raw, list) and rays_raw, "model.fan.rays", "expected a nonempty list")
+    rays = tuple(_vec(r, f"model.fan.rays[{k}]") for k, r in enumerate(rays_raw))
     blow_raw = data.get("blowups")
-    _expect(isinstance(blow_raw, list), f"{path}.blowups", "expected a list")
-    blowups = tuple(_int(b, f"{path}.blowups[{k}]") for k, b in enumerate(blow_raw))
+    _expect(isinstance(blow_raw, list), "model.blowups", "expected a list")
+    blowups = tuple(_int(b, f"model.blowups[{k}]") for k, b in enumerate(blow_raw))
     try:
         return build_model(rays, blowups)
     except TropcylError as exc:
-        raise ConfigError(path, str(exc))
+        raise ConfigError("model", str(exc))
 
 
 def check_walls(
@@ -101,7 +101,7 @@ def check_walls(
 
 def parse_config(data) -> Config:
     data = _obj(data, "$")
-    model = parse_model(data.get("model"), "model")
+    model = parse_model(data.get("model"))
     walls = WallParams()
     if "walls" in data:
         w = _obj(data["walls"], "walls")

@@ -68,13 +68,12 @@ def default_table(model: ToricModel, rays: tuple[int, ...] | None = None) -> Ele
 
 
 def elementary_cylinder(model: ToricModel, i: int) -> Cylinder:
-    """The canonical elementary cylinder for the leaf direction u_i: bend at
-    u_i / 2, spine slopes given by the canonical split of -u_i."""
+    """The canonical one-leaf cylinder ``build_cylinder(model, (u_i,))`` with
+    its bend moved from -u_i to u_i / 2, a side the abstract leaves open."""
     w = model.fan.ray(i)
     if model.multiplicity(i) == 0:
         raise OutOfPrimitiveScope(f"ray {i} carries no exceptional components")
-    p1, p2 = canonical_spine_split(model, w)
-    return Cylinder(p1, p2, (Fraction(w[0], 2), Fraction(w[1], 2)), (w,), extended=False)
+    return replace(build_cylinder(model, (w,)), bend=(Fraction(w[0], 2), Fraction(w[1], 2)))
 
 
 def spine_extension_shift(model: ToricModel, cyl: Cylinder) -> cls.CurveClass:
@@ -113,8 +112,9 @@ def elementary_class(model: ToricModel, i: int, j: int) -> cls.CurveClass:
 
 
 def twig_components(model: ToricModel, cyl: Cylinder) -> tuple[int, ...]:
-    """Ray index i(s) for each twig leaf; leaves must head toward rays with
-    positive blowup multiplicity."""
+    """The primitive gate: ``check_primitive``, then the ray index i(s) of each
+    twig leaf, which must head toward a ray with positive blowup multiplicity."""
+    check_primitive(model, cyl)
     out = []
     for w in cyl.twig_type:
         i = model.exceptional_ray(w)
@@ -237,16 +237,15 @@ def cylinder_count(
 ) -> CylinderCount:
     """A fresh ``CylinderCount`` over the table's memo entry for the cylinder
     as given, so two leaf orders of one cylinder are two entries. An entry
-    holds the shift, comps, leaves, measures and groups. On a miss, check
-    that the cylinder is primitive, then read its leaf components, spine
-    extension class, per leaf the rows the table lists at (i(s), j),
+    holds the shift, comps, leaves, measures and groups. On a miss, read
+    the leaf components through the primitive gate ``twig_components``, then
+    the spine extension class, per leaf the rows the table lists at (i(s), j),
     j <= l_i, and their measure, and the groups; a cylinder that raises is
     not stored. Without a table, the default table is built at the leaves'
     rays for this call alone."""
     memo = {} if table is None else table._cylinders
     data = memo.get((model, cyl))
     if data is None:
-        check_primitive(model, cyl)
         comps = twig_components(model, cyl)
         by_pair = (default_table(model, comps) if table is None else table).by_pair
         leaves = tuple(
@@ -312,7 +311,6 @@ def splitting_measure(
     enumerated factor by factor, its count the product of the elementary
     counts, summed per class. Classes are keyed at the cylinder's level:
     shifted by the spine extension class when the cylinder is extended."""
-    check_primitive(model, cyl)
     comps = twig_components(model, cyl)
     if table is None:
         table = default_table(model, comps)

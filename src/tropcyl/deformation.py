@@ -42,7 +42,6 @@ from .tropical import (
     Cylinder,
     Edge,
     MappedTree,
-    check_primitive,
     classify,
     make_tree,
     spine_decomposition,
@@ -187,7 +186,6 @@ def build_deformation(model: ToricModel, cyl: Cylinder) -> DeformationFamily:
     (L_{t+1}, M_k) must be a spine and every other member a tropical curve,
     or NotATropicalCurve is raised.
     """
-    check_primitive(model, cyl)
     cyl = replace(cyl, extended=True)
     comps, Ls = family_L(model, cyl)
     # (name, tree, whether every leaf is forgotten)

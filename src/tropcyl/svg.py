@@ -87,16 +87,16 @@ class _Canvas:
             f'stroke-width="{_fmt(width)}" />'
         )
 
-    def dot(self, p, color: str, r: float = 2.5) -> None:
+    def dot(self, p, color: str, r: float) -> None:
         sx, sy = self.to_screen(*p)
         self.parts.append(
             f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="{_fmt(r)}" fill="{color}" />'
         )
 
-    def text(self, p, s: str, color: str, size: int = 10) -> None:
+    def text(self, p, s: str, color: str) -> None:
         sx, sy = self.to_screen(*p)
         self.parts.append(
-            f'<text x="{_fmt(sx)}" y="{_fmt(sy)}" font-size="{size}" '
+            f'<text x="{_fmt(sx)}" y="{_fmt(sy)}" font-size="10" '
             f'font-family="monospace" fill="{color}" text-anchor="middle">{s}</text>'
         )
 

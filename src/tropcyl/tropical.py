@@ -151,7 +151,10 @@ def structural_problems(tree: MappedTree) -> list[str]:
         if p is None and tree.valency(v) != 1:
             out.append(f"vertex {v} at infinity must be 1-valent")
     first_mark: dict[str, str] = {}
+    kinds = (("interior", tree.interior), ("boundary", tree.boundary), ("finite", tree.finite))
     for label, v in tree.marks:
+        if len(named := [name for name, subset in kinds if label in subset]) > 1:
+            out.append(f"mark {label} has more than one kind: {', '.join(named)}")
         if v not in verts:
             out.append(f"mark {label} at unknown vertex")
         elif tree.valency(v) != 1:
@@ -160,7 +163,7 @@ def structural_problems(tree: MappedTree) -> list[str]:
             out.append(f"marks {first_mark[v]} and {label} share vertex {v}")
         first_mark.setdefault(v, label)
     labels = {label for label, _ in tree.marks}
-    for name, subset in (("interior", tree.interior), ("boundary", tree.boundary), ("finite", tree.finite)):
+    for name, subset in kinds:
         extra = subset - labels
         if extra:
             out.append(f"{name} marks {sorted(extra)} are not marks of the tree")
@@ -469,10 +472,8 @@ def _try_spine(model: ToricModel, tree: MappedTree, balancing) -> list[str]:
     for rep in balancing:
         if rep.status == UNBALANCED:
             out.append(f"vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
-        elif rep.status == BENDING:
-            v = rep.vertex
-            if pos[v] is None or det(pos[v], rep.deficit) != 0:
-                out.append(f"vertex {v} bends away from its wall")
+        elif rep.status == BENDING and det(pos[rep.vertex], rep.deficit) != 0:
+            out.append(f"vertex {rep.vertex} bends away from its wall")
     return out
 
 

@@ -28,6 +28,7 @@ from tropcyl.counting import (
     default_table,
     elementary_class,
     elementary_cylinder,
+    elementary_extension_shift,
     measure,
     spine_extension_shift,
     splitting_measure,
@@ -43,7 +44,7 @@ from tropcyl.errors import (
     ZeroVector,
 )
 from tropcyl.lattice import cone_of, det
-from tropcyl.model import P2_RAYS, build_model
+from tropcyl.model import P1XP1_RAYS, P2_RAYS, build_model
 from tropcyl.tropical import Cylinder, cylinder_tree, tree_class
 
 
@@ -344,6 +345,23 @@ def test_elementary_cylinder_shape(cubic):
         cyl = elementary_cylinder(cubic, i)
         assert cyl.twig_type == (cubic.fan.ray(i),)
         assert len(contributing_classes(cubic, cyl)) == cubic.multiplicity(i)
+
+
+def test_elementary_bend_sits_at_half_the_leaf():
+    """The elementary cylinder is the canonical one-leaf cylinder with its
+    bend moved from -u_i to u_i / 2. On P1xP1 with l = (1, 0, 0, 0) its leg
+    (-1, 1) then crosses the ray (0, 1), which gives the shift dD (1, 0, 1, 0)
+    and the class dD (-1, 1, 0, 1) + E_11. With the bend at -u_1 they would
+    be 0 and dD (0, 1, 1, 1) + E_11. Which side is meant is ROADMAP item 9's
+    decision, which may flip this test."""
+    model = build_model(P1XP1_RAYS, (1, 0, 0, 0))
+    cyl = elementary_cylinder(model, 1)
+    assert cyl == replace(build_cylinder(model, ((1, 0),)), bend=(Fraction(1, 2), Fraction(0)))
+    assert (cyl.p1, cyl.p2) == ((-1, 1), (0, -1))
+    shift = elementary_extension_shift(model, 1)
+    assert (shift.dD, shift.dE) == ((1, 0, 1, 0), ())
+    beta = elementary_class(model, 1, 1)
+    assert (beta.dD, beta.dE) == ((-1, 1, 0, 1), (((1, 1), 1),))
 
 
 def test_elementary_class_follows_ray_order():

@@ -66,6 +66,8 @@ MODELS = (
     build_model(F1_RAYS, (1, 2, 1, 1)),
     build_model(HEXAGON_RAYS, (1, 2, 0, 1, 2, 1)),
 )
+# F2, whose one-leaf cylinder at (0, -1) has a nonzero spine extension shift.
+F2 = build_model(((1, 0), (0, 1), (-1, 2), (0, -1)), (1, 1, 1, 1))
 
 
 def _cyl(model, twig):
@@ -212,7 +214,7 @@ def test_family_support_endpoint(cubic):
     assert list(supp.keys()) == [cylinder_count(cubic, cyl).shift]
 
 
-@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("model", MODELS + (F2,))
 def test_member_measures_follow_one_rule(monkeypatch, model):
     """Every member is its cylinder's spine extension class convolved with the
     leaf measures it keeps, left to right: L_k keeps leaves k .. t of the

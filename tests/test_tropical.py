@@ -236,6 +236,18 @@ def _spine_tree(bend, legs, extra=(), marks=None):
 _LEAF = ("t1", None, Edge("b", "t1", (-1, -1), None))
 _SPARSE = build_model(P2_RAYS, (1, 0, 0))
 
+
+def _one_leaf_marked(interior=(), boundary=(), finite=()):
+    """The cubic's extended one-leaf cylinder tree (leaf (1, 0)) with more
+    labels added to each kind of mark, unchecked."""
+    cubic = cubic_model()
+    tree = cylinder_tree(cubic, build_cylinder(cubic, ((1, 0),), extended=True))
+    return replace(
+        tree, interior=tree.interior | set(interior), boundary=tree.boundary | set(boundary),
+        finite=tree.finite | set(finite),
+    )
+
+
 REJECTIONS = {
     "unknown vertex": (lambda: _raw_tree(
         {"x": _pt(2, 2)}, [Edge("x", "q", (0, 1), None)], {}),
@@ -353,6 +365,13 @@ REJECTIONS = {
     "spine leg through the origin": (lambda: cylinder_tree(cubic_model(), Cylinder(
         (1, 1), (-2, -2), (F(-1, 2), F(-1, 2)), ((1, 0), (0, 1)), extended=True)),
         "cylinder: spine leg must not run through the origin"),
+    # Marks are partitioned into interior, boundary and finite.
+    "mark interior and boundary": (lambda: _one_leaf_marked(boundary=("w",)),
+        "mark w has more than one kind: interior, boundary"),
+    "mark boundary and finite": (lambda: _one_leaf_marked(finite=("2",)),
+        "mark 2 has more than one kind: boundary, finite"),
+    "mark of every kind": (lambda: _one_leaf_marked(interior=("1",), finite=("1",)),
+        "mark 1 has more than one kind: interior, boundary, finite"),
 }
 _ON_SPARSE = {"twig edge off the walls", "spine sum off the walls"}
 
@@ -807,12 +826,24 @@ def test_a_cylinder_bends_along_its_wall(case):
 
 
 def test_make_tree_refuses_a_structural_problem():
-    """A vertex at infinity ending two edges: both problems are reported."""
+    """A vertex at infinity ending two edges: both problems are reported. A
+    label given two or three kinds of mark is refused, one problem per
+    label."""
     with pytest.raises(
         AffineInconsistent,
         match="^graph is not a tree \\(wrong edge count\\); vertex x at infinity must be 1-valent$",
     ):
         make_tree({"a": _pt(0, 0), "x": None}, [Edge("a", "x", (1, 0)), Edge("a", "x", (0, 1))], {})
+    tree = _one_leaf_marked()
+    args = (tree.pos, tree.edges, tree.mark_vertex)
+    with pytest.raises(AffineInconsistent, match="^mark 1 has more than one kind: interior, boundary, finite$"):
+        make_tree(*args, {"1", "w"}, {"1", "2"}, {"1"})
+    with pytest.raises(
+        AffineInconsistent,
+        match="^mark 1 has more than one kind: interior, boundary; "
+        "mark w has more than one kind: interior, finite$",
+    ):
+        make_tree(*args, {"1", "w"}, {"1", "2"}, {"w"})
 
 
 def test_a_cylinder_without_leaves_is_not_primitive(cubic):

@@ -8,12 +8,19 @@ of ``tools/unreached.py``, plus ``-x`` to stop at the first failure). A
 mutant is killed when that run fails. The unmutated copy runs first, so a
 suite that already fails is reported instead of counted as kills.
 
+Each run is bounded. Its address space is capped at ``MEMORY_CAP`` (512 MiB;
+the unmutated suite peaks near 90 MB), so a mutant that allocates without
+end raises ``MemoryError`` instead of taking the machine's memory. A mutated
+run is stopped after max(120 s, 5 times the unmutated run's time), so a
+mutant that loops without end cannot hang the gate. Such runs count as
+killed and print as ``killed (memory cap)`` or ``killed (timed out)``.
+
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run takes 4-5
-minutes (Python 3.11.7, 2 shared vCPUs): the unmutated copy and each
-survivor cost a whole suite run, about 25 s, and a killed mutant less. The
-script writes only to its temporary directories.
+It runs every mutant and is not part of tier-1. A full run of the 17
+mutants takes about 5 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated
+copy and each survivor cost a whole suite run, about 30 s, and a killed
+mutant less. The script writes only to its temporary directories.
 
 A gate: exits 0 when every mutant marked ``must_kill`` was killed and every
 other one survived; 1 when a ``must_kill`` mutant survived, when a mutant not
@@ -26,6 +33,7 @@ fails.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -38,6 +46,7 @@ from unreached import TIER1_FLAGS
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", *TIER1_FLAGS, "-x", "tests"]
+MEMORY_CAP = 512 << 20  # bytes of address space per suite run
 
 
 class Mutant(NamedTuple):
@@ -149,7 +158,20 @@ MUTANTS = (
         'supp[f"M{k}"] = {elementary_extension_shift(cc.model, cc.comps[k - 1]): 1}',
         'supp[f"M{k}"] = {elementary_extension_shift(cc.model, cc.comps[k - 1])'
         " + cc.shift + cc.shift + cc.shift: 1}",
-        False, "ROADMAP item 1: member_measures adds 3 times the cylinder's shift to M_k",
+        True, "member_measures adds 3 times the cylinder's shift to M_k; a unit test kills it,"
+        " verify (criterion 5) still does not (ROADMAP item 1)",
+    ),
+    Mutant(
+        "elementary-bend-on-the-canonical-side", "src/tropcyl/counting.py",
+        "    return replace(build_cylinder(model, (w,)), bend=(Fraction(w[0], 2), Fraction(w[1], 2)))\n",
+        "    return build_cylinder(model, (w,))\n",
+        True, "elementary_cylinder keeps the canonical bend at -u_i, not u_i / 2",
+    ),
+    Mutant(
+        "primitive-gate-skips-check", "src/tropcyl/counting.py",
+        "    check_primitive(model, cyl)\n",
+        "",
+        True, "twig_components reads leaf rays without check_primitive",
     ),
 )
 
@@ -164,9 +186,14 @@ def bad_anchors(mutants) -> list[str]:
     return out
 
 
-def run_tier1(mutant: Mutant | None) -> tuple[bool, float]:
-    """Run tier-1 on a fresh copy, mutated when a mutant is given; return
-    whether it passed and its wall time."""
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run_tier1(mutant: Mutant | None, timeout: float | None = None) -> tuple[str, float]:
+    """Run tier-1 on a fresh copy, mutated when a mutant is given, under the
+    memory cap and stopped after ``timeout`` seconds; return its outcome
+    (``pass``, ``fail``, ``memory cap`` or ``timed out``) and its wall time."""
     with tempfile.TemporaryDirectory(prefix="tropcyl-mutant-") as tmp:
         work = Path(tmp)
         for name in ("src", "tests"):
@@ -177,8 +204,16 @@ def run_tier1(mutant: Mutant | None) -> tuple[bool, float]:
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
-        done = subprocess.run(TIER1, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        return done.returncode == 0, time.perf_counter() - start
+        try:
+            done = subprocess.run(
+                TIER1, cwd=work, env=env, capture_output=True, timeout=timeout, preexec_fn=_cap_memory
+            )
+        except subprocess.TimeoutExpired:
+            return "timed out", time.perf_counter() - start
+        seconds = time.perf_counter() - start
+        if done.returncode == 0:
+            return "pass", seconds
+        return "memory cap" if b"MemoryError" in done.stdout + done.stderr else "fail", seconds
 
 
 def main() -> int:
@@ -187,14 +222,16 @@ def main() -> int:
         print(line)
     if bad:
         return 1
-    passed, seconds = run_tier1(None)
-    print(f"unmutated: {'pass' if passed else 'FAIL'} ({seconds:.1f} s)")
-    if not passed:
+    outcome, seconds = run_tier1(None)
+    print(f"unmutated: {outcome} ({seconds:.1f} s)")
+    if outcome != "pass":
         return 2
+    timeout = max(120.0, 5 * seconds)
     wrong = []
     for m in MUTANTS:
-        passed, seconds = run_tier1(m)
-        verdict = "survived" if passed else "killed"
+        outcome, seconds = run_tier1(m, timeout)
+        passed = outcome == "pass"
+        verdict = {"pass": "survived", "fail": "killed"}.get(outcome, f"killed ({outcome})")
         print(f"{m.name}: {verdict} ({seconds:.1f} s){'' if m.must_kill else ', not must_kill'} - {m.note}")
         if passed == m.must_kill:
             wrong.append(m)
