@@ -10,8 +10,9 @@ exactly when sum_i d_i u_i = 0 (dualize 0 -> M -> Z^m -> Pic(Y_t) -> 0).
 Equality is syntactic, and a profile is read back by checking that relation.
 ``intersection_matrix`` is cyclic tridiagonal, so a toric class sum_k t_k D_{t,k}
 has d_i = -det(u_{i-1}, u_{i+1}) t_i + t_{i-1} + t_{i+1}, read in O(m).
-A sum costs O(m) for ``dD``; its ``dE`` is the concatenation of the two
-sorted runs when their pairs do not interleave, and a dict merge otherwise.
+A sum costs O(m) for ``dD``; its ``dE`` is ``dE_sum`` of the two sorted
+runs: their concatenation when their pairs do not interleave, and a dict
+merge otherwise.
 """
 
 from __future__ import annotations
@@ -45,14 +46,18 @@ def intersection_matrix(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in mat)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class CurveClass:
     """A curve class by its intersection profile.
 
     ``dD[i]`` is the class's intersection with D_{i+1}, the strict transform
     of the toric boundary divisor; ``dE`` lists ((i, j), beta . E_ij) sorted
-    by pair, zero entries omitted. Immutable; hashed once, from (dD, dE),
-    when built.
+    by pair, zero entries omitted. Immutable. Hashed from (dD, dE) on first
+    use and the hash kept, so a class that is never a key, such as a listing
+    row, is never hashed.
     """
 
     # Not slots=True: on Python 3.10/3.11 its copy raises TypeError on a new name.
@@ -61,11 +66,18 @@ class CurveClass:
     dD: tuple[int, ...]
     dE: tuple[tuple[tuple[int, int], int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.dD, self.dE)))
+    def __init__(self, rays, dD, dE) -> None:
+        _set(self, "rays", rays)
+        _set(self, "dD", dD)
+        _set(self, "dE", dE)
+        _set(self, "_hash", None)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.dD, self.dE))
+            _set(self, "_hash", h)
+        return h
 
     def __reduce__(self):
         return CurveClass, (self.rays, self.dD, self.dE)
@@ -84,18 +96,7 @@ class CurveClass:
         if self.rays != other.rays:
             raise ModelMismatch("classes live on different fans")
         dD = tuple(map(op, self.dD, other.dD))
-        a, b = self.dE, other.dE
-        if not b:  # a toric summand leaves the exceptional part alone
-            return CurveClass(self.rays, dD, a)
-        # Sorted runs whose pairs do not interleave add by concatenation.
-        if not a or a[-1][0] < b[0][0]:
-            return CurveClass(self.rays, dD, a + _signed(b, op))
-        if b[-1][0] < a[0][0]:
-            return CurveClass(self.rays, dD, _signed(b, op) + a)
-        dE = dict(a)
-        for k, v in b:
-            dE[k] = op(dE.get(k, 0), v)
-        return CurveClass(self.rays, dD, _canonical(dE.items()))
+        return CurveClass(self.rays, dD, dE_sum(self.dE, _signed(other.dE, op)))
 
     @property
     def dE_map(self) -> dict[tuple[int, int], int]:
@@ -105,14 +106,30 @@ class CurveClass:
         return not any(self.dD) and not self.dE
 
 
+def dE_sum(a: tuple, b: tuple) -> tuple:
+    """The ``dE`` of a sum, from the summands' sorted runs: one run when the
+    other is empty (a toric summand), their concatenation when their pairs do
+    not interleave, and otherwise a merge with zero entries dropped."""
+    if not b:
+        return a
+    if not a or a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    dE = dict(a)
+    for k, v in b:
+        dE[k] = dE.get(k, 0) + v
+    return _canonical(dE.items())
+
+
 def _signed(dE: tuple, op) -> tuple:
     """``dE`` as a summand under ``op``: its values negated for a difference."""
-    return dE if op is add else tuple((k, -v) for k, v in dE)
+    return dE if op is add or not dE else tuple((k, -v) for k, v in dE)
 
 
 def _canonical(items) -> tuple:
     """``dE`` entries sorted by pair, zero entries dropped."""
-    return tuple(sorted((k, v) for k, v in items if v != 0))
+    return tuple(sorted([kv for kv in items if kv[1]]))
 
 
 def make_class(rays, toric, exc=None) -> CurveClass:

@@ -52,7 +52,8 @@ _EXIT_CODES = (
 )
 
 # `count` lists and `verify` compares prod_s |leaf entries_s| rows. 3^8 rows
-# (8 leaves, every l_i = 3, 12-ray model) take `verify` 0.25-0.4 s.
+# (8 leaves, every l_i = 3, 12-ray model, default table) take `verify`
+# 0.2-0.4 s and `count` 0.07-0.13 s (Python 3.11.7, 2 shared vCPUs).
 MAX_ROWS = 3**8
 
 # Randomized cases `verify` draws without --cases.

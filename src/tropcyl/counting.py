@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 
 from . import classes as cls
-from .errors import ComponentOutOfRange, OutOfPrimitiveScope
+from .errors import ComponentOutOfRange, ModelMismatch, OutOfPrimitiveScope
 from .lattice import primitive_part
 from .model import ToricModel
 from .tropical import Cylinder, canonical_spine_split, check_primitive, cylinder_tree
@@ -27,6 +28,8 @@ from .tropical import extension_class, leaf_sum, tree_class
 Support = dict[cls.CurveClass, int]
 LeafRows = tuple[tuple[int, cls.CurveClass, int], ...]
 Groups = tuple[tuple[set[tuple[int, int]], dict[frozenset, list]], ...]
+# Per leaf: its distinct dD vectors, and per row (j, dD index, dE, count).
+LeafParts = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, tuple, int], ...]]
 
 # Cylinders whose count data one table keeps, the oldest dropped first.
 CYLINDER_MEMO_SIZE = 256
@@ -144,7 +147,7 @@ def scope_profile(model: ToricModel, beta: cls.CurveClass) -> cls.CurveClass:
     beta meets an exceptional curve with multiplicity other than 0 or 1."""
     cls.intersect(model, beta)
     if any(v != 1 for _, v in beta.dE):
-        raise OutOfPrimitiveScope("class meets an exceptional curve with multiplicity > 1")
+        raise OutOfPrimitiveScope("class meets an exceptional curve with multiplicity > 1 or < 0")
     return beta
 
 
@@ -152,15 +155,18 @@ def scope_profile(model: ToricModel, beta: cls.CurveClass) -> cls.CurveClass:
 class CylinderCount:
     """The count data of one primitive cylinder under one table.
 
-    ``comps`` holds the ray index i(s) of each twig leaf, ``shift`` the spine
-    extension class, ``leaves`` per leaf every (j, class, count) the table
-    lists at (i(s), j), j <= l_i, and ``measures`` per leaf those counts
-    summed per class. The closed form, its listing and the deformation replay
-    all read one object. ``cylinder_count`` builds a fresh one per call from
-    the table's memo entry, so these fields and ``_groups`` are shared across
-    calls and never written, while the listing (``contributing``, ``listed``)
-    belongs to the object. Every per-leaf field follows the cylinder's leaf
-    order.
+    ``base`` is the class the closed form starts from at the cylinder's
+    level: the spine extension class when the cylinder is extended, and zero
+    when it is not. ``comps`` holds the ray index i(s) of each twig leaf,
+    ``leaves`` per leaf every (j, class, count) the table lists at (i(s), j),
+    j <= l_i, ``_parts`` per leaf the same rows split into dD and dE, and
+    ``measures`` per leaf those counts summed per class.
+    The closed form, its listing and the deformation replay all read one
+    object, at the cylinder's level. ``cylinder_count`` builds a fresh one
+    per call from the table's memo entry, so these fields and ``_groups``
+    are shared across calls and never written, while the listing
+    (``contributing``, ``listed``) belongs to the object. Every per-leaf
+    field follows the cylinder's leaf order.
 
     A single-class query prunes by exceptional support. A pair is private to
     leaf s < t when some class of leaf s meets it and no class of a later
@@ -173,19 +179,35 @@ class CylinderCount:
 
     model: ToricModel
     cyl: Cylinder
-    shift: cls.CurveClass
+    base: cls.CurveClass
     comps: tuple[int, ...]
     leaves: tuple[LeafRows, ...]
     measures: tuple[Support, ...]
     _groups: Groups = field(repr=False)
+    _parts: tuple[LeafParts, ...] = field(repr=False)
 
     @cached_property
     def contributing(self) -> tuple[tuple[tuple[int, ...], cls.CurveClass, int], ...]:
-        """The closed form term by term; see ``contributing_classes``."""
-        rows = [((), self.shift, 1)]
-        for leaf in self.leaves:
-            rows = [(ch + (j,), b + c, n * k) for ch, b, n in rows for j, c, k in leaf]
-        return tuple(rows)
+        """The closed form term by term, listed by parts; see
+        ``contributing_classes``. dD and dE add independently: the dD of a
+        row is ``base``'s plus one distinct dD vector per leaf, summed once
+        per combination of those vectors (once per listing under the default
+        table, whose classes at one ray share their dD), and its dE joins the
+        leaves' runs by ``dE_sum``. Each row builds its class once, at the
+        end, and hashes it only if it is used as a key."""
+        rows = [((), 0, self.base.dE, 1)]
+        sums = [self.base.dD]
+        for dDs, parts in self._parts:
+            # A row's index into ``sums`` holds one dD index per leaf, in mixed radix.
+            w = len(dDs)
+            rows = [
+                (ch + (j,), i * w + g, cls.dE_sum(e, f), n * k)
+                for ch, i, e, n in rows
+                for j, g, f, k in parts
+            ]
+            sums = [tuple(map(add, a, d)) for a in sums for d in dDs]
+        rays = self.model.fan.rays
+        return tuple([(ch, cls.CurveClass(rays, sums[i], e), n) for ch, i, e, n in rows])
 
     @cached_property
     def listed(self) -> Support:
@@ -199,8 +221,7 @@ class CylinderCount:
 
     def _mass(self, beta: cls.CurveClass) -> int:
         """``count`` at a class already checked to be in the primitive scope."""
-        target = beta - self.shift if self.cyl.extended else beta
-        residual: Support = {target: 1}
+        residual: Support = {beta - self.base: 1}
         for private, groups in self._groups:
             residual = measure(
                 (r - c, w * n)
@@ -209,6 +230,19 @@ class CylinderCount:
             )
         last = self.measures[-1]
         return sum(w * last.get(r, 0) for r, w in residual.items())
+
+
+def _leaf_parts(model: ToricModel, rows: LeafRows) -> LeafParts:
+    """A leaf's distinct dD vectors, and per row (j, the index of its dD
+    among them, its dE, its count); a class on another fan raises
+    ``ModelMismatch``."""
+    index: dict[tuple[int, ...], int] = {}
+    parts = []
+    for j, c, n in rows:
+        if c.rays != model.fan.rays:
+            raise ModelMismatch("a table class does not live on this model's fan")
+        parts.append((j, index.setdefault(c.dD, len(index)), c.dE, n))
+    return tuple(index), tuple(parts)
 
 
 def _part(c: cls.CurveClass, pairs: set[tuple[int, int]]) -> frozenset:
@@ -237,12 +271,12 @@ def cylinder_count(
 ) -> CylinderCount:
     """A fresh ``CylinderCount`` over the table's memo entry for the cylinder
     as given, so two leaf orders of one cylinder are two entries. An entry
-    holds the shift, comps, leaves, measures and groups. On a miss, read
-    the leaf components through the primitive gate ``twig_components``, then
-    the spine extension class, per leaf the rows the table lists at (i(s), j),
-    j <= l_i, and their measure, and the groups; a cylinder that raises is
-    not stored. Without a table, the default table is built at the leaves'
-    rays for this call alone."""
+    holds the base, comps, leaves, measures, groups and parts. On a miss,
+    read the leaf components through the primitive gate ``twig_components``,
+    then per leaf the rows the table lists at (i(s), j), j <= l_i, their
+    parts and their measure, the base and the groups; a cylinder that raises is not stored. Without a
+    table, the default table is built at the leaves' rays for this call
+    alone."""
     memo = {} if table is None else table._cylinders
     data = memo.get((model, cyl))
     if data is None:
@@ -256,9 +290,10 @@ def cylinder_count(
             )
             for i in comps
         )
+        parts = tuple(_leaf_parts(model, rows) for rows in leaves)
         measures = tuple(measure((c, n) for _j, c, n in rows) for rows in leaves)
-        shift = spine_extension_shift(model, cyl)
-        data = (shift, comps, leaves, measures, _private_groups(measures))
+        base = spine_extension_shift(model, cyl) if cyl.extended else cls.zero_class(model)
+        data = (base, comps, leaves, measures, _private_groups(measures), parts)
         if len(memo) >= CYLINDER_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[(model, cyl)] = data
@@ -270,8 +305,11 @@ def contributing_classes(
 ) -> tuple[tuple[tuple[int, ...], cls.CurveClass, int], ...]:
     """The closed form term by term: an entry picks, per leaf s, a component
     j_s and a class the table lists at (i(s), j_s), and holds (j_1, ..., j_t),
-    the spine extension shift plus the picked classes, and the product of
-    their counts. A class's closed-form count (the product measure of the
+    the cylinder's base plus the picked classes, and the product of their
+    counts. The base is the spine extension shift when the cylinder is
+    extended and zero when it is not, so every entry is at the cylinder's
+    own level, where ``count_primitive_cylinder`` and ``splitting_sum`` read
+    it. A class's closed-form count (the product measure of the
     leaf measures) is the sum of its entries, for every table ``parse_table``
     accepts; the default table gives one entry per (j_s), counted 1. Classes
     come from the table's summands, not the boundary profile, so the closed
@@ -296,8 +334,8 @@ def count_primitive_cylinder(
     first query of the cylinder under a table takes 0.2-0.3 ms and a later
     one, read off the table's memo, 0.06-0.1 ms, where subtracting every
     class from every residual took 34 ms (Python 3.11.7, 2 shared vCPUs,
-    medians of 200). An infinitesimal cylinder is
-    matched at the extended level beta + shift.
+    medians of 200). A class is read at the cylinder's level: an
+    infinitesimal cylinder's classes are its extended one's less the shift.
     A class outside the primitive scope is rejected before the cylinder.
     """
     scope_profile(model, beta)
@@ -322,7 +360,7 @@ def splitting_measure(
     ]
     rows = [(base, 1)]
     for factor in factors:
-        rows = [(acc + c, prod * n) for acc, prod in rows for c, n in factor if n]
+        rows = [(acc + c, prod * n) for acc, prod in rows for c, n in factor]
     return measure(rows)
 
 

@@ -209,16 +209,17 @@ def build_deformation(model: ToricModel, cyl: Cylinder) -> DeformationFamily:
 def member_measures(cc: CylinderCount) -> dict[str, Support]:
     """The counting measure of every family member, by name.
 
-    One rule covers every member: the member cylinder's spine extension class
-    convolved with the leaf measures it keeps, built in one backward pass
-    (L_k keeps leaves k .. t). M_k and N_k are L_2 and L_1 of the elementary
-    cylinder for leaf k, whose only leaf measure is the cylinder's k-th.
-    Classes are recorded at the extended level. Anchors sit on their leaf
-    rays, and extending along a ray crosses no ray, so forgetting a leaf adds
-    no extension class and no measure depends on them.
+    One rule covers every member: the member cylinder's base convolved with
+    the leaf measures it keeps, built in one backward pass (L_k keeps leaves
+    k .. t). M_k and N_k are L_2 and L_1 of the extended elementary cylinder
+    for leaf k, whose only leaf measure is the cylinder's k-th. The L members
+    are recorded at the cylinder's level, from ``cc.base``: the spine
+    extension class when it is extended, zero when not. Anchors sit on their
+    leaf rays, and extending along a ray crosses no ray, so forgetting a leaf
+    adds no extension class and no measure depends on them.
     """
     t = len(cc.comps)
-    supp = {f"L{t + 1}": {cc.shift: 1}}
+    supp = {f"L{t + 1}": {cc.base: 1}}
     for k in range(t, 0, -1):
         leaf = cc.measures[k - 1]
         supp[f"L{k}"] = convolve(supp[f"L{k + 1}"], leaf)
@@ -273,8 +274,8 @@ def replay_count(cc: CylinderCount, beta: cls.CurveClass | None = None) -> Repla
     and (when a class is given) agreement with the closed-form count.
 
     All comparisons are exact equalities of counting measures, each read
-    from ``member_measures`` of the cylinder's count data. L1 is the closed
-    form, the spine extension class convolved with every leaf measure;
+    from ``member_measures`` of the cylinder's count data, at the cylinder's
+    level. L1 is the closed form, the base convolved with every leaf measure;
     endpoint-initial compares it with the summed listing ``cc.listed``. The
     checks hold for every table ``parse_table`` accepts, not only the
     canonical one.
@@ -290,7 +291,7 @@ def replay_count(cc: CylinderCount, beta: cls.CurveClass | None = None) -> Repla
         for k in range(1, t + 1)
     ]
     sides.append(("endpoint-initial", supp["L1"], cc.listed))
-    sides.append(("endpoint-final", supp[f"L{t + 1}"], {cc.shift: 1}))
+    sides.append(("endpoint-final", supp[f"L{t + 1}"], {cc.base: 1}))
     checks = []
     for name, lhs, rhs in sides:
         detail = "measures agree"
@@ -298,7 +299,7 @@ def replay_count(cc: CylinderCount, beta: cls.CurveClass | None = None) -> Repla
             detail = f"lhs {_fmt_support(model, lhs)} != rhs {_fmt_support(model, rhs)}"
         checks.append(IdentityCheck(name, lhs == rhs, detail))
     if beta is not None:
-        got = supp["L1"].get(beta if cc.cyl.extended else beta + cc.shift, 0)
+        got = supp["L1"].get(beta, 0)
         want = cc.count(beta)
         detail = f"replayed count {got}, closed form {want}"
         checks.append(IdentityCheck("closed-form", got == want, detail))

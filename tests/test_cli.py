@@ -887,6 +887,40 @@ def test_count_query_closed_form_equals_splitting_sum(capsys, tmp_path, extended
     assert out.splitlines()[-1] == f"query count {entry['count']}  splitting_sum {entry['count']}"
 
 
+def test_count_lists_an_infinitesimal_cylinder_at_its_own_level(capsys, tmp_path):
+    """On F2 (rays (1,0), (0,1), (-1,2), (0,-1), l = (1,1,1,1)) the one-leaf
+    cylinder at (0,-1) has spine extension shift dD (0,1,0,1). Unextended, it
+    lists dD [1,0,1,1] + E41, the extended class less the shift, and that
+    class queried counts 1 by the closed form and the splitting sum, in the
+    text and the JSON output."""
+    model = {"fan": {"rays": [[1, 0], [0, 1], [-1, 2], [0, -1]]}, "blowups": [1, 1, 1, 1]}
+    config = spec_file(tmp_path, {"model": model}, "f2.json")
+    for extended, dD in ((False, [1, 0, 1, 1]), (True, [1, 1, 1, 2])):
+        spec = {"twig_type": [[0, -1]], "extended": extended}
+        listing = spec_file(tmp_path, spec, "listing.json")
+        code, out = run(capsys, "count", "--config", config, listing)
+        assert (code, out) == (0, f"choice 1  dD {dD}  E41:1  count 1\n")
+        code, out = run(capsys, "count", "--config", config, listing, "--json")
+        cls = {"dD": dD, "dE": [[4, 1, 1]]}
+        assert (code, json.loads(out)["contributing"]) == (0, [{"choice": [1], "class": cls, "count": 1}])
+        query = spec_file(tmp_path, {**spec, "class": cls})
+        code, out = run(capsys, "count", "--config", config, query)
+        assert (code, out.splitlines()[-1]) == (0, "query count 1  splitting_sum 1")
+        code, out = run(capsys, "count", "--config", config, query, "--json")
+        assert (code, json.loads(out)["query"]) == (0, {"class": cls, "count": 1, "splitting_sum": 1})
+
+
+def test_count_refuses_a_negative_exceptional_intersection(capsys, tmp_path):
+    """A queried class that meets E_31 -1 times is outside the primitive
+    scope: ``count`` exits 4, and with --json prints nothing."""
+    spec = spec_file(tmp_path, {"twig_type": [[-1, -1]], "class": {"dD": [0, 0, 1], "dE": [[3, 1, -1]]}})
+    message = "error: class meets an exceptional curve with multiplicity > 1 or < 0\n"
+    assert main(["count", spec]) == 4
+    assert capsys.readouterr().err == message
+    assert main(["count", spec, "--json"]) == 4
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("value", ["no", 0, None])
 def test_spec_extended_must_be_a_boolean(capsys, tmp_path, value):
     spec = spec_file(tmp_path, {"twig_type": [[1, 0]], "extended": value})

@@ -38,6 +38,7 @@ from tropcyl.counting import (
 from tropcyl.deformation import member_measures, replay_count
 from tropcyl.errors import (
     ComponentOutOfRange,
+    ModelMismatch,
     NotPrimitiveCylinder,
     OutOfPrimitiveScope,
     TropcylError,
@@ -118,6 +119,16 @@ def test_out_of_scope_class(cubic):
     beta = class_from_profile(cubic, (2, 2, 0), {(3, 1): 2})
     with pytest.raises(OutOfPrimitiveScope):
         count_primitive_cylinder(cubic, cyl, beta)
+
+
+def test_a_negative_exceptional_intersection_is_out_of_scope(cubic):
+    """A class that meets E_31 -1 times is outside the primitive scope, for a
+    query and a spine query alike."""
+    cyl = build_cylinder(cubic, ((-1, -1),))
+    beta = class_from_profile(cubic, (0, 0, 1), {(3, 1): -1})
+    for query, c in ((count_primitive_cylinder, cyl), (count_spine, replace(cyl, twig_type=()))):
+        with pytest.raises(OutOfPrimitiveScope, match="multiplicity > 1 or < 0"):
+            query(cubic, c, beta)
 
 
 def test_scope_checked_before_primitivity(cubic):
@@ -421,8 +432,9 @@ def multi_class_tables(draw):
 def test_closed_form_matches_oracle_on_any_table(case):
     """On random smooth models and tables: closed form = oracle = listing on
     the union of their classes, also off it by a divisor, at the extended
-    and the infinitesimal level; the replay passes; every class survives the
-    profile round trip."""
+    and the infinitesimal level; each level lists its own classes, and each
+    listed class's count is its query count and its splitting sum at that
+    level; the replay passes; every class survives the profile round trip."""
     model, twig, table, shift = case
     try:
         cyl = build_cylinder(model, twig, extended=True)
@@ -435,21 +447,25 @@ def test_closed_form_matches_oracle_on_any_table(case):
     for beta in dict.fromkeys([*listed, *oracle]):
         n = listed.get(beta, 0)
         assert cc.count(beta) == oracle.get(beta, 0) == n
-        assert inf.count(beta - cc.shift) == n
+        assert inf.count(beta - cc.base) == n
         assert count_primitive_cylinder(model, cyl, beta + shift, table) == (
             splitting_sum(model, cyl, beta + shift, table)
         )
         prof = intersect(model, beta)
         assert class_from_profile(model, prof.dD, prof.dE_map) == beta
+    assert inf.listed == {beta - cc.base: n for beta, n in listed.items()}
+    for data in (cc, inf):
+        for beta, n in data.listed.items():
+            assert count_primitive_cylinder(model, data.cyl, beta, table) == n
+            assert splitting_sum(model, data.cyl, beta, table) == n
     assert replay_count(cc, next(iter(listed), None)).ok
 
 
 def _unpruned_mass(cc, beta):
     """The closed form as a residual loop without pruning: every class of
     every leaf but the last is subtracted from every residual."""
-    target = beta - cc.shift if cc.cyl.extended else beta
     *first, last = cc.measures
-    residual = {target: 1}
+    residual = {beta - cc.base: 1}
     for supp in first:
         residual = measure((r - c, w * n) for r, w in residual.items() for c, n in supp.items())
     return sum(w * last.get(r, 0) for r, w in residual.items())
@@ -502,7 +518,57 @@ def test_pruned_mass_matches_the_unpruned_loop(case):
     for beta in dict.fromkeys([*listed, *oracle]):
         for b in (beta, beta + shift):
             assert cc._mass(b) == _unpruned_mass(cc, b) == oracle.get(b, 0)
-            assert inf._mass(b - cc.shift) == _unpruned_mass(inf, b - cc.shift) == oracle.get(b, 0)
+            assert inf._mass(b - cc.base) == _unpruned_mass(inf, b - cc.base) == oracle.get(b, 0)
+
+
+def _reference_listing(cc):
+    """The listing as a fold with ``CurveClass.__add__``, one sum per row and
+    leaf, and beside each row its profile summed in a dict, independent of
+    how a sum joins ``dE``."""
+    rows = [((), cc.base, 1, list(cc.base.dD), cc.base.dE_map)]
+    for leaf in cc.leaves:
+        rows = [
+            (ch + (j,), b + c, n * k, [x + y for x, y in zip(dD, c.dD)],
+             {p: dE.get(p, 0) + c.dE_map.get(p, 0) for p in {*dE, *c.dE_map}})
+            for ch, b, n, dD, dE in rows
+            for j, c, k in leaf
+        ]
+    return rows
+
+
+@settings(deadline=None, max_examples=80)
+@given(shared_pair_tables())
+def test_the_listing_by_parts_matches_a_fold_of_sums(case):
+    """On tables with several classes per pair, classes of one ray with
+    different dD, classes that meet another leaf's pairs and exceptional
+    entries that cancel, ``contributing`` lists, row by row and in order,
+    what a fold of class sums lists, at both levels: each row's class has
+    the summed profile, its dE sorted by pair without zero entries."""
+    model, twig, table, _shift = case
+    try:
+        cyl = build_cylinder(model, twig, extended=True)
+    except ZeroVector:
+        assume(False)
+    for level in (cyl, replace(cyl, extended=False)):
+        cc = cylinder_count(model, level, table)
+        ref = _reference_listing(cc)
+        assert cc.contributing == tuple((ch, b, n) for ch, b, n, _dD, _dE in ref)
+        for (_ch, b, _n), (*_, dD, dE) in zip(cc.contributing, ref):
+            assert (list(b.dD), b.dE) == (dD, tuple(sorted((p, v) for p, v in dE.items() if v)))
+
+
+def test_a_table_class_on_another_fan_is_refused(cubic):
+    """A table class built on another fan, here the cubic's rays in another
+    order, makes the listing and a query raise ``ModelMismatch``, and the
+    cylinder is not stored."""
+    other = build_model(P2_RAYS[1:] + P2_RAYS[:1], (2, 2, 2))
+    table = ElementaryCountTable((((1, 1), ((elementary_class(other, 3, 1), 1),)),))
+    cyl = build_cylinder(cubic, ((1, 0),), extended=True)
+    with pytest.raises(ModelMismatch):
+        contributing_classes(cubic, cyl, table)
+    with pytest.raises(ModelMismatch):
+        count_primitive_cylinder(cubic, cyl, elementary_class(cubic, 1, 1), table)
+    assert not table._cylinders
 
 
 def test_default_table_query_subtracts_once_per_leaf(monkeypatch):
@@ -511,7 +577,7 @@ def test_default_table_query_subtracts_once_per_leaf(monkeypatch):
     every leaf but the last takes 1 + 3 + 9 + ... + 3^7."""
     model = build_model(TWELVE_RAYS, (3,) * 12)
     cc = cylinder_count(model, build_cylinder(model, TWELVE_RAYS[:8], extended=True))
-    beta = cc.shift
+    beta = cc.base
     for i in cc.comps:
         beta = beta + elementary_class(model, i, 2)
     real, calls = CurveClass.__sub__, []
@@ -568,7 +634,7 @@ def test_a_residual_outside_every_group_counts_zero(cubic):
     """A class whose part on leaf 1's private pairs matches no class of leaf
     1 is dropped at that leaf, before any subtraction."""
     cc = cylinder_count(cubic, build_cylinder(cubic, ((1, 0), (0, 1))))
-    beta = cc.shift - exceptional_class(cubic, 2, 1)
+    beta = cc.base - exceptional_class(cubic, 2, 1)
     assert cc.count(beta) == _unpruned_mass(cc, beta) == splitting_sum(cubic, cc.cyl, beta) == 0
 
 
@@ -643,7 +709,7 @@ def test_one_table_answers_as_a_fresh_table_per_call(case):
     """One table reused across cylinders, levels and two models answers every
     ``count_primitive_cylinder``, ``count_spine`` and ``contributing_classes``
     call as a fresh copy of it does, and as the oracle does: the summed
-    listing is the oracle's measure at the extended level, and the counts
+    listing is the oracle's measure at the cylinder's level, and the counts
     agree at every class the oracle holds and at those classes shifted by a
     divisor, unless both refuse the class. ``count_spine`` is held to the
     oracle where the class's exceptional pattern picks the cylinder's own
@@ -657,9 +723,7 @@ def test_one_table_answers_as_a_fresh_table_per_call(case):
         fresh = lambda: ElementaryCountTable(table.entries)
         listing = contributing_classes(model, cyl, table)
         assert listing == contributing_classes(model, cyl, fresh())
-        # The listing is at the extended level, the oracle at the cylinder's.
-        ext = splitting_measure(model, replace(cyl, extended=True), table)
-        assert measure((b, n) for _, b, n in listing) == ext
+        assert measure((b, n) for _, b, n in listing) == splitting_measure(model, cyl, table)
         spine = replace(cyl, twig_type=())
         for beta in splitting_measure(model, cyl, table) or [spine_extension_shift(model, cyl)]:
             for b in (beta, beta + shift):
@@ -743,12 +807,10 @@ def test_a_count_does_not_depend_on_the_leaf_order(model, data):
             assert cc.listed == base.listed
             assert member_measures(cc)["L1"] == member_measures(base)["L1"]
         assert cylinder_count(model, permuted, warm).contributing == own.contributing
-        for beta in base.listed:
-            b = beta if cyl.extended else beta - base.shift
-            want = count_primitive_cylinder(model, cyl, b, warm)
-            assert want == base.listed[beta]
+        for beta, want in base.listed.items():
+            assert count_primitive_cylinder(model, cyl, beta, warm) == want
             for table in (warm, default_table(model), None):
-                assert count_primitive_cylinder(model, permuted, b, table) == want
+                assert count_primitive_cylinder(model, permuted, beta, table) == want
 
 
 def test_the_memo_keeps_the_newest_cylinders(cubic):

@@ -211,7 +211,7 @@ def test_family_support_endpoint(cubic):
     supp = member_measures(cylinder_count(cubic, cyl, default_table(cubic)))["L3"]
     assert len(supp) == 1
     assert list(supp.values()) == [1]
-    assert list(supp.keys()) == [cylinder_count(cubic, cyl).shift]
+    assert list(supp.keys()) == [cylinder_count(cubic, cyl).base]
 
 
 @pytest.mark.parametrize("model", MODELS + (F2,))
@@ -237,7 +237,7 @@ def test_member_measures_follow_one_rule(monkeypatch, model):
         assert len(calls) == 2 * t
         expect = {}
         for k in range(1, t + 2):
-            expect[f"L{k}"] = {cc.shift: 1}
+            expect[f"L{k}"] = {cc.base: 1}
             for leaf in cc.measures[k - 1:]:
                 expect[f"L{k}"] = convolve(expect[f"L{k}"], leaf)
         for k, (i, leaf) in enumerate(zip(cc.comps, cc.measures), start=1):

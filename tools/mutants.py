@@ -17,7 +17,7 @@ killed and print as ``killed (memory cap)`` or ``killed (timed out)``.
 
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run of the 17
+It runs every mutant and is not part of tier-1. A full run of the 18
 mutants takes about 5 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated
 copy and each survivor cost a whole suite run, about 30 s, and a killed
 mutant less. The script writes only to its temporary directories.
@@ -69,13 +69,23 @@ MUTANTS = (
         "sum-concatenates-equal-pairs", "src/tropcyl/classes.py",
         "a[-1][0] < b[0][0]",
         "a[-1][0] <= b[0][0]",
-        True, "CurveClass._plus concatenates runs that share a pair, leaving a duplicate key",
+        True, "dE_sum concatenates runs that share a pair, leaving a duplicate key",
     ),
     Mutant(
         "sum-keeps-subtrahend-sign", "src/tropcyl/classes.py",
         "(k, -v) for k, v in dE",
         "(k, v) for k, v in dE",
         True, "CurveClass._plus concatenates the subtrahend's exceptional part unnegated",
+    ),
+    Mutant(
+        "sum-concatenates-interleaved-runs", "src/tropcyl/classes.py",
+        "    dE = dict(a)\n"
+        "    for k, v in b:\n"
+        "        dE[k] = dE.get(k, 0) + v\n"
+        "    return _canonical(dE.items())\n",
+        "    return a + b\n",
+        True, "dE_sum concatenates runs whose pairs interleave instead of merging them; the"
+        " listing property test_the_listing_by_parts_matches_a_fold_of_sums kills it alone",
     ),
     Mutant(
         "lexicographic-on-ray-split", "src/tropcyl/tropical.py",
@@ -157,8 +167,9 @@ MUTANTS = (
         "corrupt-elementary-shift", "src/tropcyl/deformation.py",
         'supp[f"M{k}"] = {elementary_extension_shift(cc.model, cc.comps[k - 1]): 1}',
         'supp[f"M{k}"] = {elementary_extension_shift(cc.model, cc.comps[k - 1])'
-        " + cc.shift + cc.shift + cc.shift: 1}",
-        True, "member_measures adds 3 times the cylinder's shift to M_k; a unit test kills it,"
+        " + cc.base + cc.base + cc.base: 1}",
+        True, "member_measures adds 3 times the cylinder's base, its shift when extended, to M_k;"
+        " a unit test kills it,"
         " verify (criterion 5) still does not (ROADMAP item 1)",
     ),
     Mutant(
