@@ -15,13 +15,12 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 
-from . import classes as cls
 from . import config as cfg
 from .counting import (
     build_cylinder,
+    check_multiplicities,
     cylinder_count,
     default_table,
-    scope_profile,
     splitting_measure,
     splitting_sum,
 )
@@ -51,9 +50,9 @@ _EXIT_CODES = (
     (IdentityViolation, EXIT_IDENTITY),
 )
 
-# `count` lists and `verify` compares prod_s |leaf entries_s| rows. 3^8 rows
+# `count` lists and `verify` compares prod_s |leaf rows_s| rows. 3^8 rows
 # (8 leaves, every l_i = 3, 12-ray model, default table) take `verify`
-# 0.2-0.4 s and `count` 0.07-0.13 s (Python 3.11.7, 2 shared vCPUs).
+# 0.2-0.3 s and `count` 0.06-0.12 s (Python 3.11.7, 2 shared vCPUs).
 MAX_ROWS = 3**8
 
 # Randomized cases `verify` draws without --cases.
@@ -141,7 +140,7 @@ def _count_data(model, cyl, table, path: str):
     """The cylinder's count data, refused at path when its listing has more
     than MAX_ROWS rows."""
     data = cylinder_count(model, cyl, table)
-    rows = math.prod(map(len, data.leaves))
+    rows = math.prod(len(leaf) for _dDs, leaf in data.parts)
     if rows > MAX_ROWS:
         raise ConfigError(path, f"the listing has {rows} rows, more than {MAX_ROWS}")
     return data
@@ -175,7 +174,7 @@ def cmd_count(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
         return EXIT_OK
     for choice, b, n in entries:
-        dE = " ".join(f"E{i}{j}:{c}" for (i, j), c in cls.intersect(model, b).dE)
+        dE = " ".join(f"E{i}{j}:{c}" for (i, j), c in b.dE)
         print(f"choice {','.join(map(str, choice))}  dD {list(b.dD)}  {dE}  count {n}")
     if beta is not None:
         n = data.count(beta)
@@ -200,7 +199,7 @@ def _verify_one(model, cyl, table, path: str) -> int:
     data = _count_data(model, cyl, table, path)
     listed, oracle = data.listed, splitting_measure(model, cyl, table)
     for beta in dict.fromkeys([*listed, *oracle]):
-        scope_profile(model, beta)
+        check_multiplicities(beta)
         s, n = oracle.get(beta, 0), listed.get(beta, 0)
         if s != n:
             where = json.dumps(cfg.profile_to_dict(model, beta))

@@ -4,11 +4,8 @@ count, and the independent splitting sum.
 The count of a primitive cylinder factors over its twig leaves: the closed
 form is the product measure of the leaf measures (class -> count, read off
 the elementary table at the leaf's exceptional components), shifted by the
-spine extension class. ``cylinder_count`` reads a cylinder's leaf measures,
-shift and pruning groups once per table into a ``CylinderCount``, which the
-closed form, its listing and the deformation replay share;
-``splitting_measure`` stays an independent oracle and enumerates from the
-table itself.
+spine extension class. See ``CylinderCount`` for what the closed form and
+the oracle share.
 """
 
 from __future__ import annotations
@@ -19,14 +16,13 @@ from functools import cached_property, lru_cache
 from operator import add
 
 from . import classes as cls
-from .errors import ComponentOutOfRange, ModelMismatch, OutOfPrimitiveScope
+from .errors import ComponentOutOfRange, ModelMismatch, NotPrimitiveCylinder, OutOfPrimitiveScope
 from .lattice import primitive_part
 from .model import ToricModel
 from .tropical import Cylinder, canonical_spine_split, check_primitive, cylinder_tree
 from .tropical import extension_class, leaf_sum, tree_class
 
 Support = dict[cls.CurveClass, int]
-LeafRows = tuple[tuple[int, cls.CurveClass, int], ...]
 Groups = tuple[tuple[set[tuple[int, int]], dict[frozenset, list]], ...]
 # Per leaf: its distinct dD vectors, and per row (j, dD index, dE, count).
 LeafParts = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, tuple, int], ...]]
@@ -40,12 +36,8 @@ class ElementaryCountTable:
     """Counts of elementary cylinders: (i, j) -> ((class, count), ...).
 
     The default table supports, for each exceptional component E_ij, exactly
-    the canonical elementary class with count 1.
-
-    A table keeps one memo, a plain dict: by (model, cylinder), the cylinder
-    as given, the count data ``cylinder_count`` reads off it, at most
-    ``CYLINDER_MEMO_SIZE`` = 256 cylinders, the oldest dropped first. It holds
-    no listing.
+    the canonical elementary class with count 1. A table keeps one memo of
+    ``CylinderCount`` data; see there.
     """
 
     entries: tuple[tuple[tuple[int, int], tuple[tuple[cls.CurveClass, int], ...]], ...]
@@ -115,9 +107,12 @@ def elementary_class(model: ToricModel, i: int, j: int) -> cls.CurveClass:
 
 
 def twig_components(model: ToricModel, cyl: Cylinder) -> tuple[int, ...]:
-    """The primitive gate: ``check_primitive``, then the ray index i(s) of each
-    twig leaf, which must head toward a ray with positive blowup multiplicity."""
-    check_primitive(model, cyl)
+    """The primitive gate: ``check_primitive``'s verdict, then the ray index
+    i(s) of each twig leaf, which must head toward a ray with positive blowup
+    multiplicity."""
+    problem = check_primitive(model, cyl)
+    if problem:
+        raise NotPrimitiveCylinder(problem)
     out = []
     for w in cyl.twig_type:
         i = model.exceptional_ray(w)
@@ -142,31 +137,44 @@ def convolve(a: Support, b: Support) -> Support:
     return measure((ca + cb, na * nb) for ca, na in a.items() for cb, nb in b.items())
 
 
-def scope_profile(model: ToricModel, beta: cls.CurveClass) -> cls.CurveClass:
-    """beta, checked by ``intersect``; raises ``OutOfPrimitiveScope`` when
-    beta meets an exceptional curve with multiplicity other than 0 or 1."""
-    cls.intersect(model, beta)
+def check_multiplicities(beta: cls.CurveClass) -> cls.CurveClass:
+    """beta; raises ``OutOfPrimitiveScope`` when beta meets an exceptional
+    curve with multiplicity other than 0 or 1."""
     if any(v != 1 for _, v in beta.dE):
         raise OutOfPrimitiveScope("class meets an exceptional curve with multiplicity > 1 or < 0")
     return beta
+
+
+def scope_profile(model: ToricModel, beta: cls.CurveClass) -> cls.CurveClass:
+    """beta, checked by ``intersect`` and then ``check_multiplicities``."""
+    return check_multiplicities(cls.intersect(model, beta))
 
 
 @dataclass(frozen=True, eq=False)
 class CylinderCount:
     """The count data of one primitive cylinder under one table.
 
-    ``base`` is the class the closed form starts from at the cylinder's
-    level: the spine extension class when the cylinder is extended, and zero
-    when it is not. ``comps`` holds the ray index i(s) of each twig leaf,
-    ``leaves`` per leaf every (j, class, count) the table lists at (i(s), j),
-    j <= l_i, ``_parts`` per leaf the same rows split into dD and dE, and
-    ``measures`` per leaf those counts summed per class.
-    The closed form, its listing and the deformation replay all read one
-    object, at the cylinder's level. ``cylinder_count`` builds a fresh one
-    per call from the table's memo entry, so these fields and ``_groups``
-    are shared across calls and never written, while the listing
-    (``contributing``, ``listed``) belongs to the object. Every per-leaf
-    field follows the cylinder's leaf order.
+    ``_read`` is the one read of a cylinder, shared with the oracle
+    ``splitting_measure``: ``comps``, the ray index i(s) of each twig leaf
+    through the primitive gate ``twig_components``; ``base``, the class the
+    closed form starts from at the cylinder's level, the spine extension
+    class when the cylinder is extended and zero when it is not; and per
+    leaf every (j, class, count) the table lists at (i(s), j), j <= l_i,
+    from the default table at the leaves' rays when none is given. The
+    record keeps those rows as ``parts``, a leaf's distinct dD vectors and
+    per row (j, dD index, dE, count), and as ``measures``, their counts
+    summed per class. The oracle folds the rows itself and never reads the
+    record. The closed form, its listing, the replay and the CLI read it, at
+    the cylinder's level.
+
+    A table's memo keeps, by (model, cylinder as given), every field but the
+    model and the cylinder, for at most ``CYLINDER_MEMO_SIZE`` cylinders,
+    the oldest dropped first; a cylinder that raises is not kept, and
+    without a table nothing is. ``cylinder_count`` builds a fresh record per
+    call, so these fields are shared across calls and never written, while
+    the listing (``contributing``, ``listed``) belongs to the record. Every
+    per-leaf field follows the cylinder's leaf order, so two leaf orders of
+    one cylinder are two entries.
 
     A single-class query prunes by exceptional support. A pair is private to
     leaf s < t when some class of leaf s meets it and no class of a later
@@ -181,10 +189,9 @@ class CylinderCount:
     cyl: Cylinder
     base: cls.CurveClass
     comps: tuple[int, ...]
-    leaves: tuple[LeafRows, ...]
     measures: tuple[Support, ...]
+    parts: tuple[LeafParts, ...] = field(repr=False)
     _groups: Groups = field(repr=False)
-    _parts: tuple[LeafParts, ...] = field(repr=False)
 
     @cached_property
     def contributing(self) -> tuple[tuple[tuple[int, ...], cls.CurveClass, int], ...]:
@@ -197,13 +204,13 @@ class CylinderCount:
         end, and hashes it only if it is used as a key."""
         rows = [((), 0, self.base.dE, 1)]
         sums = [self.base.dD]
-        for dDs, parts in self._parts:
+        for dDs, leaf in self.parts:
             # A row's index into ``sums`` holds one dD index per leaf, in mixed radix.
             w = len(dDs)
             rows = [
                 (ch + (j,), i * w + g, cls.dE_sum(e, f), n * k)
                 for ch, i, e, n in rows
-                for j, g, f, k in parts
+                for j, g, f, k in leaf
             ]
             sums = [tuple(map(add, a, d)) for a in sums for d in dDs]
         rays = self.model.fan.rays
@@ -232,7 +239,7 @@ class CylinderCount:
         return sum(w * last.get(r, 0) for r, w in residual.items())
 
 
-def _leaf_parts(model: ToricModel, rows: LeafRows) -> LeafParts:
+def _leaf_parts(model: ToricModel, rows) -> LeafParts:
     """A leaf's distinct dD vectors, and per row (j, the index of its dD
     among them, its dE, its count); a class on another fan raises
     ``ModelMismatch``."""
@@ -266,34 +273,28 @@ def _private_groups(measures: tuple[Support, ...]) -> Groups:
     return tuple(out[::-1])
 
 
+def _read(model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None):
+    """The cylinder's comps, base and per-leaf table rows; see ``CylinderCount``."""
+    comps = twig_components(model, cyl)
+    by_pair = (default_table(model, comps) if table is None else table).by_pair
+    base = spine_extension_shift(model, cyl) if cyl.extended else cls.zero_class(model)
+    return comps, base, tuple(
+        tuple((j, c, n) for j in range(1, model.multiplicity(i) + 1) for c, n in by_pair.get((i, j), ()))
+        for i in comps
+    )
+
+
 def cylinder_count(
     model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None = None
 ) -> CylinderCount:
-    """A fresh ``CylinderCount`` over the table's memo entry for the cylinder
-    as given, so two leaf orders of one cylinder are two entries. An entry
-    holds the base, comps, leaves, measures, groups and parts. On a miss,
-    read the leaf components through the primitive gate ``twig_components``,
-    then per leaf the rows the table lists at (i(s), j), j <= l_i, their
-    parts and their measure, the base and the groups; a cylinder that raises is not stored. Without a
-    table, the default table is built at the leaves' rays for this call
-    alone."""
+    """A fresh ``CylinderCount`` over the table's memo entry for the cylinder."""
     memo = {} if table is None else table._cylinders
     data = memo.get((model, cyl))
     if data is None:
-        comps = twig_components(model, cyl)
-        by_pair = (default_table(model, comps) if table is None else table).by_pair
-        leaves = tuple(
-            tuple(
-                (j, c, n)
-                for j in range(1, model.multiplicity(i) + 1)
-                for c, n in by_pair.get((i, j), ())
-            )
-            for i in comps
-        )
+        comps, base, leaves = _read(model, cyl, table)
         parts = tuple(_leaf_parts(model, rows) for rows in leaves)
         measures = tuple(measure((c, n) for _j, c, n in rows) for rows in leaves)
-        base = spine_extension_shift(model, cyl) if cyl.extended else cls.zero_class(model)
-        data = (base, comps, leaves, measures, _private_groups(measures), parts)
+        data = (base, comps, measures, parts, _private_groups(measures))
         if len(memo) >= CYLINDER_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[(model, cyl)] = data
@@ -306,11 +307,8 @@ def contributing_classes(
     """The closed form term by term: an entry picks, per leaf s, a component
     j_s and a class the table lists at (i(s), j_s), and holds (j_1, ..., j_t),
     the cylinder's base plus the picked classes, and the product of their
-    counts. The base is the spine extension shift when the cylinder is
-    extended and zero when it is not, so every entry is at the cylinder's
-    own level, where ``count_primitive_cylinder`` and ``splitting_sum`` read
-    it. A class's closed-form count (the product measure of the
-    leaf measures) is the sum of its entries, for every table ``parse_table``
+    counts. A class's closed-form count (the product measure of the leaf
+    measures) is the sum of its entries, for every table ``parse_table``
     accepts; the default table gives one entry per (j_s), counted 1. Classes
     come from the table's summands, not the boundary profile, so the closed
     form and the splitting sum index the same classes on every model.
@@ -325,18 +323,11 @@ def count_primitive_cylinder(
     table: ElementaryCountTable | None = None,
 ) -> int:
     """Closed-form count: the mass at beta of the product measure of the leaf
-    measures shifted by the spine extension class, for every table
-    ``parse_table`` accepts. The first t - 1 leaf measures are subtracted from
-    beta in turn and the last is one lookup, so no class is listed. Each
-    residual meets only the leaf classes that agree with it on the leaf's
-    private pairs (see ``CylinderCount``), so with the default table a query
-    makes t subtractions. At t = 8 on a 12-ray model with every l_i = 3 the
-    first query of the cylinder under a table takes 0.2-0.3 ms and a later
-    one, read off the table's memo, 0.06-0.1 ms, where subtracting every
-    class from every residual took 34 ms (Python 3.11.7, 2 shared vCPUs,
-    medians of 200). A class is read at the cylinder's level: an
-    infinitesimal cylinder's classes are its extended one's less the shift.
-    A class outside the primitive scope is rejected before the cylinder.
+    measures shifted by the base, for every table ``parse_table`` accepts.
+    The first t - 1 leaf measures are subtracted from beta in turn and the
+    last is one lookup, so no class is listed; ``CylinderCount`` says how
+    each leaf prunes the residuals. A class outside the primitive scope is
+    rejected before the cylinder.
     """
     scope_profile(model, beta)
     return cylinder_count(model, cyl, table)._mass(beta)
@@ -345,22 +336,13 @@ def count_primitive_cylinder(
 def splitting_measure(
     model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None = None
 ) -> Support:
-    """Independent oracle: every decomposition into one table class per leaf,
-    enumerated factor by factor, its count the product of the elementary
-    counts, summed per class. Classes are keyed at the cylinder's level:
-    shifted by the spine extension class when the cylinder is extended."""
-    comps = twig_components(model, cyl)
-    if table is None:
-        table = default_table(model, comps)
-    base = spine_extension_shift(model, cyl) if cyl.extended else cls.zero_class(model)
-    by_pair = table.by_pair
-    factors = [
-        [(c, n) for j in range(1, model.multiplicity(i) + 1) for c, n in by_pair.get((i, j), ())]
-        for i in comps
-    ]
+    """Independent oracle: every decomposition into the base and one table
+    class per leaf, enumerated factor by factor from ``_read``'s rows, its
+    count the product of the elementary counts, summed per class."""
+    _comps, base, leaves = _read(model, cyl, table)
     rows = [(base, 1)]
-    for factor in factors:
-        rows = [(acc + c, prod * n) for acc, prod in rows for c, n in factor]
+    for leaf in leaves:
+        rows = [(acc + c, prod * n) for acc, prod in rows for _j, c, n in leaf]
     return measure(rows)
 
 

@@ -213,10 +213,9 @@ def member_measures(cc: CylinderCount) -> dict[str, Support]:
     the leaf measures it keeps, built in one backward pass (L_k keeps leaves
     k .. t). M_k and N_k are L_2 and L_1 of the extended elementary cylinder
     for leaf k, whose only leaf measure is the cylinder's k-th. The L members
-    are recorded at the cylinder's level, from ``cc.base``: the spine
-    extension class when it is extended, zero when not. Anchors sit on their
-    leaf rays, and extending along a ray crosses no ray, so forgetting a leaf
-    adds no extension class and no measure depends on them.
+    are recorded at the cylinder's level, from ``cc.base``. Anchors sit on
+    their leaf rays, and extending along a ray crosses no ray, so forgetting
+    a leaf adds no extension class and no measure depends on them.
     """
     t = len(cc.comps)
     supp = {f"L{t + 1}": {cc.base: 1}}
@@ -249,11 +248,11 @@ class ReplayReport:
         ]
 
 
-def _fmt_support(model: ToricModel, supp: Support) -> str:
+def _fmt_support(supp: Support) -> str:
     """A measure as ``dD [...] Eij:c count n`` terms, one per class."""
     terms = []
     for c, n in supp.items():
-        dE = "".join(f" E{i}{j}:{v}" for (i, j), v in cls.intersect(model, c).dE)
+        dE = "".join(f" E{i}{j}:{v}" for (i, j), v in c.dE)
         terms.append(f"dD {list(c.dD)}{dE} count {n}")
     return "{" + ", ".join(sorted(terms)) + "}"
 
@@ -280,7 +279,7 @@ def replay_count(cc: CylinderCount, beta: cls.CurveClass | None = None) -> Repla
     checks hold for every table ``parse_table`` accepts, not only the
     canonical one.
     """
-    model, t = cc.model, len(cc.comps)
+    t = len(cc.comps)
     supp = member_measures(cc)
     sides = [
         (
@@ -296,7 +295,7 @@ def replay_count(cc: CylinderCount, beta: cls.CurveClass | None = None) -> Repla
     for name, lhs, rhs in sides:
         detail = "measures agree"
         if lhs != rhs:
-            detail = f"lhs {_fmt_support(model, lhs)} != rhs {_fmt_support(model, rhs)}"
+            detail = f"lhs {_fmt_support(lhs)} != rhs {_fmt_support(rhs)}"
         checks.append(IdentityCheck(name, lhs == rhs, detail))
     if beta is not None:
         got = supp["L1"].get(beta, 0)

@@ -16,13 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import classes as cls
-from .errors import (
-    AffineInconsistent,
-    NonRepresentable,
-    NotPrimitiveCylinder,
-    PathThroughOrigin,
-    ZeroVector,
-)
+from .errors import AffineInconsistent, NonRepresentable, PathThroughOrigin, ZeroVector
 from .lattice import Point, Vec, cone_coordinates, cone_of, det, dot, norm, primitive_part, vadd
 from .model import ToricModel
 from .walls import is_wall_direction
@@ -318,15 +312,17 @@ def leaf_sum(twig_type) -> Vec:
     return (sum(w[0] for w in twig_type), sum(w[1] for w in twig_type))
 
 
-def check_primitive(model: ToricModel, cyl: Cylinder) -> None:
+def check_primitive(model: ToricModel, cyl: Cylinder) -> str | None:
+    """The first primitivity clause the twig fails, as a message, or None."""
     if not cyl.twig_type:
-        raise NotPrimitiveCylinder("cylinder has no twig leaves")
+        return "cylinder has no twig leaves"
     degrees = [norm(model.fan, w) for w in cyl.twig_type]
     if any(d != 1 for d in degrees):
-        raise NotPrimitiveCylinder(f"twig leaf degrees {degrees} are not all 1")
+        return f"twig leaf degrees {degrees} are not all 1"
     dirs = [primitive_part(w)[0] for w in cyl.twig_type]
     if len(set(dirs)) != len(dirs):
-        raise NotPrimitiveCylinder("twig leaf directions are not pairwise distinct")
+        return "twig leaf directions are not pairwise distinct"
+    return None
 
 
 @dataclass(frozen=True)
@@ -374,14 +370,6 @@ def _twig_problems(model: ToricModel, twig: MappedTree, balancing) -> list[str]:
     return out
 
 
-def _is_primitive(model: ToricModel, cyl: Cylinder) -> bool:
-    try:
-        check_primitive(model, cyl)
-    except NotPrimitiveCylinder:
-        return False
-    return True
-
-
 def classify(model: ToricModel, tree: MappedTree) -> Classification:
     """Decide whether the tree is a cylinder, twig, spine, or tropical curve.
 
@@ -394,7 +382,7 @@ def classify(model: ToricModel, tree: MappedTree) -> Classification:
     balancing = validate_balancing(model, tree)
     cyl_reasons, cyl = _try_cylinder(model, tree, balancing)
     if not cyl_reasons:
-        return Classification("cylinder", (), cyl, _is_primitive(model, cyl))
+        return Classification("cylinder", (), cyl, check_primitive(model, cyl) is None)
     failed = [("cylinder", cyl_reasons)]
     for kind, check in (("twig", _twig_problems), ("spine", _try_spine), ("tropical_curve", _try_curve)):
         reasons = check(model, tree, balancing)

@@ -540,6 +540,42 @@ def test_a_non_primitive_leaf_toward_a_bare_ray_exits_3(capsys, tmp_path):
         assert (out.out, out.err) == ("", "error: twig leaf degrees [2] are not all 1\n")
 
 
+def test_verify_refuses_a_listed_class_out_of_scope(capsys, tmp_path):
+    """A table class at (1, 1) that meets E_11 twice, E_11's elementary class
+    less E_11, listed after the elementary class there: ``count`` lists it,
+    and ``verify`` exits 4 on it, although the replay queries the first
+    listed class, which is in scope."""
+    from tropcyl.classes import exceptional_class
+    from tropcyl.counting import elementary_class
+    from tropcyl.model import cubic_model
+
+    model = cubic_model()
+    c = elementary_class(model, 1, 1) - exceptional_class(model, 1, 1)
+    assert c.dE == (((1, 1), 2),)
+    by_pair = {pair: [(elementary_class(model, *pair), 1)] for pair in model.exceptional_pairs}
+    by_pair[(1, 1)].append((c, 1))
+    table = _table_file(tmp_path, model, by_pair)
+    spec = spec_file(tmp_path, {"twig_type": [[1, 0]]})
+    code, out = run(capsys, "count", spec, "--table", table)
+    assert (code, out.splitlines()[1]) == (0, f"choice 1  dD {list(c.dD)}  E11:2  count 1")
+    assert main(["verify", spec, "--table", table]) == 4
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: class meets an exceptional curve with multiplicity > 1 or < 0\n")
+
+
+def test_verify_checks_one_class_against_the_model(capsys, tmp_path, monkeypatch):
+    """``verify <spec>`` checks the listed and oracle classes by their
+    multiplicities alone, since the table's classes were checked against the
+    model when it was read: the one ``intersect`` call is the replay's query."""
+    from tropcyl import classes
+
+    real, calls = classes.intersect, []
+    monkeypatch.setattr(classes, "intersect", lambda *a: calls.append(a) or real(*a))
+    spec = spec_file(tmp_path, {"twig_type": [[1, 0], [0, 1]]})
+    code, out = run(capsys, "verify", spec)
+    assert (code, out, len(calls)) == (0, "PASS, 2 induction steps\n", 1)
+
+
 def test_verify_one_builds_count_data_once(monkeypatch):
     from tropcyl import cli, counting
     from tropcyl.model import build_model, P1XP1_RAYS

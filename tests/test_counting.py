@@ -521,12 +521,18 @@ def test_pruned_mass_matches_the_unpruned_loop(case):
             assert inf._mass(b - cc.base) == _unpruned_mass(inf, b - cc.base) == oracle.get(b, 0)
 
 
-def _reference_listing(cc):
-    """The listing as a fold with ``CurveClass.__add__``, one sum per row and
-    leaf, and beside each row its profile summed in a dict, independent of
-    how a sum joins ``dE``."""
+def _reference_listing(cc, table):
+    """The listing as a fold with ``CurveClass.__add__`` over the rows the
+    table lists at each leaf's pairs, one sum per row and leaf, and beside
+    each row its profile summed in a dict, independent of how a sum joins
+    ``dE``."""
     rows = [((), cc.base, 1, list(cc.base.dD), cc.base.dE_map)]
-    for leaf in cc.leaves:
+    for i in cc.comps:
+        leaf = [
+            (j, c, k)
+            for j in range(1, cc.model.multiplicity(i) + 1)
+            for c, k in table.by_pair.get((i, j), ())
+        ]
         rows = [
             (ch + (j,), b + c, n * k, [x + y for x, y in zip(dD, c.dD)],
              {p: dE.get(p, 0) + c.dE_map.get(p, 0) for p in {*dE, *c.dE_map}})
@@ -551,7 +557,7 @@ def test_the_listing_by_parts_matches_a_fold_of_sums(case):
         assume(False)
     for level in (cyl, replace(cyl, extended=False)):
         cc = cylinder_count(model, level, table)
-        ref = _reference_listing(cc)
+        ref = _reference_listing(cc, table)
         assert cc.contributing == tuple((ch, b, n) for ch, b, n, _dD, _dE in ref)
         for (_ch, b, _n), (*_, dD, dE) in zip(cc.contributing, ref):
             assert (list(b.dD), b.dE) == (dD, tuple(sorted((p, v) for p, v in dE.items() if v)))
@@ -590,12 +596,12 @@ def test_default_table_query_subtracts_once_per_leaf(monkeypatch):
 
 def test_leaf_measures_are_shared(cubic):
     """Leaf data is read once per table and cylinder: two calls on one
-    cylinder share its entry's entries and measures."""
+    cylinder share its entry's parts and measures."""
     table = default_table(cubic)
     cyl = build_cylinder(cubic, ((1, 0), (0, 1)))
     a, b = cylinder_count(cubic, cyl, table), cylinder_count(cubic, cyl, table)
     assert a is not b and a.comps == b.comps == (1, 2)
-    assert a.measures is b.measures and a.leaves is b.leaves
+    assert a.measures is b.measures and a.parts is b.parts
 
 
 def test_leaf_data_follows_the_multiplicity(cubic):
@@ -605,9 +611,9 @@ def test_leaf_data_follows_the_multiplicity(cubic):
     fewer = build_model(P2_RAYS, (1, 2, 2))
     cyl = build_cylinder(cubic, ((1, 0),))
     cc = cylinder_count(fewer, cyl, table)
-    assert [j for j, _c, _n in cc.leaves[0]] == [1]
+    assert [j for j, _g, _dE, _n in cc.parts[0][1]] == [1]
     assert cc.measures[0] == {elementary_class(cubic, 1, 1): 1}
-    assert len(cylinder_count(cubic, cyl, table).leaves[0]) == 2
+    assert [j for j, _g, _dE, _n in cylinder_count(cubic, cyl, table).parts[0][1]] == [1, 2]
 
 
 def test_a_leaf_without_private_pairs_keeps_every_class(cubic):
@@ -775,7 +781,7 @@ def test_a_permuted_cylinder_gets_its_own_entry(cubic):
     cc = cylinder_count(cubic, permuted, table)
     assert list(table._cylinders) == [(cubic, cyl), (cubic, permuted)]
     assert cc.comps == (2, 1) and cc.measures == cylinder_count(cubic, cyl, table).measures[::-1]
-    assert table._cylinders[(cubic, permuted)][1:4] == (cc.comps, cc.leaves, cc.measures)
+    assert table._cylinders[(cubic, permuted)][1:4] == (cc.comps, cc.measures, cc.parts)
     assert sorted(cc.contributing) == sorted((ch[::-1], b, n) for ch, b, n in first)
     for _, beta, n in first:
         assert count_primitive_cylinder(cubic, permuted, beta, table) == n == 1
@@ -811,6 +817,61 @@ def test_a_count_does_not_depend_on_the_leaf_order(model, data):
             assert count_primitive_cylinder(model, cyl, beta, warm) == want
             for table in (warm, default_table(model), None):
                 assert count_primitive_cylinder(model, permuted, beta, table) == want
+
+
+# Elements of GL2(Z) as rows: a rotation and a shear of determinant 1, and
+# a swap and two reflections of determinant -1.
+GL2Z = {
+    "swap": ((0, 1), (1, 0)),
+    "rotation": ((0, -1), (1, 0)),
+    "shear": ((1, 1), (0, 1)),
+    "reflect-x": ((1, 0), (0, -1)),
+    "reflect-y": ((-1, 0), (0, 1)),
+}
+
+
+def _apply(a, v):
+    return (a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(smooth_models(max_l=2), st.sampled_from(sorted(GL2Z)), st.booleans(), st.data())
+def test_counts_commute_with_gl2z(model, name, extended, data):
+    """Counts are natural in A in GL2(Z), det -1 included. Move the rays by A,
+    in reversed order with l reversed when det A = -1, so that they stay
+    counterclockwise; move a cylinder's slopes, bend and leaves by A; and
+    re-index each class, dD and pair i to m + 1 - i when det A = -1. Then the
+    moved cylinder lists the moved classes row by row, at both levels, and
+    the closed form and the oracle count each moved class as listed."""
+    a = GL2Z[name]
+    flip = det(*a) == -1
+    m = model.m
+    rays = [_apply(a, u) for u in model.fan.rays]
+    ls = [model.multiplicity(i) for i in range(1, m + 1)]
+    moved = build_model(tuple(rays[::-1] if flip else rays), tuple(ls[::-1] if flip else ls))
+    dirs = sorted(model.exceptional_directions)
+    if not dirs:
+        return
+    t = data.draw(st.integers(1, min(3, len(dirs))))
+    twig = tuple(data.draw(st.permutations(dirs))[:t])
+    try:
+        cyl = build_cylinder(model, twig, extended)
+    except ZeroVector:
+        return
+    image = Cylinder(
+        _apply(a, cyl.p1), _apply(a, cyl.p2), _apply(a, cyl.bend),
+        tuple(_apply(a, w) for w in cyl.twig_type), extended,
+    )
+
+    def move(c):
+        dE = {(m + 1 - i if flip else i, j): v for (i, j), v in c.dE}
+        return class_from_profile(moved, c.dD[::-1] if flip else c.dD, dE)
+
+    listing = contributing_classes(model, cyl)
+    assert contributing_classes(moved, image) == tuple((ch, move(b), n) for ch, b, n in listing)
+    for b, n in measure((b, n) for _, b, n in listing).items():
+        beta = move(b)
+        assert count_primitive_cylinder(moved, image, beta) == n == splitting_sum(moved, image, beta)
 
 
 def test_the_memo_keeps_the_newest_cylinders(cubic):

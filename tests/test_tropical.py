@@ -15,7 +15,7 @@ from tropcyl.classes import (
     CurveClass, class_from_profile, direction_contrib, divisor_class, intersect, zero_class,
 )
 from tropcyl import tropical
-from tropcyl.counting import build_cylinder, elementary_cylinder
+from tropcyl.counting import build_cylinder, elementary_cylinder, twig_components
 from tropcyl.errors import (
     AffineInconsistent, NonRepresentable, NotPrimitiveCylinder, PathThroughOrigin,
     RayIndexOutOfRange, TropcylError, ZeroVector,
@@ -847,8 +847,11 @@ def test_make_tree_refuses_a_structural_problem():
 
 
 def test_a_cylinder_without_leaves_is_not_primitive(cubic):
+    """``check_primitive`` returns the failed clause and the gate raises it."""
+    cyl = Cylinder((1, 0), (0, 1), _pt(-1, -1), ())
+    assert check_primitive(cubic, cyl) == "cylinder has no twig leaves"
     with pytest.raises(NotPrimitiveCylinder, match="^cylinder has no twig leaves$"):
-        check_primitive(cubic, Cylinder((1, 0), (0, 1), _pt(-1, -1), ()))
+        twig_components(cubic, cyl)
 
 
 def test_a_twig_without_its_root_mark(cubic):

@@ -17,9 +17,9 @@ killed and print as ``killed (memory cap)`` or ``killed (timed out)``.
 
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run of the 18
+It runs every mutant and is not part of tier-1. A full run of the 20
 mutants takes about 5 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated
-copy and each survivor cost a whole suite run, about 30 s, and a killed
+copy and each survivor cost a whole suite run, 30-40 s, and a killed
 mutant less. The script writes only to its temporary directories.
 
 A gate: exits 0 when every mutant marked ``must_kill`` was killed and every
@@ -180,9 +180,22 @@ MUTANTS = (
     ),
     Mutant(
         "primitive-gate-skips-check", "src/tropcyl/counting.py",
-        "    check_primitive(model, cyl)\n",
+        "    problem = check_primitive(model, cyl)\n",
+        "    problem = None\n",
+        True, "twig_components reads leaf rays without check_primitive's verdict",
+    ),
+    Mutant(
+        "level-base-always-shift", "src/tropcyl/counting.py",
+        "    base = spine_extension_shift(model, cyl) if cyl.extended else cls.zero_class(model)\n",
+        "    base = spine_extension_shift(model, cyl)\n",
+        True, "the shared read of a cylinder takes the spine extension shift as the base of an"
+        " infinitesimal cylinder too",
+    ),
+    Mutant(
+        "verify-skips-scope", "src/tropcyl/cli.py",
+        "        check_multiplicities(beta)\n",
         "",
-        True, "twig_components reads leaf rays without check_primitive",
+        True, "verify compares listed and oracle classes without checking their multiplicities",
     ),
 )
 

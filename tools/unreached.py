@@ -11,8 +11,8 @@ keeps its database and caches in a temporary directory removed at exit.
     python3 tools/unreached.py [extra pytest arguments]
 
 Extra arguments go to pytest after the tier-1 ones, for example ``-x``.
-It is not part of tier-1. A full run takes 30-40 s (Python 3.11.7, 2
-shared vCPUs), against about 14 s untraced. The tracer keeps no frame
+It is not part of tier-1. A full run takes about 85 s (Python 3.11.7, 2
+shared vCPUs), against about 24 s untraced. The tracer keeps no frame
 object, so the two tests that assert a call leaves no cyclic garbage
 (``test_oracle_leaves_no_cyclic_garbage`` and
 ``test_canonical_leaves_no_cyclic_garbage``) pass under it as they do
