@@ -239,17 +239,12 @@ class CylinderCount:
         return sum(w * last.get(r, 0) for r, w in residual.items())
 
 
-def _leaf_parts(model: ToricModel, rows) -> LeafParts:
+def _leaf_parts(rows) -> LeafParts:
     """A leaf's distinct dD vectors, and per row (j, the index of its dD
-    among them, its dE, its count); a class on another fan raises
-    ``ModelMismatch``."""
+    among them, its dE, its count)."""
     index: dict[tuple[int, ...], int] = {}
-    parts = []
-    for j, c, n in rows:
-        if c.rays != model.fan.rays:
-            raise ModelMismatch("a table class does not live on this model's fan")
-        parts.append((j, index.setdefault(c.dD, len(index)), c.dE, n))
-    return tuple(index), tuple(parts)
+    parts = tuple((j, index.setdefault(c.dD, len(index)), c.dE, n) for j, c, n in rows)
+    return tuple(index), parts
 
 
 def _part(c: cls.CurveClass, pairs: set[tuple[int, int]]) -> frozenset:
@@ -274,14 +269,19 @@ def _private_groups(measures: tuple[Support, ...]) -> Groups:
 
 
 def _read(model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None):
-    """The cylinder's comps, base and per-leaf table rows; see ``CylinderCount``."""
+    """The cylinder's comps, base and per-leaf table rows; see ``CylinderCount``.
+    A row whose class lives on another fan raises ``ModelMismatch``, on
+    every leaf, before either path folds a row."""
     comps = twig_components(model, cyl)
     by_pair = (default_table(model, comps) if table is None else table).by_pair
     base = spine_extension_shift(model, cyl) if cyl.extended else cls.zero_class(model)
-    return comps, base, tuple(
+    leaves = tuple(
         tuple((j, c, n) for j in range(1, model.multiplicity(i) + 1) for c, n in by_pair.get((i, j), ()))
         for i in comps
     )
+    if any(c.rays != model.fan.rays for rows in leaves for _j, c, _n in rows):
+        raise ModelMismatch("a table class does not live on this model's fan")
+    return comps, base, leaves
 
 
 def cylinder_count(
@@ -292,7 +292,7 @@ def cylinder_count(
     data = memo.get((model, cyl))
     if data is None:
         comps, base, leaves = _read(model, cyl, table)
-        parts = tuple(_leaf_parts(model, rows) for rows in leaves)
+        parts = tuple(_leaf_parts(rows) for rows in leaves)
         measures = tuple(measure((c, n) for _j, c, n in rows) for rows in leaves)
         data = (base, comps, measures, parts, _private_groups(measures))
         if len(memo) >= CYLINDER_MEMO_SIZE:

@@ -6,10 +6,12 @@ first k - 1 leaves forgotten), M_k (the elementary spine for leaf k), and
 N_k (the elementary cylinder for leaf k with both twig anchors marked).
 M_k and N_k are L_2 and L_1 of the elementary cylinder, so one builder,
 ``family_L``, makes every member, and one rule gives every member's
-counting measure. M_k and N_k, with their stable domains, come from a
-bounded memo (256 entries) kept per (model, leaf ray); every member is
-still classified over its family's refined fan. Memo entries and the
-cached dicts of trees and families are shared and must not be written.
+counting measure. M_k and N_k, with their kinds and stable domains, come
+from a bounded memo (256 entries) kept per (model, leaf ray), classified
+there over the fan refined by the elementary cylinder's slopes; a family
+classifies only its t + 1 L members, over the fan refined by its own
+cylinder's slopes. Memo entries and the cached dicts and sets of trees and
+families are shared and must not be written.
 Counts with fixed curve class satisfy, for each k, a splitting identity
 relating L_k to L_{k+1} through M_k and N_k; chaining the t identities
 turns the count of V into a product of elementary counts. The identities
@@ -132,12 +134,16 @@ def family_L(
 
 @lru_cache(maxsize=256)
 def _elementary_members(model: ToricModel, i: int):
-    """The extended elementary cylinder for ray i, its L_2 and L_1 (M and N
-    of every family with a leaf at ray i, suffixed ``p``) and their stable
-    domains, each built and checked once per (model, ray)."""
+    """The extended elementary cylinder for ray i; its L_2 and L_1 (M and N
+    of every family with a leaf at ray i, suffixed ``p``); their kinds, as
+    ``classify`` gives them over the model refined by the elementary
+    cylinder's own two slopes; and their stable domains. Each is built,
+    checked and classified once per (model, ray)."""
     elem = replace(elementary_cylinder(model, i), extended=True)
     N, M = family_L(model, elem, "p")[1]
-    return elem, M, N, stable_domain(M), stable_domain(N)
+    refined = refine_for_slopes(model, (elem.p1, elem.p2))
+    kinds = classify(refined, M).kind, classify(refined, N).kind
+    return elem, M, N, *kinds, stable_domain(M), stable_domain(N)
 
 
 def refine_for_slopes(model: ToricModel, slopes) -> ToricModel:
@@ -179,30 +185,36 @@ class DeformationFamily:
 def build_deformation(model: ToricModel, cyl: Cylinder) -> DeformationFamily:
     """Construct and validate every member of the deformation family.
 
-    The L members come from ``family_L``. M_k and N_k are L_2 and L_1 of
-    the extended elementary cylinder for leaf k, read from a memo kept per
-    (model, ray). Each tree is classified over a fan refined so the spine
-    slopes span rays, for every family: a member with no leaf left
-    (L_{t+1}, M_k) must be a spine and every other member a tropical curve,
-    or NotATropicalCurve is raised.
+    The L members come from ``family_L`` and are classified over the model
+    refined by the cylinder's own two slopes. M_k and N_k are L_2 and L_1 of
+    the extended elementary cylinder for leaf k, read with their kinds from
+    a memo kept per (model, ray). Then, in the order L_1 .. L_{t+1}, M_1,
+    N_1, ..., a member with no leaf left (L_{t+1}, M_k) must be a spine and
+    every other member a tropical curve, or NotATropicalCurve is raised.
+
+    Refining a fan inserts rays with l = 0, which leaves ``exceptional_ray``
+    and ``is_wall_direction`` unchanged, so ``classify`` reads the fan only
+    through ``ray_index`` of boundary legs. Every boundary leg runs along a
+    ray u_s of the model or one slope of its own cylinder, a ray of every
+    fan refined by that cylinder's slopes, so no kind depends on which such
+    fan classifies it.
     """
     cyl = replace(cyl, extended=True)
     comps, Ls = family_L(model, cyl)
-    # (name, tree, whether every leaf is forgotten)
-    members = [(f"L{k}", tree, k == len(Ls)) for k, tree in enumerate(Ls, start=1)]
-    elems = [_elementary_members(model, i) for i in comps]
-    for k, (_, m, n, *_) in enumerate(elems, start=1):
-        members += [(f"M{k}", m, True), (f"N{k}", n, False)]
-    slopes = [cyl.p1, cyl.p2] + [p for e, *_ in elems for p in (e.p1, e.p2)]
-    refined = refine_for_slopes(model, slopes)
-    for name, tree, leafless in members:
-        kind = classify(refined, tree).kind
+    # (name, tree, its kind when the memo has it, whether every leaf is forgotten)
+    members = [(f"L{k}", tree, None, k == len(Ls)) for k, tree in enumerate(Ls, start=1)]
+    for k, i in enumerate(comps, start=1):
+        _, m, n, m_kind, n_kind, *_ = _elementary_members(model, i)
+        members += [(f"M{k}", m, m_kind, True), (f"N{k}", n, n_kind, False)]
+    refined = refine_for_slopes(model, (cyl.p1, cyl.p2))
+    for name, tree, kind, leafless in members:
+        kind = kind or classify(refined, tree).kind
         expected = "spine" if leafless else "tropical_curve"
         if kind != expected:
             raise NotATropicalCurve(
                 f"family member {name} classifies as {kind}, expected {expected}"
             )
-    curves = tuple((name, tree) for name, tree, _ in members)
+    curves = tuple((name, tree) for name, tree, *_ in members)
     return DeformationFamily(model, cyl, comps, curves)
 
 
@@ -317,11 +329,12 @@ class AbstractTree:
     edges: tuple[tuple[str, str, Fraction | None], ...]
     legs: tuple[tuple[str, str], ...]  # label -> vertex
 
-    @property
-    def vertices(self) -> set[str]:
+    @cached_property
+    def vertices(self) -> frozenset[str]:
+        """Every vertex an edge or a leg names, computed once per tree."""
         vs = {v for e in self.edges for v in e[:2]}
         vs.update(v for _, v in self.legs)
-        return vs
+        return frozenset(vs)
 
     def canonical(self):
         """Canonical encoding (labels and edge lengths), rooted at the vertex
@@ -342,14 +355,16 @@ class AbstractTree:
 
 
 def _encode(v: str, parent: str | None, adj, legs_at) -> tuple:
-    """The encoding of the subtree at v, away from parent. A module-level
-    function, not a closure over the tables, so it forms no reference cycle."""
+    """The encoding of the subtree at v, away from parent, each edge length
+    keyed by its (numerator, denominator) so that sorting compares ints. A
+    module-level function, not a closure over the tables, so it forms no
+    reference cycle."""
     items = [("leg", label) for label in sorted(legs_at.get(v, ()))]
     kids = []
     for o, ln in adj.get(v, ()):
         if o == parent:
             continue
-        key = (0, ln) if ln is not None else (1,)
+        key = (0, ln.numerator, ln.denominator) if ln is not None else (1,)
         kids.append(("edge", key, _encode(o, v, adj, legs_at)))
     return tuple(items) + tuple(sorted(kids))
 

@@ -117,12 +117,8 @@ def structural_problems(tree: MappedTree) -> list[str]:
                 out.append(f"edge {e.tail}-{e.head} has nonpositive length")
             if pt is None or ph is None:
                 out.append(f"finite edge {e.tail}-{e.head} has an infinite endpoint")
-            else:
-                expect = (pt[0] + e.length * e.weight[0], pt[1] + e.length * e.weight[1])
-                if expect != ph:
-                    out.append(
-                        f"edge {e.tail}-{e.head} is affinely inconsistent"
-                    )
+            elif not _lands(pt, e.length, e.weight, ph):
+                out.append(f"edge {e.tail}-{e.head} is affinely inconsistent")
             if e.weight == (0, 0):
                 out.append(f"finite edge {e.tail}-{e.head} has weight zero")
     if len(tree.edges) != len(verts) - 1:
@@ -162,6 +158,17 @@ def structural_problems(tree: MappedTree) -> list[str]:
         if extra:
             out.append(f"{name} marks {sorted(extra)} are not marks of the tree")
     return out
+
+
+def _lands(p: Point, length: Fraction, w: Vec, q: Point) -> bool:
+    """Whether p + length * w = q, both coordinates cross-multiplied by the
+    positive denominators as ints, with no Fraction built."""
+    (x, y), (qx, qy), n, d = p, q, length.numerator, length.denominator
+    dx, dy = x.denominator * d, y.denominator * d
+    return (
+        (x.numerator * d + n * w[0] * x.denominator) * qx.denominator == qx.numerator * dx
+        and (y.numerator * d + n * w[1] * y.denominator) * qy.denominator == qy.numerator * dy
+    )
 
 
 BALANCED = "balanced"

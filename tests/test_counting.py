@@ -15,6 +15,7 @@ from tropcyl.classes import (
     exceptional_class,
     intersect,
     make_class,
+    zero_class,
 )
 from tropcyl import counting
 from tropcyl.counting import (
@@ -46,7 +47,7 @@ from tropcyl.errors import (
 )
 from tropcyl.lattice import cone_of, det
 from tropcyl.model import P1XP1_RAYS, P2_RAYS, build_model
-from tropcyl.tropical import Cylinder, cylinder_tree, tree_class
+from tropcyl.tropical import Cylinder, cylinder_tree, leaf_sum, tree_class
 
 
 def test_default_table_supports_one_class_per_pair(cubic):
@@ -577,6 +578,22 @@ def test_a_table_class_on_another_fan_is_refused(cubic):
     assert not table._cylinders
 
 
+@pytest.mark.parametrize("extended", (True, False))
+def test_a_foreign_class_behind_an_empty_leaf_is_refused_by_both_paths(cubic, extended):
+    """A table that lists nothing at the first leaf's ray and a class of
+    another fan at the second's: the closed form and the oracle both raise
+    ``ModelMismatch``, although the oracle's fold would stop at the empty
+    leaf before it reached the foreign class."""
+    other = zero_class(build_model(P1XP1_RAYS, (1, 1, 1, 1)))
+    table = ElementaryCountTable((((2, 1), ((other, 1),)),))
+    cyl = build_cylinder(cubic, ((1, 0), (0, 1)), extended=extended)
+    with pytest.raises(ModelMismatch, match="^a table class does not live on this model's fan$"):
+        cylinder_count(cubic, cyl, table)
+    with pytest.raises(ModelMismatch, match="^a table class does not live on this model's fan$"):
+        splitting_measure(cubic, cyl, table)
+    assert not table._cylinders
+
+
 def test_default_table_query_subtracts_once_per_leaf(monkeypatch):
     """On the 12-ray model with every l_i = 3, a query with t = 8 leaves keeps
     one residual per leaf: t subtractions, where subtracting every class of
@@ -834,6 +851,15 @@ def _apply(a, v):
     return (a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1])
 
 
+def _moved_model(model, a):
+    """The model with its rays moved by A, in reversed order with l reversed
+    when det A = -1, so that they stay counterclockwise."""
+    rays = [_apply(a, u) for u in model.fan.rays]
+    ls = list(model.blowups)
+    flip = det(*a) == -1
+    return build_model(tuple(rays[::-1] if flip else rays), tuple(ls[::-1] if flip else ls))
+
+
 @settings(max_examples=100, deadline=None)
 @given(smooth_models(max_l=2), st.sampled_from(sorted(GL2Z)), st.booleans(), st.data())
 def test_counts_commute_with_gl2z(model, name, extended, data):
@@ -846,9 +872,7 @@ def test_counts_commute_with_gl2z(model, name, extended, data):
     a = GL2Z[name]
     flip = det(*a) == -1
     m = model.m
-    rays = [_apply(a, u) for u in model.fan.rays]
-    ls = [model.multiplicity(i) for i in range(1, m + 1)]
-    moved = build_model(tuple(rays[::-1] if flip else rays), tuple(ls[::-1] if flip else ls))
+    moved = _moved_model(model, a)
     dirs = sorted(model.exceptional_directions)
     if not dirs:
         return
@@ -872,6 +896,28 @@ def test_counts_commute_with_gl2z(model, name, extended, data):
     for b, n in measure((b, n) for _, b, n in listing).items():
         beta = move(b)
         assert count_primitive_cylinder(moved, image, beta) == n == splitting_sum(moved, image, beta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(smooth_models(max_l=2), st.sampled_from(sorted(GL2Z)), st.data())
+def test_the_canonical_cylinder_commutes_with_gl2z_off_the_rays(model, name, data):
+    """When -w0 spans no ray, the canonical cylinder is natural in A in
+    GL2(Z): the moved twig's canonical cylinder on the moved model has bend
+    A(bend) and legs (A p1, A p2), or (A p2, A p1) when det A = -1. On a ray
+    the split takes the next ray counterclockwise, which a reflection turns
+    into clockwise, so that case is left out."""
+    a = GL2Z[name]
+    dirs = sorted(model.exceptional_directions)
+    assume(dirs)
+    t = data.draw(st.integers(1, min(3, len(dirs))))
+    twig = tuple(data.draw(st.permutations(dirs))[:t])
+    w0 = leaf_sum(twig)
+    assume(w0 != (0, 0) and model.fan.ray_index((-w0[0], -w0[1])) is None)
+    cyl = build_cylinder(model, twig)
+    image = build_cylinder(_moved_model(model, a), tuple(_apply(a, w) for w in twig))
+    legs = (_apply(a, cyl.p1), _apply(a, cyl.p2))
+    assert image.bend == _apply(a, cyl.bend)
+    assert (image.p1, image.p2) == (legs[::-1] if det(*a) == -1 else legs)
 
 
 def test_the_memo_keeps_the_newest_cylinders(cubic):

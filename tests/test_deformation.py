@@ -74,6 +74,18 @@ def _cyl(model, twig):
     return build_cylinder(model, twig, extended=True)
 
 
+def _draw_cylinder(model, data):
+    """A canonical extended cylinder of up to three distinct exceptional
+    leaves of the model; the draw is rejected when the leaves sum to zero."""
+    dirs = sorted(model.exceptional_directions)
+    assume(dirs)
+    t = data.draw(st.integers(1, min(3, len(dirs))))
+    try:
+        return _cyl(model, tuple(data.draw(st.permutations(dirs))[:t]))
+    except ZeroVector:
+        assume(False)
+
+
 @pytest.fixture
 def fresh_elementary_memo():
     """An empty elementary-member memo, emptied again afterwards, so that no
@@ -567,11 +579,11 @@ def _counting_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("model", MODELS[:3])
 def test_build_deformation_checks_each_member_once(monkeypatch, fresh_elementary_memo, model):
     """make_tree runs the structural check, classify reuses it and the
-    elementary members are built once per (model, ray), so each distinct
-    member is checked once: a first build checks all 3t + 1 members, and a
-    second build, of a cylinder that shares the leaf (0, 1), only its L
-    members and the elementary members of its new leaf. Every build still
-    classifies all of its members."""
+    elementary members are built and classified once per (model, ray), so
+    each distinct member is checked and classified once: a first build
+    checks and classifies all 3t + 1 members, and a second build, of a
+    cylinder that shares the leaf (0, 1), only its L members and the
+    elementary members of its new leaf."""
     from tropcyl import deformation, tropical
 
     checked = _counting_calls(monkeypatch, tropical, "structural_problems")
@@ -589,7 +601,7 @@ def test_build_deformation_checks_each_member_once(monkeypatch, fresh_elementary
         ]
         assert len(members) == 3 * fam.t + 1 and len(fresh) == want_checked
         assert sorted(id(args[0]) for args in checked) == sorted(map(id, fresh))
-        assert sorted(id(args[1]) for args in classified) == sorted(map(id, members))
+        assert sorted(id(args[1]) for args in classified) == sorted(map(id, fresh))
         seen.update(fam.comps)
 
 
@@ -614,29 +626,53 @@ def test_a_warm_elementary_memo_builds_the_same_family(model, data):
     """A family built over a warm memo equals one built over an empty memo,
     member by member and domain by domain, and its degeneration paths agree;
     the memo's M and N trees are L_2 and L_1 of the elementary cylinder."""
-    dirs = sorted(model.exceptional_directions)
-    assume(dirs)
-    t = data.draw(st.integers(1, min(3, len(dirs))))
-    twig = tuple(data.draw(st.permutations(dirs))[:t])
+    cyl = _draw_cylinder(model, data)
     _elementary_members.cache_clear()
-    try:
-        cold = build_deformation(model, _cyl(model, twig))
-    except ZeroVector:
-        assume(False)
+    cold = build_deformation(model, cyl)
     cold_domains = dict(cold.domains)
-    warm = build_deformation(model, _cyl(model, twig))
+    warm = build_deformation(model, cyl)
     assert warm == cold
     warm_curves = dict(warm.curves)
     for name, tree in cold.curves:
         assert warm_curves[name] == tree
         assert warm.domains[name] == cold_domains[name] == stable_domain(tree)
-    for k in range(1, t + 1):
+    for k in range(1, cold.t + 1):
         for r in (None, F(1), F(0)):
             assert degeneration_path(warm, k, r).coincide == degeneration_path(cold, k, r).coincide
     for i in cold.comps:
         elem, m, n, *_ = _elementary_members(model, i)
         assert elem == replace(elementary_cylinder(model, i), extended=True)
         assert family_L(model, elem, "p") == ((i,), (n, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(smooth_models(), st.data())
+def test_each_member_classifies_as_over_the_family_fan(model, data):
+    """The kind the build uses for each member, an L member's over the fan
+    refined by its cylinder's slopes and an elementary member's from the
+    memo, equals its kind over the family fan, refined by the cylinder's
+    slopes and every elementary slope."""
+    cyl = _draw_cylinder(model, data)
+    fam = build_deformation(model, cyl)
+    elems = [_elementary_members(model, i) for i in fam.comps]
+    family_fan = refine_for_slopes(model, [cyl.p1, cyl.p2] + [p for e, *_ in elems for p in (e.p1, e.p2)])
+    own_fan = refine_for_slopes(model, (cyl.p1, cyl.p2))
+    used = {name: classify(own_fan, tree).kind for name, tree in fam.curves if name[0] == "L"}
+    for k, (_e, _m, _n, m_kind, n_kind, *_) in enumerate(elems, start=1):
+        used.update({f"M{k}": m_kind, f"N{k}": n_kind})
+    assert used == {name: classify(family_fan, tree).kind for name, tree in fam.curves}
+
+
+@settings(max_examples=60, deadline=None)
+@given(smooth_models(), st.data())
+def test_each_step_coincides_exactly_at_zero(model, data):
+    """Every step of every family's degeneration path coincides at r = 0 and
+    at no other of r = None, 1, 1/2: the encoding keys lengths by numerator
+    and denominator, so 1/2 and 1 stay apart."""
+    fam = build_deformation(model, _draw_cylinder(model, data))
+    for k in range(1, fam.t + 1):
+        for r in (None, F(1), F(1, 2), F(0)):
+            assert degeneration_path(fam, k, r).coincide == (r == 0)
 
 
 def test_degeneration_path_refuses_a_step_out_of_range(cubic):
@@ -646,9 +682,10 @@ def test_degeneration_path_refuses_a_step_out_of_range(cubic):
             degeneration_path(fam, k, F(0))
 
 
-def test_a_member_that_classifies_wrong_is_refused(monkeypatch, cubic):
+def test_a_member_that_classifies_wrong_is_refused(monkeypatch, fresh_elementary_memo, cubic):
     """build_deformation raises when classify does not give a member its
-    expected kind."""
+    expected kind. The memo starts and ends empty, so the verdicts the
+    patched classify gives the elementary members do not outlive the test."""
     from tropcyl import deformation
 
     monkeypatch.setattr(deformation, "classify", lambda model, tree: Classification("invalid"))
@@ -684,14 +721,7 @@ def test_a_forgotten_leaf_adds_its_exceptional_class(model, data):
     it keeps, and L_{k+1} keeps leaf k's t-mark as a boundary leg along
     u_{i(k)}, which adds e_{i(k)} to dD in place of the pair. L_1 carries
     the class of the cylinder's own tree, its leaves t_s so paired."""
-    dirs = model.exceptional_directions
-    assume(dirs)
-    t = data.draw(st.integers(1, min(3, len(dirs))))
-    twig = tuple(data.draw(st.permutations(dirs))[:t])
-    try:
-        cyl = _cyl(model, twig)
-    except ZeroVector:
-        assume(False)
+    cyl = _draw_cylinder(model, data)
     comps, members = family_L(model, cyl)
     pairs = [(i, data.draw(st.integers(1, model.multiplicity(i)))) for i in comps]
     classes = [

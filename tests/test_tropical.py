@@ -38,6 +38,7 @@ from tropcyl.tropical import (
     extension_class,
     make_tree,
     spine_decomposition,
+    structural_problems,
     tree_class,
     validate_balancing,
 )
@@ -383,6 +384,28 @@ def test_rejection_reasons(cubic, case):
     result = classify(model, build())
     assert result.kind == "invalid"
     assert reason in result.reasons, result.reasons
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(_RATIONALS, _RATIONALS),
+    st.fractions(min_value=F(1, 6), max_value=4, max_denominator=6),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda w: w != (0, 0)),
+    st.tuples(_RATIONALS, _RATIONALS),
+    st.booleans(),
+)
+def test_the_affine_check_agrees_with_fraction_arithmetic(start, length, w, off, land):
+    """The structural check calls a finite edge affinely consistent exactly
+    when start + length * w is its head, computed with Fractions; the head
+    is that point or a random one, and coordinates may be ints."""
+    exact = (start[0] + length * w[0], start[1] + length * w[1])
+    head = exact if land else off
+    tail = tuple(int(c) if c.denominator == 1 else c for c in start)
+    problems = structural_problems(_raw_tree({"x": tail, "y": head}, [Edge("x", "y", w, length)], {}))
+    assert ("edge x-y is affinely inconsistent" in problems) == (head != exact)
 
 
 ONE_OF_EACH_KIND = {

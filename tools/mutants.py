@@ -17,7 +17,7 @@ killed and print as ``killed (memory cap)`` or ``killed (timed out)``.
 
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run of the 20
+It runs every mutant and is not part of tier-1. A full run of the 22
 mutants takes about 5 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated
 copy and each survivor cost a whole suite run, 30-40 s, and a killed
 mutant less. The script writes only to its temporary directories.
@@ -190,6 +190,21 @@ MUTANTS = (
         "    base = spine_extension_shift(model, cyl)\n",
         True, "the shared read of a cylinder takes the spine extension shift as the base of an"
         " infinitesimal cylinder too",
+    ),
+    Mutant(
+        "affine-check-drops-length-denominator", "src/tropcyl/tropical.py",
+        "(x, y), (qx, qy), n, d = p, q, length.numerator, length.denominator\n",
+        "(x, y), (qx, qy), n, d = p, q, length.numerator, 1\n",
+        True, "structural_problems lands an edge at pt + numerator(length) * w;"
+        " test_the_affine_check_agrees_with_fraction_arithmetic kills it",
+    ),
+    Mutant(
+        "elementary-kinds-over-the-unrefined-model", "src/tropcyl/deformation.py",
+        "    refined = refine_for_slopes(model, (elem.p1, elem.p2))\n",
+        "    refined = model\n",
+        True, "_elementary_members classifies M and N over the unrefined model: on P1xP1, -u_1 is"
+        " a ray, the elementary split leaves the fan and build_deformation refuses M;"
+        " TestDegenerationPath::test_leg_count_is_2t_plus_7 kills it",
     ),
     Mutant(
         "verify-skips-scope", "src/tropcyl/cli.py",
