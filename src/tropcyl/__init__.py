@@ -48,7 +48,6 @@ from .tropical import (
     extension_class,
     make_tree,
     spine_decomposition,
-    validate_balancing,
 )
 from .walls import WallStructure, generate_walls, is_wall_direction
 
@@ -98,6 +97,5 @@ __all__ = [
     "spine_decomposition",
     "splitting_measure",
     "splitting_sum",
-    "validate_balancing",
     "zero_class",
 ]

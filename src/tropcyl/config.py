@@ -158,7 +158,8 @@ def parse_profile(data, model: ToricModel, path: str = "class") -> cls.CurveClas
 
 
 def profile_to_dict(model: ToricModel, beta: cls.CurveClass) -> dict:
-    cls.intersect(model, beta)
+    """beta's wire form. Plain serialization: a class read from a table or a
+    spec was checked against the model when it was read."""
     return {"dD": list(beta.dD), "dE": [[i, j, c] for (i, j), c in beta.dE]}
 
 

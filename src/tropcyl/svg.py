@@ -47,7 +47,7 @@ class RenderOptions:
     palette: str = "default"
 
     def colors(self) -> dict[str, str]:
-        return PALETTES.get(self.palette, PALETTES["default"])
+        return PALETTES[self.palette]
 
 
 def _fmt(x) -> str:

@@ -5,8 +5,8 @@ vertices carry rational positions (or None when at infinity), edges carry
 integral weight vectors and positive rational lengths (None for infinite
 edges). Marked legs are 1-valent vertices addressed by labels, partitioned
 into interior (I), boundary (B), and finite (F) marks. A tree's cached
-views (``pos``, ``mark_vertex``) are plain dicts shared by every reader
-and must not be written.
+views (``pos``, ``mark_vertex``, ``deficits``) are plain dicts shared by
+every reader and must not be written.
 """
 
 from __future__ import annotations
@@ -56,6 +56,16 @@ class MappedTree:
             if e.head != e.tail:
                 out.setdefault(e.head, []).append(k)
         return {v: tuple(ks) for v, ks in out.items()}
+
+    @cached_property
+    def deficits(self) -> dict[str, Vec]:
+        """Vertex of valency > 1 -> its nonzero outgoing weight sum, in the
+        order of ``positions``: the vertices where the tree does not balance."""
+        out = {}
+        for v, _p in self.positions:
+            if self.valency(v) > 1 and (s := leaf_sum(self.outgoing(v))) != (0, 0):
+                out[v] = s
+        return out
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
@@ -171,39 +181,6 @@ def _lands(p: Point, length: Fraction, w: Vec, q: Point) -> bool:
     )
 
 
-BALANCED = "balanced"
-BENDING = "bending"
-UNBALANCED = "unbalanced"
-
-
-@dataclass(frozen=True)
-class VertexReport:
-    vertex: str
-    status: str
-    deficit: Vec
-
-
-def validate_balancing(model: ToricModel, tree: MappedTree) -> tuple[VertexReport, ...]:
-    """Per-vertex balancing report for vertices of valency > 1.
-
-    A nonzero weight sum parallel to a wall direction is ``bending``.
-    """
-    reports = []
-    for v, p in tree.positions:
-        if tree.valency(v) <= 1:
-            continue
-        s = (0, 0)
-        for w in tree.outgoing(v):
-            s = (s[0] + w[0], s[1] + w[1])
-        if s == (0, 0):
-            reports.append(VertexReport(v, BALANCED, s))
-        elif is_wall_direction(model, s):
-            reports.append(VertexReport(v, BENDING, s))
-        else:
-            reports.append(VertexReport(v, UNBALANCED, s))
-    return tuple(reports)
-
-
 def spine_decomposition(tree: MappedTree) -> tuple[set[str], list[tuple[str, MappedTree]]]:
     """Split into the convex hull of the marked legs and the attached twigs.
 
@@ -315,7 +292,7 @@ class Cylinder:
 
 
 def leaf_sum(twig_type) -> Vec:
-    """The sum of a twig type's leaf weights."""
+    """The sum of weight vectors: a twig type's leaves, or a vertex's edges."""
     return (sum(w[0] for w in twig_type), sum(w[1] for w in twig_type))
 
 
@@ -340,12 +317,10 @@ class Classification:
     primitive: bool | None = None
 
 
-def _twig_problems(model: ToricModel, twig: MappedTree, balancing) -> list[str]:
+def _twig_problems(model: ToricModel, twig: MappedTree) -> list[str]:
     """Failures of the twig clauses: image in the wall set, leaves to the
     exceptional boundary, balancing, only the root finite. The root is the
-    twig's one mark. ``balancing`` is ``validate_balancing`` of the twig or of
-    a tree that holds it: a twig vertex other than the root has the same
-    edges in both, and the root, 1-valent in the twig, is skipped."""
+    twig's one mark."""
     if len(twig.mark_vertex) != 1:
         return ["twig must carry exactly one root mark"]
     out = []
@@ -371,35 +346,33 @@ def _twig_problems(model: ToricModel, twig: MappedTree, balancing) -> list[str]:
             out.append(
                 f"twig leaf toward {e.weight} does not reach an exceptional boundary point"
             )
-    for rep in balancing:
-        if rep.status != BALANCED and rep.vertex in pos and rep.vertex != root:
-            out.append(f"twig vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
+    for v, s in twig.deficits.items():
+        out.append(f"twig vertex {v} is unbalanced (deficit {s})")
     return out
 
 
 def classify(model: ToricModel, tree: MappedTree) -> Classification:
     """Decide whether the tree is a cylinder, twig, spine, or tropical curve.
 
-    The four checks run in that order on one balancing report, and the first
-    that passes gives the kind. Clause-level failure reasons of all four
-    accompany an ``invalid`` verdict.
+    The four checks run in that order, and the first that passes gives the
+    kind. Clause-level failure reasons of all four accompany an ``invalid``
+    verdict.
     """
     if tree.problems:
         return Classification("invalid", tree.problems)
-    balancing = validate_balancing(model, tree)
-    cyl_reasons, cyl = _try_cylinder(model, tree, balancing)
+    cyl_reasons, cyl = _try_cylinder(model, tree)
     if not cyl_reasons:
         return Classification("cylinder", (), cyl, check_primitive(model, cyl) is None)
     failed = [("cylinder", cyl_reasons)]
     for kind, check in (("twig", _twig_problems), ("spine", _try_spine), ("tropical_curve", _try_curve)):
-        reasons = check(model, tree, balancing)
+        reasons = check(model, tree)
         if not reasons:
             return Classification(kind, ())
         failed.append((kind.replace("_", " "), reasons))
     return Classification("invalid", tuple(f"{kind}: {r}" for kind, rs in failed for r in rs))
 
 
-def _try_cylinder(model: ToricModel, tree: MappedTree, balancing):
+def _try_cylinder(model: ToricModel, tree: MappedTree):
     """Failures of the cylinder clauses and, when there are none, the
     cylinder. The spine's own clauses are ``Cylinder.spine_problem``'s. No
     clause reads the bend: where the tree balances, the spine weights there
@@ -423,11 +396,11 @@ def _try_cylinder(model: ToricModel, tree: MappedTree, balancing):
         out.append(f"needs exactly one twig, found {len(twigs)}")
         return out, None
     attach, twig = twigs[0]
-    out.extend(_twig_problems(model, twig, balancing))
+    out.extend(_twig_problems(model, twig))
     # The twig clause reports the twig's vertices; this reports the rest.
-    for rep in balancing:
-        if rep.status != BALANCED and (rep.vertex == attach or rep.vertex not in twig.pos):
-            out.append(f"vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
+    for v, s in tree.deficits.items():
+        if v == attach or v not in twig.pos:
+            out.append(f"vertex {v} is unbalanced (deficit {s})")
     # The constant leg is on the spine, as each mark has its own vertex; it
     # must attach away from the bend.
     wattach = wedge.tail if wedge.head == wvert else wedge.head
@@ -443,51 +416,41 @@ def _try_cylinder(model: ToricModel, tree: MappedTree, balancing):
     return ([problem[1]], None) if problem else ([], cyl)
 
 
-def _try_spine(model: ToricModel, tree: MappedTree, balancing) -> list[str]:
+def _try_spine(model: ToricModel, tree: MappedTree) -> list[str]:
     out = []
     pos = tree.pos
-    marks = tree.mark_vertex
-    marked_vertices = set(marks.values())
+    marked_vertices = set(tree.mark_vertex.values())
     for v, p in tree.positions:
         if p is None and v not in marked_vertices:
             out.append(f"unmarked infinite leg at {v}; spines meet the boundary only at marks")
-    for label in tree.interior:
-        e = tree.incident(marks[label])[0]
-        if e.weight != (0, 0) or e.length is not None:
+    for label, v in tree.marks:
+        e, w = tree.leg(v)
+        if label in tree.interior and (w != (0, 0) or e.length is not None):
             out.append(f"interior mark {label} must sit on an infinite constant leg")
-    for label in tree.boundary:
-        e, w = tree.leg(marks[label])
-        d_ok = w != (0, 0) and model.fan.ray_index(w) is not None
-        if e.length is not None or not d_ok:
+        if label in tree.boundary and (
+            e.length is not None or w == (0, 0) or model.fan.ray_index(w) is None
+        ):
             out.append(f"boundary mark {label} must be an infinite leg along a fan ray")
-    for label in tree.finite:
-        v = marks[label]
-        if pos[v] is None:
+        if label in tree.finite and pos[v] is None:
             out.append(f"finite mark {label} must sit at a finite point")
-    for rep in balancing:
-        if rep.status == UNBALANCED:
-            out.append(f"vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
-        elif rep.status == BENDING and det(pos[rep.vertex], rep.deficit) != 0:
-            out.append(f"vertex {rep.vertex} bends away from its wall")
+    for v, s in tree.deficits.items():
+        if not is_wall_direction(model, s):
+            out.append(f"vertex {v} is unbalanced (deficit {s})")
+        elif det(pos[v], s) != 0:
+            out.append(f"vertex {v} bends away from its wall")
     return out
 
 
-def _try_curve(model: ToricModel, tree: MappedTree, balancing) -> list[str]:
+def _try_curve(model: ToricModel, tree: MappedTree) -> list[str]:
     out = []
-    pos = tree.pos
-    marks = tree.mark_vertex
-    marked_vertices = set(marks.values())
+    marked_vertices = set(tree.mark_vertex.values())
     for label, v in tree.marks:
-        e = tree.incident(v)[0]
+        e, w = tree.leg(v)
         if e.length is not None:
             out.append(f"marked leg {label} must be infinite in an extended curve")
-    for label in tree.interior:
-        e = tree.incident(marks[label])[0]
-        if e.weight != (0, 0):
+        if label in tree.interior and w != (0, 0):
             out.append(f"interior mark {label} must be a constant leg")
-    for label in tree.boundary:
-        _, w = tree.leg(marks[label])
-        if w == (0, 0) or model.fan.ray_index(w) is None:
+        if label in tree.boundary and (w == (0, 0) or model.fan.ray_index(w) is None):
             out.append(f"boundary mark {label} must point along a fan ray")
     for v, p in tree.positions:
         if p is None and v not in marked_vertices:
@@ -503,9 +466,8 @@ def _try_curve(model: ToricModel, tree: MappedTree, balancing) -> list[str]:
             ws = tree.outgoing(v)
             if ws[0] == (-ws[1][0], -ws[1][1]):
                 out.append(f"vertex {v} is an unmarked 2-valent vertex; curve is not simple")
-    for rep in balancing:
-        if rep.status != BALANCED:
-            out.append(f"vertex {rep.vertex} is unbalanced (deficit {rep.deficit})")
+    for v, s in tree.deficits.items():
+        out.append(f"vertex {v} is unbalanced (deficit {s})")
     return out
 
 

@@ -576,6 +576,25 @@ def test_verify_checks_one_class_against_the_model(capsys, tmp_path, monkeypatch
     assert (code, out, len(calls)) == (0, "PASS, 2 induction steps\n", 1)
 
 
+def test_count_json_checks_one_class_against_the_model(capsys, tmp_path, monkeypatch):
+    """``count --json`` writes its listed classes as they are, since the
+    table's classes were checked against the model when it was read: with a
+    query, the one ``intersect`` call is the query's scope check."""
+    from tropcyl import classes
+
+    twig = [[1, 0], [0, 1]]
+    code, out = run(capsys, "count", spec_file(tmp_path, {"twig_type": twig}), "--json")
+    rows = json.loads(out)["contributing"]
+    assert (code, len(rows) > 1) == (0, True)
+    real, calls = classes.intersect, []
+    monkeypatch.setattr(classes, "intersect", lambda *a: calls.append(a) or real(*a))
+    spec = spec_file(tmp_path, {"twig_type": twig, "class": rows[0]["class"]}, "query.json")
+    code, out = run(capsys, "count", spec, "--json")
+    out = json.loads(out)
+    assert (code, out["contributing"], len(calls)) == (0, rows, 1)
+    assert out["query"]["count"] == out["query"]["splitting_sum"] > 0
+
+
 def test_verify_one_builds_count_data_once(monkeypatch):
     from tropcyl import cli, counting
     from tropcyl.model import build_model, P1XP1_RAYS

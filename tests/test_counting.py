@@ -18,6 +18,7 @@ from tropcyl.classes import (
     zero_class,
 )
 from tropcyl import counting
+from tropcyl.config import parse_cylinder_spec
 from tropcyl.counting import (
     CYLINDER_MEMO_SIZE,
     ElementaryCountTable,
@@ -905,7 +906,8 @@ def test_the_canonical_cylinder_commutes_with_gl2z_off_the_rays(model, name, dat
     GL2(Z): the moved twig's canonical cylinder on the moved model has bend
     A(bend) and legs (A p1, A p2), or (A p2, A p1) when det A = -1. On a ray
     the split takes the next ray counterclockwise, which a reflection turns
-    into clockwise, so that case is left out."""
+    into clockwise, so that case is left out; the next test pins its
+    smallest instance."""
     a = GL2Z[name]
     dirs = sorted(model.exceptional_directions)
     assume(dirs)
@@ -918,6 +920,44 @@ def test_the_canonical_cylinder_commutes_with_gl2z_off_the_rays(model, name, dat
     legs = (_apply(a, cyl.p1), _apply(a, cyl.p2))
     assert image.bend == _apply(a, cyl.bend)
     assert (image.p1, image.p2) == (legs[::-1] if det(*a) == -1 else legs)
+
+
+def test_the_canonical_cylinder_on_a_ray_is_an_orientation_choice():
+    """The smallest case where -w0 spans a ray and a reflection moves the
+    canonical cylinder off its image. R(x, y) = (y, x) turns the split's
+    "next ray counterclockwise" into "next clockwise": the reflected twig's
+    canonical cylinder keeps the bend but takes the other neighbour, and at
+    the extended level it lists another class. An explicit spine with the
+    image legs lists the moved classes at both levels."""
+    model = build_model(((1, 1), (0, 1), (-1, 1), (0, -1), (1, 0)), (2, 2, 0, 1, 2))
+    swap = GL2Z["swap"]
+    moved = _moved_model(model, swap)
+    cyl = build_cylinder(model, ((0, -1),))
+    canonical = build_cylinder(moved, (_apply(swap, (0, -1)),))
+    image = Cylinder(
+        _apply(swap, cyl.p2), _apply(swap, cyl.p1), _apply(swap, cyl.bend), canonical.twig_type
+    )
+    assert canonical.bend == image.bend
+    assert ((canonical.p1, canonical.p2), (image.p1, image.p2)) == (((0, -1), (1, 1)), ((1, -1), (0, 1)))
+    spine = {"p1": [1, -1], "p2": [0, 1], "bend_at": [1, 0]}
+    spec = {"twig_type": [[-1, 0]], "extended": False, "spine": spine}
+    assert parse_cylinder_spec(spec, moved) == (image, None)
+
+    def move(c):
+        dE = {(model.m + 1 - i, j): v for (i, j), v in c.dE}
+        return class_from_profile(moved, c.dD[::-1], dE)
+
+    def rows(m, c, extended):
+        return [(ch, b.dD, b.dE, n) for ch, b, n in contributing_classes(m, replace(c, extended=extended))]
+
+    e21 = (((2, 1), 1),)
+    assert rows(moved, canonical, False) == rows(moved, image, False) == [((1,), (1, 0, 1, 0, 0), e21, 1)]
+    assert rows(moved, canonical, True) == [((1,), (1, 1, 1, 1, 0), e21, 1)]
+    assert rows(moved, image, True) == [((1,), (2, 0, 1, 1, -1), e21, 1)]
+    for extended in (False, True):
+        listing = contributing_classes(model, replace(cyl, extended=extended))
+        want = [(ch, move(b).dD, move(b).dE, n) for ch, b, n in listing]
+        assert rows(moved, image, extended) == want
 
 
 def test_the_memo_keeps_the_newest_cylinders(cubic):

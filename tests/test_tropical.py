@@ -1,9 +1,12 @@
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 
 import pytest
@@ -23,9 +26,6 @@ from tropcyl.errors import (
 from tropcyl.lattice import det
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model, refine_model
 from tropcyl.tropical import (
-    BALANCED,
-    BENDING,
-    UNBALANCED,
     Classification,
     Cylinder,
     Edge,
@@ -40,7 +40,6 @@ from tropcyl.tropical import (
     spine_decomposition,
     structural_problems,
     tree_class,
-    validate_balancing,
 )
 from tropcyl.walls import is_wall_direction
 
@@ -100,13 +99,9 @@ def branched_cylinder_tree():
     return make_tree(positions, edges, marks, interior=("w",), boundary=("1", "2"))
 
 
-def test_balancing_statuses(cubic):
-    tree = single_leaf_cylinder_tree()
-    reports = {r.vertex: r for r in validate_balancing(cubic, tree)}
-    # The full curve is balanced at the bend; dropping the twig leaves the
-    # spine-only sum (1,1), a bending direction.
-    assert reports["b"].status == BALANCED
-    assert reports["a1"].status == BALANCED
+def test_a_balanced_tree_has_no_deficits():
+    assert single_leaf_cylinder_tree().deficits == {}
+    assert branched_cylinder_tree().deficits == {}
 
 
 def test_spine_only_bend_is_bending(cubic):
@@ -118,21 +113,16 @@ def test_spine_only_bend_is_bending(cubic):
         Edge("b", "v2", (1, 0), None),
         Edge("b", "r", (-1, -1), F(1)),
     )
-    marks = {"1": "v1", "2": "v2", "w": "w", "f": "r"}
-    tree = make_tree(positions, edges, marks, interior=("w",), boundary=("1", "2"), finite=("f",))
-    reports = {r.vertex: r for r in validate_balancing(cubic, tree)}
-    assert reports["b"].status == BALANCED
-    # Without the finite leg the bend has weight sum (1,1), which is a wall.
+    marks = {"1": "v1", "2": "v2", "w": "w"}
+    tree = make_tree(positions, edges, {**marks, "f": "r"}, ("w",), ("1", "2"), ("f",))
+    assert tree.deficits == {}
+    # Without the finite leg the bend has weight sum (1, 1): a wall direction
+    # on the cubic, whose line holds the bend.
     spine_only = make_tree(
-        {k: v for k, v in positions.items() if k != "r"},
-        edges[:4],
-        {"1": "v1", "2": "v2", "w": "w"},
-        interior=("w",),
-        boundary=("1", "2"),
+        {k: v for k, v in positions.items() if k != "r"}, edges[:4], marks, ("w",), ("1", "2")
     )
-    reports = {r.vertex: r for r in validate_balancing(cubic, spine_only)}
-    assert reports["b"].status == BENDING
-    assert reports["b"].deficit == (1, 1)
+    assert spine_only.deficits == {"b": (1, 1)}
+    assert classify(cubic, spine_only) == Classification("spine", ())
 
 
 def test_weight_mutation_leaves_a_deficit(cubic):
@@ -147,16 +137,17 @@ def test_weight_mutation_leaves_a_deficit(cubic):
         Edge("b", "t1", (-2, -2), None),
     )
     tree = make_tree(positions, edges, {"1": "v1", "2": "v2", "w": "w"}, interior=("w",), boundary=("1", "2"))
-    reports = {r.vertex: r for r in validate_balancing(cubic, tree)}
-    # On the cubic model every direction is supported, so the deficit is
-    # reported as bending rather than unbalanced.
-    assert reports["b"].status == BENDING
-    assert reports["b"].deficit == (-1, -1)
+    assert tree.deficits == {"b": (-1, -1)}
+    # On the cubic model every direction is a wall direction, and b lies on
+    # the deficit's line: the spine check reads a bend along the wall, the
+    # others an unbalanced vertex.
+    reasons = classify(cubic, tree).reasons
+    assert "cylinder: vertex b is unbalanced (deficit (-1, -1))" in reasons
+    assert "tropical curve: vertex b is unbalanced (deficit (-1, -1))" in reasons
+    assert not [r for r in reasons if r.startswith("spine: vertex b")]
 
 
 def test_unbalanced_on_sparse_model():
-    from tropcyl.model import build_model, P2_RAYS
-
     m = build_model(P2_RAYS, (1, 0, 0))
     positions = {"b": _pt(2, 2), "v1": None, "v2": None, "t1": None}
     edges = (
@@ -165,9 +156,8 @@ def test_unbalanced_on_sparse_model():
         Edge("b", "t1", (-2, -2), None),
     )
     tree = make_tree(positions, edges, {"1": "v1", "2": "v2"}, boundary=("1", "2"))
-    reports = {r.vertex: r for r in validate_balancing(m, tree)}
-    assert reports["b"].status == UNBALANCED
-    assert reports["b"].deficit == (-1, -1)
+    assert tree.deficits == {"b": (-1, -1)}
+    assert "spine: vertex b is unbalanced (deficit (-1, -1))" in classify(m, tree).reasons
 
 
 class TestClassify:
@@ -315,6 +305,9 @@ REJECTIONS = {
         "cylinder: interior constant leg attaches at the bending vertex"),
     "bend off its wall": (lambda: _spine_tree(_pt(2, 3), ((0, 1), (1, 0))),
         "spine: vertex b bends away from its wall"),
+    # The bend lies on the line of its deficit (1, 1), which is no wall.
+    "spine deficit off the walls": (lambda: _spine_tree(_pt(2, 2), ((0, 1), (1, 0))),
+        "spine: vertex b is unbalanced (deficit (1, 1))"),
     "unmarked 2-valent vertex": (lambda: _raw_tree(
         {"b": _pt(2, 2), "m": _pt(3, 2), "v1": None, "v2": None, "t1": None},
         [Edge("b", "m", (1, 0), F(1)), Edge("m", "v2", (1, 0), None),
@@ -374,7 +367,7 @@ REJECTIONS = {
     "mark of every kind": (lambda: _one_leaf_marked(interior=("1",), finite=("1",)),
         "mark 1 has more than one kind: interior, boundary, finite"),
 }
-_ON_SPARSE = {"twig edge off the walls", "spine sum off the walls"}
+_ON_SPARSE = {"twig edge off the walls", "spine sum off the walls", "spine deficit off the walls"}
 
 
 @pytest.mark.parametrize("case", sorted(REJECTIONS))
@@ -422,17 +415,51 @@ ONE_OF_EACH_KIND = {
 
 @pytest.mark.parametrize("kind", sorted(ONE_OF_EACH_KIND))
 def test_classify_reports_balancing_once(cubic, monkeypatch, kind):
-    """Every check of ``classify`` reads one balancing report of the tree."""
-    calls = []
+    """Deficits are computed once per tree: every check of ``classify``
+    reads the tree's cached map, and a twig split off it computes its own."""
+    calls, real = [], MappedTree.deficits.func
 
-    def counted(model, tree):
+    def counted(tree):
         calls.append(tree)
-        return validate_balancing(model, tree)
+        return real(tree)
 
+    prop = cached_property(counted)
+    prop.__set_name__(MappedTree, "deficits")
+    monkeypatch.setattr(MappedTree, "deficits", prop)
     tree = ONE_OF_EACH_KIND[kind]()
-    monkeypatch.setattr(tropical, "validate_balancing", counted)
     assert classify(cubic, tree).kind == kind
-    assert calls == [tree]
+    assert sum(t is tree for t in calls) == 1
+    assert len(calls) == len({id(t) for t in calls})
+
+
+_HASH_SEED_PROBE = """
+from fractions import Fraction as F
+from tropcyl.model import cubic_model
+from tropcyl.tropical import Edge, classify, make_tree
+tree = make_tree(
+    {"a": (F(1), F(0)), "v1": None, "v2": None, "u": None},
+    [Edge("a", "v1", (1, 2), None), Edge("a", "v2", (2, 1), None), Edge("a", "u", (-3, -3), None)],
+    {"1": "v1", "t2": "v2"}, boundary=("1", "t2"),
+)
+print(classify(cubic_model(), tree).reasons)
+"""
+
+
+def test_invalid_reasons_do_not_depend_on_the_hash_seed():
+    """The checks walk the marks in label order, so an ``invalid`` verdict
+    lists its reasons in one order under every PYTHONHASHSEED."""
+    src = os.path.dirname(os.path.dirname(tropical.__file__))
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in range(4)
+    }
+    assert len(outs) == 1, outs
+    [out] = outs
+    assert out.index("boundary mark 1 ") < out.index("boundary mark t2 ")
 
 
 def test_lone_twig_classifies_as_twig(cubic):
@@ -879,7 +906,7 @@ def test_a_cylinder_without_leaves_is_not_primitive(cubic):
 
 def test_a_twig_without_its_root_mark(cubic):
     tree = single_leaf_cylinder_tree()
-    assert _twig_problems(cubic, tree, validate_balancing(cubic, tree)) == [
+    assert _twig_problems(cubic, tree) == [
         "twig must carry exactly one root mark"
     ]
 
@@ -893,7 +920,7 @@ def test_a_twig_with_a_finite_leaf(cubic):
         (("r", "a"),),
         finite=frozenset({"r"}),
     )
-    problems = _twig_problems(cubic, twig, validate_balancing(cubic, twig))
+    problems = _twig_problems(cubic, twig)
     assert "twig vertex b is finite but only the root may be" in problems
 
 

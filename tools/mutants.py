@@ -17,7 +17,7 @@ killed and print as ``killed (memory cap)`` or ``killed (timed out)``.
 
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run of the 22
+It runs every mutant and is not part of tier-1. A full run of the 23
 mutants takes about 5 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated
 copy and each survivor cost a whole suite run, 30-40 s, and a killed
 mutant less. The script writes only to its temporary directories.
@@ -121,9 +121,16 @@ MUTANTS = (
     ),
     Mutant(
         "cylinder-skips-balancing", "src/tropcyl/tropical.py",
-        "        if rep.status != BALANCED and (rep.vertex == attach or rep.vertex not in twig.pos):\n",
+        "        if v == attach or v not in twig.pos:\n",
         "        if False:\n",
         True, "_try_cylinder ignores unbalanced bend and spine vertices",
+    ),
+    Mutant(
+        "spine-reads-every-deficit-as-a-bend", "src/tropcyl/tropical.py",
+        "        if not is_wall_direction(model, s):\n",
+        "        if False:\n",
+        True, "_try_spine treats a deficit off the walls as a bend; the spines on the sparse"
+        " P2 model whose vertex lies on its deficit's line kill it",
     ),
     Mutant(
         "cylinder-skips-spine-problem", "src/tropcyl/tropical.py",
