@@ -12,7 +12,10 @@ Equality is syntactic, and a profile is read back by checking that relation.
 has d_i = -det(u_{i-1}, u_{i+1}) t_i + t_{i-1} + t_{i+1}, read in O(m).
 A sum costs O(m) for ``dD``; its ``dE`` is ``dE_sum`` of the two sorted
 runs: their concatenation when their pairs do not interleave, and a dict
-merge otherwise.
+merge otherwise. A listing row joins its runs itself, by a join chosen once
+per leaf (``counting.CylinderCount.contributing``). Every class, a sum's or
+a listing row's, is built through its slots' setters, bound once, which
+write past the frozen ``__setattr__``.
 """
 
 from __future__ import annotations
@@ -46,9 +49,6 @@ def intersection_matrix(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in mat)
 
 
-_set = object.__setattr__
-
-
 @dataclass(frozen=True, init=False)
 class CurveClass:
     """A curve class by its intersection profile.
@@ -67,16 +67,16 @@ class CurveClass:
     dE: tuple[tuple[tuple[int, int], int], ...]
 
     def __init__(self, rays, dD, dE) -> None:
-        _set(self, "rays", rays)
-        _set(self, "dD", dD)
-        _set(self, "dE", dE)
-        _set(self, "_hash", None)
+        _set_rays(self, rays)
+        _set_dD(self, dD)
+        _set_dE(self, dE)
+        _set_hash(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.dD, self.dE))
-            _set(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __reduce__(self):
@@ -104,6 +104,11 @@ class CurveClass:
 
     def is_zero(self) -> bool:
         return not any(self.dD) and not self.dE
+
+
+# The slots' own setters, bound once: they write past the frozen __setattr__
+# without looking a name up.
+_set_rays, _set_dD, _set_dE, _set_hash = (CurveClass.__dict__[n].__set__ for n in CurveClass.__slots__)
 
 
 def dE_sum(a: tuple, b: tuple) -> tuple:

@@ -52,7 +52,7 @@ _EXIT_CODES = (
 
 # `count` lists and `verify` compares prod_s |leaf rows_s| rows. 3^8 rows
 # (8 leaves, every l_i = 3, 12-ray model, default table) take `verify`
-# 0.2-0.3 s and `count` 0.06-0.12 s (Python 3.11.7, 2 shared vCPUs).
+# 0.18-0.33 s and `count` 0.05-0.09 s (Python 3.11.7, 2 shared vCPUs).
 MAX_ROWS = 3**8
 
 # Randomized cases `verify` draws without --cases.
@@ -140,7 +140,7 @@ def _count_data(model, cyl, table, path: str):
     """The cylinder's count data, refused at path when its listing has more
     than MAX_ROWS rows."""
     data = cylinder_count(model, cyl, table)
-    rows = math.prod(len(leaf) for _dDs, leaf in data.parts)
+    rows = math.prod(len(leaf) for _dDs, leaf, _span in data.parts)
     if rows > MAX_ROWS:
         raise ConfigError(path, f"the listing has {rows} rows, more than {MAX_ROWS}")
     return data

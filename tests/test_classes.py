@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import FrozenInstanceError
 from operator import add, sub
 
 import pytest
@@ -19,6 +20,7 @@ from tropcyl.classes import (
     toric_profile,
     zero_class,
 )
+from tropcyl.counting import ElementaryCountTable, build_cylinder, contributing_classes
 from tropcyl.errors import (
     ComponentOutOfRange,
     LengthMismatch,
@@ -109,12 +111,19 @@ def test_class_contract(model, data):
         with pytest.raises(ModelMismatch):
             op(a, moved)
     with pytest.raises(AttributeError):
-        a.dD = b.dD
-    with pytest.raises(AttributeError):
         a.note = 1
-    assert not hasattr(a, "__dict__")
-    copied = pickle.loads(pickle.dumps(a))
-    assert copied == a and hash(copied) == hash(a)
+    # A listing row's class and a multiple are built apart from a sum's.
+    built = [a, 3 * a]
+    if model.exceptional_directions:
+        table = ElementaryCountTable(tuple((p, ((a, 1),)) for p in model.exceptional_pairs))
+        cyl = build_cylinder(model, model.exceptional_directions[:1])
+        built.append(contributing_classes(model, cyl, table)[-1][1])
+    for c in built:
+        with pytest.raises(FrozenInstanceError):
+            c.dD = b.dD
+        assert not hasattr(c, "__dict__")
+        copied = pickle.loads(pickle.dumps(c))
+        assert copied == c and hash(copied) == hash(c)
 
 
 @settings(deadline=None, max_examples=40)

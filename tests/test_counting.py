@@ -2,6 +2,7 @@ import gc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 from conftest import TWELVE_RAYS, smooth_models
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from tropcyl.classes import (
     CurveClass,
     class_from_profile,
+    dE_sum,
     divisor_class,
     exceptional_class,
     intersect,
@@ -563,6 +565,59 @@ def test_the_listing_by_parts_matches_a_fold_of_sums(case):
         assert cc.contributing == tuple((ch, b, n) for ch, b, n, _dD, _dE in ref)
         for (_ch, b, _n), (*_, dD, dE) in zip(cc.contributing, ref):
             assert (list(b.dD), b.dE) == (dD, tuple(sorted((p, v) for p, v in dE.items() if v)))
+
+
+def _joins_of_a_listing(monkeypatch, model, twig, table):
+    """At both levels, check ``contributing`` row by row against
+    ``_reference_listing`` and return the dE joins it chose, one per leaf."""
+    real, joins = counting._join, []
+    monkeypatch.setattr(counting, "_join", lambda met, span: joins.append(real(met, span)) or joins[-1])
+    cyl = build_cylinder(model, twig, extended=True)
+    for level in (cyl, replace(cyl, extended=False)):
+        cc = cylinder_count(model, level, table)
+        ref = _reference_listing(cc, table)
+        assert cc.contributing == tuple((ch, b, n) for ch, b, n, _dD, _dE in ref)
+        for (_ch, b, _n), (*_, dD, dE) in zip(cc.contributing, ref):
+            assert (list(b.dD), b.dE) == (dD, tuple(sorted((p, v) for p, v in dE.items() if v)))
+    return joins
+
+
+def _meeting_table(model, c):
+    """The default table with c times E_11's class added to every class at ray 2."""
+    e = c * exceptional_class(model, 1, 1)
+    return ElementaryCountTable(tuple(
+        ((i, j), tuple((b + e if i == 2 else b, n) for b, n in rows))
+        for (i, j), rows in default_table(model).entries
+    ))
+
+
+def test_a_listing_in_ray_order_concatenates_each_leaf_after(cubic, monkeypatch):
+    joins = _joins_of_a_listing(monkeypatch, cubic, ((1, 0), (0, 1)), default_table(cubic))
+    assert joins == [add, add] * 2
+
+
+def test_a_listing_against_ray_order_concatenates_each_leaf_before(cubic, monkeypatch):
+    joins = _joins_of_a_listing(monkeypatch, cubic, ((0, 1), (1, 0)), default_table(cubic))
+    assert joins == [add, counting._after] * 2
+
+
+def test_a_leaf_meeting_an_earlier_pair_is_merged(cubic, monkeypatch):
+    """Leaf 2's classes carry -E_11, which meets leaf 1's pair (1, 1) with
+    the same sign as leaf 1's class there, so that entry doubles."""
+    table = _meeting_table(cubic, -1)
+    joins = _joins_of_a_listing(monkeypatch, cubic, ((1, 0), (0, 1)), table)
+    assert joins == [add, dE_sum] * 2
+    assert contributing_classes(cubic, build_cylinder(cubic, ((1, 0), (0, 1))), table)[0][1].dE_map[(1, 1)] == 2
+
+
+def test_a_merge_drops_the_entries_that_cancel(cubic, monkeypatch):
+    """Leaf 2's classes carry E_11, whose entry at (1, 1) cancels leaf 1's
+    class there: rows with j_1 = 1 meet no pair of ray 1."""
+    table = _meeting_table(cubic, 1)
+    joins = _joins_of_a_listing(monkeypatch, cubic, ((1, 0), (0, 1)), table)
+    assert joins == [add, dE_sum] * 2
+    rows = contributing_classes(cubic, build_cylinder(cubic, ((1, 0), (0, 1))), table)
+    assert [[p for p, _v in b.dE] for (j1, _j2), b, _n in rows if j1 == 1] == [[(2, 1)], [(2, 2)]]
 
 
 def test_a_table_class_on_another_fan_is_refused(cubic):

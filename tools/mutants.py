@@ -17,7 +17,7 @@ killed and print as ``killed (memory cap)`` or ``killed (timed out)``.
 
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run of the 23
+It runs every mutant and is not part of tier-1. A full run of the 25
 mutants takes about 5 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated
 copy and each survivor cost a whole suite run, 30-40 s, and a killed
 mutant less. The script writes only to its temporary directories.
@@ -86,6 +86,20 @@ MUTANTS = (
         "    return a + b\n",
         True, "dE_sum concatenates runs whose pairs interleave instead of merging them; the"
         " listing property test_the_listing_by_parts_matches_a_fold_of_sums kills it alone",
+    ),
+    Mutant(
+        "listing-mirror-join-appends", "src/tropcyl/counting.py",
+        "        return _after\n",
+        "        return add\n",
+        True, "contributing joins a leaf whose pairs lie below every earlier pair after the row's"
+        " run; test_a_listing_against_ray_order_concatenates_each_leaf_before kills it",
+    ),
+    Mutant(
+        "listing-overlap-concatenates", "src/tropcyl/counting.py",
+        "    return cls.dE_sum\n",
+        "    return add\n",
+        True, "contributing concatenates a leaf whose pairs overlap earlier ones instead of merging;"
+        " test_a_leaf_meeting_an_earlier_pair_is_merged kills it",
     ),
     Mutant(
         "lexicographic-on-ray-split", "src/tropcyl/tropical.py",
