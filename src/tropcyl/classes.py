@@ -12,7 +12,8 @@ Equality is syntactic, and a profile is read back by checking that relation.
 has d_i = -det(u_{i-1}, u_{i+1}) t_i + t_{i-1} + t_{i+1}, read in O(m).
 A sum costs O(m) for ``dD``; its ``dE`` is ``dE_sum`` of the two sorted
 runs: their concatenation when their pairs do not interleave, and a dict
-merge otherwise. A listing row joins its runs itself, by a join chosen once
+merge otherwise. ``dE_join`` makes that choice once for every pair of runs
+whose pairs lie in two known spans (``dE_span``), as a listing does once
 per leaf (``counting.CylinderCount.contributing``). Every class, a sum's or
 a listing row's, is built through its slots' setters, bound once, which
 write past the frozen ``__setattr__``.
@@ -108,7 +109,7 @@ class CurveClass:
 
 # The slots' own setters, bound once: they write past the frozen __setattr__
 # without looking a name up.
-_set_rays, _set_dD, _set_dE, _set_hash = (CurveClass.__dict__[n].__set__ for n in CurveClass.__slots__)
+_set_rays, _set_dD, _set_dE, _set_hash = (CurveClass.__dict__[n].__set__ for n in ("rays", "dD", "dE", "_hash"))
 
 
 def dE_sum(a: tuple, b: tuple) -> tuple:
@@ -125,6 +126,29 @@ def dE_sum(a: tuple, b: tuple) -> tuple:
     for k, v in b:
         dE[k] = dE.get(k, 0) + v
     return _canonical(dE.items())
+
+
+def dE_span(runs) -> tuple | None:
+    """The smallest and the largest pair of sorted runs, None when all are empty."""
+    runs = [r for r in runs if r]
+    return (min(r[0][0] for r in runs), max(r[-1][0] for r in runs)) if runs else None
+
+
+def dE_join(met, span):
+    """``dE_sum`` of a run whose pairs lie in the span ``met`` and one whose
+    pairs lie in ``span``, chosen once for every such pair of runs: their
+    concatenation when either span is None or the second lies above the
+    first, the mirrored one when it lies below, and ``dE_sum`` otherwise."""
+    if met is None or span is None or met[1] < span[0]:
+        return add
+    if span[1] < met[0]:
+        return _dE_before
+    return dE_sum
+
+
+def _dE_before(a: tuple, b: tuple) -> tuple:
+    """Run b joined before run a."""
+    return b + a
 
 
 def _signed(dE: tuple, op) -> tuple:

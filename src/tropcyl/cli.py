@@ -140,7 +140,7 @@ def _count_data(model, cyl, table, path: str):
     """The cylinder's count data, refused at path when its listing has more
     than MAX_ROWS rows."""
     data = cylinder_count(model, cyl, table)
-    rows = math.prod(len(leaf) for _dDs, leaf, _span in data.parts)
+    rows = math.prod(len(leaf) for _dDs, leaf in data.parts)
     if rows > MAX_ROWS:
         raise ConfigError(path, f"the listing has {rows} rows, more than {MAX_ROWS}")
     return data

@@ -24,13 +24,8 @@ from .tropical import extension_class, leaf_sum, tree_class
 
 Support = dict[cls.CurveClass, int]
 Groups = tuple[tuple[set[tuple[int, int]], dict[frozenset, list]], ...]
-# Per leaf: its distinct dD vectors, per row (j, dD index, dE, count), and the
-# span (smallest pair, largest pair) of the pairs its rows' dE meet, None for none.
-LeafParts = tuple[
-    tuple[tuple[int, ...], ...],
-    tuple[tuple[int, int, tuple, int], ...],
-    tuple[tuple[int, int], tuple[int, int]] | None,
-]
+# Per leaf: its distinct dD vectors, and per row (j, dD index, dE, count).
+LeafParts = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, tuple, int], ...]]
 
 # Cylinders whose count data one table keeps, the oldest dropped first.
 CYLINDER_MEMO_SIZE = 256
@@ -205,17 +200,18 @@ class CylinderCount:
         row is ``base``'s plus one distinct dD vector per leaf, summed once
         per combination of those vectors (once per listing under the default
         table, whose classes at one ray share their dD), and its dE joins the
-        leaves' runs in leaf order, by one join per leaf (``_join``): the
+        leaves' runs in leaf order, by one join per leaf (``classes.dE_join``
+        of the span of the pairs met so far and the leaf's span): the
         concatenation after or before the row's run when the leaf's span lies
-        above or below every pair met so far, ``dE_sum`` when they overlap.
-        The rows and their order are those of a fold of class sums. Each row
-        builds its class once, at the end, and hashes it only if it is used
-        as a key."""
+        above or below, ``dE_sum`` when they overlap. The rows and their
+        order are those of a fold of class sums. Each row builds its class
+        once, at the end, and hashes it only if it is used as a key."""
         rows = [((), 0, self.base.dE, 1)]
         sums = [self.base.dD]
-        met = _span([self.base.dE])
-        for dDs, leaf, span in self.parts:
-            join = _join(met, span)
+        met = cls.dE_span([self.base.dE])
+        for dDs, leaf in self.parts:
+            span = cls.dE_span([f for _j, _g, f, _k in leaf])
+            join = cls.dE_join(met, span)
             # A row's index into ``sums`` holds one dD index per leaf, in mixed radix.
             w = len(dDs)
             rows = [
@@ -253,34 +249,11 @@ class CylinderCount:
 
 
 def _leaf_parts(rows) -> LeafParts:
-    """A leaf's distinct dD vectors, per row (j, the index of its dD among
-    them, its dE, its count), and the span of the pairs those dE meet."""
+    """A leaf's distinct dD vectors, and per row (j, the index of its dD
+    among them, its dE, its count)."""
     index: dict[tuple[int, ...], int] = {}
     parts = tuple((j, index.setdefault(c.dD, len(index)), c.dE, n) for j, c, n in rows)
-    return tuple(index), parts, _span([f for _j, _g, f, _n in parts])
-
-
-def _span(runs):
-    """The smallest and the largest pair of sorted runs, None when all are empty."""
-    runs = [r for r in runs if r]
-    return (min(r[0][0] for r in runs), max(r[-1][0] for r in runs)) if runs else None
-
-
-def _join(met, span):
-    """The ``dE_sum`` of a run whose pairs lie in ``met`` and one whose pairs
-    lie in ``span``, as one choice for every such pair of runs: the
-    concatenation when either span is None or the second lies above the
-    first, the mirrored one when it lies below, and ``dE_sum`` otherwise."""
-    if met is None or span is None or met[1] < span[0]:
-        return add
-    if span[1] < met[0]:
-        return _after
-    return cls.dE_sum
-
-
-def _after(e, f):
-    """Run e joined after run f."""
-    return f + e
+    return tuple(index), parts
 
 
 def _part(c: cls.CurveClass, pairs: set[tuple[int, int]]) -> frozenset:

@@ -19,7 +19,7 @@ from tropcyl.classes import (
     make_class,
     zero_class,
 )
-from tropcyl import counting
+from tropcyl import classes, counting
 from tropcyl.config import parse_cylinder_spec
 from tropcyl.counting import (
     CYLINDER_MEMO_SIZE,
@@ -570,8 +570,8 @@ def test_the_listing_by_parts_matches_a_fold_of_sums(case):
 def _joins_of_a_listing(monkeypatch, model, twig, table):
     """At both levels, check ``contributing`` row by row against
     ``_reference_listing`` and return the dE joins it chose, one per leaf."""
-    real, joins = counting._join, []
-    monkeypatch.setattr(counting, "_join", lambda met, span: joins.append(real(met, span)) or joins[-1])
+    real, joins = classes.dE_join, []
+    monkeypatch.setattr(classes, "dE_join", lambda met, span: joins.append(real(met, span)) or joins[-1])
     cyl = build_cylinder(model, twig, extended=True)
     for level in (cyl, replace(cyl, extended=False)):
         cc = cylinder_count(model, level, table)
@@ -598,7 +598,7 @@ def test_a_listing_in_ray_order_concatenates_each_leaf_after(cubic, monkeypatch)
 
 def test_a_listing_against_ray_order_concatenates_each_leaf_before(cubic, monkeypatch):
     joins = _joins_of_a_listing(monkeypatch, cubic, ((0, 1), (1, 0)), default_table(cubic))
-    assert joins == [add, counting._after] * 2
+    assert joins == [add, classes._dE_before] * 2
 
 
 def test_a_leaf_meeting_an_earlier_pair_is_merged(cubic, monkeypatch):

@@ -1,12 +1,12 @@
 """Record the benchmark of one checkout in a ``BENCH_<n>.json`` file, or compare two.
 
-    python3 tools/bench_record.py --out BENCH_35.json [--root DIR] [--runs 3] [--seconds 30] [--seed 1]
+    python3 tools/bench_record.py --out BENCH_35.json [--root DIR]
     python3 tools/bench_record.py --compare BENCH_34.json BENCH_35.json
 
 Recording runs ``bench/run.py`` of the checkout at ``--root`` (default: this
-one) ``--runs`` times per workload, an odd number, each run in a fresh
-process with ``--trace 0``, and keeps per workload each end-to-end metric's
-median and interquartile range (IQR) over the runs, and per run its
+one) ``RUNS`` = 3 times per workload, each run in a fresh process with
+``--seed 1 --seconds 30 --trace 0``, and keeps per workload each end-to-end
+metric's median and interquartile range (IQR) over the runs, and per run its
 ``correct`` and ``failed``. It then times three class-layer rows in a
 process that imports ``tropcyl`` from the checkout's ``src/``:
 
@@ -21,7 +21,7 @@ Each row is a median and IQR over repetitions, in wall time on the machine
 it ran on, next to the time of the benchmark's ``reference`` computation,
 so a slower machine shows. The file also holds the checkout's git sha (or
 null when it has none), ``sys.version`` and ``os.cpu_count()``. Two files
-compare only when they were recorded on one machine with the same settings.
+compare only when they were recorded on one machine.
 
 Comparing prints, per workload metric and class row, both medians, the
 change in percent, and whether the gap is larger than the first file's
@@ -47,6 +47,9 @@ TWELVE_RAYS = (
     (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1),
     (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, -1), (2, -1),
 )
+RUNS = 3  # runs per workload, odd so that a median is one run's value
+SECONDS = 30  # bench/run.py --seconds
+SEED = 1  # bench/run.py --seed
 CLASS_REPS = 15  # repetitions per class row
 CALLS = 20000  # calls per repetition of a per-call row
 
@@ -67,20 +70,20 @@ def git_sha(root: Path) -> str | None:
     return sha.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
 
 
-def run_workload(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_workload(root: Path, workload: str) -> dict:
     """One ``bench/run.py`` run: its last stdout line, a JSON object."""
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def record_workloads(root: Path, runs: int, seed: int, seconds: float) -> dict:
+def record_workloads(root: Path) -> dict:
     out = {}
     for workload in WORKLOADS:
-        results = [run_workload(root, workload, seed, seconds) for _ in range(runs)]
+        results = [run_workload(root, workload) for _ in range(RUNS)]
         names = results[0]["metrics"]
         out[workload] = {
             "runs": [{"correct": r["correct"], "failed": r["failed"]} for r in results],
@@ -90,7 +93,7 @@ def record_workloads(root: Path, runs: int, seed: int, seconds: float) -> dict:
                 for name in names
             },
         }
-        print(f"{workload}: {runs} runs", file=sys.stderr)
+        print(f"{workload}: {RUNS} runs", file=sys.stderr)
     return out
 
 
@@ -145,16 +148,14 @@ def record_class_rows(root: Path) -> dict:
 
 
 def record(args) -> int:
-    if args.runs % 2 == 0:
-        sys.exit("error: --runs must be odd, so that a median is one run's value")
     root = Path(args.root).resolve()
     result = {
         "sha": git_sha(root),
         "python": sys.version,
         "cpu_count": os.cpu_count(),
-        "settings": {"runs": args.runs, "seconds": args.seconds, "seed": args.seed,
+        "settings": {"runs": RUNS, "seconds": SECONDS, "seed": SEED,
                      "class_reps": CLASS_REPS, "calls": CALLS},
-        "workloads": record_workloads(root, args.runs, args.seed, args.seconds),
+        "workloads": record_workloads(root),
         "class_rows": record_class_rows(root),
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
@@ -163,8 +164,6 @@ def record(args) -> int:
 
 def compare(old_path: str, new_path: str) -> int:
     old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
-    if old["settings"] != new["settings"]:
-        print(f"warning: the settings differ: {old['settings']} against {new['settings']}")
     pairs = [(f"{w} {name}", m, new["workloads"][w]["metrics"][name])
              for w, data in old["workloads"].items() for name, m in data["metrics"].items()]
     pairs += [(name, m, new["class_rows"][name]) for name, m in old["class_rows"].items()]
@@ -185,9 +184,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", help="the BENCH_<n>.json file to write")
     p.add_argument("--root", default=str(ROOT), help="the checkout to record (default: this one)")
-    p.add_argument("--runs", type=int, default=3, help="runs per workload, odd (default 3)")
-    p.add_argument("--seconds", type=float, default=30)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     p.add_argument("--class-rows", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)

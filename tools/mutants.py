@@ -88,15 +88,15 @@ MUTANTS = (
         " listing property test_the_listing_by_parts_matches_a_fold_of_sums kills it alone",
     ),
     Mutant(
-        "listing-mirror-join-appends", "src/tropcyl/counting.py",
-        "        return _after\n",
+        "listing-mirror-join-appends", "src/tropcyl/classes.py",
+        "        return _dE_before\n",
         "        return add\n",
         True, "contributing joins a leaf whose pairs lie below every earlier pair after the row's"
         " run; test_a_listing_against_ray_order_concatenates_each_leaf_before kills it",
     ),
     Mutant(
-        "listing-overlap-concatenates", "src/tropcyl/counting.py",
-        "    return cls.dE_sum\n",
+        "listing-overlap-concatenates", "src/tropcyl/classes.py",
+        "    return dE_sum\n",
         "    return add\n",
         True, "contributing concatenates a leaf whose pairs overlap earlier ones instead of merging;"
         " test_a_leaf_meeting_an_earlier_pair_is_merged kills it",
