@@ -109,7 +109,9 @@ class CurveClass:
 
 # The slots' own setters, bound once: they write past the frozen __setattr__
 # without looking a name up.
-_set_rays, _set_dD, _set_dE, _set_hash = (CurveClass.__dict__[n].__set__ for n in ("rays", "dD", "dE", "_hash"))
+_set_rays, _set_dD, _set_dE, _set_hash = (
+    CurveClass.__dict__[n].__set__ for n in ("rays", "dD", "dE", "_hash")
+)
 
 
 def dE_sum(a: tuple, b: tuple) -> tuple:

@@ -162,8 +162,9 @@ class CylinderCount:
     leaf every (j, class, count) the table lists at (i(s), j), j <= l_i,
     from the default table at the leaves' rays when none is given. The
     record keeps those rows as ``parts``, a leaf's distinct dD vectors and
-    per row (j, dD index, dE, count), and as ``measures``, their counts
-    summed per class. The oracle folds the rows itself and never reads the
+    per row (j, dD index, dE, count), as ``spans``, the smallest and the
+    largest pair a leaf's rows meet (``classes.dE_span``), and as
+    ``measures``, their counts summed per class. The oracle folds the rows itself and never reads the
     record. The closed form, its listing, the replay and the CLI read it, at
     the cylinder's level.
 
@@ -191,6 +192,7 @@ class CylinderCount:
     comps: tuple[int, ...]
     measures: tuple[Support, ...]
     parts: tuple[LeafParts, ...] = field(repr=False)
+    spans: tuple[tuple | None, ...] = field(repr=False)
     _groups: Groups = field(repr=False)
 
     @cached_property
@@ -209,8 +211,7 @@ class CylinderCount:
         rows = [((), 0, self.base.dE, 1)]
         sums = [self.base.dD]
         met = cls.dE_span([self.base.dE])
-        for dDs, leaf in self.parts:
-            span = cls.dE_span([f for _j, _g, f, _k in leaf])
+        for (dDs, leaf), span in zip(self.parts, self.spans):
             join = cls.dE_join(met, span)
             # A row's index into ``sums`` holds one dD index per leaf, in mixed radix.
             w = len(dDs)
@@ -302,8 +303,9 @@ def cylinder_count(
     if data is None:
         comps, base, leaves = _read(model, cyl, table)
         parts = tuple(_leaf_parts(rows) for rows in leaves)
+        spans = tuple(cls.dE_span([c.dE for _j, c, _n in rows]) for rows in leaves)
         measures = tuple(measure((c, n) for _j, c, n in rows) for rows in leaves)
-        data = (base, comps, measures, parts, _private_groups(measures))
+        data = (base, comps, measures, parts, spans, _private_groups(measures))
         if len(memo) >= CYLINDER_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[(model, cyl)] = data
