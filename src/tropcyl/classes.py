@@ -8,8 +8,9 @@ holds beta . E_ij = -c_ij. The relation is read on d_i = dD_i + sum_j dE_ij
 Pic(Y_t) is unimodular, so d fixes beta_t, and a vector d in Z^m occurs
 exactly when sum_i d_i u_i = 0 (dualize 0 -> M -> Z^m -> Pic(Y_t) -> 0).
 Equality is syntactic, and a profile is read back by checking that relation.
-``intersection_matrix`` is cyclic tridiagonal, so a toric class sum_k t_k D_{t,k}
-has d_i = -det(u_{i-1}, u_{i+1}) t_i + t_{i-1} + t_{i+1}, read in O(m).
+The intersection matrix D_{t,i} . D_{t,j} is cyclic tridiagonal, so a toric
+class sum_k t_k D_{t,k} has d_i = -det(u_{i-1}, u_{i+1}) t_i + t_{i-1} + t_{i+1},
+read in O(m) (``toric_profile``) and no matrix is built.
 A sum costs O(m) for ``dD``; its ``dE`` is ``dE_sum`` of the two sorted
 runs: their concatenation when their pairs do not interleave, and a dict
 merge otherwise. ``dE_join`` makes that choice once for every pair of runs
@@ -31,23 +32,8 @@ from .errors import (
     NonRepresentable,
     RayIndexOutOfRange,
 )
-from .lattice import Fan, Vec, cone_coordinates, det, validate_fan
+from .lattice import Fan, Vec, cone_coordinates, det
 from .model import ToricModel
-
-
-def intersection_matrix(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
-    """Intersection numbers D_i . D_j of the toric boundary divisors of a smooth
-    fan, where u_{i-1} + u_{i+1} = a_i u_i with a_i = -(D_i^2) = det(u_{i-1}, u_{i+1}).
-    Built per call: ``toric_profile`` reads the a_i directly, and this matrix
-    is the reference it is checked against."""
-    validate_fan(rays)
-    m = len(rays)
-    mat = [[0] * m for _ in range(m)]
-    for i in range(m):
-        mat[i][i] = -det(rays[(i - 1) % m], rays[(i + 1) % m])
-        mat[i][(i + 1) % m] += 1
-        mat[i][(i - 1) % m] += 1
-    return tuple(tuple(r) for r in mat)
 
 
 @dataclass(frozen=True, init=False)
@@ -192,12 +178,6 @@ def divisor_class(fan: Fan, i: int) -> CurveClass:
     v = [0] * fan.m
     v[i - 1] = 1
     return make_class(fan.rays, v)
-
-
-def exceptional_class(model: ToricModel, i: int, j: int) -> CurveClass:
-    """The class of the exceptional curve E_ij."""
-    _check_pair(model, i, j)
-    return make_class(model.fan.rays, (0,) * model.m, {(i, j): 1})
 
 
 def _check_pair(model: ToricModel, i: int, j: int) -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from dataclasses import replace
@@ -140,9 +139,8 @@ def _count_data(model, cyl, table, path: str):
     """The cylinder's count data, refused at path when its listing has more
     than MAX_ROWS rows."""
     data = cylinder_count(model, cyl, table)
-    rows = math.prod(len(leaf) for _dDs, leaf in data.parts)
-    if rows > MAX_ROWS:
-        raise ConfigError(path, f"the listing has {rows} rows, more than {MAX_ROWS}")
+    if data.rows > MAX_ROWS:
+        raise ConfigError(path, f"the listing has {data.rows} rows, more than {MAX_ROWS}")
     return data
 
 
@@ -153,6 +151,10 @@ def cmd_count(args) -> int:
     table = _load_table(args, model)
     data = _count_data(model, cyl, table, "spec.twig_type")
     entries = data.contributing
+    # The query is answered before either format writes, so a class outside
+    # the scope prints nothing.
+    if beta is not None:
+        n, s = data.count(beta), splitting_sum(model, cyl, beta, table)
     if args.json:
         out = {
             "twig_type": [list(w) for w in cyl.twig_type],
@@ -160,25 +162,19 @@ def cmd_count(args) -> int:
                 {
                     "choice": list(choice),
                     "class": cfg.profile_to_dict(model, b),
-                    "count": n,
+                    "count": k,
                 }
-                for choice, b, n in entries
+                for choice, b, k in entries
             ],
         }
         if beta is not None:
-            out["query"] = {
-                "class": cfg.profile_to_dict(model, beta),
-                "count": data.count(beta),
-                "splitting_sum": splitting_sum(model, cyl, beta, table),
-            }
+            out["query"] = {"class": cfg.profile_to_dict(model, beta), "count": n, "splitting_sum": s}
         print(json.dumps(out, indent=2, sort_keys=True))
         return EXIT_OK
-    for choice, b, n in entries:
+    for choice, b, k in entries:
         dE = " ".join(f"E{i}{j}:{c}" for (i, j), c in b.dE)
-        print(f"choice {','.join(map(str, choice))}  dD {list(b.dD)}  {dE}  count {n}")
+        print(f"choice {','.join(map(str, choice))}  dD {list(b.dD)}  {dE}  count {k}")
     if beta is not None:
-        n = data.count(beta)
-        s = splitting_sum(model, cyl, beta, table)
         print(f"query count {n}  splitting_sum {s}")
     return EXIT_OK
 

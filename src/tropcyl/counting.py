@@ -10,6 +10,7 @@ the oracle share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -225,6 +226,11 @@ class CylinderCount:
                 met = span if met is None else (min(met[0], span[0]), max(met[1], span[1]))
         rays = self.model.fan.rays
         return tuple([(ch, cls.CurveClass(rays, sums[i], e), n) for ch, i, e, n in rows])
+
+    @property
+    def rows(self) -> int:
+        """The number of ``contributing`` rows, the product of the leaves' row counts."""
+        return math.prod(len(leaf) for _dDs, leaf in self.parts)
 
     @cached_property
     def listed(self) -> Support:

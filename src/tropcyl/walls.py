@@ -62,10 +62,6 @@ class WallStructure:
     rule: str
     directions: tuple[tuple[Vec, int], ...]  # (direction, step), deterministic order
 
-    @property
-    def by_direction(self) -> dict[Vec, int]:
-        return dict(self.directions)
-
     def step_set(self, n: int) -> frozenset[Vec]:
         """Directions first appearing at step n."""
         return frozenset(d for d, s in self.directions if s == n)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
+from tropcyl.classes import intersect, make_class
 from tropcyl.lattice import Fan, refine_fan, vadd
 from tropcyl.model import F1_RAYS, P1XP1_RAYS, P2_RAYS, build_model, cubic_model
 
@@ -10,6 +11,11 @@ TWELVE_RAYS = (
     (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1),
     (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, -1), (2, -1),
 )
+
+
+def exceptional_class(model, i, j):
+    """The class of the exceptional curve E_ij, its pair checked on the model."""
+    return intersect(model, make_class(model.fan.rays, (0,) * model.m, {(i, j): 1}))
 
 
 @pytest.fixture

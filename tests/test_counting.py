@@ -5,7 +5,7 @@ from itertools import product
 from operator import add
 
 import pytest
-from conftest import TWELVE_RAYS, smooth_models
+from conftest import TWELVE_RAYS, exceptional_class, smooth_models
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +14,6 @@ from tropcyl.classes import (
     class_from_profile,
     dE_sum,
     divisor_class,
-    exceptional_class,
     intersect,
     make_class,
     zero_class,

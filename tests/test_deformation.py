@@ -8,11 +8,11 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from conftest import smooth_models
+from conftest import exceptional_class, smooth_models
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropcyl.classes import exceptional_class, zero_class
+from tropcyl.classes import zero_class
 from tropcyl.counting import (
     ElementaryCountTable,
     build_cylinder,

@@ -113,9 +113,9 @@ def test_determinism(cubic):
 )
 def test_monotone_in_steps_and_bound(n, bound, rule):
     model = cubic_model()
-    small = set(generate_walls(model, n, bound, rule).by_direction)
-    more_steps = set(generate_walls(model, n + 1, bound, rule).by_direction)
-    bigger_bound = set(generate_walls(model, n, bound + 2, rule).by_direction)
+    small = set(dict(generate_walls(model, n, bound, rule).directions))
+    more_steps = set(dict(generate_walls(model, n + 1, bound, rule).directions))
+    bigger_bound = set(dict(generate_walls(model, n, bound + 2, rule).directions))
     assert small <= more_steps
     assert small <= bigger_bound
 
@@ -148,8 +148,8 @@ def test_rules_pinned_to_each_other(model_data, bound):
             == generate_walls(model, n, bound, "support").directions
         )
     steps = 4 * bound + 4
-    pair = generate_walls(model, steps, bound, "pair_sum").by_direction
-    support = generate_walls(model, steps, bound, "support").by_direction
+    pair = dict(generate_walls(model, steps, bound, "pair_sum").directions)
+    support = dict(generate_walls(model, steps, bound, "support").directions)
     assert pair.keys() == support.keys()
     assert all(pair[d] <= support[d] for d in pair)
 
@@ -159,8 +159,8 @@ def test_steps_unordered_on_f3():
     (-1, 6) = 2 (-1, 3) + (1, 0) and (1, 3) = (-1, 3) + 2 (1, 0) at step 2,
     pair_sum at step 3. Both rules still saturate to the same 48 directions."""
     model = build_model(((1, 0), (0, 1), (-1, 3), (0, -1)), (1, 3, 2, 2))
-    pair = generate_walls(model, 40, 6, "pair_sum").by_direction
-    support = generate_walls(model, 40, 6, "support").by_direction
+    pair = dict(generate_walls(model, 40, 6, "pair_sum").directions)
+    support = dict(generate_walls(model, 40, 6, "support").directions)
     assert len(pair) == 48 and pair.keys() == support.keys()
     assert {d: (pair[d], support[d]) for d in pair if pair[d] > support[d]} == {
         (-1, 6): (3, 2),
@@ -217,8 +217,8 @@ def test_saturated_pair_sum_lies_in_support(model, bound):
     """On random smooth models, each rule run to its own fixpoint: every
     pair_sum direction is a support direction, and every support direction
     lies in the supported cone. The sets can differ (see the next test)."""
-    pair = generate_walls(model, 10**4, bound, "pair_sum").by_direction
-    support = generate_walls(model, 10**4, bound, "support").by_direction
+    pair = dict(generate_walls(model, 10**4, bound, "pair_sum").directions)
+    support = dict(generate_walls(model, 10**4, bound, "support").directions)
     assert pair.keys() <= support.keys()
     gens = model.exceptional_directions
     assert all(_pairwise_in_cone(gens, d) for d in support)
@@ -229,8 +229,8 @@ def test_saturated_sets_differ_when_the_bound_cuts_every_pair_sum():
     are rays, so support reaches them at bound 1. Every sum of two distinct
     walls, (1, 3), has norm 3, so pair_sum never leaves the two generators."""
     model = build_model(((0, 1), (-1, 2), (0, -1), (1, 0), (2, 1), (1, 1)), (0, 1, 0, 0, 2, 0))
-    pair = generate_walls(model, 10**4, 1, "pair_sum").by_direction
-    support = generate_walls(model, 10**4, 1, "support").by_direction
+    pair = dict(generate_walls(model, 10**4, 1, "pair_sum").directions)
+    support = dict(generate_walls(model, 10**4, 1, "support").directions)
     assert pair == {(-1, 2): 0, (2, 1): 0}
     assert support == {(-1, 2): 0, (2, 1): 0, (0, 1): 2, (1, 1): 3}
 
@@ -270,7 +270,7 @@ def _reference_walls(model, steps, bound, rule):
 )
 def test_rules_match_reference_loops(model, bound, steps):
     for rule in RULES:
-        assert generate_walls(model, steps, bound, rule).by_direction == _reference_walls(
+        assert dict(generate_walls(model, steps, bound, rule).directions) == _reference_walls(
             model, steps, bound, rule
         ), rule
 
