@@ -10,23 +10,31 @@ Two generation rules are supported:
   supported ray generators; the step of a direction is the minimal total
   coefficient sum minus one.
 
-pair_sum tries each unordered pair of walls once and stops when a step adds
-nothing or every direction within the bound is found; support expands each
-lattice point once. Both add integer pairs inline and take the primitive
-parts of a step's sums in one gcd pass (``_directions``). On the four
-fixed fans of the property tests (P2, P1xP1, F1, the hexagon) they agree
-through step 2, and from step 3 pair_sum may reach a direction sooner (cubic
-model, bound >= 5: 12 against 6 directions at step 3), so there a direction's
-pair_sum step is at most its support step. Neither holds on every fan: on F3
-(rays (1,0), (0,1), (-1,3), (0,-1), multiplicities (1,3,2,2), bound 6) support
-reaches (-1,6) = 2(-1,3) + (1,0) at step 2 and pair_sum, which never adds a
-wall to itself, at step 3. At the fixpoint support holds every primitive
-direction of the supported cone within the bound, and pair_sum a subset of
-them. The two sets agree on the four fixed fans but not on every smooth fan,
-since every pair_sum route to a direction may pass through walls past the
-bound: on rays (0,1), (-1,2), (0,-1), (1,0), (2,1), (1,1) with multiplicities
-(0,1,0,0,2,0) and bound 1, support adds the rays (0,1) and (1,1), while the
-only pair sum, (1,3), has norm 3.
+Both rules start from the primitive directions of the supported cone within
+the bound and stop when a step adds nothing or every one of them is found.
+pair_sum keeps its walls as one integer bit mask over the box
+|x| <= rx, |y| <= ry, where rx and ry are the bound times the largest |x| and
+|y| of the fan's rays. A step ORs the mask, shifted by each fresh wall, into
+one sumset, and the run decodes each sum once. So its cost follows the wall
+count times the box area in machine words, not the square of the wall count
+in Python additions; on a fan with a large ray coordinate (Hirzebruch F_k
+with k in the hundreds) the box is mostly empty and the mask loses to plain
+pairing. support expands each lattice point once, adding integer pairs
+inline. Both take the primitive parts of a step's sums in one gcd pass
+(``_directions``). On the four fixed fans of the property tests (P2, P1xP1,
+F1, the hexagon) they agree through step 2, and from step 3 pair_sum may
+reach a direction sooner (cubic model, bound >= 5: 12 against 6 directions
+at step 3), so there a direction's pair_sum step is at most its support
+step. Neither holds on every fan: on F3 (rays (1,0), (0,1), (-1,3), (0,-1),
+multiplicities (1,3,2,2), bound 6) support reaches (-1,6) = 2(-1,3) + (1,0)
+at step 2 and pair_sum, which never adds a wall to itself, at step 3. At the
+fixpoint support holds every primitive direction of the supported cone
+within the bound, and pair_sum a subset of them. The two sets agree on the
+four fixed fans but not on every smooth fan, since every pair_sum route to a
+direction may pass through walls past the bound: on rays (0,1), (-1,2),
+(0,-1), (1,0), (2,1), (1,1) with multiplicities (0,1,0,0,2,0) and bound 1,
+support adds the rays (0,1) and (1,1), while the only pair sum, (1,3), has
+norm 3.
 
 Membership queries (``is_wall_direction``) compare up to sign and are the
 authority for balancing checks. Every wall lies in the closed cone spanned by
@@ -43,6 +51,7 @@ two. ``support`` filters its candidates with the one-sided test.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -112,35 +121,49 @@ def generate_walls(
         raise ValueError(f"unknown wall rule {rule!r}")
     if steps < 0 or norm_bound < 1:
         raise ValueError("steps must be >= 0 and norm_bound >= 1")
-    generate = _pair_sum if rule == "pair_sum" else _support
-    found = generate(model.fan, model.exceptional_directions, steps, norm_bound)
+    gens = model.exceptional_directions
+    todo = set(filter(_cone(gens), _primitive_within(model.fan, norm_bound)))
+    if rule == "pair_sum":
+        found = _pair_sum(model.fan, gens, steps, norm_bound, todo)
+    else:
+        found = _support(gens, steps, todo)
     ordered = sorted(found.items(), key=lambda it: (it[1], it[0]))
     return WallStructure(model, steps, norm_bound, rule, tuple(ordered))
 
 
-def _pair_sum(fan: Fan, gens, steps: int, bound: int) -> dict[Vec, int]:
-    """Semi-naive pair sums: a step pairs each fresh wall with every wall found
-    before it, in order of discovery, so each unordered pair is tried once."""
+def _pair_sum(fan: Fan, gens, steps: int, bound: int, todo: set[Vec]) -> dict[Vec, int]:
+    """Semi-naive pair sums as bit-mask sumsets. A vector (x, y) within the
+    box |x| <= rx, |y| <= ry is bit (x + rx) * wd + y + ry, so a wall's mask
+    shifted by another wall's bit holds their sum at (x + 2 rx) * wd + y + 2 ry:
+    with wd = 4 ry + 1 no sum's y carries into its x. A step ORs the mask of
+    the walls before each fresh wall, shifted by that wall, into one sumset and
+    decodes only the sums no earlier step made; an earlier step already
+    checked their primitive parts against ``todo``, which only shrinks."""
+    rx = bound * max(abs(x) for x, _ in fan.rays)
+    ry = bound * max(abs(y) for _, y in fan.rays)
+    wd = 4 * ry + 1
     found = dict.fromkeys(gens, 0)
-    todo = _primitive_within(fan, bound) - found.keys()
-    old = 0  # the walls[:old] were paired with each other on earlier steps
+    todo -= found.keys()
+    fresh, mask, sums = gens, 0, 0
     for n in range(1, steps + 1):
-        walls = list(found)
-        if old == len(walls) or not todo:
+        if not fresh or not todo:
             break
-        sums = {(x + a, y + b) for i, (x, y) in enumerate(walls[old:], old) for a, b in walls[:i]}
-        new = _directions(sums) & todo
-        found.update(dict.fromkeys(new, n))
-        todo -= new
-        old = len(walls)
+        before = sums
+        for x, y in fresh:
+            bit = (x + rx) * wd + y + ry
+            sums |= mask << bit
+            mask |= 1 << bit
+        made = (divmod(m.start(), wd) for m in re.finditer("1", bin(sums ^ before)[:1:-1]))
+        fresh = _directions((q - 2 * rx, r - 2 * ry) for q, r in made) & todo
+        found.update(dict.fromkeys(fresh, n))
+        todo -= fresh
     return found
 
 
-def _support(fan: Fan, gens, steps: int, bound: int) -> dict[Vec, int]:
+def _support(gens, steps: int, todo: set[Vec]) -> dict[Vec, int]:
     """Step n - 1 for each direction within the bound that a sum of n
     generators first reaches, for n <= steps + 1, breadth first: a point first
     reached at n is one generator past a point first reached at n - 1."""
-    todo = set(filter(_cone(gens), _primitive_within(fan, bound)))
     found: dict[Vec, int] = {}
     frontier, seen = {(0, 0)}, {(0, 0)}
     for n in range(steps + 1):
@@ -163,10 +186,17 @@ def _directions(vectors) -> set[Vec]:
 def _primitive_within(fan: Fan, bound: int) -> set[Vec]:
     """Primitive vectors of fan norm <= bound: a u_i + b u_{i+1} with a >= 1,
     b >= 0, a + b <= bound and gcd(a, b) = 1, as every cone is unimodular."""
+    pairs = _coprime_pairs(bound)
     return {
-        (a * u[0] + b * v[0], a * u[1] + b * v[1])
-        for u, v in zip(fan.rays, fan.rays[1:] + fan.rays[:1])
-        for a in range(1, bound + 1)
-        for b in range(bound + 1 - a)
-        if gcd(a, b) == 1
+        (a * u0 + b * v0, a * u1 + b * v1)
+        for (u0, u1), (v0, v1) in zip(fan.rays, fan.rays[1:] + fan.rays[:1])
+        for a, b in pairs
     }
+
+
+@lru_cache(maxsize=64)
+def _coprime_pairs(bound: int) -> tuple[tuple[int, int], ...]:
+    """The (a, b) with a >= 1, b >= 0, a + b <= bound and gcd(a, b) = 1."""
+    return tuple(
+        (a, b) for a in range(1, bound + 1) for b in range(bound + 1 - a) if gcd(a, b) == 1
+    )

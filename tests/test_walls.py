@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from conftest import smooth_models
@@ -18,6 +19,7 @@ from tropcyl.walls import (
 )
 
 HEXAGON_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+F5_RAYS = ((1, 0), (0, 1), (-1, 5), (0, -1))
 BOX = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if (x, y) != (0, 0)]
 
 
@@ -235,11 +237,32 @@ def test_saturated_sets_differ_when_the_bound_cuts_every_pair_sum():
     assert support == {(-1, 2): 0, (2, 1): 0, (0, 1): 2, (1, 1): 3}
 
 
+def _plain_primitive_within(fan, bound):
+    """Reference: every lattice point a u + b v of a cone (u, v) with a >= 1,
+    b >= 0 and a + b <= bound whose coordinates have gcd 1."""
+    out = set()
+    for u, v in zip(fan.rays, fan.rays[1:] + fan.rays[:1]):
+        for a in range(1, bound + 1):
+            for b in range(bound + 1 - a):
+                x, y = a * u[0] + b * v[0], a * u[1] + b * v[1]
+                if gcd(x, y) == 1:
+                    out.add((x, y))
+    return out
+
+
+@settings(deadline=None, max_examples=50)
+@given(smooth_models())
+def test_primitive_within_matches_a_per_cone_gcd_loop(model):
+    for bound in range(1, 13):
+        want = _plain_primitive_within(model.fan, bound)
+        assert _primitive_within(model.fan, bound) == want, bound
+
+
 def _reference_walls(model, steps, bound, rule):
     """Reference: pair_sum pairs every fresh wall with every wall found so
     far, and support takes the primitive part of every sum of exactly n
     generators; each runs to its step count or to a step that adds nothing."""
-    gens, allowed = model.exceptional_directions, _primitive_within(model.fan, bound)
+    gens, allowed = model.exceptional_directions, _plain_primitive_within(model.fan, bound)
     if rule == "pair_sum":
         found, fresh = dict.fromkeys(gens, 0), set(gens)
         for n in range(1, steps + 1):
@@ -275,6 +298,19 @@ def test_rules_match_reference_loops(model, bound, steps):
         ), rule
 
 
+@pytest.mark.parametrize("steps", [2, 10**4])
+@pytest.mark.parametrize("model, bound", [
+    pytest.param(cubic_model(), 16, id="cubic"),
+    pytest.param(build_model(F5_RAYS, (1, 1, 1, 1)), 12, id="F5"),
+])
+def test_pair_sum_matches_reference_past_the_property_bound(model, bound, steps):
+    """Past the property's bound of 8: on F5 the walls reach negative
+    coordinates and the top row of the sumset's box."""
+    assert dict(generate_walls(model, steps, bound, "pair_sum").directions) == _reference_walls(
+        model, steps, bound, "pair_sum"
+    )
+
+
 def _gcd_pass_vectors(monkeypatch, model, steps, bound, rule):
     """Every vector one generate_walls hands to ``walls._directions``, in order."""
     seen = []
@@ -290,10 +326,14 @@ def _gcd_pass_vectors(monkeypatch, model, steps, bound, rule):
     return seen
 
 
-def test_pair_sum_stops_at_its_last_productive_step(monkeypatch):
-    """Once every direction within the bound is found, pair_sum tries no more
-    pairs: a step count past its last productive step costs nothing."""
-    model = cubic_model()
+@pytest.mark.parametrize("model", [
+    pytest.param(cubic_model(), id="cubic"),
+    pytest.param(build_model(HEXAGON_RAYS, (0, 1, 1, 1, 0, 0)), id="hexagon-part"),
+])
+def test_pair_sum_stops_at_its_last_productive_step(monkeypatch, model):
+    """Once every direction of the supported cone within the bound is found,
+    pair_sum tries no more pairs: a step count past its last productive step
+    costs nothing, also when the cone is not the whole plane."""
     last = generate_walls(model, 10**5, 10, "pair_sum").directions[-1][1]
     at_last = _gcd_pass_vectors(monkeypatch, model, last, 10, "pair_sum")
     assert at_last

@@ -7,15 +7,17 @@ Recording runs ``bench/run.py`` of the checkout at ``--root`` (default: this
 one) ``RUNS`` = 3 times per workload, each run in a fresh process with
 ``--seed 1 --seconds 30 --trace 0``, and keeps per workload each end-to-end
 metric's median and interquartile range (IQR) over the runs, and per run its
-``correct`` and ``failed``. It then times three class-layer rows in a
-process that imports ``tropcyl`` from the checkout's ``src/``:
+``correct`` and ``failed``. It then times four rows in a process that
+imports ``tropcyl`` from the checkout's ``src/``:
 
 * ``class.make_us``: building a ``CurveClass`` from its rays, dD and dE;
 * ``class.add_us``: ``+`` of two classes of the 12-ray model whose
   exceptional pairs lie apart;
 * ``counting.row_cap_ms``: ``contributing_classes`` at the CLI's row cap,
   8 leaves of the 12-ray model with every l_i = 3 and the default table
-  (3^8 = 6561 rows).
+  (3^8 = 6561 rows);
+* ``walls.pair_sum_cap_ms``: ``generate_walls`` under ``pair_sum`` on the
+  cubic model at the config's cap on the norm bound, 40, with 10^5 steps.
 
 Each row is a median and IQR over repetitions, in wall time on the machine
 it ran on, next to the time of the benchmark's ``reference`` computation,
@@ -23,11 +25,11 @@ so a slower machine shows. The file also holds the checkout's git sha (or
 null when it has none), ``sys.version`` and ``os.cpu_count()``. Two files
 compare only when they were recorded on one machine.
 
-Comparing prints, per workload metric and class row, both medians, the
-change in percent, and whether the gap is larger than the first file's
-IQR. The script uses only the standard library, writes only its ``--out``
-file (and whatever ``bench/run.py`` writes under ``bench/out/``), and is
-not part of tier-1.
+Comparing prints, per workload metric and row that both files hold, both
+medians, the change in percent, and whether the gap is larger than the
+larger of the two IQRs. The script uses only the standard library, writes
+only its ``--out`` file (and whatever ``bench/run.py`` writes under
+``bench/out/``), and is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -98,12 +100,13 @@ def record_workloads(root: Path) -> dict:
 
 
 def class_rows() -> dict:
-    """The class-layer rows, timed in this process; ``tropcyl`` and the
+    """The class and wall rows, timed in this process; ``tropcyl`` and the
     benchmark's ``reference`` must be importable."""
     from run import reference
     from tropcyl.classes import CurveClass
     from tropcyl.counting import build_cylinder, contributing_classes, default_table, elementary_class
-    from tropcyl.model import build_model
+    from tropcyl.model import build_model, cubic_model
+    from tropcyl.walls import generate_walls
 
     model = build_model(TWELVE_RAYS, (3,) * 12)
     a, b = elementary_class(model, 1, 1), elementary_class(model, 2, 1)
@@ -111,6 +114,7 @@ def class_rows() -> dict:
     table = default_table(model)
     cyl = build_cylinder(model, TWELVE_RAYS[:8])
     contributing_classes(model, cyl, table)
+    cubic = cubic_model()
 
     def per_call_us(call) -> list[float]:
         times = []
@@ -134,6 +138,7 @@ def class_rows() -> dict:
         "class.make_us": (per_call_us(lambda: CurveClass(rays, dD, dE)), "us"),
         "class.add_us": (per_call_us(lambda: a + b), "us"),
         "counting.row_cap_ms": (once(lambda: contributing_classes(model, cyl, table), 1e3), "ms"),
+        "walls.pair_sum_cap_ms": (once(lambda: generate_walls(cubic, 10**5, 40, "pair_sum"), 1e3), "ms"),
     }
     return {name: {**spread(xs), "unit": unit} for name, (xs, unit) in rows.items()}
 
@@ -165,14 +170,16 @@ def record(args) -> int:
 def compare(old_path: str, new_path: str) -> int:
     old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
     pairs = [(f"{w} {name}", m, new["workloads"][w]["metrics"][name])
-             for w, data in old["workloads"].items() for name, m in data["metrics"].items()]
-    pairs += [(name, m, new["class_rows"][name]) for name, m in old["class_rows"].items()]
-    print(f"{'row':40} {'old':>12} {'new':>12} {'change':>8}  gap > old IQR")
+             for w, data in old["workloads"].items() if w in new["workloads"]
+             for name, m in data["metrics"].items() if name in new["workloads"][w]["metrics"]]
+    pairs += [(name, m, new["class_rows"][name]) for name, m in old["class_rows"].items()
+              if name in new["class_rows"]]
+    print(f"{'row':40} {'old':>12} {'new':>12} {'change':>8}  gap > larger IQR")
     for label, a, b in pairs:
         gap = b["median"] - a["median"]
         change = 100 * gap / a["median"] if a["median"] else float("nan")
         print(f"{label:40} {a['median']:12.6g} {b['median']:12.6g} {change:+7.1f}%  "
-              f"{'yes' if abs(gap) > a['iqr'] else 'no'}")
+              f"{'yes' if abs(gap) > max(a['iqr'], b['iqr']) else 'no'}")
     for name, path, data in (("old", old_path, old), ("new", new_path, new)):
         bad = [w for w, d in data["workloads"].items() if not all(r["correct"] for r in d["runs"])]
         if bad:
