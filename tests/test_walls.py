@@ -326,18 +326,15 @@ def _gcd_pass_vectors(monkeypatch, model, steps, bound, rule):
     return seen
 
 
-@pytest.mark.parametrize("model", [
-    pytest.param(cubic_model(), id="cubic"),
-    pytest.param(build_model(HEXAGON_RAYS, (0, 1, 1, 1, 0, 0)), id="hexagon-part"),
-])
-def test_pair_sum_stops_at_its_last_productive_step(monkeypatch, model):
+def test_pair_sum_stops_at_its_last_productive_step(monkeypatch):
     """Once every direction of the supported cone within the bound is found,
     pair_sum tries no more pairs: a step count past its last productive step
     costs nothing, also when the cone is not the whole plane."""
-    last = generate_walls(model, 10**5, 10, "pair_sum").directions[-1][1]
-    at_last = _gcd_pass_vectors(monkeypatch, model, last, 10, "pair_sum")
-    assert at_last
-    assert len(at_last) == len(_gcd_pass_vectors(monkeypatch, model, 10**5, 10, "pair_sum"))
+    for model in (cubic_model(), build_model(HEXAGON_RAYS, (0, 1, 1, 1, 0, 0))):
+        last = generate_walls(model, 10**5, 10, "pair_sum").directions[-1][1]
+        at_last = _gcd_pass_vectors(monkeypatch, model, last, 10, "pair_sum")
+        assert at_last
+        assert len(at_last) == len(_gcd_pass_vectors(monkeypatch, model, 10**5, 10, "pair_sum"))
 
 
 @pytest.mark.parametrize("model", [
