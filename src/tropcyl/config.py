@@ -23,7 +23,8 @@ from .walls import RULES
 
 # pair_sum at 10^5 steps takes 8 ms at norm bound 40 and 43 ms at 80 on the cubic model
 # (Python 3.11.7, 2 shared vCPUs). Its bit-mask box grows with the fan's largest ray
-# coordinate, so a steep fan costs far more at one bound (F_100: 0.27 s at 40).
+# coordinate, so a steep fan costs more at one bound: F_100 0.28 s at 40, and from F_200
+# on, where pair_sum pairs its walls instead, about 0.5 s at 40 however steep.
 MAX_NORM_BOUND = 40
 
 

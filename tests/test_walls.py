@@ -298,16 +298,51 @@ def test_rules_match_reference_loops(model, bound, steps):
         ), rule
 
 
+@pytest.mark.parametrize("bits_per_wall", [
+    pytest.param(10**12, id="mask"),
+    pytest.param(0, id="paired"),
+])
 @pytest.mark.parametrize("steps", [2, 10**4])
 @pytest.mark.parametrize("model, bound", [
     pytest.param(cubic_model(), 16, id="cubic"),
     pytest.param(build_model(F5_RAYS, (1, 1, 1, 1)), 12, id="F5"),
+    pytest.param(build_model(HEXAGON_RAYS, (0, 1, 1, 1, 0, 0)), 12, id="hexagon-part"),
 ])
-def test_pair_sum_matches_reference_past_the_property_bound(model, bound, steps):
-    """Past the property's bound of 8: on F5 the walls reach negative
-    coordinates and the top row of the sumset's box."""
+def test_pair_sum_matches_reference_past_the_property_bound(
+    monkeypatch, model, bound, steps, bits_per_wall
+):
+    """Past the property's bound of 8, with the sums forced from the bit mask
+    and from plain pairing: on F5 the walls reach negative coordinates and
+    the top row of the sumset's box."""
+    monkeypatch.setattr("tropcyl.walls.MASK_BITS_PER_WALL", bits_per_wall)
     assert dict(generate_walls(model, steps, bound, "pair_sum").directions) == _reference_walls(
         model, steps, bound, "pair_sum"
+    )
+
+
+def _refuse(*args):
+    raise AssertionError("this sum builder must not run here")
+
+
+F100000_RAYS = ((1, 0), (0, 1), (-1, 10**5), (0, -1))
+
+
+@pytest.mark.parametrize("model, bound, refused", [
+    pytest.param(cubic_model(), 16, "_paired_sums", id="cubic-mask"),
+    pytest.param(build_model(F100000_RAYS, (1, 1, 1, 1)), 10, "_mask_sums", id="F100000-paired"),
+    pytest.param(build_model(F100000_RAYS, (1, 1, 0, 0)), 10, "_paired_sums",
+                 id="F100000-half-mask"),
+])
+def test_pair_sum_builds_no_mask_over_a_mostly_empty_box(monkeypatch, model, bound, refused):
+    """On F_100000 at bound 10 the 128 possible walls lie in a sumset box of
+    41 x 4 000 001 bits, so pair_sum pairs them rather than shift a 20 MB
+    mask per wall. With only (1, 0) and (0, 1) supported the steep ray lies
+    outside the supported cone and the box shrinks to 41 x 41 bits, 51 per
+    possible wall (the cubic's at bound 16 holds 18); those take the mask.
+    Each matches the reference at the fixpoint."""
+    monkeypatch.setattr(f"tropcyl.walls.{refused}", _refuse)
+    assert dict(generate_walls(model, 10**4, bound, "pair_sum").directions) == _reference_walls(
+        model, 10**4, bound, "pair_sum"
     )
 
 

@@ -27,7 +27,8 @@ compare only when they were recorded on one machine.
 
 Comparing prints, per workload metric and row that both files hold, both
 medians, the change in percent, and whether the gap is larger than the
-larger of the two IQRs. The script uses only the standard library, writes
+larger of the two IQRs. It names each row only one file holds as skipped,
+and exits 1 when the second file lacks a workload metric of the first. The script uses only the standard library, writes
 only its ``--out`` file (and whatever ``bench/run.py`` writes under
 ``bench/out/``), and is not part of tier-1.
 """
@@ -169,21 +170,27 @@ def record(args) -> int:
 
 def compare(old_path: str, new_path: str) -> int:
     old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
-    pairs = [(f"{w} {name}", m, new["workloads"][w]["metrics"][name])
-             for w, data in old["workloads"].items() if w in new["workloads"]
-             for name, m in data["metrics"].items() if name in new["workloads"][w]["metrics"]]
-    pairs += [(name, m, new["class_rows"][name]) for name, m in old["class_rows"].items()
-              if name in new["class_rows"]]
+    old_rows, new_rows = ({**{f"{w} {name}": m for w, d in data["workloads"].items()
+                              for name, m in d["metrics"].items()}, **data["class_rows"]}
+                          for data in (old, new))
+    rows = [(label, m, new_rows[label]) for label, m in old_rows.items() if label in new_rows]
+    skipped = [label for label in {**old_rows, **new_rows} if (label in old_rows) != (label in new_rows)]
+    lost = [label for label in skipped if label in old_rows and label not in old["class_rows"]]
     print(f"{'row':40} {'old':>12} {'new':>12} {'change':>8}  gap > larger IQR")
-    for label, a, b in pairs:
+    for label, a, b in rows:
         gap = b["median"] - a["median"]
         change = 100 * gap / a["median"] if a["median"] else float("nan")
         print(f"{label:40} {a['median']:12.6g} {b['median']:12.6g} {change:+7.1f}%  "
               f"{'yes' if abs(gap) > max(a['iqr'], b['iqr']) else 'no'}")
+    for label in skipped:
+        print(f"{label}: only in {'old' if label in old_rows else 'new'}, skipped")
     for name, path, data in (("old", old_path, old), ("new", new_path, new)):
         bad = [w for w, d in data["workloads"].items() if not all(r["correct"] for r in d["runs"])]
         if bad:
             print(f"{name} ({path}): a run was not correct on {', '.join(bad)}")
+    if lost:
+        print(f"new ({new_path}) lacks the workload metrics {', '.join(lost)}")
+        return 1
     return 0
 
 

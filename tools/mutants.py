@@ -17,7 +17,7 @@ killed and print as ``killed (memory cap)`` or ``killed (timed out)``.
 
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run of the 26
+It runs every mutant and is not part of tier-1. A full run of the 29
 mutants takes about 5 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated
 copy and each survivor cost a whole suite run, 30-40 s, and a killed
 mutant less. The script writes only to its temporary directories.
@@ -121,6 +121,28 @@ MUTANTS = (
         True, "_pair_sum's sumset rows are too narrow, so a sum's y carries into its x;"
         " test_pair_sum_matches_reference_past_the_property_bound kills it, as do the step"
         " and property tests of test_walls.py",
+    ),
+    Mutant(
+        "pair-sum-mask-on-any-box", "src/tropcyl/walls.py",
+        "if (4 * rx + 1) * (4 * ry + 1) <= MASK_BITS_PER_WALL * (len(found) + len(todo)):",
+        "if True:",
+        True, "_pair_sum builds its bit mask however empty the box is;"
+        " test_pair_sum_builds_no_mask_over_a_mostly_empty_box[F100000-paired] kills it",
+    ),
+    Mutant(
+        "pair-sum-box-from-every-ray", "src/tropcyl/walls.py",
+        "[r for r in model.fan.rays if inside(r)]",
+        "list(model.fan.rays)",
+        True, "_pair_sum sizes its box from every ray, so a steep ray the supported cone"
+        " misses makes it pair; test_pair_sum_builds_no_mask_over_a_mostly_empty_box"
+        "[F100000-half-mask] kills it",
+    ),
+    Mutant(
+        "paired-sums-skip-fresh-pairs", "src/tropcyl/walls.py",
+        "for a, b in walls[:i]}",
+        "for a, b in walls[:old]}",
+        True, "_paired_sums never sums two walls of one step;"
+        " test_pair_sum_matches_reference_past_the_property_bound[*-paired] kills it",
     ),
     Mutant(
         "gcd-pass-keeps-multiples", "src/tropcyl/walls.py",
