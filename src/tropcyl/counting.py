@@ -171,8 +171,12 @@ class CylinderCount:
 
     A table's memo keeps, by (model, cylinder as given), every field but the
     model and the cylinder, for at most ``CYLINDER_MEMO_SIZE`` cylinders,
-    the oldest dropped first; a cylinder that raises is not kept, and
-    without a table nothing is. ``cylinder_count`` builds a fresh record per
+    the oldest dropped first; a cylinder that raises is not kept. Apart
+    from any table, ``_cylinder_read`` keeps the table-independent half,
+    comps and base, by (model, cylinder) for the 256 cylinders used last,
+    so a call without a table builds only the default table at the
+    leaves' rays, and the oracle after the closed form walks no extension
+    class. ``cylinder_count`` builds a fresh record per
     call, so these fields are shared across calls and never written, while
     the listing (``contributing``, ``listed``) belongs to the record. Every
     per-leaf field follows the cylinder's leaf order, so two leaf orders of
@@ -284,13 +288,21 @@ def _private_groups(measures: tuple[Support, ...]) -> Groups:
     return tuple(out[::-1])
 
 
+@lru_cache(maxsize=256)
+def _cylinder_read(model: ToricModel, cyl: Cylinder) -> tuple[tuple[int, ...], cls.CurveClass]:
+    """The table-independent half of ``_read``: comps through the primitive
+    gate, and the base at the cylinder's level."""
+    comps = twig_components(model, cyl)
+    base = spine_extension_shift(model, cyl) if cyl.extended else cls.zero_class(model)
+    return comps, base
+
+
 def _read(model: ToricModel, cyl: Cylinder, table: ElementaryCountTable | None):
     """The cylinder's comps, base and per-leaf table rows; see ``CylinderCount``.
     A row whose class lives on another fan raises ``ModelMismatch``, on
     every leaf, before either path folds a row."""
-    comps = twig_components(model, cyl)
+    comps, base = _cylinder_read(model, cyl)
     by_pair = (default_table(model, comps) if table is None else table).by_pair
-    base = spine_extension_shift(model, cyl) if cyl.extended else cls.zero_class(model)
     leaves = tuple(
         tuple((j, c, n) for j in range(1, model.multiplicity(i) + 1) for c, n in by_pair.get((i, j), ()))
         for i in comps

@@ -664,8 +664,71 @@ def test_verify_builds_each_measure_once_per_cylinder(capsys, monkeypatch):
     assert cli._verify_one(model, cyl, counting.default_table(model), "spec.twig_type") == 3
     assert calls == dict.fromkeys(calls, 1)
     calls.update(dict.fromkeys(calls, 0))
+    build, drawn = cli.build_cylinder, []
+    monkeypatch.setattr(cli, "build_cylinder", lambda *a, **k: drawn.append(build(*a, **k)) or drawn[-1])
     code, out = run(capsys, "verify", "--seed", "3", "--cases", "4")
-    assert (code, calls) == (0, dict.fromkeys(calls, 4)), out
+    assert len(drawn) == 4
+    assert (code, calls) == (0, dict.fromkeys(calls, len(set(drawn)))), out
+
+
+def _verify_every_draw(model, seed, cases):
+    """``verify --cases`` on the default table with every draw verified:
+    the run's stdout, and the drawn cylinders in draw order."""
+    import random
+
+    from tropcyl import cli, counting
+    from tropcyl.errors import ZeroVector
+
+    table, rng = counting.default_table(model), random.Random(seed)
+    drawn, steps = [], 0
+    while len(drawn) < cases:
+        try:
+            cyl = counting.build_cylinder(model, cli._random_twig(model, rng), extended=True)
+            steps += cli._verify_one(model, cyl, table, "--cases")
+        except ZeroVector:
+            continue
+        drawn.append(cyl)
+    return f"PASS, {len(drawn)} cases, {steps} induction steps\n", drawn
+
+
+@pytest.mark.parametrize("rays, blowups", [
+    (P2_RAYS, (2, 2, 2)), (P1XP1_RAYS, (3, 1, 2, 1)), (F1_RAYS, (1, 3, 2, 1)), (HEXAGON_RAYS, (2,) * 6),
+])
+def test_verify_cases_checks_each_distinct_draw_once(capsys, tmp_path, monkeypatch, rays, blowups):
+    """``verify --cases`` verifies each distinct drawn cylinder once, in the
+    order first drawn, and prints and exits as a loop that verifies every
+    draw."""
+    from tropcyl import cli
+
+    model = build_model(rays, blowups)
+    config = spec_file(tmp_path, {"model": {"fan": {"rays": [list(u) for u in rays]}, "blowups": list(blowups)}})
+    real, verified, repeats = cli._verify_one, [], 0
+    for seed in range(4):
+        for cases in (0, 1, 7, 40):
+            want, drawn = _verify_every_draw(model, seed, cases)
+            verified.clear()
+            monkeypatch.setattr(cli, "_verify_one", lambda *a: verified.append(a[1]) or real(*a))
+            code, out = run(capsys, "verify", "--config", config, "--seed", str(seed), "--cases", str(cases))
+            monkeypatch.setattr(cli, "_verify_one", real)
+            assert (code, out) == (0, want)
+            assert verified == list(dict.fromkeys(drawn))
+            repeats += len(drawn) - len(verified)
+    assert repeats
+
+
+def test_verify_cases_verifies_each_leaf_order(capsys, monkeypatch):
+    """Two leaf orders of one twig set are two cylinders: a run that draws
+    both verifies both, and verifies neither again when it is drawn again."""
+    from tropcyl import cli
+
+    twigs = [((1, 0), (0, 1)), ((0, 1), (1, 0))]
+    draws = iter(twigs * 2)
+    monkeypatch.setattr(cli, "_random_twig", lambda model, rng: next(draws))
+    real, verified = cli._verify_one, []
+    monkeypatch.setattr(cli, "_verify_one", lambda *a: verified.append(a[1].twig_type) or real(*a))
+    code, out = run(capsys, "verify", "--cases", "4")
+    assert (code, out) == (0, "PASS, 4 cases, 8 induction steps\n")
+    assert verified == twigs
 
 
 def test_verify_fails_on_a_class_the_listing_lacks(capsys, tmp_path, monkeypatch):

@@ -817,7 +817,14 @@ def test_one_table_answers_as_a_fresh_table_per_call(case):
                     assert got == splitting_sum(model, cyl, b, table)
 
 
-def test_a_second_query_reads_the_memo(cubic, monkeypatch):
+@pytest.fixture
+def fresh_read_memo():
+    """An empty read memo, so the first read of a cylinder runs its gate and
+    walks its extension classes whatever an earlier test read."""
+    counting._cylinder_read.cache_clear()
+
+
+def test_a_second_query_reads_the_memo(cubic, monkeypatch, fresh_read_memo):
     """The second query on one (model, cylinder, table) walks no extension
     class and builds no groups, whether it goes through the closed form,
     ``count_spine`` or the listing."""
@@ -840,6 +847,39 @@ def test_a_second_query_reads_the_memo(cubic, monkeypatch):
     assert count_spine(cubic, replace(cyl, twig_type=()), beta, table) == 1
     assert len(contributing_classes(cubic, cyl, table)) == 4
     assert calls == {"extension_class": 2, "_private_groups": 1}
+
+
+def test_the_oracle_after_the_closed_form_reads_no_cylinder_again(cubic, monkeypatch, fresh_read_memo):
+    """The closed form and the oracle share one read of a cylinder: after
+    ``cylinder_count``, ``splitting_measure`` runs no primitive gate and
+    walks no extension class, with a table and without one."""
+    calls = []
+    for name in ("twig_components", "extension_class"):
+        real = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    cyl = build_cylinder(cubic, ((1, 0), (0, 1)), extended=True)
+    listed = cylinder_count(cubic, cyl).listed
+    assert calls == ["twig_components", "extension_class", "extension_class"]
+    for table in (None, default_table(cubic)):
+        calls.clear()
+        assert splitting_measure(cubic, cyl, table) == listed
+        assert calls == []
+
+
+def test_the_read_memo_keeps_each_level(fresh_read_memo):
+    """The read memo is keyed by the whole cylinder: one twig and spine read
+    extended and not extended, in either order, start from the spine
+    extension shift and from zero. The shift is nonzero on this model."""
+    model = build_model(((1, 1), (0, 1), (-1, 1), (0, -1), (1, 0)), (2, 2, 0, 1, 2))
+    cyl = build_cylinder(model, ((0, -1),))
+    ext = replace(cyl, extended=True)
+    want = {ext: spine_extension_shift(model, cyl), cyl: zero_class(model)}
+    assert want[ext] != want[cyl]
+    for order in ((ext, cyl), (cyl, ext)):
+        counting._cylinder_read.cache_clear()
+        assert {c: cylinder_count(model, c).base for c in order} == want
+        oracle = {c: splitting_measure(model, c) for c in order}
+        assert oracle[ext] == {b + want[ext]: n for b, n in oracle[cyl].items()}
 
 
 def test_a_permuted_cylinder_gets_its_own_entry(cubic):
@@ -1048,6 +1088,18 @@ def test_errors_are_raised_on_every_call(cubic):
     for f in (count_primitive_cylinder, count_spine):
         with pytest.raises(OutOfPrimitiveScope, match="multiplicity > 1"):
             f(cubic, cyl, beta, table)
+
+
+def test_a_refused_cylinder_raises_on_every_read(cubic, fresh_read_memo):
+    """The read memo keeps no exception: a non-primitive cylinder raises
+    ``NotPrimitiveCylinder`` on a second call too, through the closed form
+    and the oracle, with a table and without one, and is not kept."""
+    repeated = replace(build_cylinder(cubic, ((1, 0),)), twig_type=((1, 0), (1, 0)))
+    for table in (None, default_table(cubic)):
+        for f in (cylinder_count, splitting_measure) * 2:
+            with pytest.raises(NotPrimitiveCylinder, match="^twig leaf directions are not pairwise distinct$"):
+                f(cubic, repeated, table)
+    assert counting._cylinder_read.cache_info().currsize == 0
 
 
 def test_each_listing_is_a_new_object(cubic):

@@ -1,13 +1,13 @@
 """Record the benchmark of one checkout in a ``BENCH_<n>.json`` file, or compare two.
 
-    python3 tools/bench_record.py --out BENCH_35.json [--root DIR]
-    python3 tools/bench_record.py --compare BENCH_34.json BENCH_35.json
+    python3 tools/bench_record.py --out BENCH_38.json [--root DIR]
+    python3 tools/bench_record.py --compare BENCH_37.json BENCH_38.json
 
 Recording runs ``bench/run.py`` of the checkout at ``--root`` (default: this
 one) ``RUNS`` = 3 times per workload, each run in a fresh process with
 ``--seed 1 --seconds 30 --trace 0``, and keeps per workload each end-to-end
 metric's median and interquartile range (IQR) over the runs, and per run its
-``correct`` and ``failed``. It then times four rows in a process that
+``correct`` and ``failed``. It then times five rows in a process that
 imports ``tropcyl`` from the checkout's ``src/``:
 
 * ``class.make_us``: building a ``CurveClass`` from its rays, dD and dE;
@@ -17,7 +17,11 @@ imports ``tropcyl`` from the checkout's ``src/``:
   8 leaves of the 12-ray model with every l_i = 3 and the default table
   (3^8 = 6561 rows);
 * ``walls.pair_sum_cap_ms``: ``generate_walls`` under ``pair_sum`` on the
-  cubic model at the config's cap on the norm bound, 40, with 10^5 steps.
+  cubic model at the config's cap on the norm bound, 40, with 10^5 steps;
+* ``cli.verify_cases_ms``: ``tropcyl verify --seed 0 --cases 200`` through
+  ``cli.main`` on the default cubic config, its stdout captured. Its
+  repetitions share the process's bounded caches, as the benchmark's rounds
+  do.
 
 Each row is a median and IQR over repetitions, in wall time on the machine
 it ran on, next to the time of the benchmark's ``reference`` computation,
@@ -36,6 +40,8 @@ only its ``--out`` file (and whatever ``bench/run.py`` writes under
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import statistics
@@ -64,12 +70,14 @@ def spread(xs: list[float]) -> dict:
 
 
 def git_sha(root: Path) -> str | None:
-    """The checkout's HEAD, marked ``-dirty`` when its tree has changes."""
+    """The checkout's HEAD, marked ``-dirty`` when a tracked file has
+    changes; untracked files do not count."""
     if not (root / ".git").exists():
         return None
     git = ["git", "-C", str(root)]
     sha = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True, check=True)
-    dirty = subprocess.run([*git, "status", "--porcelain"], capture_output=True, text=True, check=True)
+    dirty = subprocess.run([*git, "status", "--porcelain", "--untracked-files=no"],
+                           capture_output=True, text=True, check=True)
     return sha.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
 
 
@@ -105,6 +113,7 @@ def class_rows() -> dict:
     benchmark's ``reference`` must be importable."""
     from run import reference
     from tropcyl.classes import CurveClass
+    from tropcyl.cli import main as cli_main
     from tropcyl.counting import build_cylinder, contributing_classes, default_table, elementary_class
     from tropcyl.model import build_model, cubic_model
     from tropcyl.walls import generate_walls
@@ -126,6 +135,10 @@ def class_rows() -> dict:
             times.append(1e6 * (time.perf_counter() - t0) / CALLS)
         return times
 
+    def verify_cases() -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["verify", "--seed", "0", "--cases", "200"]) == 0
+
     def once(call, scale) -> list[float]:
         times = []
         for _ in range(CLASS_REPS):
@@ -140,6 +153,7 @@ def class_rows() -> dict:
         "class.add_us": (per_call_us(lambda: a + b), "us"),
         "counting.row_cap_ms": (once(lambda: contributing_classes(model, cyl, table), 1e3), "ms"),
         "walls.pair_sum_cap_ms": (once(lambda: generate_walls(cubic, 10**5, 40, "pair_sum"), 1e3), "ms"),
+        "cli.verify_cases_ms": (once(verify_cases, 1e3), "ms"),
     }
     return {name: {**spread(xs), "unit": unit} for name, (xs, unit) in rows.items()}
 

@@ -17,7 +17,7 @@ killed and print as ``killed (memory cap)`` or ``killed (timed out)``.
 
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run of the 29
+It runs every mutant and is not part of tier-1. A full run of the 31
 mutants takes about 5 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated
 copy and each survivor cost a whole suite run, 30-40 s, and a killed
 mutant less. The script writes only to its temporary directories.
@@ -262,6 +262,25 @@ MUTANTS = (
         "        check_multiplicities(beta)\n",
         "",
         True, "verify compares listed and oracle classes without checking their multiplicities",
+    ),
+    Mutant(
+        "verify-cases-memo-keyed-on-leaf-set", "src/tropcyl/cli.py",
+        "            if cyl not in steps:\n"
+        "                steps[cyl] = _verify_one(model, cyl, table, \"--cases\")\n"
+        "            steps_total += steps[cyl]\n",
+        "            key = frozenset(cyl.twig_type)\n"
+        "            if key not in steps:\n"
+        "                steps[key] = _verify_one(model, cyl, table, \"--cases\")\n"
+        "            steps_total += steps[key]\n",
+        True, "verify --cases verifies one leaf order of a twig set and counts the other's steps"
+        " unchecked; test_verify_cases_verifies_each_leaf_order kills it",
+    ),
+    Mutant(
+        "cylinder-read-memo-drops-extended", "src/tropcyl/counting.py",
+        "    comps, base = _cylinder_read(model, cyl)\n",
+        "    comps, base = _cylinder_read(model, replace(cyl, extended=True))\n",
+        True, "the read memo is keyed without the level, so every cylinder starts from the spine"
+        " extension shift; test_the_read_memo_keeps_each_level kills it",
     ),
 )
 
