@@ -137,7 +137,9 @@ def class_rows() -> dict:
 
     def verify_cases() -> None:
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli_main(["verify", "--seed", "0", "--cases", "200"]) == 0
+            code = cli_main(["verify", "--seed", "0", "--cases", "200"])
+        if code:
+            raise RuntimeError(f"verify --seed 0 --cases 200 exited {code}")
 
     def once(call, scale) -> list[float]:
         times = []
