@@ -230,19 +230,22 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed if args.seed is not None else 0)
     done = 0
     steps_total = 0
-    # Each distinct drawn cylinder is verified once; a repeat draw counts
-    # its stored steps again.
+    # Each distinct drawn twig, so each distinct cylinder, is built and
+    # verified once; a repeat draw counts its stored steps again, or is
+    # skipped again (None) when its leaves sum to zero.
     steps: dict = {}
     while done < cases:
         twig = _random_twig(model, rng)
-        try:
-            cyl = build_cylinder(model, twig, extended=True)
-            # A draw over the cap ends the run: redrawing might never stop.
-            if cyl not in steps:
-                steps[cyl] = _verify_one(model, cyl, table, "--cases")
-            steps_total += steps[cyl]
-        except ZeroVector:
+        if twig not in steps:
+            try:
+                cyl = build_cylinder(model, twig, extended=True)
+                # A draw over the cap ends the run: redrawing might never stop.
+                steps[twig] = _verify_one(model, cyl, table, "--cases")
+            except ZeroVector:
+                steps[twig] = None
+        if steps[twig] is None:
             continue
+        steps_total += steps[twig]
         done += 1
     print(f"PASS, {done} cases, {steps_total} induction steps")
     return EXIT_OK

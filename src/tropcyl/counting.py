@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, sub
 
 from . import classes as cls
 from .errors import ComponentOutOfRange, ModelMismatch, NotPrimitiveCylinder, OutOfPrimitiveScope
@@ -24,7 +24,7 @@ from .tropical import Cylinder, canonical_spine_split, check_primitive, cylinder
 from .tropical import extension_class, leaf_sum, tree_class
 
 Support = dict[cls.CurveClass, int]
-Groups = tuple[tuple[set[tuple[int, int]], dict[frozenset, list]], ...]
+Groups = tuple[tuple[set[tuple[int, int]], dict[tuple, list]], ...]
 # Per leaf: its distinct dD vectors, and per row (j, dD index, dE, count).
 LeafParts = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, tuple, int], ...]]
 
@@ -185,10 +185,13 @@ class CylinderCount:
     A single-class query prunes by exceptional support. A pair is private to
     leaf s < t when some class of leaf s meets it and no class of a later
     leaf does; later subtractions leave a residual's part on those pairs
-    alone, so only the classes of leaf s with that same part can complete it.
-    With the default table, or any table whose classes meet only their own
-    ray's pairs, one residual survives each leaf and a query makes t
-    subtractions, however large t is.
+    alone, so only the classes of leaf s whose run cut to those pairs is the
+    residual's can complete it. A class that meets private pairs only is
+    cancelled by dropping those pairs from the residual's run and
+    subtracting its dD; one that also meets a later leaf's pair is
+    subtracted in full. With the default table, or any table whose classes
+    meet only their own ray's pairs, one residual survives each leaf, each
+    built by one cancellation, however large t is.
     """
 
     model: ToricModel
@@ -248,13 +251,18 @@ class CylinderCount:
 
     def _mass(self, beta: cls.CurveClass) -> int:
         """``count`` at a class already checked to be in the primitive scope."""
+        rays = self.model.fan.rays
         residual: Support = {beta - self.base: 1}
         for private, groups in self._groups:
-            residual = measure(
-                (r - c, w * n)
-                for r, w in residual.items()
-                for c, n in groups.get(_part(r, private), ())
-            )
+            terms = []
+            for r, w in residual.items():
+                on, off = [], []
+                for kv in r.dE:
+                    (on if kv[0] in private else off).append(kv)
+                for c, n, alone in groups.get(tuple(on), ()):
+                    d = cls.CurveClass(rays, tuple(map(sub, r.dD, c.dD)), tuple(off)) if alone else r - c
+                    terms.append((d, w * n))
+            residual = measure(terms)
         last = self.measures[-1]
         return sum(w * last.get(r, 0) for r, w in residual.items())
 
@@ -267,14 +275,10 @@ def _leaf_parts(rows) -> LeafParts:
     return tuple(index), parts
 
 
-def _part(c: cls.CurveClass, pairs: set[tuple[int, int]]) -> frozenset:
-    """The exceptional part of a class on the given pairs."""
-    return frozenset(kv for kv in c.dE if kv[0] in pairs)
-
-
 def _private_groups(measures: tuple[Support, ...]) -> Groups:
-    """Per leaf s < t: its private pairs, and its (class, count) terms
-    grouped by each class's exceptional part on them."""
+    """Per leaf s < t: its private pairs, and its (class, count, whether the
+    class meets private pairs only) terms grouped by each class's ``dE`` run
+    cut to them, canonical since the run is sorted."""
     *first, last = measures
     later = {p for c in last for p, _v in c.dE}
     out = []
@@ -282,7 +286,8 @@ def _private_groups(measures: tuple[Support, ...]) -> Groups:
         met = {p for c in supp for p, _v in c.dE}
         private, groups = met - later, {}
         for c, n in supp.items():
-            groups.setdefault(_part(c, private), []).append((c, n))
+            on = tuple([kv for kv in c.dE if kv[0] in private])
+            groups.setdefault(on, []).append((c, n, len(on) == len(c.dE)))
         out.append((private, groups))
         later |= met
     return tuple(out[::-1])
@@ -404,7 +409,8 @@ def count_spine(
         )
     if not rays_hit:
         return 0
-    cyl = replace(spine, twig_type=tuple(model.fan.ray(i) for i in rays_hit))
+    leaves = tuple(model.fan.ray(i) for i in rays_hit)
+    cyl = Cylinder(spine.p1, spine.p2, spine.bend, leaves, spine.extended)
     return cylinder_count(model, cyl, table)._mass(beta) if cyl.balanced else 0
 
 

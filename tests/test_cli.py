@@ -667,7 +667,7 @@ def test_verify_builds_each_measure_once_per_cylinder(capsys, monkeypatch):
     build, drawn = cli.build_cylinder, []
     monkeypatch.setattr(cli, "build_cylinder", lambda *a, **k: drawn.append(build(*a, **k)) or drawn[-1])
     code, out = run(capsys, "verify", "--seed", "3", "--cases", "4")
-    assert len(drawn) == 4
+    assert len(drawn) == len(set(drawn)) == 3
     assert (code, calls) == (0, dict.fromkeys(calls, len(set(drawn)))), out
 
 
@@ -729,6 +729,22 @@ def test_verify_cases_verifies_each_leaf_order(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--cases", "4")
     assert (code, out) == (0, "PASS, 4 cases, 8 induction steps\n")
     assert verified == twigs
+
+
+def test_verify_cases_builds_each_drawn_twig_once(capsys, monkeypatch):
+    """A repeat draw builds no cylinder: a twig whose leaves sum to zero
+    raises ``ZeroVector`` once and is skipped again when drawn again, and a
+    verified twig adds its stored steps."""
+    from tropcyl import cli
+
+    zero, one = ((1, 0), (0, 1), (-1, -1)), ((1, 0),)
+    draws = iter([zero, one, zero, zero, one])
+    monkeypatch.setattr(cli, "_random_twig", lambda model, rng: next(draws))
+    real, built = cli.build_cylinder, []
+    monkeypatch.setattr(cli, "build_cylinder", lambda model, twig, **k: built.append(twig) or real(model, twig, **k))
+    code, out = run(capsys, "verify", "--cases", "2")
+    assert (code, out) == (0, "PASS, 2 cases, 2 induction steps\n")
+    assert built == [zero, one]
 
 
 def test_verify_fails_on_a_class_the_listing_lacks(capsys, tmp_path, monkeypatch):

@@ -651,19 +651,82 @@ def test_a_foreign_class_behind_an_empty_leaf_is_refused_by_both_paths(cubic, ex
 
 def test_default_table_query_subtracts_once_per_leaf(monkeypatch):
     """On the 12-ray model with every l_i = 3, a query with t = 8 leaves keeps
-    one residual per leaf: t subtractions, where subtracting every class of
-    every leaf but the last takes 1 + 3 + 9 + ... + 3^7."""
+    one residual per leaf: each of the first 7 leaves makes one residual
+    term, where subtracting every class of every leaf but the last makes
+    3 + 9 + ... + 3^7."""
     model = build_model(TWELVE_RAYS, (3,) * 12)
     cc = cylinder_count(model, build_cylinder(model, TWELVE_RAYS[:8], extended=True))
     beta = cc.base
     for i in cc.comps:
         beta = beta + elementary_class(model, i, 2)
-    real, calls = CurveClass.__sub__, []
-    monkeypatch.setattr(CurveClass, "__sub__", lambda a, b: calls.append(b) or real(a, b))
+    real, sizes = counting.measure, []
+
+    def counted(terms):
+        terms = list(terms)
+        sizes.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr(counting, "measure", counted)
     for query, want in ((beta, 1), (beta + divisor_class(model.fan, 1), 0)):
-        calls.clear()
+        sizes.clear()
         assert cc.count(query) == want
-        assert len(calls) <= len(cc.comps) == 8
+        assert sizes == [1] * (len(cc.comps) - 1) == [1] * 7
+
+
+def test_a_private_only_class_is_cancelled(cubic, monkeypatch):
+    """Leaf 1's classes meet only its own pairs, two of them with one run and
+    different dD: each is marked private-only and is cancelled by dropping
+    those pairs from the residual's run, with no class subtraction after
+    beta - base, and every query counts what the unpruned loop and the
+    oracle count."""
+    e11 = elementary_class(cubic, 1, 1)
+    table = ElementaryCountTable((
+        ((1, 1), ((e11, 2), (e11 + divisor_class(cubic.fan, 3), 1))),
+        ((1, 2), ((elementary_class(cubic, 1, 2), -1),)),
+        ((2, 1), ((elementary_class(cubic, 2, 1), 3),)),
+    ))
+    cc = cylinder_count(cubic, build_cylinder(cubic, ((1, 0), (0, 1)), extended=True), table)
+    [(private, groups)] = cc._groups
+    assert private == {(1, 1), (1, 2)}
+    assert sorted(len(g) for g in groups.values()) == [1, 2]
+    assert all(alone for g in groups.values() for _c, _n, alone in g)
+    oracle = splitting_measure(cubic, cc.cyl, table)
+    assert len(oracle) == 3
+    real, subtracted = CurveClass.__sub__, []
+    for beta in oracle:
+        for b in (beta, beta + divisor_class(cubic.fan, 1)):
+            want = _unpruned_mass(cc, b)
+            assert want == splitting_sum(cubic, cc.cyl, b, table) == oracle.get(b, 0)
+            monkeypatch.setattr(CurveClass, "__sub__", lambda a, c: subtracted.append(c) or real(a, c))
+            assert cc.count(b) == want
+            monkeypatch.setattr(CurveClass, "__sub__", real)
+            assert subtracted == [cc.base]
+            subtracted.clear()
+
+
+def test_a_class_meeting_a_later_leafs_pair_is_subtracted_in_full(cubic):
+    """Leaf 1's class at (1, 1) also carries E_21, a pair of leaf 2: it is
+    not private-only and is subtracted in full, its entry at (2, 1) with it,
+    while leaf 1's class at (1, 2) is cancelled; queries at the oracle's
+    classes and beside them count what the unpruned loop and the oracle
+    count."""
+    e21 = exceptional_class(cubic, 2, 1)
+    shared, e12 = elementary_class(cubic, 1, 1) + e21, elementary_class(cubic, 1, 2)
+    table = ElementaryCountTable((
+        ((1, 1), ((shared, 1),)),
+        ((1, 2), ((e12, 2),)),
+        ((2, 1), ((elementary_class(cubic, 2, 1), 1),)),
+        ((2, 2), ((elementary_class(cubic, 2, 2), -1),)),
+    ))
+    cc = cylinder_count(cubic, build_cylinder(cubic, ((1, 0), (0, 1)), extended=True), table)
+    [(private, groups)] = cc._groups
+    assert private == {(1, 1), (1, 2)}
+    assert groups == {(((1, 1), 1),): [(shared, 1, False)], (((1, 2), 1),): [(e12, 2, True)]}
+    oracle = splitting_measure(cubic, cc.cyl, table)
+    assert len(oracle) == 4 and oracle[shared + elementary_class(cubic, 2, 1) + cc.base] == 1
+    for beta in oracle:
+        for b in (beta, beta + e21, beta + divisor_class(cubic.fan, 2)):
+            assert cc._mass(b) == _unpruned_mass(cc, b) == splitting_sum(cubic, cc.cyl, b, table) == oracle.get(b, 0)
 
 
 def test_leaf_measures_are_shared(cubic):
@@ -701,7 +764,7 @@ def test_a_leaf_without_private_pairs_keeps_every_class(cubic):
     ))
     cc = cylinder_count(cubic, build_cylinder(cubic, ((1, 0), (0, 1))), table)
     [(private, groups)] = cc._groups
-    assert private == set() and len(groups[frozenset()]) == 2
+    assert private == set() and len(groups[()]) == 2
     oracle = splitting_measure(cubic, cc.cyl, table)
     assert len(oracle) == 4
     for beta in oracle:

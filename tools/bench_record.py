@@ -1,13 +1,13 @@
 """Record the benchmark of one checkout in a ``BENCH_<n>.json`` file, or compare two.
 
-    python3 tools/bench_record.py --out BENCH_38.json [--root DIR]
-    python3 tools/bench_record.py --compare BENCH_37.json BENCH_38.json
+    python3 tools/bench_record.py --out BENCH_39.json [--root DIR]
+    python3 tools/bench_record.py --compare BENCH_38.json BENCH_39.json
 
 Recording runs ``bench/run.py`` of the checkout at ``--root`` (default: this
 one) ``RUNS`` = 3 times per workload, each run in a fresh process with
 ``--seed 1 --seconds 30 --trace 0``, and keeps per workload each end-to-end
 metric's median and interquartile range (IQR) over the runs, and per run its
-``correct`` and ``failed``. It then times five rows in a process that
+``correct`` and ``failed``. It then times seven rows in a process that
 imports ``tropcyl`` from the checkout's ``src/``:
 
 * ``class.make_us``: building a ``CurveClass`` from its rays, dD and dE;
@@ -16,6 +16,11 @@ imports ``tropcyl`` from the checkout's ``src/``:
 * ``counting.row_cap_ms``: ``contributing_classes`` at the CLI's row cap,
   8 leaves of the 12-ray model with every l_i = 3 and the default table
   (3^8 = 6561 rows);
+* ``counting.query_us``: ``count_primitive_cylinder`` on that cylinder
+  and table at the class that picks component 2 at every leaf (count 1),
+  the cylinder's count data already read;
+* ``counting.spine_us``: ``count_spine`` at that class on that cylinder's
+  spine, which lists the same leaves and reads the same count data;
 * ``walls.pair_sum_cap_ms``: ``generate_walls`` under ``pair_sum`` on the
   cubic model at the config's cap on the norm bound, 40, with 10^5 steps;
 * ``cli.verify_cases_ms``: ``tropcyl verify --seed 0 --cases 200`` through
@@ -48,6 +53,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,7 +120,8 @@ def class_rows() -> dict:
     from run import reference
     from tropcyl.classes import CurveClass
     from tropcyl.cli import main as cli_main
-    from tropcyl.counting import build_cylinder, contributing_classes, default_table, elementary_class
+    from tropcyl.counting import build_cylinder, contributing_classes, count_primitive_cylinder, count_spine
+    from tropcyl.counting import cylinder_count, default_table, elementary_class
     from tropcyl.model import build_model, cubic_model
     from tropcyl.walls import generate_walls
 
@@ -124,6 +131,12 @@ def class_rows() -> dict:
     table = default_table(model)
     cyl = build_cylinder(model, TWELVE_RAYS[:8])
     contributing_classes(model, cyl, table)
+    beta = cylinder_count(model, cyl, table).base
+    for i in range(1, 9):
+        beta = beta + elementary_class(model, i, 2)
+    spine = replace(cyl, twig_type=())
+    if not count_primitive_cylinder(model, cyl, beta, table) == 1 == count_spine(model, spine, beta, table):
+        raise RuntimeError("the row cap query does not count 1")
     cubic = cubic_model()
 
     def per_call_us(call) -> list[float]:
@@ -154,6 +167,8 @@ def class_rows() -> dict:
         "class.make_us": (per_call_us(lambda: CurveClass(rays, dD, dE)), "us"),
         "class.add_us": (per_call_us(lambda: a + b), "us"),
         "counting.row_cap_ms": (once(lambda: contributing_classes(model, cyl, table), 1e3), "ms"),
+        "counting.query_us": (per_call_us(lambda: count_primitive_cylinder(model, cyl, beta, table)), "us"),
+        "counting.spine_us": (per_call_us(lambda: count_spine(model, spine, beta, table)), "us"),
         "walls.pair_sum_cap_ms": (once(lambda: generate_walls(cubic, 10**5, 40, "pair_sum"), 1e3), "ms"),
         "cli.verify_cases_ms": (once(verify_cases, 1e3), "ms"),
     }

@@ -265,15 +265,18 @@ MUTANTS = (
     ),
     Mutant(
         "verify-cases-memo-keyed-on-leaf-set", "src/tropcyl/cli.py",
-        "            if cyl not in steps:\n"
-        "                steps[cyl] = _verify_one(model, cyl, table, \"--cases\")\n"
-        "            steps_total += steps[cyl]\n",
-        "            key = frozenset(cyl.twig_type)\n"
-        "            if key not in steps:\n"
-        "                steps[key] = _verify_one(model, cyl, table, \"--cases\")\n"
-        "            steps_total += steps[key]\n",
-        True, "verify --cases verifies one leaf order of a twig set and counts the other's steps"
-        " unchecked; test_verify_cases_verifies_each_leaf_order kills it",
+        "        twig = _random_twig(model, rng)\n",
+        "        twig = tuple(sorted(_random_twig(model, rng)))\n",
+        True, "verify --cases builds and verifies one leaf order of a twig set, sorted, and counts"
+        " its steps for every order drawn; test_verify_cases_verifies_each_leaf_order kills it",
+    ),
+    Mutant(
+        "query-cancels-shared-pairs", "src/tropcyl/counting.py",
+        "(c, n, len(on) == len(c.dE))",
+        "(c, n, True)",
+        True, "a query cancels every class as if it met its leaf's private pairs only, so a"
+        " class's entries on a later leaf's pairs stay in the residual;"
+        " test_a_class_meeting_a_later_leafs_pair_is_subtracted_in_full kills it",
     ),
     Mutant(
         "cylinder-read-memo-drops-extended", "src/tropcyl/counting.py",
