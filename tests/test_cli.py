@@ -741,7 +741,7 @@ def test_verify_cases_builds_each_drawn_twig_once(capsys, monkeypatch):
     draws = iter([zero, one, zero, zero, one])
     monkeypatch.setattr(cli, "_random_twig", lambda model, rng: next(draws))
     real, built = cli.build_cylinder, []
-    monkeypatch.setattr(cli, "build_cylinder", lambda model, twig, **k: built.append(twig) or real(model, twig, **k))
+    monkeypatch.setattr(cli, "build_cylinder", lambda m, twig, **k: built.append(twig) or real(m, twig, **k))
     code, out = run(capsys, "verify", "--cases", "2")
     assert (code, out) == (0, "PASS, 2 cases, 2 induction steps\n")
     assert built == [zero, one]

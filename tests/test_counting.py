@@ -726,7 +726,8 @@ def test_a_class_meeting_a_later_leafs_pair_is_subtracted_in_full(cubic):
     assert len(oracle) == 4 and oracle[shared + elementary_class(cubic, 2, 1) + cc.base] == 1
     for beta in oracle:
         for b in (beta, beta + e21, beta + divisor_class(cubic.fan, 2)):
-            assert cc._mass(b) == _unpruned_mass(cc, b) == splitting_sum(cubic, cc.cyl, b, table) == oracle.get(b, 0)
+            want = oracle.get(b, 0)
+            assert cc._mass(b) == _unpruned_mass(cc, b) == splitting_sum(cubic, cc.cyl, b, table) == want
 
 
 def test_leaf_measures_are_shared(cubic):
