@@ -13,6 +13,7 @@ import random
 import sys
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 from . import config as cfg
 from .counting import (
@@ -33,6 +34,7 @@ from .errors import (
     ZeroVector,
 )
 from .lattice import norm
+from .model import cubic_model
 from .svg import render_tree, render_walls
 from .tropical import cylinder_tree
 from .walls import RULES, generate_walls, is_wall_direction
@@ -57,25 +59,20 @@ MAX_ROWS = 3**8
 # Randomized cases `verify` draws without --cases.
 DEFAULT_CASES = 20
 
-DEFAULT_CONFIG = {
-    "model": {
-        "fan": {"rays": [[1, 0], [0, 1], [-1, -1]]},
-        "blowups": [2, 2, 2],
-    }
-}
-
 
 def _load_config(args) -> cfg.Config:
-    data = cfg.load_json(args.config) if args.config else DEFAULT_CONFIG
-    config = cfg.parse_config(data)
+    config = cfg.parse_config(cfg.load_json(args.config)) if args.config else cfg.Config(cubic_model())
     given = {k: getattr(args, k, None) for k in ("steps", "norm_bound", "rule")}
     walls = replace(config.walls, **{k: v for k, v in given.items() if v is not None})
     return replace(config, walls=cfg.check_walls(walls, "--steps", "--norm-bound"))
 
 
-def _write_svg(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+def _draw(render, *args) -> str:
+    """render(*args), refused when a drawing coordinate does not fit a float."""
+    try:
+        return render(*args)
+    except OverflowError:
+        raise ConfigError("render", "a drawing coordinate does not fit a float")
 
 
 def _refuse_wall_flags(args, reason: str) -> None:
@@ -102,6 +99,8 @@ def cmd_walls(args) -> int:
     config = _load_config(args)
     model = config.model
     walls = generate_walls(model, config.walls.steps, config.walls.norm_bound, config.walls.rule)
+    # Drawn before the listing prints, so a refused drawing prints nothing.
+    text = _draw(render_walls, walls, config.render) if args.svg else None
     if args.json:
         out = {
             "rule": walls.rule,
@@ -117,7 +116,7 @@ def cmd_walls(args) -> int:
         for d, s in walls.directions:
             print(f"{d[0]},{d[1]} step {s} norm {norm(model.fan, d)}")
     if args.svg:
-        _write_svg(args.svg, render_walls(walls, config.render))
+        Path(args.svg).write_text(text)
     return EXIT_OK
 
 
@@ -263,15 +262,15 @@ def cmd_render(args) -> int:
         walls = generate_walls(
             model, config.walls.steps, config.walls.norm_bound, config.walls.rule
         )
-        text = render_walls(walls, config.render)
+        text = _draw(render_walls, walls, config.render)
     elif target == "cylinder":
         cyl, _ = _load_spec(args, model)
-        text = render_tree(model, cylinder_tree(model, cyl), config.render)
+        text = _draw(render_tree, model, cylinder_tree(model, cyl), config.render)
     else:
         print(f"unknown render target: {target}", file=sys.stderr)
         return EXIT_RENDER_TARGET
     if args.svg:
-        _write_svg(args.svg, text)
+        Path(args.svg).write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

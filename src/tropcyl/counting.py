@@ -25,8 +25,8 @@ from .tropical import extension_class, leaf_sum, tree_class
 
 Support = dict[cls.CurveClass, int]
 Groups = tuple[tuple[set[tuple[int, int]], dict[tuple, list]], ...]
-# Per leaf: its distinct dD vectors, and per row (j, dD index, dE, count).
-LeafParts = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, tuple, int], ...]]
+# Per leaf: its distinct dD vectors, per row (j, dD index, dE, count), its span.
+LeafParts = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, tuple, int], ...], tuple | None]
 
 # Cylinders whose count data one table keeps, the oldest dropped first.
 CYLINDER_MEMO_SIZE = 256
@@ -162,12 +162,12 @@ class CylinderCount:
     class when the cylinder is extended and zero when it is not; and per
     leaf every (j, class, count) the table lists at (i(s), j), j <= l_i,
     from the default table at the leaves' rays when none is given. The
-    record keeps those rows as ``parts``, a leaf's distinct dD vectors and
-    per row (j, dD index, dE, count), as ``spans``, the smallest and the
-    largest pair a leaf's rows meet (``classes.dE_span``), and as
-    ``measures``, their counts summed per class. The oracle folds the rows itself and never reads the
-    record. The closed form, its listing, the replay and the CLI read it, at
-    the cylinder's level.
+    record keeps those rows as ``parts``, per leaf its distinct dD vectors,
+    per row (j, dD index, dE, count) and the rows' span, the smallest and
+    the largest pair they meet (``classes.dE_span``), and as ``measures``,
+    their counts summed per class. The oracle folds the rows itself and
+    never reads the record. The closed form, its listing, the replay and the
+    CLI read it, at the cylinder's level.
 
     A table's memo keeps, by (model, cylinder as given), every field but the
     model and the cylinder, for at most ``CYLINDER_MEMO_SIZE`` cylinders,
@@ -200,7 +200,6 @@ class CylinderCount:
     comps: tuple[int, ...]
     measures: tuple[Support, ...]
     parts: tuple[LeafParts, ...] = field(repr=False)
-    spans: tuple[tuple | None, ...] = field(repr=False)
     _groups: Groups = field(repr=False)
 
     @cached_property
@@ -219,7 +218,7 @@ class CylinderCount:
         rows = [((), 0, self.base.dE, 1)]
         sums = [self.base.dD]
         met = cls.dE_span([self.base.dE])
-        for (dDs, leaf), span in zip(self.parts, self.spans):
+        for dDs, leaf, span in self.parts:
             join = cls.dE_join(met, span)
             # A row's index into ``sums`` holds one dD index per leaf, in mixed radix.
             w = len(dDs)
@@ -237,7 +236,7 @@ class CylinderCount:
     @property
     def rows(self) -> int:
         """The number of ``contributing`` rows, the product of the leaves' row counts."""
-        return math.prod(len(leaf) for _dDs, leaf in self.parts)
+        return math.prod(len(leaf) for _dDs, leaf, _span in self.parts)
 
     @cached_property
     def listed(self) -> Support:
@@ -268,11 +267,11 @@ class CylinderCount:
 
 
 def _leaf_parts(rows) -> LeafParts:
-    """A leaf's distinct dD vectors, and per row (j, the index of its dD
-    among them, its dE, its count)."""
+    """A leaf's distinct dD vectors, per row (j, the index of its dD among
+    them, its dE, its count), and the rows' span."""
     index: dict[tuple[int, ...], int] = {}
     parts = tuple((j, index.setdefault(c.dD, len(index)), c.dE, n) for j, c, n in rows)
-    return tuple(index), parts
+    return tuple(index), parts, cls.dE_span([dE for _j, _g, dE, _n in parts])
 
 
 def _private_groups(measures: tuple[Support, ...]) -> Groups:
@@ -326,9 +325,8 @@ def cylinder_count(
     if data is None:
         comps, base, leaves = _read(model, cyl, table)
         parts = tuple(_leaf_parts(rows) for rows in leaves)
-        spans = tuple(cls.dE_span([c.dE for _j, c, _n in rows]) for rows in leaves)
         measures = tuple(measure((c, n) for _j, c, n in rows) for rows in leaves)
-        data = (base, comps, measures, parts, spans, _private_groups(measures))
+        data = (base, comps, measures, parts, _private_groups(measures))
         if len(memo) >= CYLINDER_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[(model, cyl)] = data

@@ -1,10 +1,12 @@
 """Deterministic SVG emission for wall structures and mapped trees.
 
 Every drawing uses exact input data projected to floats only at the final
-formatting step, with a fixed 6-decimal precision and a fixed element order,
-so identical inputs produce byte-identical files. ``render_walls`` writes its
-walls from parts formatted once per drawing; the other elements go through
-``_Canvas``.
+formatting step, with a fixed element order and plain ``.6f`` numbers, so
+identical inputs produce byte-identical files. No number is -0.0: each
+coordinate is a positive half-dimension plus or minus a finite product, and
+each width or radius a positive constant. A coordinate that does not fit a
+float raises ``OverflowError``. ``render_walls`` writes its walls from parts
+formatted once per drawing; the other elements go through ``_Canvas``.
 """
 
 from __future__ import annotations
@@ -50,13 +52,6 @@ class RenderOptions:
         return PALETTES[self.palette]
 
 
-def _fmt(x) -> str:
-    v = float(x)
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.6f}"
-
-
 def _clip_radius(opts: RenderOptions) -> float:
     """Drawing radius in world units."""
     return 0.45 * min(opts.width, opts.height) / opts.scale
@@ -69,34 +64,33 @@ class _Canvas:
 
     def to_screen(self, x, y) -> tuple[float, float]:
         o = self.opts
-        return (o.width / 2 + o.scale * float(x), o.height / 2 - o.scale * float(y))
+        sx, sy = o.width / 2 + o.scale * float(x), o.height / 2 - o.scale * float(y)
+        if math.isfinite(sx) and math.isfinite(sy):
+            return sx, sy
+        raise OverflowError(f"screen point ({sx}, {sy}) is not finite")
 
     def line(self, a, b, color: str, width: float) -> None:
         (x1, y1), (x2, y2) = self.to_screen(*a), self.to_screen(*b)
         self.parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{_fmt(width)}" stroke-linecap="round" />'
+            f'<line x1="{x1:.6f}" y1="{y1:.6f}" x2="{x2:.6f}" y2="{y2:.6f}" '
+            f'stroke="{color}" stroke-width="{width:.6f}" stroke-linecap="round" />'
         )
 
     def polygon(self, pts, color: str, width: float) -> None:
-        coords = " ".join(
-            f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in (self.to_screen(*p) for p in pts)
-        )
+        coords = " ".join(f"{sx:.6f},{sy:.6f}" for sx, sy in (self.to_screen(*p) for p in pts))
         self.parts.append(
             f'<polygon points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}" />'
+            f'stroke-width="{width:.6f}" />'
         )
 
     def dot(self, p, color: str, r: float) -> None:
         sx, sy = self.to_screen(*p)
-        self.parts.append(
-            f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="{_fmt(r)}" fill="{color}" />'
-        )
+        self.parts.append(f'<circle cx="{sx:.6f}" cy="{sy:.6f}" r="{r:.6f}" fill="{color}" />')
 
     def text(self, p, s: str, color: str) -> None:
         sx, sy = self.to_screen(*p)
         self.parts.append(
-            f'<text x="{_fmt(sx)}" y="{_fmt(sy)}" font-size="10" '
+            f'<text x="{sx:.6f}" y="{sy:.6f}" font-size="10" '
             f'font-family="monospace" fill="{color}" text-anchor="middle">{s}</text>'
         )
 
@@ -140,14 +134,12 @@ def render_walls(walls: WallStructure, opts: RenderOptions | None = None) -> str
     _boundary(canvas, walls.model, radius)
     colors = opts.colors()
     cx, cy, scale, far = opts.width / 2, opts.height / 2, opts.scale, radius * 1.08
-    origin = f'<line x1="{_fmt(cx)}" y1="{_fmt(cy)}"'
+    origin = f'<line x1="{cx:.6f}" y1="{cy:.6f}"'
     initial, later = (
-        f'stroke="{colors[kind]}" stroke-width="{_fmt(width)}" stroke-linecap="round" />'
+        f'stroke="{colors[kind]}" stroke-width="{width:.6f}" stroke-linecap="round" />'
         for kind, width in (("initial", 2.5), ("wall", 1.0))
     )
     label = f'font-size="10" font-family="monospace" fill="{colors["label"]}" text-anchor="middle"'
-    # Each coordinate is a positive half-dimension plus or minus a product, so
-    # never -0.0: plain .6f formatting writes what _fmt writes.
     for (x, y), step in walls.directions:
         x, y = float(x), float(y)
         n = math.hypot(x, y)

@@ -18,7 +18,6 @@ from tropcyl.svg import (
     _boundary,
     _Canvas,
     _clip_radius,
-    _fmt,
     _unit,
     render_walls,
 )
@@ -252,10 +251,69 @@ def test_render_cylinder_golden(tmp_path, capsys):
     assert out_path.read_bytes() == (GOLDEN / "cylinder_single_leaf.svg").read_bytes()
 
 
-def test_svg_numbers_print_no_negative_zero():
-    """A coordinate that rounds through -0.0 prints as 0, so a drawing does
-    not depend on the sign of a zero."""
-    assert [_fmt(x) for x in (-0.0, 0, 0.5, -1.25)] == ["0.000000", "0.000000", "0.500000", "-1.250000"]
+_CUBIC_CONFIG = {"model": {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "blowups": [2, 2, 2]}}
+
+
+def test_a_tree_vertex_on_the_canvas_edge_prints_zero(capsys, tmp_path):
+    """At scale 240 on a 480-wide canvas the bend of the one-leaf cylinder
+    at (1, 0), at world x = -1, lands exactly on the left edge: its screen x
+    is 240 - 240, which prints 0.000000, and no number prints as -0."""
+    config = spec_file(tmp_path, {**_CUBIC_CONFIG, "render": {"scale": 240}}, "config.json")
+    spec = spec_file(tmp_path, {"twig_type": [[1, 0]]})
+    code, out = run(capsys, "render", "cylinder", spec, "--config", config)
+    assert code == 0
+    assert '<circle cx="0.000000" cy="240.000000" r="2.000000"' in out
+    assert "-0.000000" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["walls"], ["walls", "--json", "--rule", "support"], ["count", "--json", "SPEC"],
+    ["verify", "--cases", "5"], ["render", "walls"],
+], ids=" ".join)
+def test_no_config_is_the_cubic_model(capsys, tmp_path, argv):
+    """Without --config a command prints the bytes it prints with a config
+    file holding the cubic model and no walls or render section."""
+    argv = [spec_file(tmp_path, {"twig_type": [[1, 0], [0, 1]]}) if a == "SPEC" else a for a in argv]
+    runs = []
+    for extra in ([], ["--config", spec_file(tmp_path, _CUBIC_CONFIG, "config.json")]):
+        code = main(argv + extra)
+        out = capsys.readouterr()
+        runs.append((code, out.out, out.err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1]
+
+
+_HUGE = 10**400
+_OVERFLOWS = {
+    "fan": ({"model": {"fan": {"rays": [[1, 0], [0, 1], [-1, _HUGE], [0, -1]]}, "blowups": [1, 1, 1, 1]}},
+            {"twig_type": [[1, 0]]}),
+    "width": ({**_CUBIC_CONFIG, "render": {"width": _HUGE}}, {"twig_type": [[1, 0]]}),
+    "bend": (_CUBIC_CONFIG, {"twig_type": [[1, 0]], "spine": {"p1": [0, 1], "p2": [-1, -1], "bend_at": [_HUGE, 0]}}),
+    # Fits a float, but 60 times it does not: the screen point is not finite.
+    "bend-1e306": (_CUBIC_CONFIG,
+                   {"twig_type": [[1, 0]], "spine": {"p1": [0, 1], "p2": [-1, -1], "bend_at": [10**306, 0]}}),
+}
+
+
+@pytest.mark.parametrize("case, argv", [
+    ("fan", ["walls", "--svg", "SVG"]), ("fan", ["render", "walls", "--svg", "SVG"]),
+    ("fan", ["render", "cylinder", "SPEC", "--svg", "SVG"]),
+    ("width", ["walls", "--svg", "SVG"]), ("width", ["render", "walls"]),
+    ("width", ["render", "cylinder", "SPEC", "--svg", "SVG"]),
+    ("bend", ["render", "cylinder", "SPEC", "--svg", "SVG"]), ("bend", ["render", "cylinder", "SPEC"]),
+    ("bend-1e306", ["render", "cylinder", "SPEC", "--svg", "SVG"]),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_a_drawing_that_does_not_fit_a_float_is_refused(capsys, tmp_path, case, argv):
+    """A fan ray, a canvas width or a bend too large for a float is refused
+    as a render error, before anything prints and with no file written."""
+    config, spec = _OVERFLOWS[case]
+    svg = tmp_path / "out.svg"
+    paths = {"SPEC": spec_file(tmp_path, spec), "SVG": str(svg)}
+    argv = [paths.get(a, a) for a in argv] + ["--config", spec_file(tmp_path, config, "config.json")]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: render: a drawing coordinate does not fit a float\n")
+    assert not svg.exists()
 
 
 def test_render_toric_model_boundary_only(tmp_path, capsys):

@@ -17,7 +17,7 @@ killed and print as ``killed (memory cap)`` or ``killed (timed out)``.
 
     python3 tools/mutants.py
 
-It runs every mutant and is not part of tier-1. A full run of the 32
+It runs every mutant and is not part of tier-1. A full run of the 34
 mutants takes about 6 minutes (Python 3.11.7, 2 shared vCPUs): the unmutated
 copy and each survivor cost a whole suite run, 30-40 s, and a killed
 mutant less. The script writes only to its temporary directories.
@@ -277,6 +277,23 @@ MUTANTS = (
         True, "a query cancels every class as if it met its leaf's private pairs only, so a"
         " class's entries on a later leaf's pairs stay in the residual;"
         " test_a_class_meeting_a_later_leafs_pair_is_subtracted_in_full kills it",
+    ),
+    Mutant(
+        "render-overflow-not-refused", "src/tropcyl/cli.py",
+        "    try:\n"
+        "        return render(*args)\n"
+        "    except OverflowError:\n"
+        '        raise ConfigError("render", "a drawing coordinate does not fit a float")\n',
+        "    return render(*args)\n",
+        True, "a drawing whose coordinate does not fit a float ends in an OverflowError traceback"
+        " instead of exit 2; test_a_drawing_that_does_not_fit_a_float_is_refused kills it",
+    ),
+    Mutant(
+        "screen-point-not-checked-finite", "src/tropcyl/svg.py",
+        "        if math.isfinite(sx) and math.isfinite(sy):\n",
+        "        if True:\n",
+        True, "_Canvas.to_screen returns an infinite or nan screen point, which a drawing writes as"
+        " inf or nan; test_a_drawing_that_does_not_fit_a_float_is_refused[bend-1e306-*] kills it",
     ),
     Mutant(
         "cylinder-read-memo-drops-extended", "src/tropcyl/counting.py",
